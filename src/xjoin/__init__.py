@@ -44,7 +44,6 @@ from .groupoid import FinGroupoid, Germ, germ_groupoid, germ_of, is_local_bisect
 from .bisection import (
     AdditiveMorphism,
     BisAlgebra,
-    bis_algebra,
     check_presentation,
     check_variety_identities,
     congruence,

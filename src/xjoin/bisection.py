@@ -1,6 +1,7 @@
 """Boolean inverse semigroups of local bisections of a finite groupoid.
 
-Elements are arrow subsets on which source and range are injective,
+Elements are arrow sets on which source and range are injective, held as
+int masks over arrow indices (as ``boolalg`` holds its elements) and
 enumerated by backtracking over per-unit occupancy.  The module carries the
 canonical representation of an inverse semigroup into the bisection algebra
 of its germ groupoid, the presentation and quotient checks, and the
@@ -26,13 +27,29 @@ from .semilattice import Character, LawViolation
 ENUMERATION_WARN_ARROWS = 24
 
 
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class BisAlgebra:
     """All local bisections of a finite groupoid, with the algebra operations.
 
-    Elements are canonically ordered frozensets of arrow indices; index 0 is
-    the empty bisection.  Operations are memoized on demand; memo writes are
-    idempotent (every writer computes the same value), so concurrent readers
-    stay consistent.
+    ``elements[i]`` is the arrow mask of element i, ordered by size and then
+    by ascending arrow list; index 0 is the empty bisection.  ``srcm[i]`` and
+    ``rngm[i]`` are the unit masks of its sources and ranges.  Idempotents
+    are the unit subsets, and tables indexed by unit mask give the idempotent
+    on each and the arrows with a source or a range in it, so domain, range,
+    order, meet, difference and skew join are bit operations.  Products stay
+    memoized in ``_mul``, because composing arrows is not a bit operation
+    (and tests poison the memo to show the identity checks consult it), as
+    do inverses in ``_inv``.  Memo writes are idempotent, so concurrent
+    readers stay consistent.
     """
 
     def __init__(self, groupoid: FinGroupoid):
@@ -41,41 +58,44 @@ class BisAlgebra:
                 f"enumerating local bisections of {groupoid.n_arrows} arrows "
                 "is exponential", stacklevel=2,
             )
-        self.groupoid = groupoid
-        self.elements = tuple(
-            sorted(_all_bisections(groupoid), key=lambda s: (len(s), sorted(s)))
-        )
-        self.index = {s: i for i, s in enumerate(self.elements)}
+        G = self.groupoid = groupoid
+        self.elements, self.srcm, self.rngm = _all_bisections(G)
+        self.index = {e: i for i, e in enumerate(self.elements)}
         self.zero = 0
+        by_src, by_rng = [0] * G.n_units, [0] * G.n_units
+        for a in range(G.n_arrows):
+            by_src[G.src[a]] |= 1 << a
+            by_rng[G.rng[a]] |= 1 << a
+        self._src_arrows, self._rng_arrows = _unions(by_src), _unions(by_rng)
+        self._idem = [self.index[e] for e in _unions([1 << a for a in G.unit_arrow])]
         self._mul: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
-        self._d: dict[int, int] = {}
-        self._r: dict[int, int] = {}
-        self._diff: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def label(self, i: int) -> str:
-        arrows = self.elements[i]
+        arrows = _bits(self.elements[i])
         if not arrows:
             return "0"
         G = self.groupoid
-        return "{" + ",".join(G.arrow_labels[a] for a in sorted(arrows)) + "}"
+        return "{" + ",".join(G.arrow_labels[a] for a in arrows) + "}"
 
     def mul(self, i: int, j: int) -> int:
         key = (i, j)
         got = self._mul.get(key)
         if got is not None:
             return got
-        G = self.groupoid
-        out = set()
-        for a in self.elements[i]:
-            for b in self.elements[j]:
-                c = G.comp[a][b]
+        comp = self.groupoid.comp
+        right = _bits(self.elements[j])
+        out = 0
+        for a in _bits(self.elements[i]):
+            row = comp[a]
+            for b in right:
+                c = row[b]
                 if c >= 0:
-                    out.add(c)
-        k = self.index.get(frozenset(out))
+                    out |= 1 << c
+        k = self.index.get(out)
         if k is None:
             raise LawViolation(
                 f"product of {self.label(i)} and {self.label(j)} is not a bisection"
@@ -86,36 +106,25 @@ class BisAlgebra:
     def inv(self, i: int) -> int:
         got = self._inv.get(i)
         if got is None:
-            G = self.groupoid
-            got = self.index[frozenset(G.inv[a] for a in self.elements[i])]
+            inv = self.groupoid.inv
+            got = self.index[sum(1 << inv[a] for a in _bits(self.elements[i]))]
             self._inv[i] = got
         return got
 
     def leq(self, i: int, j: int) -> bool:
-        return self.elements[i] <= self.elements[j]
+        return not self.elements[i] & ~self.elements[j]
 
     def meet(self, i: int, j: int) -> int:
         return self.index[self.elements[i] & self.elements[j]]
 
     def is_idempotent(self, i: int) -> bool:
-        G = self.groupoid
-        return all(G.unit_arrow[G.src[a]] == a for a in self.elements[i])
+        return self._idem[self.srcm[i]] == i
 
     def d(self, i: int) -> int:
-        got = self._d.get(i)
-        if got is None:
-            G = self.groupoid
-            got = self.index[frozenset(G.unit_arrow[G.src[a]] for a in self.elements[i])]
-            self._d[i] = got
-        return got
+        return self._idem[self.srcm[i]]
 
     def r(self, i: int) -> int:
-        got = self._r.get(i)
-        if got is None:
-            G = self.groupoid
-            got = self.index[frozenset(G.unit_arrow[G.rng[a]] for a in self.elements[i])]
-            self._r[i] = got
-        return got
+        return self._idem[self.rngm[i]]
 
     def compatible(self, i: int, j: int) -> bool:
         return self.is_idempotent(self.mul(self.inv(i), j)) and self.is_idempotent(
@@ -123,74 +132,64 @@ class BisAlgebra:
         )
 
     def join(self, i: int, j: int) -> int:
-        if not self.compatible(i, j):
-            raise LawViolation(f"{self.label(i)} and {self.label(j)} are not compatible")
+        """The union of compatible bisections; compatible exactly when it is one."""
         k = self.index.get(self.elements[i] | self.elements[j])
         if k is None:
-            raise LawViolation(
-                f"union of compatible {self.label(i)} and {self.label(j)} is not a bisection"
-            )
+            raise LawViolation(f"{self.label(i)} and {self.label(j)} are not compatible")
         return k
 
     def diff(self, i: int, j: int) -> int:
         """Arrows of i whose source and range avoid the sources and ranges of j."""
-        got = self._diff.get((i, j))
-        if got is None:
-            G = self.groupoid
-            srcs = {G.src[a] for a in self.elements[j]}
-            rngs = {G.rng[a] for a in self.elements[j]}
-            out = frozenset(
-                a for a in self.elements[i] if G.src[a] not in srcs and G.rng[a] not in rngs
-            )
-            got = self.index[out]
-            self._diff[(i, j)] = got
-        return got
+        blocked = self._src_arrows[self.srcm[j]] | self._rng_arrows[self.rngm[j]]
+        return self.index[self.elements[i] & ~blocked]
 
     def skew(self, i: int, j: int) -> int:
-        return self.join(self.diff(i, j), j)
+        """diff(i, j) joined with j; always a bisection, so no compatibility check."""
+        blocked = self._src_arrows[self.srcm[j]] | self._rng_arrows[self.rngm[j]]
+        return self.index[self.elements[i] & ~blocked | self.elements[j]]
 
     # --- idempotents as unit masks -----------------------------------------
 
     def idem_mask(self, i: int) -> int:
-        G = self.groupoid
-        mask = 0
-        for a in self.elements[i]:
-            if G.unit_arrow[G.src[a]] != a:
-                raise LawViolation(f"{self.label(i)} is not an idempotent")
-            mask |= 1 << G.src[a]
-        return mask
+        if not self.is_idempotent(i):
+            raise LawViolation(f"{self.label(i)} is not an idempotent")
+        return self.srcm[i]
 
     def idem_element(self, mask: int) -> int:
-        G = self.groupoid
-        return self.index[
-            frozenset(G.unit_arrow[u] for u in range(G.n_units) if mask >> u & 1)
-        ]
+        return self._idem[mask]
 
     def unit_algebra(self) -> FinBooleanAlgebra:
         return FinBooleanAlgebra(self.groupoid.unit_labels)
 
 
-def _all_bisections(G: FinGroupoid) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    stack: list[int] = []
-
-    def rec(a: int, src_mask: int, rng_mask: int):
-        if a == G.n_arrows:
-            out.append(frozenset(stack))
-            return
-        rec(a + 1, src_mask, rng_mask)
-        sbit, rbit = 1 << G.src[a], 1 << G.rng[a]
-        if not (src_mask & sbit) and not (rng_mask & rbit):
-            stack.append(a)
-            rec(a + 1, src_mask | sbit, rng_mask | rbit)
-            stack.pop()
-
-    rec(0, 0, 0)
+def _unions(parts: list[int]) -> list[int]:
+    """Entry m is the union of parts[u] over the set bits u of m."""
+    out = [0]
+    for p in parts:
+        out += [x | p for x in out]
     return out
 
 
-def bis_algebra(G: FinGroupoid) -> BisAlgebra:
-    return BisAlgebra(G)
+def _all_bisections(G: FinGroupoid) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Arrow, source and range masks of every local bisection, by size and
+    then by ascending arrow list: taking an arrow before leaving it out
+    reaches sets of equal size in that order, so bucketing by size sorts."""
+    n = G.n_arrows
+    sbit = [1 << u for u in G.src]
+    rbit = [1 << u for u in G.rng]
+    by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(G.n_units + 1)]
+
+    def rec(a: int, mask: int, src_mask: int, rng_mask: int):
+        if a == n:
+            by_size[src_mask.bit_count()].append((mask, src_mask, rng_mask))
+            return
+        s, r = sbit[a], rbit[a]
+        if not (src_mask & s or rng_mask & r):
+            rec(a + 1, mask | 1 << a, src_mask | s, rng_mask | r)
+        rec(a + 1, mask, src_mask, rng_mask)
+
+    rec(0, 0, 0, 0)
+    return tuple(zip(*(t for bucket in by_size for t in bucket)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +308,7 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """
     gg = germ_groupoid(S, relations)
     B = BisAlgebra(gg.groupoid)
-    images = tuple(B.index[theta(gg, s)] for s in range(S.n))
+    images = tuple(B.index[sum(1 << a for a in theta(gg, s))] for s in range(S.n))
     if images[0] != B.zero:
         raise LawViolation("zero has germs")
     for s in range(S.n):
@@ -424,7 +423,7 @@ def congruence(full: IotaRep, chi) -> Congruence:
     G = B.groupoid
     chi_mask = _chi_unit_mask(full, chi)
     n = len(B)
-    d_mask = [B.idem_mask(B.d(i)) for i in range(n)]
+    d_mask = B.srcm
 
     def literal_equiv(i: int, j: int) -> bool:
         # e ranges over idempotents below both domains; f, g exist in the
@@ -456,10 +455,10 @@ def congruence(full: IotaRep, chi) -> Congruence:
     )
 
     # kernel of the restriction map
-    keep = {a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1}
-    kernel: dict[frozenset[int], list[int]] = {}
-    for i in range(n):
-        kernel.setdefault(frozenset(B.elements[i] & keep), []).append(i)
+    keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
+    kernel: dict[int, list[int]] = {}
+    for i, arrows in enumerate(B.elements):
+        kernel.setdefault(arrows & keep, []).append(i)
     kernel_classes = sorted(tuple(v) for v in kernel.values())
     if kernel_classes != sorted(classes):
         raise LawViolation("literal congruence disagrees with the restriction kernel")
@@ -594,7 +593,7 @@ def restriction_morphism(full: IotaRep, chi) -> AdditiveMorphism:
     target = BisAlgebra(restr)
     table = []
     for arrows in full.algebra.elements:
-        cut = frozenset(proj[a] for a in arrows if a in proj)
+        cut = sum(1 << proj[a] for a in _bits(arrows) if a in proj)
         table.append(target.index[cut])
     return AdditiveMorphism.build(full.algebra, target, table)
 
@@ -722,7 +721,7 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
     table = []
     for arrows in B.elements:
         acc = target.zero
-        for a in sorted(arrows):
+        for a in _bits(arrows):
             g = uni.germs.germs[a]
             piece = target.mul(phi[g.rep], unit_singletons[B.groupoid.src[a]])
             acc = target.join(acc, piece)
@@ -815,6 +814,6 @@ def bis_to_json(B: BisAlgebra) -> str:
 
     doc = {
         "groupoid": json.loads(groupoid_to_json(B.groupoid)),
-        "elements": [sorted(s) for s in B.elements],
+        "elements": [_bits(e) for e in B.elements],
     }
     return json.dumps(doc, indent=2, sort_keys=True)

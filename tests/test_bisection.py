@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.bisection import (
     AdditiveMorphism,
     BisAlgebra,
-    bis_algebra,
     bis_to_json,
     check_presentation,
     check_variety_identities,
@@ -46,19 +47,19 @@ class TestEnumeration:
         assert len(B) == 21
 
     def test_single_unit(self):
-        assert len(bis_algebra(one_unit_groupoid())) == 2
+        assert len(BisAlgebra(one_unit_groupoid())) == 2
 
     def test_counts_against_subset_filter(self):
         for name in ("none", "tight"):
             gg = germ_groupoid(I2, rels(I2, name))
-            assert len(bis_algebra(gg.groupoid)) == count_bisections_brute(gg.groupoid)
+            assert len(BisAlgebra(gg.groupoid)) == count_bisections_brute(gg.groupoid)
 
     def test_pair_groupoid_on_three_points(self):
         # the tight groupoid of the 3-point shift semigroup carries the
         # partial injections on 3 points: 1 + 9 + 18 + 6 of them
         S, _ = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])
         gg = germ_groupoid(S, rels(S, "tight"))
-        B = bis_algebra(gg.groupoid)
+        B = BisAlgebra(gg.groupoid)
         assert len(B) == 34
         assert len(B) == count_bisections_brute(gg.groupoid)
 
@@ -77,6 +78,44 @@ class TestEnumeration:
         assert sum(B.is_idempotent(i) for i in range(len(B))) == 2 ** n_units
 
 
+@st.composite
+def partial_map_semigroups(draw):
+    """Inverse semigroups generated by up to three partial injections on at
+    most three points, each a permutation with a few points left undefined."""
+    n = draw(st.integers(1, 3))
+    maps = draw(st.lists(
+        st.tuples(st.permutations(range(1, n + 1)), st.sets(st.integers(1, n))).map(
+            lambda t: {x: y for x, y in enumerate(t[0], 1) if x not in t[1]}
+        ),
+        min_size=1, max_size=3,
+    ))
+    return invsgp.from_partial_maps(n, maps)[0]
+
+
+class TestMaskOperationsAgainstDefinitions:
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           data=st.data())
+    def test_random_semigroups(self, S, name, data):
+        G = germ_groupoid(S, rels(S, name)).groupoid
+        B = BisAlgebra(G)
+        if G.n_arrows <= 14:
+            assert len(B) == count_bisections_brute(G)
+        arrows = [[a for a in range(G.n_arrows) if e >> a & 1] for e in B.elements]
+        assert arrows == sorted(arrows, key=lambda s: (len(s), s))
+        n = len(B)
+        sample = range(n) if n <= 40 else sorted(
+            data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=40))
+        )
+        for i in sample:
+            assert B.d(i) == B.mul(B.inv(i), i)
+            assert B.r(i) == B.mul(i, B.inv(i))
+            for j in sample:
+                assert B.diff(i, j) == difference(B, i, j)
+                assert B.skew(i, j) == skew_join(B, i, j)
+                assert B.compatible(i, j) == (B.elements[i] | B.elements[j] in B.index)
+
+
 class TestDifferenceAndSkew:
     def test_self_difference_vanishes(self):
         B = iota(I2, rels(I2, "tight")).algebra
@@ -89,7 +128,7 @@ class TestDifferenceAndSkew:
         idems = [i for i in range(len(B)) if B.is_idempotent(i)]
         for i in idems:
             for j in idems:
-                want = B.index[B.elements[i] - B.elements[j]]
+                want = B.index[B.elements[i] & ~B.elements[j]]
                 assert difference(B, i, j) == want
                 assert skew_join(B, i, j) == B.index[B.elements[i] | B.elements[j]]
 
@@ -325,13 +364,13 @@ class TestUniversalMorphism:
         rep = iota(I2, rels(I2, "tight"))
         G = rep.germs.groupoid
         doubled = _disjoint_double(G)
-        target = bis_algebra(doubled)
+        target = BisAlgebra(doubled)
         assert len(target) == 49
         offset = G.n_arrows
         phi = tuple(
             target.index[
-                frozenset(rep.algebra.elements[rep.images[s]])
-                | frozenset(a + offset for a in rep.algebra.elements[rep.images[s]])
+                rep.algebra.elements[rep.images[s]]
+                | rep.algebra.elements[rep.images[s]] << offset
             ]
             for s in range(I2.n)
         )
@@ -405,5 +444,7 @@ class TestJsonEmission:
         B = iota(I2, rels(I2, "tight")).algebra
         doc = json.loads(bis_to_json(B))
         G = groupoid_from_json(json.dumps(doc["groupoid"]))
-        rebuilt = bis_algebra(G)
-        assert [sorted(s) for s in rebuilt.elements] == doc["elements"]
+        rebuilt = BisAlgebra(G)
+        assert [
+            [a for a in range(G.n_arrows) if e >> a & 1] for e in rebuilt.elements
+        ] == doc["elements"]
