@@ -34,7 +34,6 @@ from .invsgp import (
     compatible,
     conjugate,
     from_partial_maps,
-    idempotent_semilattice,
     invariant_closure,
     natural_leq,
     spectrum_invariant,

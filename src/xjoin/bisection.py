@@ -19,7 +19,6 @@ from .groupoid import FinGroupoid, Germ, GermGroupoid, germ_groupoid, theta
 from .invsgp import (
     FinInverseSemigroup,
     character_set_invariant,
-    idempotent_semilattice,
     invariant_closure,
 )
 from .semilattice import Character, LawViolation
@@ -294,10 +293,9 @@ class IotaRep:
     def idem_rep(self) -> SemilatticeRep:
         """Restriction to the idempotents, as a semilattice representation."""
         S = self.semigroup
-        E, elems = idempotent_semilattice(S)
         BA = self.algebra.unit_algebra()
-        images = [self.algebra.idem_mask(self.images[elems[i]]) for i in range(E.n)]
-        return SemilatticeRep.build(E, BA, images)
+        images = [self.algebra.idem_mask(self.images[e]) for e in S.idems]
+        return SemilatticeRep.build(S.semilattice, BA, images)
 
 
 def iota(S: FinInverseSemigroup, relations) -> IotaRep:
@@ -369,12 +367,11 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
         for t in range(S.n):
             if B.mul(rep.images[s], rep.images[t]) != rep.images[S.mul(s, t)]:
                 rel_ok = False
-    _, elems = idempotent_semilattice(S)
     for rel in relations:
         acc = B.zero
         for p in sorted(rel.parts):
-            acc = B.skew(acc, rep.images[elems[p]])
-        if acc != rep.images[elems[rel.e]]:
+            acc = B.skew(acc, rep.images[S.idems[p]])
+        if acc != rep.images[S.idems[rel.e]]:
             rel_ok = False
     reached = generated_subsemigroup(B, rep.images)
     return PresentationReport(
@@ -395,12 +392,11 @@ class Congruence:
 def _chi_unit_mask(full: IotaRep, chi) -> int:
     mask = 0
     for c in chi:
-        try:
-            u = full.germs.units.index(c)
-        except ValueError:
+        u = full.germs.unit_index.get(c)
+        if u is None:
             raise LawViolation(
                 f"character at generator index {c.gen} is not a unit of the groupoid"
-            ) from None
+            )
         mask |= 1 << u
     return mask
 
@@ -557,8 +553,9 @@ def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
 def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Character, ...], tuple[Germ, ...], dict[int, int]]:
     gg = full.germs
     G = gg.groupoid
-    units = tuple(sorted(chi))
-    unit_old = [gg.units.index(c) for c in units]
+    chi_mask = _chi_unit_mask(full, chi)
+    unit_old = [u for u in range(G.n_units) if chi_mask >> u & 1]
+    units = tuple(gg.units[u] for u in unit_old)
     unit_new = {old: new for new, old in enumerate(unit_old)}
     keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
     for a in keep:
@@ -625,7 +622,7 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 
     # the composite of the canonical map and the quotient, restricted to
     # idempotents: images are character sets inside chi
-    E, elems = idempotent_semilattice(S)
+    E = S.semilattice
     chi_sorted = tuple(sorted(chi))
     BA = FinBooleanAlgebra(tuple(E.label(c.gen) for c in chi_sorted))
     images = []
@@ -683,10 +680,9 @@ def _validate_representation(S: FinInverseSemigroup, target: BisAlgebra, phi, re
                 raise LawViolation(
                     f"map not multiplicative at ({S.label(s)},{S.label(t)})"
                 )
-    E, elems = idempotent_semilattice(S)
     BA = target.unit_algebra()
-    images = [target.idem_mask(phi[elems[i]]) for i in range(E.n)]
-    rep = SemilatticeRep.build(E, BA, images)
+    images = [target.idem_mask(phi[e]) for e in S.idems]
+    rep = SemilatticeRep.build(S.semilattice, BA, images)
     if not is_x_to_join(rep, relations):
         raise LawViolation("map does not satisfy the join constraints")
     return rep
@@ -710,7 +706,6 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
     B = uni.algebra
     psi_e = universal_extension(rep, closed, verify_unique=False)
 
-    _, elems = idempotent_semilattice(S)
     unit_singletons = []
     for c in uni.germs.units:
         atom_idx = psi_e.source.atom_labels.index(

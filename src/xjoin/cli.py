@@ -37,8 +37,7 @@ def _x_relations_semilattice(E, spec: str):
 
 
 def _x_relations_semigroup(S, spec: str):
-    E, _ = invsgp.idempotent_semilattice(S)
-    return _x_relations_semilattice(E, spec)
+    return _x_relations_semilattice(S.semilattice, spec)
 
 
 def _cmd_semilattice(args) -> int:
@@ -63,8 +62,7 @@ def _cmd_invsgp(args) -> int:
     if args.format == "json":
         _emit(invsgp.invsgp_to_json(S), args.out)
         return 0
-    E, _ = invsgp.idempotent_semilattice(S)
-    _emit(f"elements={S.n}\nidempotents={E.n}", args.out)
+    _emit(f"elements={S.n}\nidempotents={S.semilattice.n}", args.out)
     return 0
 
 
@@ -111,9 +109,8 @@ def _cmd_booleanize(args) -> int:
 
 def _cmd_quotient_check(args) -> int:
     S = invsgp.invsgp_from_json(_read(args.invsgp))
-    E, _ = invsgp.idempotent_semilattice(S)
     rels = _x_relations_semigroup(S, args.x)
-    chi = semilattice.spectrum(E, invsgp.invariant_closure(S, rels))
+    chi = semilattice.spectrum(S.semilattice, invsgp.invariant_closure(S, rels))
     report = theorem_quotients_check(S, chi)
     line = (
         f"classes={report.class_count} quotient={report.quotient_size} "

@@ -8,9 +8,9 @@ germ equality a plain pair comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .invsgp import FinInverseSemigroup, idempotent_semilattice, invariant_closure, natural_leq
+from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
 from .semilattice import Character, LawViolation, spectrum
 
 
@@ -121,8 +121,7 @@ class Germ:
 
 def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
     """The germ of s at the character c; needs the generator of c below d(s)."""
-    _, elems = idempotent_semilattice(S)
-    f = elems[c.gen]
+    f = S.idems[c.gen]
     if not natural_leq(S, f, S.d(s)):
         raise LawViolation(
             f"character at {S.label(f)} is outside the domain of {S.label(s)}"
@@ -132,26 +131,25 @@ def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
 
 @dataclass(frozen=True)
 class GermGroupoid:
-    """Groupoid of germs over the spectrum of a closed relation set."""
+    """Groupoid of germs over the spectrum of a closed relation set.
+
+    ``unit_index`` and ``arrow_index`` map a unit or germ to its position in
+    ``units`` or ``germs``, which is its index in ``groupoid``.
+    """
 
     semigroup: FinInverseSemigroup
     relations: frozenset          # the closed relation set actually used
     units: tuple[Character, ...]
     germs: tuple[Germ, ...]
     groupoid: FinGroupoid
-
-    def unit_index(self, c: Character) -> int:
-        return self.units.index(c)
-
-    def arrow_index(self, g: Germ) -> int:
-        return self.germs.index(g)
+    unit_index: dict[Character, int] = field(compare=False, repr=False)
+    arrow_index: dict[Germ, int] = field(compare=False, repr=False)
 
 
 def germ_groupoid(S: FinInverseSemigroup, relations) -> GermGroupoid:
     """Restrict the character action to the spectrum of the closed relation set
     and form its groupoid of germs."""
-    E, elems = idempotent_semilattice(S)
-    pos = {a: i for i, a in enumerate(elems)}
+    E, elems = S.semilattice, S.idems
     closed = invariant_closure(S, relations)
     units = tuple(sorted(spectrum(E, closed)))
     unit_pos = {c: i for i, c in enumerate(units)}
@@ -170,7 +168,7 @@ def germ_groupoid(S: FinInverseSemigroup, relations) -> GermGroupoid:
         src.append(unit_pos[g.base])
         f = elems[g.base.gen]
         moved = S.mul(S.mul(g.rep, f), S.inv[g.rep])
-        target = Character(pos[moved])
+        target = Character(S.idem_pos[moved])
         if target not in unit_pos:
             raise LawViolation(
                 f"range of germ [{S.label(g.rep)},{S.label(f)}] left the spectrum; "
@@ -204,7 +202,7 @@ def germ_groupoid(S: FinInverseSemigroup, relations) -> GermGroupoid:
         inv=inv,
         comp=comp,
     )
-    return GermGroupoid(S, closed, units, germ_list, G)
+    return GermGroupoid(S, closed, units, germ_list, G, unit_pos, germ_pos)
 
 
 def theta(gg: GermGroupoid, s: int, excl=()) -> frozenset[int]:
@@ -213,18 +211,17 @@ def theta(gg: GermGroupoid, s: int, excl=()) -> frozenset[int]:
     Excluded elements must lie below s in the natural order.
     """
     S = gg.semigroup
-    _, elems = idempotent_semilattice(S)
     for t in excl:
         if not natural_leq(S, t, s):
             raise LawViolation(f"excluded element {S.label(t)} is not below {S.label(s)}")
     out = []
-    for i, c in enumerate(gg.units):
-        f = elems[c.gen]
+    for c in gg.units:
+        f = S.idems[c.gen]
         if not natural_leq(S, f, S.d(s)):
             continue
         if any(natural_leq(S, f, S.d(t)) for t in excl):
             continue
-        out.append(gg.arrow_index(Germ(c, S.mul(s, f))))
+        out.append(gg.arrow_index[Germ(c, S.mul(s, f))])
     return frozenset(out)
 
 

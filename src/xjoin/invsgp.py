@@ -4,8 +4,7 @@ conjugation, invariant relation closure and the action on characters."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .semilattice import (
     Character,
@@ -19,11 +18,19 @@ from .semilattice import (
 
 @dataclass(frozen=True)
 class FinInverseSemigroup:
-    """Multiplication table over indices 0..n-1; index 0 is the zero element."""
+    """Multiplication table over indices 0..n-1; index 0 is the zero element.
+
+    Element i of ``semilattice`` is the idempotent ``idems[i]`` of the
+    semigroup, with the zero at position 0; ``idem_pos`` is the inverse map.
+    They are built once by :func:`validate` and take no part in equality.
+    """
 
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
+    semilattice: FinMeetSemilattice = field(compare=False, repr=False)
+    idems: tuple[int, ...] = field(compare=False, repr=False)
+    idem_pos: dict[int, int] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -89,7 +96,7 @@ def validate(table, labels=None) -> FinInverseSemigroup:
                 f"element {labels[a]} has {len(gens)} generalized inverses, want exactly 1"
             )
         inv.append(gens[0])
-    idems = [a for a in range(n) if rows[a][a] == a]
+    idems = tuple(a for a in range(n) if rows[a][a] == a)
     for e in idems:
         for f in idems:
             if rows[e][f] != rows[f][e]:
@@ -97,7 +104,12 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     for a in range(n):
         if rows[0][a] != 0 or rows[a][0] != 0:
             raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
-    return FinInverseSemigroup(rows, tuple(inv), labels)
+    idem_pos = {a: i for i, a in enumerate(idems)}
+    E = FinMeetSemilattice.from_meet(
+        [[idem_pos[rows[a][b]] for b in idems] for a in idems],
+        [labels[a] for a in idems],
+    )
+    return FinInverseSemigroup(rows, tuple(inv), labels, E, idems, idem_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -221,46 +233,24 @@ def conjugate(S: FinInverseSemigroup, s: int, e: int) -> int:
     return S.mul(S.mul(S.inv[s], e), s)
 
 
-@lru_cache(maxsize=None)
-def idempotent_semilattice(S: FinInverseSemigroup) -> tuple[FinMeetSemilattice, tuple[int, ...]]:
-    """The idempotents under multiplication, plus their indices in S.
-
-    Element i of the semilattice is the idempotent elems[i] of S, with the
-    zero of S at position 0.
-    """
-    elems = tuple(a for a in range(S.n) if S.is_idempotent(a))
-    assert elems[0] == 0
-    pos = {a: i for i, a in enumerate(elems)}
-    table = [[pos[S.mul(a, b)] for b in elems] for a in elems]
-    labels = [S.label(a) for a in elems]
-    return FinMeetSemilattice.from_meet(table, labels), elems
-
-
 def semigroup_relations(S: FinInverseSemigroup, name: str) -> frozenset[XRelation]:
     """Builtin relation set over the idempotent semilattice of S."""
-    E, _ = idempotent_semilattice(S)
-    return builtin_relations(E, name)
+    return builtin_relations(S.semilattice, name)
 
 
 # ---------------------------------------------------------------------------
 # invariance and the action on characters
 
-def _conj_e(S: FinInverseSemigroup, elems, pos, s: int, e_idx: int) -> int:
-    """Conjugate in semilattice coordinates."""
-    return pos[conjugate(S, s, elems[e_idx])]
-
-
 def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]:
     """Smallest relation set containing the input and stable under conjugation."""
-    _, elems = idempotent_semilattice(S)
-    pos = {a: i for i, a in enumerate(elems)}
+    elems, pos = S.idems, S.idem_pos
     out = set(relations)
     frontier = list(out)
     while frontier:
         rel = frontier.pop()
         for s in range(S.n):
-            e2 = _conj_e(S, elems, pos, s, rel.e)
-            parts2 = frozenset(_conj_e(S, elems, pos, s, p) for p in rel.parts)
+            e2 = pos[conjugate(S, s, elems[rel.e])]
+            parts2 = frozenset(pos[conjugate(S, s, elems[p])] for p in rel.parts)
             cand = XRelation(e2, parts2)
             if cand not in out:
                 out.add(cand)
@@ -270,36 +260,27 @@ def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]
 
 def act(S: FinInverseSemigroup, s: int, c: Character) -> Character:
     """Translate a character along s; defined when the character hits d(s)."""
-    E, elems = idempotent_semilattice(S)
-    g = elems[c.gen]
+    g = S.idems[c.gen]
     if not natural_leq(S, g, S.d(s)):
         raise LawViolation(
             f"character at {S.label(g)} is outside the domain of {S.label(s)}"
         )
     moved = S.mul(S.mul(s, g), S.inv[s])
-    pos = {a: i for i, a in enumerate(elems)}
-    return Character(pos[moved])
+    return Character(S.idem_pos[moved])
 
 
 def spectrum_invariant(S: FinInverseSemigroup, relations) -> bool:
     """The spectrum of the closed relation set is stable under the action."""
-    E, elems = idempotent_semilattice(S)
-    spec = spectrum(E, invariant_closure(S, relations))
-    for c in spec:
-        g = elems[c.gen]
-        for s in range(S.n):
-            if natural_leq(S, g, S.d(s)):
-                if act(S, s, c) not in spec:
-                    return False
-    return True
+    return character_set_invariant(
+        S, spectrum(S.semilattice, invariant_closure(S, relations))
+    )
 
 
 def character_set_invariant(S: FinInverseSemigroup, chars) -> bool:
     """Is an arbitrary character set stable under the action."""
     chars = frozenset(chars)
-    _, elems = idempotent_semilattice(S)
     for c in chars:
-        g = elems[c.gen]
+        g = S.idems[c.gen]
         for s in range(S.n):
             if natural_leq(S, g, S.d(s)) and act(S, s, c) not in chars:
                 return False
@@ -320,8 +301,15 @@ def invsgp_to_json(S: FinInverseSemigroup) -> str:
 
 def invsgp_from_json(text: str) -> FinInverseSemigroup:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise LawViolation("semigroup JSON must be an object")
     if "partial_maps" in doc:
-        S, _ = from_partial_maps(doc["points"], doc["partial_maps"])
+        points, maps = doc.get("points"), doc["partial_maps"]
+        if type(points) is not int:
+            raise LawViolation("generator JSON needs an integer 'points'")
+        if not isinstance(maps, list) or not all(isinstance(m, dict) for m in maps):
+            raise LawViolation("generator JSON needs 'partial_maps' as a list of objects")
+        S, _ = from_partial_maps(points, maps)
         return S
     try:
         labels = list(doc["elements"])
@@ -336,6 +324,9 @@ def invsgp_from_json(text: str) -> FinInverseSemigroup:
         # move the declared zero to index 0
         order = [z] + [i for i in range(len(labels)) if i != z]
         back = {old: new for new, old in enumerate(order)}
-        table = [[back[table[a][b]] for b in order] for a in order]
+        try:
+            table = [[back[table[a][b]] for b in order] for a in order]
+        except (IndexError, KeyError, TypeError):
+            raise LawViolation("semigroup JSON 'mult' must be a square table of element indices") from None
         labels = [labels[i] for i in order]
     return validate(table, labels)

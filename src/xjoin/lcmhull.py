@@ -62,9 +62,6 @@ class FreeMonoid:
     def left_divide(self, p: str, r: str) -> str | None:
         return r[len(p):] if r.startswith(p) else None
 
-    def unit_normalize(self, p: str, q: str) -> tuple[str, str]:
-        return (p, q)
-
     def foundation_verdict(self, F) -> "FoundationVerdict":
         """Exact decision: a set is a foundation set when every word of the
         maximal member length extends some member."""
@@ -129,9 +126,6 @@ class NatPow:
         if all(a <= b for a, b in zip(p, r)):
             return tuple(b - a for a, b in zip(p, r))
         return None
-
-    def unit_normalize(self, p, q):
-        return (p, q)
 
     def foundation_verdict(self, F) -> "FoundationVerdict":
         F = list(F)
@@ -199,9 +193,6 @@ class NRtimesNx:
             return None
         return ((v - m) // p, w // p)
 
-    def unit_normalize(self, p, q):
-        return (p, q)
-
     def foundation_verdict(self, F):
         return None  # no exact rule; callers fall back to bounded search
 
@@ -242,7 +233,6 @@ HULL_ZERO = HullElement(None, None)
 
 
 def hull_element(P, p, q) -> HullElement:
-    p, q = P.unit_normalize(p, q)
     return HullElement(p, q)
 
 
@@ -536,9 +526,6 @@ class ZappaSzepProduct:
                     "has no bounded generator", self.search_depth,
                 )
         return best
-
-    def unit_normalize(self, p, q):
-        return (p, q)
 
     def foundation_verdict(self, F):
         return None

@@ -218,8 +218,12 @@ def dense_in(E: FinMeetSemilattice, f: int, e: int) -> bool:
     return is_cover(E, e, (f,))
 
 
-def minimal_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
-    """All inclusion-minimal covers of a nonzero x drawn from its nonzero downset."""
+def _minimal_sets(E: FinMeetSemilattice, x: int, accept) -> list[frozenset[int]]:
+    """Inclusion-minimal subsets of the nonzero downset of x that `accept` holds on.
+
+    Subsets are walked by size, and a superset of one already accepted is
+    skipped without calling `accept`.
+    """
     pool = [y for y in E.down(x) if y != 0]
     found: list[frozenset[int]] = []
     for size in range(1, len(pool) + 1):
@@ -227,9 +231,14 @@ def minimal_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
             cand = frozenset(combo)
             if any(prev <= cand for prev in found):
                 continue
-            if is_cover(E, x, cand):
+            if accept(cand):
                 found.append(cand)
     return found
+
+
+def minimal_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
+    """All inclusion-minimal covers of a nonzero x drawn from its nonzero downset."""
+    return _minimal_sets(E, x, lambda c: is_cover(E, x, c))
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +303,7 @@ def x_prime(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Constraints for minimal covers whose join exists and equals the element."""
     out = []
     for x in range(1, E.n):
-        pool = [y for y in E.down(x) if y != 0]
-        found: list[frozenset[int]] = []
-        for size in range(1, len(pool) + 1):
-            for combo in combinations(pool, size):
-                cand = frozenset(combo)
-                if any(prev <= cand for prev in found):
-                    continue
-                if E.join_of(cand) == x and is_cover(E, x, cand):
-                    found.append(cand)
+        found = _minimal_sets(E, x, lambda c: E.join_of(c) == x and is_cover(E, x, c))
         out.extend(XRelation(x, cov) for cov in found)
     return frozenset(out)
 
@@ -362,7 +363,9 @@ def relations_from_json(E: FinMeetSemilattice, text: str) -> frozenset[XRelation
     doc = json.loads(text)
     out = []
     for item in doc:
-        e = E.index(item["e"])
-        parts = frozenset(E.index(p) for p in item["parts"])
-        out.append(XRelation(e, parts))
+        try:
+            e, parts = item["e"], item["parts"]
+        except (KeyError, TypeError):
+            raise LawViolation("each relation in JSON needs 'e' and 'parts'") from None
+        out.append(XRelation(E.index(e), frozenset(E.index(p) for p in parts)))
     return frozenset(out)

@@ -155,14 +155,14 @@ def invsgp_suite(max_size: int = 10):
     ok = True
     detail = ""
     for S in cat:
-        E, elems = invsgp.idempotent_semilattice(S)
+        E, elems, pos = S.semilattice, S.idems, S.idem_pos
         for s in range(S.n):
             for e_idx in range(1, E.n):
                 for cov in semilattice.minimal_covers(E, e_idx):
-                    e2 = _conj_idx(S, elems, s, e_idx)
+                    e2 = pos[invsgp.conjugate(S, s, elems[e_idx])]
                     if e2 == 0:
                         continue
-                    parts2 = frozenset(_conj_idx(S, elems, s, p) for p in cov)
+                    parts2 = frozenset(pos[invsgp.conjugate(S, s, elems[p])] for p in cov)
                     if not semilattice.is_cover(E, e2, parts2):
                         ok, detail = False, f"{S.label(s)} breaks a cover in {S.n}-element semigroup"
     out.append(("conjugation carries covers to covers", ok, detail))
@@ -182,8 +182,8 @@ def invsgp_suite(max_size: int = 10):
 
     ok = True
     for S in cat:
-        E, elems = invsgp.idempotent_semilattice(S)
-        for c in semilattice.characters(E):
+        elems = S.idems
+        for c in semilattice.characters(S.semilattice):
             g = elems[c.gen]
             for t in range(S.n):
                 if not invsgp.natural_leq(S, g, S.d(t)):
@@ -201,11 +201,6 @@ def invsgp_suite(max_size: int = 10):
     return out
 
 
-def _conj_idx(S, elems, s, e_idx):
-    pos = {a: i for i, a in enumerate(elems)}
-    return pos[invsgp.conjugate(S, s, elems[e_idx])]
-
-
 def groupoid_suite(max_size: int = 10):
     out = []
     cat = [invsgp.i2(), invsgp.b2(), invsgp.chain_semigroup(3)]
@@ -213,7 +208,6 @@ def groupoid_suite(max_size: int = 10):
 
     ok = True
     for S in cat:
-        E, elems = invsgp.idempotent_semilattice(S)
         for name in ("none", "tight"):
             gg = germ_groupoid(S, invsgp.semigroup_relations(S, name))
             spec = set(gg.units)
@@ -224,7 +218,7 @@ def groupoid_suite(max_size: int = 10):
                 reps[g.rep] = g
             for a in range(1, S.n):
                 da = S.d(a)
-                in_spec = Character(list(elems).index(da)) in spec
+                in_spec = Character(S.idem_pos[da]) in spec
                 if in_spec != (a in reps):
                     ok = False
             G = gg.groupoid

@@ -1,47 +1,14 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here works from first definitions (exhaustive enumeration over
-maps, subsets, words), deliberately avoiding the library's own shortcuts.
+subsets and words), deliberately avoiding the library's own shortcuts.  The
+semilattice oracles (characters and all-covers spectra) live in
+``xjoin.suites``, because the ``suite`` command runs them too.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product as iproduct
-
-from xjoin.semilattice import Character, FinMeetSemilattice, XRelation, is_cover, spectrum
-
-
-def brute_characters(E: FinMeetSemilattice) -> set[frozenset[int]]:
-    """1-sets of all nonzero meet-preserving 0/1 maps."""
-    out = set()
-    for bits in iproduct((0, 1), repeat=E.n - 1):
-        phi = (0,) + bits
-        if not any(bits):
-            continue
-        if all(
-            phi[E.meet(x, y)] == phi[x] * phi[y]
-            for x in range(E.n)
-            for y in range(E.n)
-        ):
-            out.add(frozenset(x for x in range(1, E.n) if phi[x]))
-    return out
-
-
-def all_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
-    """Every cover of x from its nonzero downset, no minimality filter."""
-    pool = [y for y in E.down(x) if y != 0]
-    return [
-        frozenset(c)
-        for size in range(1, len(pool) + 1)
-        for c in combinations(pool, size)
-        if is_cover(E, x, c)
-    ]
-
-
-def tight_spectrum_all_covers(E: FinMeetSemilattice) -> frozenset[Character]:
-    """Spectrum cut by every cover, not only the minimal ones."""
-    rels = [XRelation(x, c) for x in range(1, E.n) for c in all_covers(E, x)]
-    return spectrum(E, rels)
 
 
 def count_bisections_brute(G) -> int:

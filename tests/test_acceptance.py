@@ -30,12 +30,9 @@ from xjoin.bisection import (
 from xjoin.groupoid import germ_groupoid
 from xjoin.semilattice import Character, LawViolation
 
-from oracles import (
-    count_bisections_brute,
-    tight_spectrum_all_covers,
-    xa_oracle,
-    xu_oracle,
-)
+from xjoin.suites import tight_spectrum_brute
+
+from oracles import count_bisections_brute, xa_oracle, xu_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -86,7 +83,7 @@ def test_criterion_02_tight_spectrum_is_atoms():
         atoms = frozenset(Character(a) for a in E.atoms())
         spec = sl.spectrum(E, sl.x_tight(E))
         assert spec == atoms
-        assert spec == tight_spectrum_all_covers(E)
+        assert spec == tight_spectrum_brute(E)
     elapsed = time.monotonic() - t0
     _report(2, elapsed < 10.0, f"50 random semilattices in {elapsed:.2f}s")
 
@@ -123,7 +120,7 @@ def test_criterion_04_bisection_counts():
     assert len(full.algebra) == 21
     assert count_bisections_brute(Bt.groupoid) == 7
     assert count_bisections_brute(full.algebra.groupoid) == 21
-    E, _ = invsgp.idempotent_semilattice(I2)
+    E = I2.semilattice
     chi = sl.spectrum(E, tight)
     assert len(congruence(full, chi).classes) == 7
     elapsed = time.monotonic() - t0
@@ -145,7 +142,7 @@ def test_criterion_05_variety_identities(S):
 
 
 def invariant_spectra(S):
-    E, _ = invsgp.idempotent_semilattice(S)
+    E = S.semilattice
     chars = sorted(sl.characters(E))
     return [
         chi
@@ -157,7 +154,7 @@ def invariant_spectra(S):
 
 @pytest.mark.parametrize("S", [invsgp.i2(), invsgp.b2()], ids=["i2", "b2"])
 def test_criterion_06_quotient_theorem(S):
-    E, _ = invsgp.idempotent_semilattice(S)
+    E = S.semilattice
     spectra = invariant_spectra(S)
     full_spec = sl.spectrum(E, frozenset())
     tight_spec = sl.spectrum(E, invsgp.semigroup_relations(S, "tight"))
@@ -190,7 +187,7 @@ def test_criterion_08_universal_morphisms():
     full = iota(I2, frozenset())
     cases.append((I2, frozenset(), full.algebra, full.images))       # identity on 21
     # the quotient composite against its own carved-out relation set
-    E, _ = invsgp.idempotent_semilattice(I2)
+    E = I2.semilattice
     chi = sl.spectrum(E, invsgp.semigroup_relations(I2, "tight"))
     morph = restriction_morphism(full, chi)
     chi_sorted = tuple(sorted(chi))

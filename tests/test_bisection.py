@@ -26,7 +26,7 @@ from oracles import count_bisections_brute
 
 
 I2 = invsgp.i2()
-E_I2, _ = invsgp.idempotent_semilattice(I2)
+E_I2 = I2.semilattice
 
 
 def rels(S, name):
@@ -195,7 +195,7 @@ class TestIota:
         S = invsgp.chain_semigroup(3)
         rep = iota(S, rels(S, "prime"))
         from xjoin import boolalg
-        E, elems = invsgp.idempotent_semilattice(S)
+        E, elems = S.semilattice, S.idems
         _, can = boolalg.booleanization(E, rels(S, "prime"))
         # unit sets of the semigroup map match the semilattice images
         for e_idx in range(E.n):
@@ -242,7 +242,7 @@ class TestCongruence:
 
 
 def invariant_spectra(S):
-    E, _ = invsgp.idempotent_semilattice(S)
+    E = S.semilattice
     chars = sorted(sl.characters(E))
     out = []
     for bits in range(1 << len(chars)):
@@ -278,7 +278,7 @@ class TestQuotientTheorem:
         # 238 bisections of the universal groupoid collapse onto the 34
         # partial injections of the tight one
         S, _ = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])
-        E, _ = invsgp.idempotent_semilattice(S)
+        E = S.semilattice
         chi = sl.spectrum(E, rels(S, "tight"))
         report = theorem_quotients_check(S, chi)
         assert report.ok
@@ -340,7 +340,7 @@ class TestUniversalMorphism:
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
         morph = restriction_morphism(full, chi)
         from xjoin import boolalg
-        E, elems = invsgp.idempotent_semilattice(I2)
+        E, elems = I2.semilattice, I2.idems
         chi_sorted = tuple(sorted(chi))
         BA = boolalg.FinBooleanAlgebra(tuple(E.label(c.gen) for c in chi_sorted))
         images = [
@@ -425,7 +425,7 @@ class TestClosureEquivalence:
         # original and the closed relation set constrain it identically
         from xjoin.boolalg import is_x_to_join
 
-        E, _ = invsgp.idempotent_semilattice(I2)
+        E = I2.semilattice
         top, e1, e2 = E.index("1>1,2>2"), E.index("1>1"), E.index("2>2")
         custom = frozenset({sl.XRelation(top, frozenset({e1, e2}))})
         relation_sets = [rels(I2, n) for n in sl.BUILTIN_RELATION_SETS] + [custom]

@@ -194,3 +194,28 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "booleanize", "--nonsense", "x")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("invsgp", {"partial_maps": [{"1": "2"}]}, "'points'"),
+            ("invsgp", {"points": "2", "partial_maps": [{"1": "2"}]}, "'points'"),
+            ("invsgp", {"points": 2, "partial_maps": [[1, 2]]}, "'partial_maps'"),
+            ("invsgp", 7, "object"),
+            ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0]]}, "'mult'"),
+            ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0, 5], [1, 1]]}, "'mult'"),
+            ("relations", [{"parts": ["e1"]}], "'e'"),
+        ],
+        ids=["points-missing", "points-string", "maps-not-objects", "not-an-object",
+             "mult-short-row", "mult-bad-entry", "relation-without-e"],
+    )
+    def test_malformed_json_names_key(self, files, capsys, tmp_path, command, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        if command == "invsgp":
+            argv = ("invsgp", "--input", str(bad))
+        else:
+            argv = ("semilattice", "--input", files["chain3"], "--x", str(bad))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and key in err

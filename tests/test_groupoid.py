@@ -19,7 +19,7 @@ from oracles import germs_equal_existential
 
 
 I2 = invsgp.i2()
-E_I2, ELEMS_I2 = invsgp.idempotent_semilattice(I2)
+E_I2, ELEMS_I2 = I2.semilattice, I2.idems
 
 
 def s_idx(label):
@@ -54,7 +54,7 @@ class TestGermNormalForm:
         ids=["i2", "b2", "chain", "shift3"],
     )
     def test_normal_form_matches_existential_equivalence(self, S):
-        E, elems = invsgp.idempotent_semilattice(S)
+        E, elems = S.semilattice, S.idems
         for f_idx in range(1, E.n):
             f = elems[f_idx]
             c = Character(f_idx)

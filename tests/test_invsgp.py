@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from xjoin import invsgp
@@ -14,7 +17,7 @@ def s_idx(label):
 
 
 def e_of(S):
-    return invsgp.idempotent_semilattice(S)
+    return S.semilattice, S.idems
 
 
 def rel(e, parts):
@@ -73,6 +76,29 @@ class TestPartialMaps:
         assert E2.atoms() == (1, 2)
         Eg, _ = e_of(invsgp.z2_with_zero())
         assert Eg.n == 2
+        # the stored coordinates agree with a recomputation from the table,
+        # also for a shuffled I3 table whose zero is loaded away from index 0
+        i3, _ = invsgp.from_partial_maps(3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}])
+        order = list(range(i3.n))
+        random.Random(3).shuffle(order)
+        order.remove(0)
+        order.insert(5, 0)
+        where = {old: new for new, old in enumerate(order)}
+        doc = {
+            "elements": [i3.labels[a] for a in order],
+            "mult": [[where[i3.mult[a][b]] for b in order] for a in order],
+            "zero": "0",
+        }
+        shuffled = invsgp.invsgp_from_json(json.dumps(doc))
+        assert shuffled.n == 34 and shuffled.labels[0] == "0" and shuffled.labels != i3.labels
+        for S in (I2, B2, invsgp.z2_with_zero(), shuffled):
+            idems = tuple(a for a in range(S.n) if S.mult[a][a] == a)
+            assert S.idems == idems and idems[0] == 0
+            assert S.idem_pos == {a: i for i, a in enumerate(idems)}
+            assert S.semilattice.labels == tuple(S.labels[a] for a in idems)
+            for i, a in enumerate(idems):
+                for j, b in enumerate(idems):
+                    assert idems[S.semilattice.meet(i, j)] == S.mult[a][b]
 
 
 class TestOrderAndCompatibility:
@@ -120,7 +146,7 @@ class TestConjugationCarriesCovers:
         ids=["i2", "b2", "shift3"],
     )
     def test_minimal_covers_conjugate_to_covers(self, S):
-        E, elems = invsgp.idempotent_semilattice(S)
+        E, elems = S.semilattice, S.idems
         pos = {a: i for i, a in enumerate(elems)}
         for s in range(S.n):
             for e_idx in range(1, E.n):
