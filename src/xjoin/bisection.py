@@ -706,12 +706,11 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
     B = uni.algebra
     psi_e = universal_extension(rep, closed, verify_unique=False)
 
-    unit_singletons = []
-    for c in uni.germs.units:
-        atom_idx = psi_e.source.atom_labels.index(
-            rep.domain.label(c.gen)
-        )
-        unit_singletons.append(target.idem_element(psi_e.atom_images[atom_idx]))
+    atom_pos = {label: i for i, label in enumerate(psi_e.source.atom_labels)}
+    unit_singletons = [
+        target.idem_element(psi_e.atom_images[atom_pos[rep.domain.label(c.gen)]])
+        for c in uni.germs.units
+    ]
 
     table = []
     for arrows in B.elements:

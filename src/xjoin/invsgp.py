@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .semilattice import (
     Character,
@@ -65,7 +66,10 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     and uniqueness of generalized inverses, commuting idempotents, and the
     absorbing zero at index 0.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    try:
+        rows = tuple(tuple(map(int, row)) for row in table)
+    except (TypeError, ValueError):
+        raise LawViolation("'mult' must be a square table of element indices") from None
     n = len(rows)
     if n == 0:
         raise LawViolation("semigroup needs at least the zero element")
@@ -80,14 +84,7 @@ def validate(table, labels=None) -> FinInverseSemigroup:
         for v in row:
             if not 0 <= v < n:
                 raise LawViolation(f"entry {v} out of range in row {labels[i]}")
-    for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise LawViolation(
-                        f"not associative at ({labels[a]},{labels[b]},{labels[c]})"
-                    )
+    _check_associative(rows, labels)
     inv = []
     for a in range(n):
         gens = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]
@@ -112,12 +109,49 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     return FinInverseSemigroup(rows, tuple(inv), labels, E, idems, idem_pos)
 
 
+def _generators(rows) -> list[int]:
+    """Elements whose left-normed products reach every element.
+
+    Elements with the most distinct products are tried first; one not yet
+    reached becomes a generator.  The reached set grows by right
+    multiplication, so each (element, generator) product is formed once.
+    """
+    gens: list[int] = []
+    reached: set[int] = set()
+    for g in sorted(range(len(rows)), key=lambda a: -len(set(rows[a]))):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = [rows[x][g] for x in reached] + [g]
+        while frontier:
+            x = frontier.pop()
+            if x not in reached:
+                reached.add(x)
+                frontier.extend(rows[x][h] for h in gens)
+    return gens
+
+
+def _check_associative(rows, labels) -> None:
+    """Light's associativity test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, 1.2).
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under the
+    product, so the table is associative as soon as this holds for every a
+    in a set whose left-normed products reach every element.  Row x of the
+    check compares the row of xg with row x read through the row of g.
+    """
+    if len(rows) < 2:
+        return
+    for g in _generators(rows):
+        through_g = itemgetter(*rows[g])
+        for x, row in enumerate(rows):
+            if rows[row[g]] != through_g(row):
+                y = next(y for y in range(len(rows)) if rows[row[g]][y] != row[rows[g][y]])
+                raise LawViolation(f"not associative at ({labels[x]},{labels[g]},{labels[y]})")
+
+
 # ---------------------------------------------------------------------------
 # partial-bijection generation
-
-def _pmap_key(m: dict) -> tuple:
-    return tuple(sorted(m.items()))
-
 
 def _pmap_label(m: dict) -> str:
     if not m:
@@ -125,20 +159,13 @@ def _pmap_label(m: dict) -> str:
     return ",".join(f"{k}>{v}" for k, v in sorted(m.items()))
 
 
-def _pmap_compose(f: dict, g: dict) -> dict:
-    """f after g, as partial injections."""
-    return {x: f[y] for x, y in g.items() if y in f}
-
-
-def _pmap_inverse(f: dict) -> dict:
-    return {v: k for k, v in f.items()}
-
-
 def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dict, ...]]:
     """Close partial injections on {1..points} under composition and inversion.
 
     The empty map is adjoined as the zero.  Returns the semigroup and the
     partial map realizing each element, aligned with element indices.
+    Elements are ordered by domain size, then by their sorted (point, image)
+    pairs.
     """
     gens = []
     for m in maps:
@@ -149,29 +176,32 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
             if not (1 <= k <= points and 1 <= v <= points):
                 raise LawViolation(f"generator {pm} leaves 1..{points}")
         gens.append(pm)
-    seen = {_pmap_key({}): {}}
-    frontier = [{}]
-    for g in gens:
-        for h in (g, _pmap_inverse(g)):
-            if _pmap_key(h) not in seen:
-                seen[_pmap_key(h)] = h
+    # A map is its image tuple over 0..points, with 0 for "undefined"; the
+    # product f*g (f after g) is f read through g, itemgetter(*g)(f).  At
+    # least two positions keep itemgetter's result a tuple.
+    width = max(points, 1) + 1
+    images = []
+    for pm in gens:
+        for h in (pm, {v: k for k, v in pm.items()}):
+            images.append(tuple(h.get(x, 0) for x in range(width)))
+    through = [itemgetter(*g) for g in images]
+    seen = {(0,) * width, *images}
+    frontier = list(seen)
+    while frontier:
+        f = frontier.pop()
+        for get in through:
+            h = get(f)
+            if h not in seen:
+                seen.add(h)
                 frontier.append(h)
-    changed = True
-    while changed:
-        changed = False
-        current = list(seen.values())
-        for f in current:
-            for g in current:
-                for h in (_pmap_compose(f, g), _pmap_inverse(f)):
-                    if _pmap_key(h) not in seen:
-                        seen[_pmap_key(h)] = h
-                        changed = True
-    pmaps = sorted(seen.values(), key=lambda m: (len(m), _pmap_key(m)))
-    idx = {_pmap_key(m): i for i, m in enumerate(pmaps)}
-    table = [
-        [idx[_pmap_key(_pmap_compose(f, g))] for g in pmaps]
-        for f in pmaps
-    ]
+    pmaps = sorted(
+        ({x: y for x, y in enumerate(f) if y} for f in seen),
+        key=lambda m: (len(m), sorted(m.items())),
+    )
+    elems = [tuple(m.get(x, 0) for x in range(width)) for m in pmaps]
+    idx = {f: i for i, f in enumerate(elems)}
+    through = [itemgetter(*g) for g in elems]
+    table = [[idx[get(f)] for get in through] for f in elems]
     labels = [_pmap_label(m) for m in pmaps]
     return validate(table, labels), tuple(pmaps)
 
@@ -243,16 +273,23 @@ def semigroup_relations(S: FinInverseSemigroup, name: str) -> frozenset[XRelatio
 
 def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]:
     """Smallest relation set containing the input and stable under conjugation."""
-    elems, pos = S.idems, S.idem_pos
+    # conjugation by each s, tabulated once over idempotent positions; equal
+    # tables are kept once, which yields the same relations in the same order
+    mult, inv, pos = S.mult, S.inv, S.idem_pos
+    conj = dict.fromkeys(
+        tuple(pos[mult[mult[inv[s]][e]][s]] for e in S.idems) for s in range(S.n)
+    )
     out = set(relations)
+    seen = {(rel.e, rel.parts) for rel in out}
     frontier = list(out)
     while frontier:
         rel = frontier.pop()
-        for s in range(S.n):
-            e2 = pos[conjugate(S, s, elems[rel.e])]
-            parts2 = frozenset(pos[conjugate(S, s, elems[p])] for p in rel.parts)
-            cand = XRelation(e2, parts2)
-            if cand not in out:
+        e, parts = rel.e, rel.parts
+        for c in conj:
+            key = (c[e], frozenset(map(c.__getitem__, parts)))
+            if key not in seen:
+                seen.add(key)
+                cand = XRelation(*key)
                 out.add(cand)
                 frontier.append(cand)
     return frozenset(out)

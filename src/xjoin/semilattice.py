@@ -31,7 +31,10 @@ class FinMeetSemilattice:
         Raises :class:`LawViolation` naming the first violated law together
         with a witness.
         """
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        try:
+            rows = tuple(tuple(map(int, row)) for row in table)
+        except (TypeError, ValueError):
+            raise LawViolation("'meet' must be a square table of element indices") from None
         n = len(rows)
         if n == 0:
             raise LawViolation("semilattice needs at least the bottom element")

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, product as iproduct
 
+from xjoin.invsgp import conjugate
+from xjoin.semilattice import XRelation
+
 
 def count_bisections_brute(G) -> int:
     """Subset filter over all arrow sets; independent of the backtracker."""
@@ -22,6 +25,72 @@ def count_bisections_brute(G) -> int:
         if len(set(srcs)) == len(arrows) and len(set(rngs)) == len(arrows):
             count += 1
     return count
+
+
+def is_associative_brute(rows) -> bool:
+    """(ab)c = a(bc) for every triple of a multiplication table."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            ab = rows[a][b]
+            for c in range(n):
+                if rows[ab][c] != rows[a][rows[b][c]]:
+                    return False
+    return True
+
+
+def partial_map_closure_brute(points: int, maps):
+    """Partial injections closed by rounds over all pairs, as dicts.
+
+    Returns the maps in element order (domain size, then sorted pairs), their
+    labels and the multiplication table, with f*g the map f after g.
+    """
+    def key(m):
+        return tuple(sorted(m.items()))
+
+    def compose(f, g):
+        return {x: f[y] for x, y in g.items() if y in f}
+
+    def inverse(f):
+        return {v: k for k, v in f.items()}
+
+    seen = {(): {}}
+    for g in maps:
+        for h in (g, inverse(g)):
+            seen.setdefault(key(h), h)
+    changed = True
+    while changed:
+        changed = False
+        current = list(seen.values())
+        for f in current:
+            for g in current:
+                for h in (compose(f, g), inverse(f)):
+                    if key(h) not in seen:
+                        seen[key(h)] = h
+                        changed = True
+    pmaps = sorted(seen.values(), key=lambda m: (len(m), key(m)))
+    idx = {key(m): i for i, m in enumerate(pmaps)}
+    table = tuple(tuple(idx[key(compose(f, g))] for g in pmaps) for f in pmaps)
+    labels = tuple(",".join(f"{k}>{v}" for k, v in key(m)) or "0" for m in pmaps)
+    return tuple(pmaps), labels, table
+
+
+def invariant_closure_brute(S, relations) -> frozenset:
+    """Close a relation set under conjugation, one ``conjugate`` call per
+    idempotent, semigroup element and relation."""
+    elems, pos = S.idems, S.idem_pos
+    out = set(relations)
+    frontier = list(out)
+    while frontier:
+        rel = frontier.pop()
+        for s in range(S.n):
+            e2 = pos[conjugate(S, s, elems[rel.e])]
+            parts2 = frozenset(pos[conjugate(S, s, elems[p])] for p in rel.parts)
+            cand = XRelation(e2, parts2)
+            if cand not in out:
+                out.add(cand)
+                frontier.append(cand)
+    return frozenset(out)
 
 
 def germs_equal_existential(S, s: int, t: int, f: int) -> bool:

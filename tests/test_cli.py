@@ -204,16 +204,24 @@ class TestErrors:
             ("invsgp", 7, "object"),
             ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0]]}, "'mult'"),
             ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0, 5], [1, 1]]}, "'mult'"),
+            ("invsgp", {"elements": ["z", "x"], "zero": "z", "mult": [[0, None], [0, 1]]}, "'mult'"),
+            ("invsgp", {"elements": ["z"], "zero": "z", "mult": [[[0]]]}, "'mult'"),
+            ("invsgp", {"elements": ["z"], "zero": "z", "mult": 5}, "'mult'"),
             ("relations", [{"parts": ["e1"]}], "'e'"),
+            ("semilattice", {"elements": ["0"], "meet": [[[0]]]}, "'meet'"),
+            ("semilattice", {"elements": ["0", "x"], "meet": [[0, 0], [0, None]]}, "'meet'"),
+            ("semilattice", {"elements": ["0"], "meet": 5}, "'meet'"),
         ],
         ids=["points-missing", "points-string", "maps-not-objects", "not-an-object",
-             "mult-short-row", "mult-bad-entry", "relation-without-e"],
+             "mult-short-row", "mult-bad-entry", "mult-null-entry", "mult-list-entry",
+             "mult-not-a-list", "relation-without-e", "meet-list-entry", "meet-null-entry",
+             "meet-not-a-list"],
     )
     def test_malformed_json_names_key(self, files, capsys, tmp_path, command, doc, key):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        if command == "invsgp":
-            argv = ("invsgp", "--input", str(bad))
+        if command in ("invsgp", "semilattice"):
+            argv = (command, "--input", str(bad))
         else:
             argv = ("semilattice", "--input", files["chain3"], "--x", str(bad))
         code, out, err = run(capsys, *argv)

@@ -196,3 +196,12 @@ class TestEmission:
                 G.unit_labels, G.arrow_labels, G.src, G.rng,
                 G.unit_arrow, bad_inv, G.comp,
             )
+
+    def test_groupoid_validation_rejects_non_associative_loop(self):
+        # a Latin square with identity 0 whose every element is its own
+        # inverse, but (1*1)*2 = 2 != 1*(1*2) = 4: a loop, not a group
+        loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(LawViolation, match="composition not associative"):
+            FinGroupoid.from_parts(
+                ["u"], [f"a{i}" for i in range(5)], [0] * 5, [0] * 5, [0], range(5), loop,
+            )

@@ -1,15 +1,28 @@
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.semilattice import Character, LawViolation, XRelation
 
+from oracles import invariant_closure_brute, is_associative_brute, partial_map_closure_brute
 
+
+GENERATORS = {
+    "i2": (2, [{1: 2, 2: 1}, {1: 1}]),
+    "b2": (2, [{1: 2}]),
+    "p3": (3, [{1: 2, 2: 3}]),
+    "i3": (3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}]),
+    "i4": (4, [{1: 2, 2: 3, 3: 4, 4: 1}, {1: 2, 2: 1, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 3}]),
+}
 I2 = invsgp.i2()
 B2 = invsgp.b2()
+I3 = invsgp.from_partial_maps(*GENERATORS["i3"])[0]
 
 
 def s_idx(label):
@@ -53,7 +66,76 @@ class TestValidate:
             invsgp.validate(bad)
 
 
+def named_triple(table):
+    """The triple validate names as not associative, or None when its
+    associativity check passes (other laws may still fail)."""
+    try:
+        invsgp.validate(table)
+    except LawViolation as exc:
+        m = re.fullmatch(r"not associative at \((\w+),(\w+),(\w+)\)", str(exc))
+        if m:
+            return tuple(0 if label == "0" else int(label[1:]) for label in m.groups())
+    return None
+
+
+def tables(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+class TestLightAssociativity:
+    """validate's associativity test over a generating set against the
+    triple loop over all elements."""
+
+    def check(self, table):
+        triple = named_triple(table)
+        assert (triple is None) == is_associative_brute(table)
+        if triple is not None:
+            a, b, c = triple
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables(6))
+    def test_random_tables(self, table):
+        self.check(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        S=st.sampled_from([I2, B2, I3, invsgp.chain_semigroup(5)]),
+        data=st.data(),
+    )
+    def test_single_entry_corruptions(self, S, data):
+        # relabelled, so the generating set is searched in another order, and
+        # left intact half of the time
+        order = data.draw(st.permutations(range(S.n)))
+        where = {old: new for new, old in enumerate(order)}
+        table = [[where[S.mult[a][b]] for b in order] for a in order]
+        if data.draw(st.booleans()):
+            a, b, v = (data.draw(st.integers(0, S.n - 1)) for _ in range(3))
+            table[a][b] = v
+        self.check(table)
+
+    def test_chain_is_generated_only_by_itself(self):
+        # every element of a chain is idempotent and above all its products,
+        # so the generating set is the whole semigroup and every row is used
+        S = invsgp.chain_semigroup(6)
+        assert sorted(invsgp._generators(S.mult)) == list(range(S.n))
+        for a, b in ((6, 6), (3, 5), (0, 1)):
+            table = [list(row) for row in S.mult]
+            table[a][b] = (table[a][b] + 1) % S.n
+            self.check(table)
+
+
 class TestPartialMaps:
+    @pytest.mark.parametrize("name", GENERATORS)
+    def test_matches_all_pairs_closure(self, name):
+        points, maps = GENERATORS[name]
+        S, pmaps = invsgp.from_partial_maps(points, maps)
+        assert (pmaps, S.labels, S.mult) == partial_map_closure_brute(points, maps)
+
     def test_i2_generation(self):
         S, pmaps = invsgp.from_partial_maps(2, [{1: 2, 2: 1}, {1: 1}])
         assert S.n == 7
@@ -201,6 +283,14 @@ class TestInvariantClosure:
         once = invsgp.invariant_closure(I2, base)
         assert invsgp.invariant_closure(I2, once) == once
         assert frozenset(base) <= once
+
+
+class TestInvariantClosureOracle:
+    @pytest.mark.parametrize("name", sl.BUILTIN_RELATION_SETS)
+    @pytest.mark.parametrize("S", [I2, I3], ids=["i2", "i3"])
+    def test_matches_conjugate_closure(self, S, name):
+        rels = invsgp.semigroup_relations(S, name)
+        assert invsgp.invariant_closure(S, rels) == invariant_closure_brute(S, rels)
 
 
 class TestAction:
