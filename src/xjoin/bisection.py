@@ -14,26 +14,16 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .boolalg import FinBooleanAlgebra, SemilatticeRep, is_x_to_join, universal_extension, x_pi
+from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi
 from .groupoid import FinGroupoid, Germ, GermGroupoid, germ_groupoid, theta
 from .invsgp import (
     FinInverseSemigroup,
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import Character, LawViolation
+from .semilattice import Character, LawViolation, _bits
 
 ENUMERATION_WARN_ARROWS = 24
-
-
-def _bits(mask: int) -> list[int]:
-    """Set bit positions of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class BisAlgebra:
@@ -622,18 +612,7 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 
     # the composite of the canonical map and the quotient, restricted to
     # idempotents: images are character sets inside chi
-    E = S.semilattice
-    chi_sorted = tuple(sorted(chi))
-    BA = FinBooleanAlgebra(tuple(E.label(c.gen) for c in chi_sorted))
-    images = []
-    for e in range(E.n):
-        mask = 0
-        for i, c in enumerate(chi_sorted):
-            if E.leq(c.gen, e):
-                mask |= 1 << i
-        images.append(mask)
-    rep = SemilatticeRep.build(E, BA, images)
-    rels = x_pi(rep)
+    rels = x_pi(character_rep(S.semilattice, sorted(chi)))
 
     gq = germ_groupoid(S, rels)
     spectrum_ok = set(gq.units) == chi

@@ -17,6 +17,7 @@ from .semilattice import (
     FinMeetSemilattice,
     LawViolation,
     XRelation,
+    _bits,
     characters,
     spectrum,
     x_core,
@@ -135,26 +136,17 @@ def has_all_joins(E: FinMeetSemilattice) -> bool:
 def boolean_structure(E: FinMeetSemilattice) -> tuple[int, ...] | None:
     """Atom masks realizing E as a Boolean algebra, or None.
 
-    Maps each element to the set of atoms below it and checks that this is
-    an isomorphism onto the full powerset.
+    Maps each element to the set of atoms below it, as a mask over element
+    indices, and checks that this is an isomorphism onto the full powerset.
     """
-    ats = E.atoms()
-    if E.n != 1 << len(ats):
-        return None
-    masks = []
-    for x in range(E.n):
-        mask = 0
-        for i, a in enumerate(ats):
-            if E.leq(a, x):
-                mask |= 1 << i
-        masks.append(mask)
-    if len(set(masks)) != E.n:
+    masks = tuple(b & E.atom_bits for b in E.below)
+    if E.n != 1 << E.atom_bits.bit_count() or len(set(masks)) != E.n:
         return None
     for x in range(E.n):
         for y in range(E.n):
             if masks[E.meet(x, y)] != masks[x] & masks[y]:
                 return None
-    return tuple(masks)
+    return masks
 
 
 def is_lattice_morphism(rep: SemilatticeRep) -> bool:
@@ -200,25 +192,25 @@ def spectrum_atoms(E: FinMeetSemilattice, relations) -> tuple[Character, ...]:
     return tuple(sorted(spectrum(E, relations)))
 
 
+def character_rep(E: FinMeetSemilattice, chars) -> SemilatticeRep:
+    """E represented in the powerset of a character list: a goes to the set
+    of characters whose generator lies below a."""
+    chars = tuple(chars)
+    B = FinBooleanAlgebra(tuple(E.label(c.gen) for c in chars))
+    images = [sum(1 << i for i, c in enumerate(chars) if b >> c.gen & 1) for b in E.below]
+    return SemilatticeRep.build(E, B, images)
+
+
 def booleanization(E: FinMeetSemilattice, relations) -> tuple[FinBooleanAlgebra, SemilatticeRep]:
     """Powerset algebra over the spectrum, with the canonical representation.
 
     The representation sends a to the set of spectrum characters whose
     generator lies below a.
     """
-    atoms = spectrum_atoms(E, relations)
-    B = FinBooleanAlgebra(tuple(E.label(c.gen) for c in atoms))
-    images = []
-    for a in range(E.n):
-        mask = 0
-        for i, c in enumerate(atoms):
-            if E.leq(c.gen, a):
-                mask |= 1 << i
-        images.append(mask)
-    rep = SemilatticeRep.build(E, B, images)
+    rep = character_rep(E, spectrum_atoms(E, relations))
     if not is_x_to_join(rep, relations):
         raise LawViolation("canonical representation failed its own join constraints")
-    return B, rep
+    return rep.codomain, rep
 
 
 def basic_set(E: FinMeetSemilattice, relations, a: int, excl=frozenset()) -> int:
@@ -227,11 +219,10 @@ def basic_set(E: FinMeetSemilattice, relations, a: int, excl=frozenset()) -> int
     for b in excl:
         if not E.leq(b, a):
             raise LawViolation(f"excluded element {E.label(b)} is not below {E.label(a)}")
-    atoms = spectrum_atoms(E, relations)
-    mask = 0
-    for i, c in enumerate(atoms):
-        if E.leq(c.gen, a) and not any(E.leq(c.gen, b) for b in excl):
-            mask |= 1 << i
+    images = character_rep(E, spectrum_atoms(E, relations)).images
+    mask = images[a]
+    for b in excl:
+        mask &= ~images[b]
     return mask
 
 
@@ -282,23 +273,23 @@ def universal_extension(rep: SemilatticeRep, relations, *, verify_unique: bool =
     if not is_x_to_join(rep, relations):
         raise LawViolation("representation does not satisfy the join constraints")
     E = rep.domain
-    B, iota = booleanization(E, relations)
     atoms = spectrum_atoms(E, relations)
+    iota = character_rep(E, atoms)
     images = []
     for c in atoms:
         g = c.gen
-        below = [h for h in E.down(g) if h not in (0, g)]
-        maximal = [h for h in below if not any(E.leq(h, k) and h != k for k in below)]
+        strict = E.below[g] & ~(1 << g | 1)
         img = rep.images[g]
-        for b in maximal:
-            img &= ~rep.images[b]
+        for h in _bits(strict):
+            if E.above[h] & strict == 1 << h:  # h is maximal below g
+                img &= ~rep.images[h]
         images.append(img)
-    psi = BAMorphism.build(B, rep.codomain, images)
+    psi = BAMorphism.build(iota.codomain, rep.codomain, images)
     for a in range(E.n):
         if psi.apply(iota.images[a]) != rep.images[a]:
             raise LawViolation(f"extension does not factor the representation at {E.label(a)}")
     if verify_unique and rep.codomain.m <= 4:
-        count = count_extensions(rep, relations, limit=2)
+        count = _count_extensions(rep, iota, limit=2)
         if count != 1:
             raise LawViolation(f"expected a unique extension, search found {count}")
     return psi
@@ -311,9 +302,13 @@ def count_extensions(rep: SemilatticeRep, relations, limit: int = 2) -> int:
     ownership map from target atoms to source atoms (or none), so the
     search is exhaustive over (k+1)^m assignments.
     """
+    return _count_extensions(rep, booleanization(rep.domain, relations)[1], limit)
+
+
+def _count_extensions(rep: SemilatticeRep, iota: SemilatticeRep, limit: int) -> int:
+    """:func:`count_extensions` against the canonical representation ``iota``."""
     E = rep.domain
-    _, iota = booleanization(E, relations)
-    k = len(iota.codomain.atom_labels)
+    k = iota.codomain.m
     m = rep.codomain.m
     count = 0
 

@@ -1,28 +1,49 @@
 """Finite meet-semilattices with bottom: order, covers, characters and spectra.
 
 A semilattice is stored as an explicit n-by-n meet table over element
-indices, with index 0 reserved for the bottom element.  Characters are
-encoded by their principal-filter generator, so a spectrum is just a set
-of nonzero element indices wrapped in :class:`Character`.
+indices, with index 0 reserved for the bottom element.  ``from_meet`` also
+builds the order once as int masks over element indices: ``below[x]`` (the
+y <= x), ``above[x]`` (the y >= x) and ``atom_bits``.  Downsets, atoms,
+joins, covers and spectra are bit operations on them.  Covers use the atom
+criterion (Exel, "Inverse semigroups and combinatorial C*-algebras", 2008):
+y ^ z != 0 exactly when some atom lies below both.  Characters are encoded
+by their principal-filter generator, so a spectrum is just a set of nonzero
+element indices wrapped in :class:`Character`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 
 class LawViolation(ValueError):
     """A finite structure failed one of its defining laws."""
 
 
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class FinMeetSemilattice:
-    """Meet table over indices 0..n-1; index 0 is the bottom element."""
+    """Meet table over indices 0..n-1; index 0 is the bottom element.
+    The order masks are built by :meth:`from_meet` and not compared."""
 
     meet_table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    below: tuple[int, ...] = field(compare=False, repr=False)
+    above: tuple[int, ...] = field(compare=False, repr=False)
+    atom_bits: int = field(compare=False, repr=False)
 
     @classmethod
     def from_meet(cls, table, labels=None) -> "FinMeetSemilattice":
@@ -73,7 +94,10 @@ class FinMeetSemilattice:
         for x in range(n):
             if rows[0][x] != 0:
                 raise LawViolation(f"element 0 is not the bottom: 0^{labels[x]} = {labels[rows[0][x]]}")
-        return cls(rows, labels)
+        below = tuple(sum(1 << y for y, m in enumerate(row) if m == y) for row in rows)
+        above = tuple(sum(1 << y for y, m in enumerate(row) if m == x) for x, row in enumerate(rows))
+        atom_bits = sum(1 << x for x in range(1, n) if below[x] == 1 | 1 << x)
+        return cls(rows, labels, below, above, atom_bits)
 
     @property
     def n(self) -> int:
@@ -87,27 +111,20 @@ class FinMeetSemilattice:
         return self.meet_table[x][y] == x
 
     def down(self, x: int) -> tuple[int, ...]:
-        return tuple(y for y in range(self.n) if self.leq(y, x))
+        return tuple(_bits(self.below[x]))
 
     def atoms(self) -> tuple[int, ...]:
         """Minimal nonzero elements."""
-        out = []
-        for x in range(1, self.n):
-            if all(y in (0, x) for y in self.down(x)):
-                out.append(x)
-        return tuple(out)
+        return tuple(_bits(self.atom_bits))
 
     def join(self, x: int, y: int) -> int | None:
         """Least upper bound of x and y, or None if it does not exist."""
         return self.join_of((x, y))
 
     def join_of(self, xs) -> int | None:
-        xs = tuple(xs)
-        ubs = [u for u in range(self.n) if all(self.leq(x, u) for x in xs)]
-        for u in ubs:
-            if all(self.leq(u, v) for v in ubs):
-                return u
-        return None
+        """Least upper bound of xs: the meet of its upper bounds, if it has any."""
+        ubs = reduce(and_, (self.above[x] for x in xs), self.above[0])
+        return next(u for u in _bits(ubs) if self.above[u] == ubs) if ubs else None
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -199,6 +216,7 @@ def random_semilattice(rng, max_size: int = 10, ground: int = 5) -> FinMeetSemil
 def is_cover(E: FinMeetSemilattice, x: int, parts, *, restricted: bool = True) -> bool:
     """Does the set cover x: every nonzero y <= x meets some element of the set.
 
+    Equivalently, every atom below x lies below some element of the set.
     Zeros in `parts` are dropped.  With ``restricted`` (the default) every
     remaining element must lie below x, otherwise the input is rejected;
     ``restricted=False`` runs the same check without that requirement.
@@ -208,10 +226,10 @@ def is_cover(E: FinMeetSemilattice, x: int, parts, *, restricted: bool = True) -
         for z in zs:
             if not E.leq(z, x):
                 raise LawViolation(f"cover element {E.label(z)} is not below {E.label(x)}")
-    for y in range(1, E.n):
-        if E.leq(y, x) and all(E.meet(y, z) == 0 for z in zs):
-            return False
-    return True
+    reach = 0
+    for z in zs:
+        reach |= E.below[z]
+    return not E.below[x] & E.atom_bits & ~reach
 
 
 def dense_in(E: FinMeetSemilattice, f: int, e: int) -> bool:
@@ -221,27 +239,45 @@ def dense_in(E: FinMeetSemilattice, f: int, e: int) -> bool:
     return is_cover(E, e, (f,))
 
 
-def _minimal_sets(E: FinMeetSemilattice, x: int, accept) -> list[frozenset[int]]:
-    """Inclusion-minimal subsets of the nonzero downset of x that `accept` holds on.
+def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[frozenset[int]]:
+    """Inclusion-minimal sets of nonzero elements below x that cover x and,
+    with ``need_join``, have join x; by size, then by ascending element list.
 
-    Subsets are walked by size, and a superset of one already accepted is
-    skipped without calling `accept`.
+    An include/exclude walk carries the atoms the members cover and (with
+    ``need_join``) the elements outside their common upper bounds, as masks
+    of bits hit once and bits hit twice.  A set is emitted once both equal
+    those of x.  A member with no private atom and (with ``need_join``) no
+    element that only it fails to lie below stays redundant in every
+    superset, so the branch stops there.
     """
-    pool = [y for y in E.down(x) if y != 0]
+    full = E.above[0]
+    atoms = [b & E.atom_bits for b in E.below]
+    outside = [full & ~a if need_join else 0 for a in E.above]
+    want_atoms, want_outside = atoms[x], outside[x]
+    pool = _bits(E.below[x] & ~1)
     found: list[frozenset[int]] = []
-    for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
+
+    def walk(start, members, atoms1, atoms2, out1, out2):
+        for j, y in enumerate(pool[start:], start):
+            a, o = atoms[y], outside[y]
+            chosen = members + (y,)
+            a2, o2 = atoms2 | atoms1 & a, out2 | out1 & o
+            if any(not (atoms[z] & ~a2 or outside[z] & ~o2) for z in chosen):
                 continue
-            if accept(cand):
-                found.append(cand)
+            a1, o1 = atoms1 | a, out1 | o
+            if a1 == want_atoms and o1 == want_outside:
+                found.append(frozenset(chosen))
+            else:
+                walk(j + 1, chosen, a1, a2, o1, o2)
+
+    walk(0, (), 0, 0, 0, 0)
+    found.sort(key=lambda c: (len(c), sorted(c)))
     return found
 
 
 def minimal_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
     """All inclusion-minimal covers of a nonzero x drawn from its nonzero downset."""
-    return _minimal_sets(E, x, lambda c: is_cover(E, x, c))
+    return _minimal_sets(E, x, False)
 
 
 # ---------------------------------------------------------------------------
@@ -275,50 +311,33 @@ def characters(E: FinMeetSemilattice) -> frozenset[Character]:
     return frozenset(Character(g) for g in range(1, E.n))
 
 
-def char_evaluate(E: FinMeetSemilattice, c: Character, x: int) -> bool:
-    return E.leq(c.gen, x)
-
-
-def char_satisfies(E: FinMeetSemilattice, c: Character, rel: XRelation) -> bool:
-    """The join constraint holds at c: c(e) = 1 iff c(e_i) = 1 for some i."""
-    lhs = E.leq(c.gen, rel.e)
-    rhs = any(E.leq(c.gen, p) for p in rel.parts)
-    return lhs == rhs
-
-
 def spectrum(E: FinMeetSemilattice, relations) -> frozenset[Character]:
-    rels = tuple(relations)
-    return frozenset(
-        c for c in characters(E) if all(char_satisfies(E, c, r) for r in rels)
-    )
+    """The characters satisfying every relation.  A relation fails at the
+    generators below e or below some part, but not both."""
+    bad = 0
+    for rel in relations:
+        reach = 0
+        for p in rel.parts:
+            reach |= E.below[p]
+        bad |= reach ^ E.below[rel.e]
+    return frozenset(Character(g) for g in range(1, E.n) if not bad >> g & 1)
 
 
 def x_tight(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Join constraints for all inclusion-minimal covers of nonzero elements."""
-    out = []
-    for x in range(1, E.n):
-        for cov in minimal_covers(E, x):
-            out.append(XRelation(x, cov))
-    return frozenset(out)
+    return frozenset(XRelation(x, cov) for x in range(1, E.n) for cov in minimal_covers(E, x))
 
 
 def x_prime(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Constraints for minimal covers whose join exists and equals the element."""
-    out = []
-    for x in range(1, E.n):
-        found = _minimal_sets(E, x, lambda c: E.join_of(c) == x and is_cover(E, x, c))
-        out.extend(XRelation(x, cov) for cov in found)
-    return frozenset(out)
+    return frozenset(XRelation(x, cov) for x in range(1, E.n) for cov in _minimal_sets(E, x, True))
 
 
 def x_core(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Constraints identifying every element with each element dense in it."""
-    out = []
-    for e in range(1, E.n):
-        for f in E.down(e):
-            if f != 0 and dense_in(E, f, e):
-                out.append(XRelation(e, frozenset((f,))))
-    return frozenset(out)
+    return frozenset(
+        XRelation(e, frozenset((f,))) for e in range(1, E.n) for f in E.down(e) if f and dense_in(E, f, e)
+    )
 
 
 BUILTIN_RELATION_SETS = ("none", "tight", "prime", "core")
@@ -364,11 +383,15 @@ def relations_to_json(E: FinMeetSemilattice, rels) -> str:
 
 def relations_from_json(E: FinMeetSemilattice, text: str) -> frozenset[XRelation]:
     doc = json.loads(text)
+    if not isinstance(doc, list):
+        raise LawViolation("relation JSON must be a list of relations")
     out = []
     for item in doc:
         try:
             e, parts = item["e"], item["parts"]
         except (KeyError, TypeError):
             raise LawViolation("each relation in JSON needs 'e' and 'parts'") from None
+        if not isinstance(parts, list):
+            raise LawViolation("relation 'parts' must be a list of element labels")
         out.append(XRelation(E.index(e), frozenset(E.index(p) for p in parts)))
     return frozenset(out)

@@ -42,13 +42,14 @@ def brute_force_characters(E: FinMeetSemilattice) -> set[frozenset[int]]:
 
 
 def all_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
-    """Every cover of x inside its nonzero downset, without minimality."""
-    pool = [y for y in E.down(x) if y != 0]
+    """Every cover of x inside its nonzero downset, without minimality, by
+    the definition on the meet table: every nonzero y <= x meets a member."""
+    pool = [y for y in range(1, E.n) if E.meet(y, x) == y]
     return [
         frozenset(c)
         for size in range(1, len(pool) + 1)
         for c in combinations(pool, size)
-        if semilattice.is_cover(E, x, c)
+        if all(any(E.meet(y, z) for z in c) for y in pool)
     ]
 
 

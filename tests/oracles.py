@@ -2,8 +2,9 @@
 
 Everything here works from first definitions (exhaustive enumeration over
 subsets and words), deliberately avoiding the library's own shortcuts.  The
-semilattice oracles (characters and all-covers spectra) live in
-``xjoin.suites``, because the ``suite`` command runs them too.
+semilattice oracles below read the order off the meet table, never the
+order masks; the character and all-covers oracles live in ``xjoin.suites``,
+because the ``suite`` command runs them too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,80 @@ from __future__ import annotations
 from itertools import combinations, product as iproduct
 
 from xjoin.invsgp import conjugate
-from xjoin.semilattice import XRelation
+from xjoin.semilattice import Character, XRelation
+
+
+# ---------------------------------------------------------------------------
+# semilattice order, covers and spectra, on the meet table
+
+def down_brute(E, x: int) -> tuple[int, ...]:
+    return tuple(y for y in range(E.n) if E.meet(y, x) == y)
+
+
+def atoms_brute(E) -> tuple[int, ...]:
+    return tuple(x for x in range(1, E.n) if down_brute(E, x) == (0, x))
+
+
+def join_brute(E, xs):
+    """The upper bound of xs below every other upper bound, or None."""
+    ubs = [u for u in range(E.n) if all(E.meet(x, u) == x for x in xs)]
+    return next((u for u in ubs if all(E.meet(u, v) == u for v in ubs)), None)
+
+
+def covers_brute(E, x: int, parts) -> bool:
+    """Every nonzero y <= x meets some part."""
+    return all(any(E.meet(y, z) for z in parts) for y in down_brute(E, x) if y)
+
+
+def minimal_sets_brute(E, x: int, accept) -> list[frozenset[int]]:
+    """Inclusion-minimal subsets of the nonzero downset of x that `accept`
+    holds on, walking every subset by size."""
+    pool = [y for y in down_brute(E, x) if y]
+    found: list[frozenset[int]] = []
+    for size in range(1, len(pool) + 1):
+        for combo in combinations(pool, size):
+            cand = frozenset(combo)
+            if any(prev <= cand for prev in found):
+                continue
+            if accept(cand):
+                found.append(cand)
+    return found
+
+
+def minimal_covers_brute(E, x: int) -> list[frozenset[int]]:
+    return minimal_sets_brute(E, x, lambda c: covers_brute(E, x, c))
+
+
+def x_prime_brute(E) -> frozenset[XRelation]:
+    """Relations for the sets minimal among covers of x whose join is x."""
+    return frozenset(
+        XRelation(x, c)
+        for x in range(1, E.n)
+        for c in minimal_sets_brute(
+            E, x, lambda c, x=x: join_brute(E, c) == x and covers_brute(E, x, c)
+        )
+    )
+
+
+def x_core_brute(E) -> frozenset[XRelation]:
+    return frozenset(
+        XRelation(e, frozenset((f,)))
+        for e in range(1, E.n)
+        for f in down_brute(E, e)
+        if f and covers_brute(E, e, (f,))
+    )
+
+
+def spectrum_brute(E, relations) -> frozenset[Character]:
+    """Characters at g with g <= e exactly when g <= some part, for every relation."""
+    def below(g, y):
+        return E.meet(g, y) == g
+
+    return frozenset(
+        Character(g)
+        for g in range(1, E.n)
+        if all(below(g, r.e) == any(below(g, p) for p in r.parts) for r in relations)
+    )
 
 
 def count_bisections_brute(G) -> int:

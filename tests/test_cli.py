@@ -208,13 +208,16 @@ class TestErrors:
             ("invsgp", {"elements": ["z"], "zero": "z", "mult": [[[0]]]}, "'mult'"),
             ("invsgp", {"elements": ["z"], "zero": "z", "mult": 5}, "'mult'"),
             ("relations", [{"parts": ["e1"]}], "'e'"),
+            ("relations", [{"e": "e1", "parts": 5}], "'parts'"),
+            ("relations", 5, "list of relations"),
             ("semilattice", {"elements": ["0"], "meet": [[[0]]]}, "'meet'"),
             ("semilattice", {"elements": ["0", "x"], "meet": [[0, 0], [0, None]]}, "'meet'"),
             ("semilattice", {"elements": ["0"], "meet": 5}, "'meet'"),
         ],
         ids=["points-missing", "points-string", "maps-not-objects", "not-an-object",
              "mult-short-row", "mult-bad-entry", "mult-null-entry", "mult-list-entry",
-             "mult-not-a-list", "relation-without-e", "meet-list-entry", "meet-null-entry",
+             "mult-not-a-list", "relation-without-e", "relation-parts-not-a-list",
+             "relations-not-a-list", "meet-list-entry", "meet-null-entry",
              "meet-not-a-list"],
     )
     def test_malformed_json_names_key(self, files, capsys, tmp_path, command, doc, key):

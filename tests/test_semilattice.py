@@ -1,11 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xjoin import semilattice as sl
 from xjoin.semilattice import Character, LawViolation, XRelation
 
 from xjoin.suites import brute_force_characters, tight_spectrum_brute
+
+from oracles import (
+    atoms_brute,
+    covers_brute,
+    down_brute,
+    join_brute,
+    minimal_covers_brute,
+    spectrum_brute,
+    x_core_brute,
+    x_prime_brute,
+)
 
 
 E3 = sl.chain(3)
@@ -134,10 +147,9 @@ class TestCharacters:
             assert len(sl.characters(E)) == E.n - 1
 
     def test_satisfies(self):
-        assert sl.char_satisfies(E3, Character(1), rel(2, {1}))
-        assert not sl.char_satisfies(E3, Character(2), rel(2, {1}))
-        for c in sl.characters(E3):
-            assert sl.char_satisfies(E3, c, rel(0, ()))
+        # e1 and e3 satisfy e2 = e1 (both sides hold at e1, neither at e3); e2 fails it
+        assert sl.spectrum(E3, [rel(2, {1})]) == frozenset({Character(1), Character(3)})
+        assert sl.spectrum(E3, [rel(0, ())]) == sl.characters(E3)
 
 
 class TestSpectra:
@@ -195,6 +207,74 @@ class TestSpectra:
         assert labels(sl.spectrum(km, sl.x_tight(km))) == ["d"]
         assert labels(sl.spectrum(km, sl.x_prime(km))) == ["a", "b", "d"]
         assert labels(sl.spectrum(km, sl.x_core(km))) == ["d"]
+
+
+class TestPowersetCounts:
+    def test_minimal_covers_of_the_top(self):
+        # OEIS A046165: minimal covers of a k-set
+        for k, want in enumerate((1, 2, 8, 49, 462), start=1):
+            E = sl.powerset_semilattice(k)
+            assert len(sl.minimal_covers(E, E.n - 1)) == want
+
+    def test_p5_relation_sets(self):
+        E = sl.powerset_semilattice(5)
+        tight = sl.x_tight(E)
+        assert len(tight) == 812
+        assert sl.x_prime(E) == tight
+
+
+@st.composite
+def families(draw):
+    """Intersection-closed families over a 5-set, at most 10 sets, as a
+    semilattice with the nonzero elements in a drawn order."""
+    sets = {0}
+    for s in draw(st.lists(st.integers(0, 31), max_size=8)):
+        grown = sets | {s} | {s & t for t in sets}
+        if len(grown) <= 10:
+            sets = grown
+    E = sl.from_subsets([frozenset(i for i in range(5) if m >> i & 1) for m in sets])
+    order = [0] + draw(st.permutations(range(1, E.n)))
+    table = [[order.index(E.meet(a, b)) for b in order] for a in order]
+    return sl.FinMeetSemilattice.from_meet(table, [E.label(a) for a in order])
+
+
+class TestMasksAgainstOracles:
+    """The order masks, the pruned minimal-set walk and the mask spectrum
+    against the meet-table definitions in ``tests/oracles.py``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(E=families(), data=st.data())
+    def test_random_families(self, E, data):
+        elems = range(E.n)
+        assert E.atoms() == atoms_brute(E)
+        for x in elems:
+            assert E.down(x) == down_brute(E, x)
+            for y in elems:
+                assert E.join(x, y) == join_brute(E, (x, y))
+        assert E.join_of(()) == join_brute(E, ())
+        xs = data.draw(st.lists(st.sampled_from(elems), max_size=4))
+        assert E.join_of(xs) == join_brute(E, xs)
+
+        for x in elems:
+            assert sl.minimal_covers(E, x) == minimal_covers_brute(E, x)
+            parts = data.draw(st.sets(st.sampled_from(elems), max_size=4))
+            assert sl.is_cover(E, x, parts, restricted=False) == covers_brute(E, x, parts)
+            if all(p in down_brute(E, x) for p in parts):
+                assert sl.is_cover(E, x, parts) == covers_brute(E, x, parts)
+            else:
+                with pytest.raises(LawViolation, match="not below"):
+                    sl.is_cover(E, x, parts)
+        assert sl.x_prime(E) == x_prime_brute(E)
+        assert sl.x_core(E) == x_core_brute(E)
+
+        for name in sl.BUILTIN_RELATION_SETS:
+            rels = sl.builtin_relations(E, name)
+            assert sl.spectrum(E, rels) == spectrum_brute(E, rels)
+        rels = data.draw(st.lists(
+            st.builds(rel, st.sampled_from(elems), st.sets(st.sampled_from(elems), max_size=3)),
+            max_size=5,
+        ))
+        assert sl.spectrum(E, rels) == spectrum_brute(E, rels)
 
 
 class TestJson:
