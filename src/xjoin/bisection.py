@@ -288,23 +288,30 @@ class IotaRep:
         return SemilatticeRep.build(S.semilattice, BA, images)
 
 
+def _check_multiplicative(S: FinInverseSemigroup, T: BisAlgebra, phi, what: str) -> None:
+    """phi(xy) = phi(x)phi(y) for all x, y, checked for y in ``S.gens``.
+
+    Every y is a left-normed product y'g of generators and T is associative,
+    so phi(xy'g) = phi(xy')phi(g) = phi(x)phi(y')phi(g) = phi(x)phi(y).
+    """
+    for x, row in enumerate(S.mult):
+        for g in S.gens:
+            if T.mul(phi[x], phi[g]) != phi[row[g]]:
+                raise LawViolation(f"{what} not multiplicative at ({S.label(x)},{S.label(g)})")
+
+
 def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """Build the germ groupoid and the canonical representation into its bisections.
 
-    Verifies that the map is multiplicative, kills zero, and satisfies the
-    join constraints on idempotents.
+    Verifies that the map kills zero, is multiplicative (checked on
+    ``S.gens``) and satisfies the join constraints on idempotents.
     """
     gg = germ_groupoid(S, relations)
     B = BisAlgebra(gg.groupoid)
     images = tuple(B.index[sum(1 << a for a in theta(gg, s))] for s in range(S.n))
     if images[0] != B.zero:
         raise LawViolation("zero has germs")
-    for s in range(S.n):
-        for t in range(S.n):
-            if B.mul(images[s], images[t]) != images[S.mul(s, t)]:
-                raise LawViolation(
-                    f"canonical map not multiplicative at ({S.label(s)},{S.label(t)})"
-                )
+    _check_multiplicative(S, B, images, "canonical map")
     rep = IotaRep(S, frozenset(relations), gg, B, images)
     if not is_x_to_join(rep.idem_rep(), relations):
         raise LawViolation("canonical map fails its join constraints on idempotents")
@@ -346,17 +353,14 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> frozenset[int]:
 def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     """The generators-and-relations description of the algebra of germs.
 
-    Checks that the canonical generators kill zero, are multiplicative,
-    satisfy the join constraints as iterated skew joins, and generate the
-    whole algebra under the extended signature.
+    :func:`iota` has already checked that the canonical generators kill zero
+    and are multiplicative; this checks that they satisfy the join
+    constraints as iterated skew joins and generate the whole algebra under
+    the extended signature.
     """
     rep = iota(S, relations)
     B = rep.algebra
-    rel_ok = rep.images[0] == B.zero
-    for s in range(S.n):
-        for t in range(S.n):
-            if B.mul(rep.images[s], rep.images[t]) != rep.images[S.mul(s, t)]:
-                rel_ok = False
+    rel_ok = True
     for rel in relations:
         acc = B.zero
         for p in sorted(rel.parts):
@@ -401,7 +405,7 @@ def congruence(full: IotaRep, chi) -> Congruence:
     """
     chi = frozenset(chi)
     S = full.semigroup
-    if invariant_closure(S, full.relations) != frozenset():
+    if full.relations:
         raise LawViolation("congruence needs the universal algebra (empty relation set)")
     if not character_set_invariant(S, chi):
         raise LawViolation("character set is not invariant under the action")
@@ -653,12 +657,7 @@ def _validate_representation(S: FinInverseSemigroup, target: BisAlgebra, phi, re
         raise LawViolation(f"{S.n} elements but {len(phi)} images")
     if phi[0] != target.zero:
         raise LawViolation("zero not preserved")
-    for s in range(S.n):
-        for t in range(S.n):
-            if target.mul(phi[s], phi[t]) != phi[S.mul(s, t)]:
-                raise LawViolation(
-                    f"map not multiplicative at ({S.label(s)},{S.label(t)})"
-                )
+    _check_multiplicative(S, target, phi, "map")
     BA = target.unit_algebra()
     images = [target.idem_mask(phi[e]) for e in S.idems]
     rep = SemilatticeRep.build(S.semilattice, BA, images)

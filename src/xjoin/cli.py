@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hull)
 
     p = sub.add_parser("suite", help="run the property suites")
-    p.add_argument("--all", action="store_true", help="accepted for symmetry; suites always run")
     p.add_argument("--max-size", type=int, default=8)
     p.set_defaults(func=_cmd_suite)
 

@@ -34,10 +34,6 @@ class FinGroupoid:
     def n_arrows(self) -> int:
         return len(self.arrow_labels)
 
-    def compose(self, a: int, b: int) -> int | None:
-        k = self.comp[a][b]
-        return None if k < 0 else k
-
     @classmethod
     def from_parts(cls, unit_labels, arrow_labels, src, rng, unit_arrow, inv, comp) -> "FinGroupoid":
         G = cls(

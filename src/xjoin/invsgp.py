@@ -23,7 +23,8 @@ class FinInverseSemigroup:
 
     Element i of ``semilattice`` is the idempotent ``idems[i]`` of the
     semigroup, with the zero at position 0; ``idem_pos`` is the inverse map.
-    They are built once by :func:`validate` and take no part in equality.
+    Every element is a left-normed product of ``gens``.  All four are built
+    once by :func:`validate` and take no part in equality.
     """
 
     mult: tuple[tuple[int, ...], ...]
@@ -32,6 +33,7 @@ class FinInverseSemigroup:
     semilattice: FinMeetSemilattice = field(compare=False, repr=False)
     idems: tuple[int, ...] = field(compare=False, repr=False)
     idem_pos: dict[int, int] = field(compare=False, repr=False)
+    gens: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -84,15 +86,16 @@ def validate(table, labels=None) -> FinInverseSemigroup:
         for v in row:
             if not 0 <= v < n:
                 raise LawViolation(f"entry {v} out of range in row {labels[i]}")
-    _check_associative(rows, labels)
+    gens = tuple(_generators(rows))
+    _check_associative(rows, labels, gens)
     inv = []
     for a in range(n):
-        gens = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]
-        if len(gens) != 1:
+        cands = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]
+        if len(cands) != 1:
             raise LawViolation(
-                f"element {labels[a]} has {len(gens)} generalized inverses, want exactly 1"
+                f"element {labels[a]} has {len(cands)} generalized inverses, want exactly 1"
             )
-        inv.append(gens[0])
+        inv.append(cands[0])
     idems = tuple(a for a in range(n) if rows[a][a] == a)
     for e in idems:
         for f in idems:
@@ -106,7 +109,7 @@ def validate(table, labels=None) -> FinInverseSemigroup:
         [[idem_pos[rows[a][b]] for b in idems] for a in idems],
         [labels[a] for a in idems],
     )
-    return FinInverseSemigroup(rows, tuple(inv), labels, E, idems, idem_pos)
+    return FinInverseSemigroup(rows, tuple(inv), labels, E, idems, idem_pos, gens)
 
 
 def _generators(rows) -> list[int]:
@@ -131,18 +134,18 @@ def _generators(rows) -> list[int]:
     return gens
 
 
-def _check_associative(rows, labels) -> None:
+def _check_associative(rows, labels, gens) -> None:
     """Light's associativity test (Clifford and Preston, *The Algebraic
     Theory of Semigroups* I, 1.2).
 
     The elements a with (xa)y = x(ay) for all x, y are closed under the
     product, so the table is associative as soon as this holds for every a
-    in a set whose left-normed products reach every element.  Row x of the
-    check compares the row of xg with row x read through the row of g.
+    in a set ``gens`` whose left-normed products reach every element.  Row x
+    of the check compares the row of xg with row x read through the row of g.
     """
     if len(rows) < 2:
         return
-    for g in _generators(rows):
+    for g in gens:
         through_g = itemgetter(*rows[g])
         for x, row in enumerate(rows):
             if rows[row[g]] != through_g(row):
@@ -272,27 +275,24 @@ def semigroup_relations(S: FinInverseSemigroup, name: str) -> frozenset[XRelatio
 # invariance and the action on characters
 
 def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]:
-    """Smallest relation set containing the input and stable under conjugation."""
-    # conjugation by each s, tabulated once over idempotent positions; equal
-    # tables are kept once, which yields the same relations in the same order
+    """Smallest relation set containing the input and stable under conjugation.
+
+    Conjugation composes, conj_st = conj_t o conj_s on idempotents, so closing
+    under the conjugations by ``S.gens``, tabulated over idempotent
+    positions, closes under every element's.
+    """
     mult, inv, pos = S.mult, S.inv, S.idem_pos
-    conj = dict.fromkeys(
-        tuple(pos[mult[mult[inv[s]][e]][s]] for e in S.idems) for s in range(S.n)
-    )
-    out = set(relations)
-    seen = {(rel.e, rel.parts) for rel in out}
-    frontier = list(out)
+    conj = [tuple(pos[mult[mult[inv[g]][e]][g]] for e in S.idems) for g in S.gens]
+    seen = {(rel.e, rel.parts) for rel in relations}
+    frontier = list(seen)
     while frontier:
-        rel = frontier.pop()
-        e, parts = rel.e, rel.parts
+        e, parts = frontier.pop()
         for c in conj:
             key = (c[e], frozenset(map(c.__getitem__, parts)))
             if key not in seen:
                 seen.add(key)
-                cand = XRelation(*key)
-                out.add(cand)
-                frontier.append(cand)
-    return frozenset(out)
+                frontier.append(key)
+    return frozenset(XRelation(*key) for key in seen)
 
 
 def act(S: FinInverseSemigroup, s: int, c: Character) -> Character:
@@ -314,11 +314,15 @@ def spectrum_invariant(S: FinInverseSemigroup, relations) -> bool:
 
 
 def character_set_invariant(S: FinInverseSemigroup, chars) -> bool:
-    """Is an arbitrary character set stable under the action."""
+    """Is an arbitrary character set stable under the action.
+
+    The action composes, act(st, c) = act(s, act(t, c)) whenever c lies
+    below d(st), so it is enough to act by each of ``S.gens``.
+    """
     chars = frozenset(chars)
     for c in chars:
         g = S.idems[c.gen]
-        for s in range(S.n):
+        for s in S.gens:
             if natural_leq(S, g, S.d(s)) and act(S, s, c) not in chars:
                 return False
     return True

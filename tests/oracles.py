@@ -167,6 +167,41 @@ def invariant_closure_brute(S, relations) -> frozenset:
     return frozenset(out)
 
 
+def left_normed_closure(S, gens) -> frozenset[int]:
+    """Every left-normed product (...(g1 g2)...) gk of the given elements."""
+    reached = set(gens)
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = S.mul(x, g)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return frozenset(reached)
+
+
+def character_set_invariant_brute(S, chars) -> bool:
+    """Every element s moves each character c below d(s) = s*s to the
+    character at s c s*, inside the set."""
+    chars = frozenset(chars)
+    for c in chars:
+        g = S.idems[c.gen]
+        for s in range(S.n):
+            if S.mul(g, S.mul(S.inv[s], s)) == g:
+                moved = S.mul(S.mul(s, g), S.inv[s])
+                if Character(S.idem_pos[moved]) not in chars:
+                    return False
+    return True
+
+
+def is_multiplicative_brute(S, T, phi) -> bool:
+    """phi(st) = phi(s)phi(t) in T for every pair of elements of S."""
+    return all(
+        T.mul(phi[s], phi[t]) == phi[S.mul(s, t)] for s in range(S.n) for t in range(S.n)
+    )
+
+
 def germs_equal_existential(S, s: int, t: int, f: int) -> bool:
     """The germ equivalence by its defining existential: some idempotent e
     with f below e and se = te."""

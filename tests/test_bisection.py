@@ -7,6 +7,7 @@ from xjoin import semilattice as sl
 from xjoin.bisection import (
     AdditiveMorphism,
     BisAlgebra,
+    _validate_representation,
     bis_to_json,
     check_presentation,
     check_variety_identities,
@@ -22,7 +23,13 @@ from xjoin.bisection import (
 from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.semilattice import Character, LawViolation
 
-from oracles import count_bisections_brute
+from oracles import (
+    character_set_invariant_brute,
+    count_bisections_brute,
+    invariant_closure_brute,
+    is_multiplicative_brute,
+    left_normed_closure,
+)
 
 
 I2 = invsgp.i2()
@@ -81,7 +88,11 @@ class TestEnumeration:
 @st.composite
 def partial_map_semigroups(draw):
     """Inverse semigroups generated by up to three partial injections on at
-    most three points, each a permutation with a few points left undefined."""
+    most three points, each a permutation with a few points left undefined.
+
+    The nonzero elements are put in a drawn order, so that the generating set
+    is searched in another order too.
+    """
     n = draw(st.integers(1, 3))
     maps = draw(st.lists(
         st.tuples(st.permutations(range(1, n + 1)), st.sets(st.integers(1, n))).map(
@@ -89,7 +100,11 @@ def partial_map_semigroups(draw):
         ),
         min_size=1, max_size=3,
     ))
-    return invsgp.from_partial_maps(n, maps)[0]
+    S = invsgp.from_partial_maps(n, maps)[0]
+    order = [0] + draw(st.permutations(range(1, S.n)))
+    where = {old: new for new, old in enumerate(order)}
+    table = [[where[S.mult[a][b]] for b in order] for a in order]
+    return invsgp.validate(table, [S.labels[a] for a in order])
 
 
 class TestMaskOperationsAgainstDefinitions:
@@ -114,6 +129,66 @@ class TestMaskOperationsAgainstDefinitions:
                 assert B.diff(i, j) == difference(B, i, j)
                 assert B.skew(i, j) == skew_join(B, i, j)
                 assert B.compatible(i, j) == (B.elements[i] | B.elements[j] in B.index)
+
+
+class TestGeneratingSetAgainstBrute:
+    """Closure, invariance and multiplicativity run over ``S.gens`` only;
+    each is compared with its loop over every element."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups())
+    def test_gens_generate(self, S):
+        assert left_normed_closure(S, S.gens) == frozenset(range(S.n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), data=st.data())
+    def test_invariant_closure(self, S, data):
+        n = S.semilattice.n
+        drawn = data.draw(st.sets(
+            st.builds(sl.XRelation, st.integers(0, n - 1),
+                      st.frozensets(st.integers(0, n - 1), max_size=3)),
+            max_size=3,
+        ))
+        # one relation at each e, so that every conjugation is exercised
+        parts = data.draw(st.frozensets(st.integers(0, n - 1), max_size=3))
+        singles = [{sl.XRelation(e, parts)} for e in range(n)]
+        for X in [rels(S, name) for name in sl.BUILTIN_RELATION_SETS] + [drawn] + singles:
+            assert invsgp.invariant_closure(S, X) == invariant_closure_brute(S, X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), data=st.data())
+    def test_character_set_invariant(self, S, data):
+        chars = sorted(sl.characters(S.semilattice))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(chars), max_size=len(chars)))
+        drawn = {c for c, k in zip(chars, keep) if k}
+        # spectra of closed relation sets are invariant; dropping one
+        # character from such a spectrum usually breaks invariance
+        name = data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))
+        spec = sorted(sl.spectrum(S.semilattice, invariant_closure_brute(S, rels(S, name))))
+        drop = data.draw(st.integers(0, max(len(spec) - 1, 0)))
+        cut = spec[:drop] + spec[drop + 1:]
+        for chi in (drawn, spec, cut):
+            assert invsgp.character_set_invariant(S, chi) == character_set_invariant_brute(S, chi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           data=st.data())
+    def test_corrupted_image_is_caught(self, S, name, data):
+        X = rels(S, name)
+        rep = iota(S, X)
+        B = rep.algebra
+        assert is_multiplicative_brute(S, B, rep.images)
+        # the zero keeps its image, so "zero not preserved" cannot come first
+        v = data.draw(st.integers(0, len(B) - 1))
+        for i in range(1, S.n):
+            phi = list(rep.images)
+            phi[i] = v
+            try:
+                _validate_representation(S, B, phi, X)
+                failure = ""
+            except LawViolation as exc:
+                failure = str(exc)
+            assert ("not multiplicative" in failure) == (not is_multiplicative_brute(S, B, phi))
 
 
 class TestDifferenceAndSkew:
