@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
-from .semilattice import LawViolation
+from .semilattice import BudgetExceeded, LawViolation
 
 
 class UndecidedError(Exception):
@@ -255,13 +255,75 @@ def hull_mul(P, x: HullElement, y: HullElement) -> HullElement:
         raise LawViolation(
             f"oracle inconsistency: lcm {P.format(r)} not divisible by its arguments"
         )
-    return hull_element(P, P.multiply(a, b1), P.multiply(d, c1))
+    return HullElement(P.multiply(a, b1), P.multiply(d, c1))
 
 
 def hull_inv(x: HullElement) -> HullElement:
     if x.is_zero:
         return HULL_ZERO
     return HullElement(x.q, x.p)
+
+
+def fragment_law_failure(P, depth: int) -> str | None:
+    """The first failure of the inverse semigroup laws on a hull fragment,
+    naming its witness, or None when the laws hold.
+
+    The fragment is the zero and every [p,q] with p and q among
+    ``P.elements_up_to(depth)``.  The check is exact over the same
+    quantifiers as the definition, in the same order: (xy)z = x(yz) for all
+    x, y, z in the fragment, then x x* x = x for all x, then ef = fe for the
+    idempotents [p,p].  Products leave the fragment, so every element
+    reached gets an int index; the row u*z over the fragment is built once
+    per element u, and each pair (x, y) compares row(xy) with x times
+    row(y).  The products x*v are memoised for the current x only, which
+    keeps the memory at one row per element.
+    """
+    frag = P.elements_up_to(depth)
+    els = [HULL_ZERO] + [HullElement(p, q) for p in frag for q in frag]
+    reached = list(els)
+    index = {u: i for i, u in enumerate(reached)}
+    rows: dict[int, list[int]] = {}
+
+    def intern(u: HullElement) -> int:
+        i = index.get(u)
+        if i is None:
+            i = index[u] = len(reached)
+            reached.append(u)
+        return i
+
+    def row(i: int) -> list[int]:
+        r = rows.get(i)
+        if r is None:
+            u = reached[i]
+            r = rows[i] = [intern(hull_mul(P, u, z)) for z in els]
+        return r
+
+    def failure(law: str, **named: int) -> str:
+        where = " ".join(f"{k}={reached[i].format(P)}" for k, i in named.items())
+        return f"{P!r}: {law} at {where}"
+
+    for x, ux in enumerate(els):
+        memo = dict(enumerate(row(x)))  # x*v for v in the fragment is row(x)[v]
+        for y, xy in enumerate(row(x)):
+            rhs = []
+            for v in row(y):
+                xv = memo.get(v)
+                if xv is None:
+                    xv = memo[v] = intern(hull_mul(P, ux, reached[v]))
+                rhs.append(xv)
+            lhs = row(xy)
+            if lhs != rhs:
+                z = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return failure("associativity fails", x=x, y=y, z=z)
+    for x, ux in enumerate(els):
+        if hull_mul(P, hull_mul(P, ux, hull_inv(ux)), ux) != ux:
+            return failure("inverse law fails", x=x)
+    idems = [1 + a * len(frag) + a for a in range(len(frag))]
+    for e in idems:
+        for f in idems:
+            if row(e)[f] != row(f)[e]:
+                return failure("idempotents do not commute", e=e, f=f)
+    return None
 
 
 def hull_idem_leq(P, p, q) -> bool:
@@ -431,6 +493,7 @@ class ZappaSzepProduct:
         self._res1 = {(a, u): w for a, u, w in data.res_letter}
         self._act: dict[tuple[str, str], str] = {}
         self._res: dict[tuple[str, str], str] = {}
+        self._search_frag = self.elements_up_to(search_depth)
         self.report: ZappaReport | None = None
 
     def __repr__(self):
@@ -508,10 +571,15 @@ class ZappaSzepProduct:
         return (v, rest)
 
     def right_lcm(self, x, y):
+        """The least common right multiple of x and y, or None when their
+        ideals miss.  Searches the multiples x*z for z up to the search depth
+        (the cofactor fragment is built once, in ``__init__``), takes the
+        least one y divides, and checks it divides every other; raises
+        ``UndecidedError`` when the bounded search cannot decide."""
         (u1, a1), (u2, a2) = x, y
         if not (u1.startswith(u2) or u2.startswith(u1)):
             return None  # the u-part of every multiple keeps its prefix
-        frag_x = [self.multiply(x, z) for z in self.elements_up_to(self.search_depth)]
+        frag_x = [self.multiply(x, z) for z in self._search_frag]
         inter = [t for t in frag_x if self.left_divide(y, t) is not None]
         if not inter:
             raise UndecidedError(
@@ -668,12 +736,47 @@ def prefix_codes(alphabet: str, maxlen: int) -> list[frozenset[str]]:
     return out
 
 
+# relations gen_xu may enumerate; 459,892 at depth 5 took about 130 s
+XU_RELATION_BUDGET = 100_000
+
+
+def prefix_code_count(k: int, maxlen: int) -> int:
+    """How many complete prefix codes over k letters have words up to the
+    given length: c(0) = 1 and c(d) = 1 + c(d-1)^k (A003095 for k = 2)."""
+    c = 1
+    for _ in range(maxlen):
+        c = 1 + c ** k
+    return c
+
+
+def xu_relation_count(k: int, depth: int) -> int:
+    """How many relations gen_xu enumerates over k letters, whatever
+    max_parts is: the k^ell words s of each length ell, times c(depth - ell)."""
+    return sum(k ** ell * prefix_code_count(k, depth - ell) for ell in range(depth + 1))
+
+
 def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tuple[HullRelation, ...]:
     """Covers of [s,s] by minimal families [s u_i, s u_i] inside the first factor.
 
     A family works exactly when the words u_i form a foundation set of the
-    free factor; the minimal ones are the complete prefix codes.
+    free factor; the minimal ones are the complete prefix codes.  Raises
+    ``BudgetExceeded`` before enumerating when ``xu_relation_count`` is over
+    ``XU_RELATION_BUDGET``.
     """
+    k = len(P.data.u_alphabet)
+    # the count grows doubly exponentially with the depth, so find the first
+    # depth over budget before computing the count at a much deeper one
+    over = next(
+        (d for d in range(depth + 1) if xu_relation_count(k, d) > XU_RELATION_BUDGET), None
+    )
+    if over is not None:
+        count = f"{xu_relation_count(k, over):,} relations"
+        if over < depth:
+            count = f"more than the {count} of depth {over}"
+        raise BudgetExceeded(
+            f"xu relation generation at depth {depth} would enumerate {count}, "
+            f"over the budget of {XU_RELATION_BUDGET:,}"
+        )
     U = P.u_monoid
     out = []
     for s in U.elements_up_to(depth):

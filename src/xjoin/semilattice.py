@@ -24,6 +24,11 @@ class LawViolation(ValueError):
     """A finite structure failed one of its defining laws."""
 
 
+class BudgetExceeded(LawViolation):
+    """An exponential stage forecast more work than its budget allows, and
+    refused before starting."""
+
+
 def _bits(mask: int) -> list[int]:
     """Set bit positions of a mask, ascending."""
     out = []

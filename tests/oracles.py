@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product as iproduct
 
+from xjoin import lcmhull
 from xjoin.invsgp import conjugate
 from xjoin.semilattice import Character, XRelation
 
@@ -209,6 +210,41 @@ def germs_equal_existential(S, s: int, t: int, f: int) -> bool:
         if S.is_idempotent(e) and S.mul(e, f) == f and S.mul(s, e) == S.mul(t, e):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# left inverse hull fragments, triple by triple
+
+def hull_fragment_brute(M, depth: int) -> str | None:
+    """The first failure of the inverse semigroup laws on the hull fragment
+    (the zero and every [p,q], p and q up to the depth), by three fresh
+    products per triple, in the order and wording of
+    ``lcmhull.fragment_law_failure``; None when the laws hold."""
+    frag = M.elements_up_to(depth)
+    els = [lcmhull.HULL_ZERO] + [lcmhull.HullElement(p, q) for p in frag for q in frag]
+
+    def mul(x, y):
+        return lcmhull.hull_mul(M, x, y)
+
+    def failure(law, **named):
+        where = " ".join(f"{k}={u.format(M)}" for k, u in named.items())
+        return f"{M!r}: {law} at {where}"
+
+    for x in els:
+        for y in els:
+            xy = mul(x, y)
+            for z in els:
+                if mul(xy, z) != mul(x, mul(y, z)):
+                    return failure("associativity fails", x=x, y=y, z=z)
+    for x in els:
+        if mul(mul(x, lcmhull.hull_inv(x)), x) != x:
+            return failure("inverse law fails", x=x)
+    idems = [lcmhull.HullElement(p, p) for p in frag]
+    for e in idems:
+        for f in idems:
+            if mul(e, f) != mul(f, e):
+                return failure("idempotents do not commute", e=e, f=f)
+    return None
 
 
 # ---------------------------------------------------------------------------

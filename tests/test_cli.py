@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,13 @@ class TestHull:
         code, _, err = run(capsys, "hull", "--monoid", "free:2", "xa", "--depth", "2")
         assert code == 2
         assert "error:" in err
+
+    def test_xu_over_budget_refuses_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hull", "--monoid", "adding", "xu", "--depth", "5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "459,892" in err and "100,000" in err
 
 
 class TestInvsgpGolden:

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from oracles import hull_fragment_brute
 
 from xjoin import lcmhull as lh
 from xjoin.semilattice import LawViolation
@@ -63,15 +66,43 @@ class TestHullArithmetic:
         assert not lh.hull_idem_leq(NAT2, (1, 2), (2, 0))
 
     def test_fragment_is_inverse_semigroup(self):
-        frag = FREE.elements_up_to(2)
-        els = [lh.HULL_ZERO] + [h(FREE, p, q) for p in frag for q in frag]
-        idems = [h(FREE, p, p) for p in frag]
-        for x in els:
-            xi = lh.hull_inv(x)
-            assert lh.hull_mul(FREE, lh.hull_mul(FREE, x, xi), x) == x
-        for e in idems:
-            for f in idems:
-                assert lh.hull_mul(FREE, e, f) == lh.hull_mul(FREE, f, e)
+        assert lh.fragment_law_failure(FREE, 2) is None
+
+
+class TestFragmentLaws:
+    @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_agrees_with_triple_loop(self, M, depth):
+        assert lh.fragment_law_failure(M, depth) == hull_fragment_brute(M, depth) is None
+
+    @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
+    def test_corrupted_product_is_caught(self, M, monkeypatch):
+        # [p,e][e,p] is [p,p]; sending it to zero breaks both associativity
+        # and the inverse law at x = [p,e]
+        p = M.elements_up_to(1)[1]
+        bad = (h(M, p, M.identity), h(M, M.identity, p))
+        true_mul = lh.hull_mul
+
+        def corrupted(P, x, y):
+            return lh.HULL_ZERO if (x, y) == bad else true_mul(P, x, y)
+
+        monkeypatch.setattr(lh, "hull_mul", corrupted)
+        got = lh.fragment_law_failure(M, 1)
+        assert got is not None and got == hull_fragment_brute(M, 1)
+        assert got.startswith(f"{M!r}: associativity fails at ")
+        # the named witness breaks the law under the corrupted product
+        named = {k: lh.parse_hull(M, v) for k, v in re.findall(r"(\w)=(\S+)", got)}
+        x, y, z = named["x"], named["y"], named["z"]
+        assert corrupted(M, corrupted(M, x, y), z) != corrupted(M, x, corrupted(M, y, z))
+
+    @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
+    def test_corrupted_inverse_is_caught(self, M, monkeypatch):
+        p = M.elements_up_to(1)[1]
+        bad = h(M, p, M.identity)
+        true_inv = lh.hull_inv
+        monkeypatch.setattr(lh, "hull_inv", lambda x: x if x == bad else true_inv(x))
+        got = lh.fragment_law_failure(M, 1)
+        assert got == hull_fragment_brute(M, 1) == f"{M!r}: inverse law fails at x={bad.format(M)}"
 
 
 class TestFoundationSets:
@@ -217,6 +248,20 @@ class TestRelationGenerators:
         assert len(lh.prefix_codes("01", 1)) == 2
         assert len(lh.prefix_codes("01", 2)) == 5
         assert len(lh.prefix_codes("01", 3)) == 26
+        for alphabet, top in (("01", 4), ("012", 3)):
+            for d in range(top + 1):
+                assert lh.prefix_code_count(len(alphabet), d) == len(lh.prefix_codes(alphabet, d))
+
+    def test_xu_forecast_counts_what_is_enumerated(self, adding):
+        for depth in range(5):
+            assert lh.xu_relation_count(2, depth) == len(lh.gen_xu(adding, depth))
+        assert lh.xu_relation_count(2, 5) == 459_892
+
+    def test_xu_over_budget_is_refused(self, adding):
+        with pytest.raises(lh.BudgetExceeded, match="459,892"):
+            lh.gen_xu(adding, 5, max_parts=2)
+        with pytest.raises(LawViolation, match="more than the 459,892 relations of depth 5"):
+            lh.gen_xu(adding, 40)
 
     def test_json_round_trip(self, adding):
         xa = lh.gen_xa(adding, 2)
