@@ -345,18 +345,21 @@ def x_pi(rep: SemilatticeRep, max_size: int | None = None) -> frozenset[XRelatio
 
     Emits every (e, parts) with the image of e equal to the join of the part
     images, for parts of size at most ``max_size`` (default: all subsets).
+    A part whose image leaves the image of e puts the join outside it, so
+    only subsets of the candidates below e's image are walked.
     """
-    E = rep.domain
+    E, images = rep.domain, rep.images
     if max_size is None:
         max_size = E.n
     out = []
     for e in range(E.n):
-        target = rep.images[e]
-        for size in range(0, max_size + 1):
-            for combo in combinations(range(E.n), size):
+        target = images[e]
+        cands = [p for p in range(E.n) if not images[p] & ~target]
+        for size in range(min(max_size, len(cands)) + 1):
+            for combo in combinations(cands, size):
                 acc = 0
                 for p in combo:
-                    acc |= rep.images[p]
+                    acc |= images[p]
                 if acc == target:
                     out.append(XRelation(e, frozenset(combo)))
     return frozenset(out)

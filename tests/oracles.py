@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import combinations, product as iproduct
 
 from xjoin import lcmhull
+from xjoin.bisection import VarietyReport
 from xjoin.invsgp import conjugate
-from xjoin.semilattice import Character, XRelation
+from xjoin.semilattice import Character, LawViolation, XRelation
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +305,119 @@ def xu_oracle(depth: int) -> list[dict]:
             parts = sorted(_fmt_idem(s + u) for u in code)
             out.append({"e": _fmt_idem(s), "parts": parts})
     return sorted(out, key=lambda d: (d["e"], len(d["parts"]), d["parts"]))
+
+
+# ---------------------------------------------------------------------------
+# bisection algebras: the theorem checks triple by triple and round by round
+
+def _identity_checks(B, x: int, y: int, z: int):
+    d, r, mul, dif, skw, leq = B.d, B.r, B.mul, B.diff, B.skew, B.leq
+    e, f, g = d(x), d(y), d(z)
+    ef_diff = dif(e, f)
+    ef_skew = skw(e, f)
+    yield "1a", mul(ef_diff, ef_diff) == ef_diff
+    yield "1b", mul(ef_skew, ef_skew) == ef_skew
+    yield "2-meet-comm", mul(e, f) == mul(f, e)
+    yield "2-join-comm", skw(e, f) == skw(f, e)
+    yield "2-join-assoc", skw(skw(e, f), g) == skw(e, skw(f, g))
+    yield "2-idem", mul(e, e) == e and skw(e, e) == e
+    yield "2-absorb", mul(e, skw(e, f)) == e and skw(e, mul(e, f)) == e
+    yield "2-distr-meet", mul(e, skw(f, g)) == skw(mul(e, f), mul(e, g))
+    yield "2-distr-join", skw(e, mul(f, g)) == mul(skw(e, f), skw(e, g))
+    yield "2-bottom", mul(e, B.zero) == B.zero and skw(e, B.zero) == e
+    yield "2-complement", mul(ef_diff, f) == B.zero and skw(ef_diff, mul(e, f)) == e
+    xy_diff = dif(x, y)
+    xy_skew = skw(x, y)
+    yield "3", leq(xy_diff, xy_skew) and leq(y, xy_skew)
+    yield "4", d(xy_skew) == skw(d(xy_diff), d(y))
+    yield "5", xy_diff == mul(mul(dif(r(x), r(y)), x), dif(d(x), d(y)))
+    yield "6", mul(z, skw(ef_diff, f)) == skw(mul(z, ef_diff), mul(z, f))
+
+
+def variety_brute(B, budget: int = 250_000) -> VarietyReport:
+    """Every identity on every triple (or on a deterministic stride sample
+    of the triples), with the first counterexample per identity."""
+    n = len(B)
+    total = n * n * n
+    exhaustive = total <= budget
+    if exhaustive:
+        triples = (
+            (x, y, z) for x in range(n) for y in range(n) for z in range(n)
+        )
+    else:
+        stride = total // budget + 1
+        triples = (
+            (t // (n * n), t // n % n, t % n) for t in range(0, total, stride)
+        )
+    failures: dict[str, str] = {}
+    checked = 0
+    for x, y, z in triples:
+        checked += 1
+        try:
+            for name, ok in _identity_checks(B, x, y, z):
+                if not ok and name not in failures:
+                    failures[name] = f"({B.label(x)},{B.label(y)},{B.label(z)})"
+        except LawViolation as exc:
+            failures.setdefault("integrity", f"({B.label(x)},{B.label(y)},{B.label(z)}): {exc}")
+    items = tuple(sorted(failures.items()))
+    return VarietyReport(not items, exhaustive, checked, items)
+
+
+def is_weakly_meet_preserving_brute(m) -> bool:
+    """Common lower bounds of images lift to common lower bounds: every d
+    below t(a) and t(b) is below t(c) for some c below a and b."""
+    B, T, t = m.source, m.target, m.table
+    n = len(B)
+    for d in range(len(T)):
+        for a in range(n):
+            if not T.leq(d, t[a]):
+                continue
+            for b in range(n):
+                if not T.leq(d, t[b]):
+                    continue
+                if not any(
+                    B.leq(c, a) and B.leq(c, b) and T.leq(d, t[c]) for c in range(n)
+                ):
+                    return False
+    return True
+
+
+def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:
+    """Closure under product, inverse, difference and skew join, by rounds
+    over all pairs until a round adds nothing."""
+    els = set(seeds)
+    els.add(B.zero)
+    changed = True
+    while changed:
+        changed = False
+        current = list(els)
+        for i in current:
+            j = B.inv(i)
+            if j not in els:
+                els.add(j)
+                changed = True
+            for j in current:
+                for k in (B.mul(i, j), B.diff(i, j), B.skew(i, j)):
+                    if k not in els:
+                        els.add(k)
+                        changed = True
+    return frozenset(els)
+
+
+def x_pi_brute(rep, max_size: int | None = None) -> frozenset[XRelation]:
+    """Every (e, parts) whose part images join to the image of e, walking
+    all subsets of the domain by size."""
+    E = rep.domain
+    if max_size is None:
+        max_size = E.n
+    out = []
+    for e in range(E.n):
+        target = rep.images[e]
+        for size in range(0, max_size + 1):
+            for combo in combinations(range(E.n), size):
+                acc = 0
+                for p in combo:
+                    acc |= rep.images[p]
+                if acc == target:
+                    out.append(XRelation(e, frozenset(combo)))
+    return frozenset(out)

@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from xjoin.bisection import (
     congruence,
     difference,
     find_universal_morphism,
+    generated_subsemigroup,
     iota,
     is_weakly_meet_preserving,
     restriction_morphism,
@@ -26,9 +30,12 @@ from xjoin.semilattice import Character, LawViolation
 from oracles import (
     character_set_invariant_brute,
     count_bisections_brute,
+    generated_subsemigroup_brute,
     invariant_closure_brute,
     is_multiplicative_brute,
+    is_weakly_meet_preserving_brute,
     left_normed_closure,
+    variety_brute,
 )
 
 
@@ -42,6 +49,34 @@ def rels(S, name):
 
 def one_unit_groupoid():
     return FinGroupoid.from_parts(("u",), ("id",), (0,), (0,), (0,), (0,), ((0,),))
+
+
+SEMIGROUPS = {
+    "i2": invsgp.i2,
+    "b2": invsgp.b2,
+    "chain3": lambda: invsgp.chain_semigroup(3),
+    "p3": lambda: invsgp.from_partial_maps(3, [{1: 2, 2: 3}])[0],
+}
+SMALL_CASES = [(s, name) for s in ("i2", "b2", "chain3") for name in sl.BUILTIN_RELATION_SETS]
+_ALGEBRAS: dict = {}
+
+
+def algebra(s: str, name: str) -> BisAlgebra:
+    """The bisection algebra of a named semigroup under a built-in relation
+    set, built once; callers that poison the memos take a :func:`poisoned` copy."""
+    if (s, name) not in _ALGEBRAS:
+        S = SEMIGROUPS[s]()
+        _ALGEBRAS[s, name] = iota(S, rels(S, name)).algebra
+    return _ALGEBRAS[s, name]
+
+
+def poisoned(B: BisAlgebra, poison) -> BisAlgebra:
+    """A copy of B with its own memos, the given product entries overwritten."""
+    out = copy.copy(B)
+    out._mul = dict(B._mul)
+    out._mul.update(poison)
+    out._inv = dict(B._inv)
+    return out
 
 
 class TestEnumeration:
@@ -255,6 +290,29 @@ class TestVarietyIdentities:
         assert any(name == "6" for name, _ in report.failures)
         assert report.first_failure()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(SMALL_CASES),
+        budget=st.sampled_from((250_000, 500, 50)),
+        data=st.data(),
+    )
+    def test_matches_triple_loop_on_corrupted_products(self, case, budget, data):
+        B = algebra(*case)
+        cell = st.integers(0, len(B) - 1)
+        poison = data.draw(st.dictionaries(st.tuples(cell, cell), cell, max_size=4))
+        report = check_variety_identities(poisoned(B, poison), budget)
+        assert report == variety_brute(poisoned(B, poison), budget)
+        assert report.exhaustive == (len(B) ** 3 <= budget)
+
+    @pytest.mark.parametrize("case", [("b2", "none"), ("b2", "tight"), ("chain3", "none")])
+    def test_matches_triple_loop_with_each_product_poisoned(self, case):
+        B = algebra(*case)
+        n = len(B)
+        for i in range(n):
+            for j in range(n):
+                poison = {(i, j): (B.mul(i, j) + 1) % n}
+                assert check_variety_identities(poisoned(B, poison)) == variety_brute(poisoned(B, poison))
+
 
 class TestIota:
     def test_tight_is_injective_onto_seven(self):
@@ -286,6 +344,32 @@ class TestPresentation:
 
     def test_b2_tight(self):
         assert check_presentation(invsgp.b2(), rels(invsgp.b2(), "tight")).ok
+
+
+class TestGeneratedSubsemigroup:
+    @pytest.mark.parametrize("s", SEMIGROUPS)
+    @pytest.mark.parametrize("name", sl.BUILTIN_RELATION_SETS)
+    def test_matches_rounds(self, s, name):
+        S = SEMIGROUPS[s]()
+        rep = iota(S, rels(S, name))
+        B = rep.algebra
+        idems = [rep.images[e] for e in S.idems]
+        for seeds in (rep.images, idems, rep.images[-1:]):
+            assert generated_subsemigroup(B, seeds) == generated_subsemigroup_brute(B, seeds)
+        # idempotents only generate idempotents: a proper subalgebra, so
+        # the closure runs to its end without the early exit
+        if not all(B.is_idempotent(i) for i in range(len(B))):
+            assert len(generated_subsemigroup(B, idems)) < len(B)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from(SMALL_CASES + [("p3", "tight")]),
+        data=st.data(),
+    )
+    def test_matches_rounds_on_random_seeds(self, case, data):
+        B = algebra(*case)
+        seeds = data.draw(st.lists(st.integers(0, len(B) - 1), max_size=3))
+        assert generated_subsemigroup(B, seeds) == generated_subsemigroup_brute(B, seeds)
 
 
 class TestCongruence:
@@ -395,6 +479,58 @@ class TestWeaklyMeetPreserving:
                     continue
                 found.append(m)
         assert any(not is_weakly_meet_preserving(m) for m in found)
+
+
+def accepted_morphisms(source: BisAlgebra, target: BisAlgebra):
+    """Every table from source to target that ``AdditiveMorphism.build`` accepts."""
+    for tail in itertools.product(range(len(target)), repeat=len(source) - 1):
+        try:
+            yield AdditiveMorphism.build(source, target, (target.zero, *tail))
+        except LawViolation:
+            continue
+
+
+class TestWeakMeetTestAgainstDefinition:
+    def test_every_accepted_table_between_small_algebras(self):
+        small = [
+            BisAlgebra(one_unit_groupoid()),
+            iota(invsgp.z2_with_zero(), frozenset()).algebra,
+            iota(invsgp.group_with_zero([[0]]), frozenset()).algebra,
+            iota(invsgp.chain_semigroup(2), frozenset()).algebra,
+            iota(invsgp.group_with_zero([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), frozenset()).algebra,
+            algebra("b2", "tight"),
+        ]
+        verdicts = []
+        for source in small:
+            for target in small:
+                if len(target) ** (len(source) - 1) > 5_000:
+                    continue  # b2 onto itself: 7^6 tables
+                for m in accepted_morphisms(source, target):
+                    verdict = is_weakly_meet_preserving(m)
+                    assert verdict == is_weakly_meet_preserving_brute(m), (m.table,)
+                    verdicts.append(verdict)
+        assert True in verdicts and False in verdicts
+
+    def test_group_collapse_stays_false(self):
+        source = iota(invsgp.z2_with_zero(), frozenset()).algebra
+        target = iota(invsgp.group_with_zero([[0]]), frozenset()).algebra
+        collapse = AdditiveMorphism.build(source, target, (0, 1, 1))
+        assert not is_weakly_meet_preserving(collapse)
+        assert not is_weakly_meet_preserving_brute(collapse)
+
+    def test_identity_on_i2_tight(self):
+        B = algebra("i2", "tight")
+        ident = AdditiveMorphism.build(B, B, tuple(range(len(B))))
+        assert is_weakly_meet_preserving(ident) and is_weakly_meet_preserving_brute(ident)
+
+    @pytest.mark.parametrize("s", ("i2", "b2", "p3"))
+    def test_restriction_to_every_builtin_spectrum(self, s):
+        S = SEMIGROUPS[s]()
+        full = iota(S, frozenset())
+        spectra = {sl.spectrum(S.semilattice, rels(S, name)) for name in sl.BUILTIN_RELATION_SETS}
+        for chi in spectra:
+            m = restriction_morphism(full, chi)
+            assert is_weakly_meet_preserving(m) == is_weakly_meet_preserving_brute(m)
 
 
 class TestUniversalMorphism:

@@ -1,10 +1,15 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import Character, LawViolation, XRelation
+
+from oracles import x_pi_brute
 
 
 E3 = sl.chain(3)
@@ -276,6 +281,34 @@ class TestXPi:
                 full = sl.spectrum(E, ba.x_pi(rep))
                 bounded = sl.spectrum(E, ba.x_pi(rep, max_size=rep.codomain.m + 1))
                 assert full == bounded
+
+    @pytest.mark.parametrize("E", (sl.powerset_semilattice(3), sl.chain(6), D), ids=("P3", "chain6", "diamond"))
+    @pytest.mark.parametrize("name", sl.BUILTIN_RELATION_SETS)
+    def test_matches_all_subsets_walk(self, E, name):
+        _, rep = ba.booleanization(E, sl.builtin_relations(E, name))
+        for max_size in (None, 0, 1, 2):
+            assert ba.x_pi(rep, max_size) == x_pi_brute(rep, max_size)
+
+    def test_matches_all_subsets_walk_on_p4(self):
+        E = sl.powerset_semilattice(4)
+        _, rep = ba.booleanization(E, sl.x_tight(E))
+        assert ba.x_pi(rep) == x_pi_brute(rep)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
+    def test_matches_all_subsets_walk_on_random_reps(self, seed, m, data):
+        # a canonical map followed by the Boolean morphism of a map from m
+        # new atoms to the old ones: meets and bottom are kept, joins need not be
+        E = sl.random_semilattice(random.Random(seed), max_size=8)
+        _, can = ba.booleanization(E, sl.builtin_relations(E, data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))))
+        k = can.codomain.m
+        if k == 0:
+            m = 0
+        back = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)) if k else []
+        images = [sum(1 << j for j, a in enumerate(back) if x >> a & 1) for x in can.images]
+        rep = ba.SemilatticeRep.build(E, ba.FinBooleanAlgebra(tuple(f"q{j}" for j in range(m))), images)
+        max_size = data.draw(st.sampled_from((None, 1, 2)))
+        assert ba.x_pi(rep, max_size) == x_pi_brute(rep, max_size)
 
 
 class TestIsomCheck:
