@@ -11,8 +11,8 @@ universal-morphism machinery.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
+from math import comb, factorial
 
 from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi
 from .groupoid import FinGroupoid, Germ, GermGroupoid, germ_groupoid, theta
@@ -21,9 +21,10 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import Character, LawViolation, _bits
+from .semilattice import BudgetExceeded, Character, LawViolation, _bits
 
-ENUMERATION_WARN_ARROWS = 24
+# local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
+BISECTION_BUDGET = 100_000
 
 
 class BisAlgebra:
@@ -38,23 +39,25 @@ class BisAlgebra:
     memoized in ``_mul``, because composing arrows is not a bit operation
     (and tests poison the memo to show the identity checks consult it), as
     do inverses in ``_inv``.  Memo writes are idempotent, so concurrent
-    readers stay consistent.
+    readers stay consistent.  Raises ``BudgetExceeded`` before enumerating
+    when ``bisection_count`` is over ``BISECTION_BUDGET``.
     """
 
     def __init__(self, groupoid: FinGroupoid):
-        if groupoid.n_arrows > ENUMERATION_WARN_ARROWS:
-            warnings.warn(
-                f"enumerating local bisections of {groupoid.n_arrows} arrows "
-                "is exponential", stacklevel=2,
+        count = bisection_count(groupoid)
+        if count > BISECTION_BUDGET:
+            raise BudgetExceeded(
+                f"enumerating the local bisections of {groupoid.n_arrows} arrows would "
+                f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
             )
         G = self.groupoid = groupoid
-        self.elements, self.srcm, self.rngm = _all_bisections(G)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.zero = 0
         by_src, by_rng = [0] * G.n_units, [0] * G.n_units
         for a in range(G.n_arrows):
             by_src[G.src[a]] |= 1 << a
             by_rng[G.rng[a]] |= 1 << a
+        self.elements, self.srcm, self.rngm = _all_bisections(G, by_src, by_rng)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.zero = 0
         self._src_arrows, self._rng_arrows = _unions(by_src), _unions(by_rng)
         self._idem = [self.index[e] for e in _unions([1 << a for a in G.unit_arrow])]
         self._mul: dict[tuple[int, int], int] = {}
@@ -159,25 +162,54 @@ def _unions(parts: list[int]) -> list[int]:
     return out
 
 
-def _all_bisections(G: FinGroupoid) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def bisection_count(G: FinGroupoid) -> int:
+    """How many local bisections G has, counted without enumerating them.
+
+    A local bisection is, in each orbit, a partial bijection between its
+    units with one of the h arrows from source to range for each matched
+    pair, where h is the isotropy order of the orbit.  So an orbit of n
+    units contributes sum_k C(n,k)^2 k! h^k (for h = 1 the partial
+    injections, A002720), and the count is the product over the orbits.
+    """
+    orbit = [0] * G.n_units
+    loops = [0] * G.n_units
+    for s, r in zip(G.src, G.rng):
+        orbit[s] |= 1 << r
+        loops[s] += s == r
+    total = 1
+    for units in set(orbit):
+        n, h = units.bit_count(), loops[_bits(units)[0]]
+        total *= sum(comb(n, k) ** 2 * factorial(k) * h ** k for k in range(n + 1))
+    return total
+
+
+def _all_bisections(
+    G: FinGroupoid, by_src: list[int], by_rng: list[int],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Arrow, source and range masks of every local bisection, by size and
-    then by ascending arrow list: taking an arrow before leaving it out
-    reaches sets of equal size in that order, so bucketing by size sorts."""
-    n = G.n_arrows
+    then by ascending arrow list, given the arrow masks leaving and entering
+    each unit.
+
+    Depth first on an explicit stack (so the depth is not the arrow count):
+    each bisection is extended by every arrow above its last one that shares
+    no source or range with it, smallest first, which reaches sets of equal
+    size in ascending order, so bucketing by size sorts."""
     sbit = [1 << u for u in G.src]
     rbit = [1 << u for u in G.rng]
+    clash = [by_src[s] | by_rng[r] for s, r in zip(G.src, G.rng)]
     by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(G.n_units + 1)]
-
-    def rec(a: int, mask: int, src_mask: int, rng_mask: int):
-        if a == n:
-            by_size[src_mask.bit_count()].append((mask, src_mask, rng_mask))
-            return
-        s, r = sbit[a], rbit[a]
-        if not (src_mask & s or rng_mask & r):
-            rec(a + 1, mask | 1 << a, src_mask | s, rng_mask | r)
-        rec(a + 1, mask, src_mask, rng_mask)
-
-    rec(0, 0, 0, 0)
+    stack = [(0, (1 << G.n_arrows) - 1, 0, 0)]
+    while stack:
+        mask, free, src_mask, rng_mask = stack.pop()
+        by_size[src_mask.bit_count()].append((mask, src_mask, rng_mask))
+        rest = free
+        while rest:  # highest arrow first, so the lowest is popped first
+            a = rest.bit_length() - 1
+            rest ^= 1 << a
+            stack.append((
+                mask | 1 << a, free & ~clash[a] & -(2 << a),
+                src_mask | sbit[a], rng_mask | rbit[a],
+            ))
     return tuple(zip(*(t for bucket in by_size for t in bucket)))
 
 

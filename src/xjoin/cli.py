@@ -8,6 +8,7 @@ Exit codes: 0 success or property true, 1 property false (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -186,7 +187,10 @@ def _cmd_suite(args) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built the first time it is asked for and then
+    shared: parsing reads it and never changes it."""
     ap = argparse.ArgumentParser(prog="xjoin", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -493,6 +493,7 @@ class ZappaSzepProduct:
         self._res1 = {(a, u): w for a, u, w in data.res_letter}
         self._act: dict[tuple[str, str], str] = {}
         self._res: dict[tuple[str, str], str] = {}
+        self._act_inv: dict[tuple[str, str], str | None] = {}
         self._search_frag = self.elements_up_to(search_depth)
         self.report: ZappaReport | None = None
 
@@ -547,24 +548,33 @@ class ZappaSzepProduct:
                 out.append((u, a))
         return sorted(out, key=lambda x: (self.grade(x), x))
 
+    def act_inverse(self, a: str, w: str) -> str | None:
+        """The word v with act(a, v) = w, inverted letter by letter (the
+        first letter of the alphabet that a sends to the next letter of w),
+        or None when some letter has no preimage."""
+        if not w:
+            return w
+        key = (a, w)
+        got = self._act_inv.get(key, False)
+        if got is not False:
+            return got
+        got = None
+        c = next((c for c in self.data.u_alphabet if self.act(a, c) == w[0]), None)
+        if c is not None:
+            rest = self.act_inverse(self.res(a, c), w[1:])
+            if rest is not None:
+                got = c + rest
+        self._act_inv[key] = got
+        return got
+
     def left_divide(self, x, r):
-        """The unique cofactor, inverted letter by letter through the action."""
+        """The unique cofactor, through the inverse of the action."""
         (u1, a1), (u2, a2) = x, r
         if not u2.startswith(u1):
             return None
-        w = u2[len(u1):]
-        v = ""
-        a_cur = a1
-        for wl in w:
-            cand = None
-            for c in self.data.u_alphabet:
-                if self.act(a_cur, c) == wl:
-                    cand = c
-                    break
-            if cand is None:
-                return None
-            v += cand
-            a_cur = self.res(a_cur, cand)
+        v = self.act_inverse(a1, u2[len(u1):])
+        if v is None:
+            return None
         rest = self.a_monoid.left_divide(self.res(a1, v), a2)
         if rest is None:
             return None

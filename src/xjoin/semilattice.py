@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
-from operator import and_
+from operator import and_, itemgetter
 
 
 class LawViolation(ValueError):
@@ -87,15 +87,19 @@ class FinMeetSemilattice:
                         f"meet not commutative at ({labels[x]},{labels[y]}): "
                         f"{labels[rows[x][y]]} != {labels[rows[y][x]]}"
                     )
-        for x in range(n):
-            for y in range(n):
-                xy = rows[x][y]
-                for z in range(n):
-                    if rows[xy][z] != rows[x][rows[y][z]]:
-                        raise LawViolation(
-                            f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
-                            f"{labels[rows[xy][z]]} != {labels[rows[x][rows[y][z]]]}"
-                        )
+        # row by row: the row of x^y against row x read through row y; z is
+        # searched only in the first row that differs, so the error names the
+        # first failing triple (one element is trivially associative, and
+        # itemgetter of one index returns an entry, not a row)
+        through = [itemgetter(*row) for row in rows]
+        for x, row in enumerate(rows if n > 1 else ()):
+            for y, xy in enumerate(row):
+                if rows[xy] != through[y](row):
+                    z = next(z for z in range(n) if rows[xy][z] != row[rows[y][z]])
+                    raise LawViolation(
+                        f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{labels[rows[xy][z]]} != {labels[row[rows[y][z]]]}"
+                    )
         for x in range(n):
             if rows[0][x] != 0:
                 raise LawViolation(f"element 0 is not the bottom: 0^{labels[x]} = {labels[rows[0][x]]}")

@@ -58,6 +58,22 @@ def minimal_covers_brute(E, x: int) -> list[frozenset[int]]:
     return minimal_sets_brute(E, x, lambda c: covers_brute(E, x, c))
 
 
+def meet_associativity_brute(rows, labels) -> str | None:
+    """The error ``FinMeetSemilattice.from_meet`` gives for the first triple
+    with (x^y)^z != x^(y^z), by the triple loop, or None when there is none."""
+    n = len(rows)
+    for x in range(n):
+        for y in range(n):
+            xy = rows[x][y]
+            for z in range(n):
+                if rows[xy][z] != rows[x][rows[y][z]]:
+                    return (
+                        f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
+                        f"{labels[rows[xy][z]]} != {labels[rows[x][rows[y][z]]]}"
+                    )
+    return None
+
+
 def x_prime_brute(E) -> frozenset[XRelation]:
     """Relations for the sets minimal among covers of x whose join is x."""
     return frozenset(
@@ -214,7 +230,7 @@ def germs_equal_existential(S, s: int, t: int, f: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# left inverse hull fragments, triple by triple
+# left inverse hull fragments, triple by triple, and Zappa-Szep division
 
 def hull_fragment_brute(M, depth: int) -> str | None:
     """The first failure of the inverse semigroup laws on the hull fragment
@@ -246,6 +262,32 @@ def hull_fragment_brute(M, depth: int) -> str | None:
             if mul(e, f) != mul(f, e):
                 return failure("idempotents do not commute", e=e, f=f)
     return None
+
+
+def left_divide_brute(P, x, r):
+    """The cofactor z with x z = r in a Zappa-Szep product, or None: the
+    action inverted letter by letter, trying every letter through ``act``
+    at every step, with no memo of the inverse."""
+    (u1, a1), (u2, a2) = x, r
+    if not u2.startswith(u1):
+        return None
+    w = u2[len(u1):]
+    v = ""
+    a_cur = a1
+    for wl in w:
+        cand = None
+        for c in P.data.u_alphabet:
+            if P.act(a_cur, c) == wl:
+                cand = c
+                break
+        if cand is None:
+            return None
+        v += cand
+        a_cur = P.res(a_cur, cand)
+    rest = P.a_monoid.left_divide(P.res(a1, v), a2)
+    if rest is None:
+        return None
+    return (v, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.bisection import (
+    BISECTION_BUDGET,
     AdditiveMorphism,
     BisAlgebra,
     _validate_representation,
     bis_to_json,
+    bisection_count,
     check_presentation,
     check_variety_identities,
     congruence,
@@ -25,7 +27,7 @@ from xjoin.bisection import (
     theorem_quotients_check,
 )
 from xjoin.groupoid import FinGroupoid, germ_groupoid
-from xjoin.semilattice import Character, LawViolation
+from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
 from oracles import (
     character_set_invariant_brute,
@@ -164,6 +166,54 @@ class TestMaskOperationsAgainstDefinitions:
                 assert B.diff(i, j) == difference(B, i, j)
                 assert B.skew(i, j) == skew_join(B, i, j)
                 assert B.compatible(i, j) == (B.elements[i] | B.elements[j] in B.index)
+
+
+I3_MAPS = (3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}])
+I4_MAPS = (4, [{1: 2, 2: 3, 3: 4, 4: 1}, {1: 2, 2: 1, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 3}])
+
+
+def cyclic_groupoid(h: int) -> FinGroupoid:
+    """One unit with isotropy the cyclic group of order h (tables built
+    directly: the validation of a large group is cubic)."""
+    arrows = range(h)
+    return FinGroupoid(
+        ("u",), tuple(f"g{a}" for a in arrows), (0,) * h, (0,) * h, (0,),
+        tuple(-a % h for a in arrows), tuple(tuple((a + b) % h for b in arrows) for a in arrows),
+    )
+
+
+class TestBisectionBudget:
+    """``bisection_count`` forecasts the size of ``BisAlgebra`` from orbits
+    and isotropy, and the algebra refuses to enumerate over the budget."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS))
+    def test_forecast_is_the_size(self, S, name):
+        G = germ_groupoid(S, rels(S, name)).groupoid
+        assert bisection_count(G) == len(BisAlgebra(G))
+
+    def test_rook_numbers_and_isotropy(self):
+        for (points, maps), want in ((I3_MAPS, 34), (I4_MAPS, 209)):
+            S = invsgp.from_partial_maps(points, maps)[0]
+            assert bisection_count(germ_groupoid(S, rels(S, "tight")).groupoid) == want
+        S = invsgp.from_partial_maps(*I3_MAPS)[0]
+        G = germ_groupoid(S, rels(S, "none")).groupoid
+        assert bisection_count(G) == len(BisAlgebra(G)) == 33_082 <= BISECTION_BUDGET
+        z2 = germ_groupoid(invsgp.z2_with_zero(), frozenset()).groupoid
+        assert bisection_count(z2) == len(BisAlgebra(z2)) == 3
+
+    def test_over_budget_is_refused(self):
+        S = invsgp.from_partial_maps(*I4_MAPS)[0]
+        G = germ_groupoid(S, rels(S, "none")).groupoid
+        with pytest.raises(BudgetExceeded, match="83,135,918,096,825 elements, over the budget of 100,000"):
+            BisAlgebra(G)
+
+    def test_many_arrows_under_budget(self):
+        # more arrows than the default recursion limit: the enumeration
+        # keeps its own stack
+        B = BisAlgebra(cyclic_groupoid(1500))
+        assert len(B) == bisection_count(B.groupoid) == 1501
+        assert B.elements[:3] == (0, 1, 2) and B.elements[-1] == 1 << 1499
 
 
 class TestGeneratingSetAgainstBrute:

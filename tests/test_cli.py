@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -17,7 +20,12 @@ def files(tmp_path_factory):
     chain3.write_text(sl.semilattice_to_json(sl.chain(3)))
     i2 = base / "i2.json"
     i2.write_text(invsgp.invsgp_to_json(invsgp.i2()))
-    return {"chain3": str(chain3), "i2": str(i2), "base": base}
+    i4 = base / "i4.json"
+    i4.write_text(json.dumps({"points": 4, "partial_maps": [
+        {"1": "2", "2": "3", "3": "4", "4": "1"}, {"1": "2", "2": "1", "3": "3", "4": "4"},
+        {"1": "1", "2": "2", "3": "3"},
+    ]}))
+    return {"chain3": str(chain3), "i2": str(i2), "i4": str(i4), "base": base}
 
 
 def run(capsys, *argv):
@@ -64,6 +72,14 @@ class TestChecks:
         code, out, _ = run(capsys, "quotient-check", "--invsgp", files["i2"], "--x", "tight")
         assert code == 0
         assert "classes=7" in out and "ok=true" in out
+
+    def test_over_budget_bisections_refused_fast(self, files, capsys):
+        # the universal groupoid of I4 has 15 units and 208 arrows
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quotient-check", "--invsgp", files["i4"], "--x", "none")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert "83,135,918,096,825" in err and "100,000" in err
 
     def test_presentation_check(self, files, capsys):
         code, out, _ = run(capsys, "presentation-check", "--invsgp", files["i2"], "--x", "none")
@@ -175,6 +191,32 @@ class TestHull:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "459,892" in err and "100,000" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; each call of a sequence
+    in this process must print and exit as it does first in a fresh one."""
+
+    def test_sequence_matches_fresh_processes(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        calls = [
+            ("booleanize", "--semilattice", files["chain3"], "--x", "prime"),
+            ("booleanize", "--invsgp", files["i2"], "--x", "tight"),
+            ("semilattice", "--input", files["chain3"], "--bogus"),
+            ("hull", "--monoid", "adding", "xu", "--max-parts", "4"),
+            ("hull", "--monoid", "adding", "xu"),
+        ]
+        got = [run(capsys, *argv) for argv in calls]
+        for argv, mine in zip(calls, got):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "xjoin.cli", *argv], capture_output=True, text=True, env=env,
+            )
+            assert mine == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
+        assert got[3][1] != got[4][1]  # --max-parts does not stick to the next call
 
 
 class TestInvsgpGolden:

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from oracles import hull_fragment_brute
+from oracles import hull_fragment_brute, left_divide_brute
 
 from xjoin import lcmhull as lh
 from xjoin.semilattice import LawViolation
@@ -203,6 +203,43 @@ class TestZappaSzep:
         shallow = lh.ZappaSzepProduct(lh.adding_machine(), search_depth=0)
         with pytest.raises(lh.UndecidedError, match="depth 0"):
             shallow.right_lcm(("", "g"), ("0", ""))
+
+
+def ternary_odometer() -> lh.ZappaSzepData:
+    """Adding 1 with carry to words over 0,1,2."""
+    return lh.ZappaSzepData.from_tables(
+        "012", "g",
+        action={"g": {"0": "1", "1": "2", "2": "0"}},
+        restriction={"g": {"0": "", "1": "", "2": "g"}},
+    )
+
+
+def letter_collapse() -> lh.ZappaSzepData:
+    """Two generators, one of which sends both letters to a: no C3, but
+    division must still find the first preimage or none."""
+    return lh.ZappaSzepData.from_tables(
+        "ab", "st",
+        action={"s": {"a": "b", "b": "a"}, "t": {"a": "a", "b": "a"}},
+        restriction={"s": {"a": "t", "b": ""}, "t": {"a": "s", "b": "st"}},
+    )
+
+
+class TestLeftDivide:
+    """``ZappaSzepProduct.left_divide`` through the memoised inverse of the
+    action against the letter-by-letter loop in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("data, depth", [
+        (lh.adding_machine(), 4), (ternary_odometer(), 3), (letter_collapse(), 3),
+    ], ids=["adding", "ternary", "collapse"])
+    def test_all_pairs_of_fragment(self, data, depth):
+        P = lh.ZappaSzepProduct(data)
+        frag = P.elements_up_to(depth)
+        for x in frag:
+            for r in frag:
+                assert P.left_divide(x, r) == left_divide_brute(P, x, r)
+            for z in frag:
+                r = P.multiply(x, z)
+                assert P.left_divide(x, r) == left_divide_brute(P, x, r)
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from oracles import (
     covers_brute,
     down_brute,
     join_brute,
+    meet_associativity_brute,
     minimal_covers_brute,
     spectrum_brute,
     x_core_brute,
@@ -275,6 +276,49 @@ class TestMasksAgainstOracles:
             max_size=5,
         ))
         assert sl.spectrum(E, rels) == spectrum_brute(E, rels)
+
+
+@st.composite
+def corrupted_meets(draw):
+    """The meet table of a random family with one symmetric pair of entries
+    x^y = y^x (x, y distinct and nonzero) overwritten: still commutative,
+    idempotent and with a bottom, and associative only sometimes."""
+    E = draw(families().filter(lambda E: E.n >= 3))
+    rows = [list(row) for row in E.meet_table]
+    x, y = draw(st.lists(st.integers(1, E.n - 1), min_size=2, max_size=2, unique=True))
+    rows[x][y] = rows[y][x] = draw(st.integers(0, E.n - 1))
+    return rows, E.labels
+
+
+class TestMeetAssociativity:
+    """The row-wise associativity check of ``from_meet`` against the triple
+    loop in ``tests/oracles.py``: same verdict, same first triple."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=corrupted_meets())
+    def test_matches_triple_loop(self, case):
+        rows, labels = case
+        want = meet_associativity_brute(rows, labels)
+        if want is None:
+            assert sl.FinMeetSemilattice.from_meet(rows, labels).meet_table == tuple(map(tuple, rows))
+        else:
+            with pytest.raises(LawViolation) as err:
+                sl.FinMeetSemilattice.from_meet(rows, labels)
+            assert str(err.value) == want
+
+    def test_first_failing_triple_is_named(self):
+        # the chain 0 < a < b < c with a^c overwritten by 0: (a^b)^c = 0 but
+        # a^(b^c) = a, and no earlier triple fails
+        rows = [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 2, 2], [0, 0, 2, 3]]
+        labels = ("0", "a", "b", "c")
+        want = "meet not associative at (a,b,c): 0 != a"
+        assert meet_associativity_brute(rows, labels) == want
+        with pytest.raises(LawViolation) as err:
+            sl.FinMeetSemilattice.from_meet(rows, labels)
+        assert str(err.value) == want
+
+    def test_single_element(self):
+        assert sl.FinMeetSemilattice.from_meet([[0]]).n == 1
 
 
 class TestJson:
