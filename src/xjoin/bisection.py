@@ -25,6 +25,8 @@ from .semilattice import BudgetExceeded, Character, LawViolation, _bits
 
 # local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
 BISECTION_BUDGET = 100_000
+# element pairs the presentation and quotient checks may work over; P3 universal has 56,644
+PAIR_BUDGET = 1_000_000
 
 
 class BisAlgebra:
@@ -382,6 +384,15 @@ def _check_multiplicative(S: FinInverseSemigroup, T: BisAlgebra, phi, what: str)
                 raise LawViolation(f"{what} not multiplicative at ({S.label(x)},{S.label(g)})")
 
 
+def _check_pair_budget(B: BisAlgebra, what: str) -> None:
+    """Refuse, before its pair passes start, a check over more than ``PAIR_BUDGET`` pairs."""
+    if len(B) ** 2 > PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"{what} would work over the {len(B) ** 2:,} pairs of {len(B):,} "
+            f"bisections, over the budget of {PAIR_BUDGET:,}"
+        )
+
+
 def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """Build the germ groupoid and the canonical representation into its bisections.
 
@@ -445,6 +456,7 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     """
     rep = iota(S, relations)
     B = rep.algebra
+    _check_pair_budget(B, "the presentation check")
     rel_ok = True
     for rel in relations:
         acc = B.zero
@@ -697,6 +709,7 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     """
     chi = frozenset(chi)
     full = iota(S, frozenset())
+    _check_pair_budget(full.algebra, "the quotient check")
     cong = congruence(full, chi)
     morph = restriction_morphism(full, chi)
     _, _, restr_germs, _ = _restricted_groupoid(full, chi)

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import boolalg, invsgp, lcmhull, semilattice, suites
 from .bisection import check_presentation, iota, theorem_quotients_check
 from .groupoid import germ_groupoid, groupoid_to_dot, groupoid_to_json
-from .lcmhull import UndecidedError
 from .semilattice import LawViolation
 
 
@@ -274,10 +272,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LawViolation, UndecidedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # LawViolation and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -290,6 +290,32 @@ def left_divide_brute(P, x, r):
     return (v, rest)
 
 
+# the answer of right_lcm_search_brute when its bounded search cannot decide
+UNDECIDED = "undecided"
+
+
+def right_lcm_search_brute(P, x, y, depth: int = 6):
+    """The least common right multiple of x and y in a Zappa-Szep product,
+    or None when their ideals miss, by a bounded search: multiply x by every
+    cofactor up to the depth, take the least multiple (by grade) that y
+    divides, and check that it divides every other.  Grade is not monotone
+    under the product ((e, ggg)(0, e) = (1, g) in the adding machine), so
+    the search may find no common multiple or no least one; it then
+    returns ``UNDECIDED``."""
+    (u1, a1), (u2, a2) = x, y
+    if not (u1.startswith(u2) or u2.startswith(u1)):
+        return None  # the u-part of every multiple keeps its prefix
+    frag_x = [P.multiply(x, z) for z in P.elements_up_to(depth)]
+    inter = [t for t in frag_x if P.left_divide(y, t) is not None]
+    if not inter:
+        return UNDECIDED
+    best = min(inter, key=lambda t: (P.grade(t), t))
+    for t in inter:
+        if P.left_divide(best, t) is None:
+            return UNDECIDED
+    return best
+
+
 # ---------------------------------------------------------------------------
 # adding-machine relation sets, from the definitions
 

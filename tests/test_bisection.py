@@ -9,6 +9,7 @@ from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.bisection import (
     BISECTION_BUDGET,
+    PAIR_BUDGET,
     AdditiveMorphism,
     BisAlgebra,
     _validate_representation,
@@ -207,6 +208,22 @@ class TestBisectionBudget:
         G = germ_groupoid(S, rels(S, "none")).groupoid
         with pytest.raises(BudgetExceeded, match="83,135,918,096,825 elements, over the budget of 100,000"):
             BisAlgebra(G)
+
+    def test_pair_passes_over_budget_are_refused(self):
+        # the universal algebra of I3 is inside BISECTION_BUDGET, its pairs are not
+        S = invsgp.from_partial_maps(*I3_MAPS)[0]
+        chi = sl.spectrum(S.semilattice, rels(S, "tight"))
+        over = "1,094,418,724 pairs of 33,082 bisections, over the budget of 1,000,000"
+        with pytest.raises(BudgetExceeded, match=f"quotient check would work over the {over}"):
+            theorem_quotients_check(S, chi)
+        with pytest.raises(BudgetExceeded, match=f"presentation check would work over the {over}"):
+            check_presentation(S, rels(S, "core"))
+
+    def test_pair_passes_under_budget_run(self):
+        # the quotient check on this algebra runs in TestQuotientTheorem
+        S = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])[0]
+        assert len(iota(S, frozenset()).algebra) ** 2 == 56_644 <= PAIR_BUDGET
+        assert check_presentation(S, frozenset()).ok
 
     def test_many_arrows_under_budget(self):
         # more arrows than the default recursion limit: the enumeration

@@ -20,12 +20,16 @@ def files(tmp_path_factory):
     chain3.write_text(sl.semilattice_to_json(sl.chain(3)))
     i2 = base / "i2.json"
     i2.write_text(invsgp.invsgp_to_json(invsgp.i2()))
+    i3 = base / "i3.json"
+    i3.write_text(json.dumps({"points": 3, "partial_maps": [
+        {"1": "2", "2": "3", "3": "1"}, {"1": "2", "2": "1", "3": "3"}, {"1": "1", "2": "2"},
+    ]}))
     i4 = base / "i4.json"
     i4.write_text(json.dumps({"points": 4, "partial_maps": [
         {"1": "2", "2": "3", "3": "4", "4": "1"}, {"1": "2", "2": "1", "3": "3", "4": "4"},
         {"1": "1", "2": "2", "3": "3"},
     ]}))
-    return {"chain3": str(chain3), "i2": str(i2), "i4": str(i4), "base": base}
+    return {"chain3": str(chain3), "i2": str(i2), "i3": str(i3), "i4": str(i4), "base": base}
 
 
 def run(capsys, *argv):
@@ -80,6 +84,15 @@ class TestChecks:
         assert time.perf_counter() - start < 5.0
         assert code == 2 and out == ""
         assert "83,135,918,096,825" in err and "100,000" in err
+
+    @pytest.mark.parametrize("command, x", [("quotient-check", "tight"), ("presentation-check", "core")])
+    def test_over_budget_pairs_refused_fast(self, files, capsys, command, x):
+        # both checks work over all pairs of the 33,082-element universal algebra of I3
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--invsgp", files["i3"], "--x", x)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2 and out == ""
+        assert "1,094,418,724" in err and "33,082" in err and "1,000,000" in err
 
     def test_presentation_check(self, files, capsys):
         code, out, _ = run(capsys, "presentation-check", "--invsgp", files["i2"], "--x", "none")
@@ -152,6 +165,11 @@ class TestHull:
         code, out, _ = run(capsys, "hull", "--monoid", "free:2", "mul", "[e,a]", "[b,e]")
         assert code == 0
         assert out.strip() == "result=0"
+
+    def test_mul_adding_machine_where_grade_drops(self, capsys):
+        code, out, _ = run(capsys, "hull", "--monoid", "adding", "mul", "[e.e,e.e]", "[e.ggg,e.ggg]")
+        assert code == 0
+        assert out.strip() == "result=[e.ggg,e.ggg]"
 
     def test_foundation_yes(self, capsys):
         code, out, _ = run(capsys, "hull", "--monoid", "free:2", "foundation", "--set", "a,b", "--depth", "4")

@@ -1,7 +1,9 @@
 import re
 
 import pytest
-from oracles import hull_fragment_brute, left_divide_brute
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import UNDECIDED, hull_fragment_brute, left_divide_brute, right_lcm_search_brute
 
 from xjoin import lcmhull as lh
 from xjoin.semilattice import LawViolation
@@ -159,12 +161,7 @@ class TestZappaSzep:
         assert P.act("gg", "11") == "10" and P.res("gg", "11") == "g"
 
     def test_direct_product_accepted(self):
-        data = lh.ZappaSzepData.from_tables(
-            "01", "g",
-            action={"g": {"0": "0", "1": "1"}},
-            restriction={"g": {"0": "g", "1": "g"}},
-        )
-        P = lh.zappa_szep(data, depth=3)
+        P = lh.zappa_szep(direct_product(), depth=3)
         assert P.multiply(("0", "g"), ("1", "")) == ("01", "g")
 
     def test_non_bijective_action_rejected(self):
@@ -177,13 +174,8 @@ class TestZappaSzep:
             lh.zappa_szep(data, depth=3)
 
     def test_second_factor_must_be_a_chain(self):
-        data = lh.ZappaSzepData.from_tables(
-            "01", "gh",
-            action={"g": {"0": "0", "1": "1"}, "h": {"0": "0", "1": "1"}},
-            restriction={"g": {"0": "g", "1": "g"}, "h": {"0": "h", "1": "h"}},
-        )
         with pytest.raises(LawViolation, match="C2"):
-            lh.zappa_szep(data, depth=2)
+            lh.zappa_szep(two_generators(), depth=2)
 
     def test_multiplication_and_division(self):
         P = lh.zappa_szep(lh.adding_machine())
@@ -199,10 +191,37 @@ class TestZappaSzep:
         assert P.left_divide(("", "g"), r) is not None
         assert P.left_divide(("0", ""), r) is not None
 
-    def test_right_lcm_reports_exhausted_search(self):
-        shallow = lh.ZappaSzepProduct(lh.adding_machine(), search_depth=0)
-        with pytest.raises(lh.UndecidedError, match="depth 0"):
-            shallow.right_lcm(("", "g"), ("0", ""))
+    def test_right_lcm_where_grade_drops(self):
+        # (e, ggg)(0, e) = (1, g): the bounded search finds no least multiple
+        P = lh.zappa_szep(lh.adding_machine())
+        assert P.multiply(("", "ggg"), ("0", "")) == ("1", "g")
+        assert right_lcm_search_brute(P, ("", ""), ("", "ggg")) == UNDECIDED
+        assert P.right_lcm(("", ""), ("", "ggg")) == ("", "ggg")
+
+    def test_depth_below_one_is_refused(self):
+        # at depth 0 the law loops check nothing
+        with pytest.raises(LawViolation, match="depth must be at least 1"):
+            lh.zappa_szep(lh.adding_machine(), depth=0)
+        with pytest.raises(LawViolation, match="depth must be at least 1"):
+            lh.zappa_szep(two_generators(), depth=0)
+
+
+def direct_product() -> lh.ZappaSzepData:
+    """g fixes every letter and restricts to itself."""
+    return lh.ZappaSzepData.from_tables(
+        "01", "g",
+        action={"g": {"0": "0", "1": "1"}},
+        restriction={"g": {"0": "g", "1": "g"}},
+    )
+
+
+def two_generators() -> lh.ZappaSzepData:
+    """Two generators g and h: their ideals are incomparable, so no C2."""
+    return lh.ZappaSzepData.from_tables(
+        "01", "gh",
+        action={"g": {"0": "0", "1": "1"}, "h": {"0": "0", "1": "1"}},
+        restriction={"g": {"0": "g", "1": "g"}, "h": {"0": "h", "1": "h"}},
+    )
 
 
 def ternary_odometer() -> lh.ZappaSzepData:
@@ -240,6 +259,51 @@ class TestLeftDivide:
             for z in frag:
                 r = P.multiply(x, z)
                 assert P.left_divide(x, r) == left_divide_brute(P, x, r)
+
+
+@st.composite
+def one_generator_products(draw) -> lh.ZappaSzepData:
+    """One letter g permuting 2 or 3 letters, restricting to g^0, g^1 or g^2."""
+    letters = "012"[: draw(st.integers(2, 3))]
+    image = draw(st.permutations(letters))
+    return lh.ZappaSzepData.from_tables(
+        letters, "g",
+        action={"g": dict(zip(letters, image))},
+        restriction={"g": {c: "g" * draw(st.integers(0, 2)) for c in letters}},
+    )
+
+
+class TestZappaRightLcm:
+    """The closed-form ``ZappaSzepProduct.right_lcm`` against the bounded
+    search of multiples and against brute-force ideal intersections."""
+
+    @pytest.mark.parametrize("data, depth, decided", [
+        (lh.adding_machine(), 4, 3199), (ternary_odometer(), 3, 3313), (direct_product(), 4, 3249),
+    ], ids=["adding", "ternary", "direct"])
+    def test_agrees_with_bounded_search(self, data, depth, decided):
+        P = lh.zappa_szep(data, depth=3)
+        frag = P.elements_up_to(depth)
+        seen = 0
+        for x in frag:
+            for y in frag:
+                want = right_lcm_search_brute(P, x, y)
+                if want != UNDECIDED:
+                    seen += 1
+                    assert P.right_lcm(x, y) == want, (x, y)
+        assert seen == decided
+
+    @pytest.mark.parametrize("data, depth", [(lh.adding_machine(), 4), (ternary_odometer(), 3)],
+                             ids=["adding", "ternary"])
+    def test_against_ideal_intersections(self, data, depth):
+        lh._check_lcm_oracle(lh.zappa_szep(data, depth=depth), depth, depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=one_generator_products())
+    def test_random_one_generator_products(self, data):
+        lh._check_lcm_oracle(lh.zappa_szep(data), 2, 3)
+
+    def test_adding_machine_hull_fragment(self):
+        assert lh.fragment_law_failure(lh.zappa_szep(lh.adding_machine()), 2) is None
 
 
 @pytest.fixture(scope="module")
