@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from math import comb, factorial
+from operator import or_
 
 from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi
 from .groupoid import FinGroupoid, Germ, GermGroupoid, germ_groupoid, theta
@@ -21,11 +23,11 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, Character, LawViolation, _bits
+from .semilattice import BudgetExceeded, LawViolation, _bits
 
 # local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
 BISECTION_BUDGET = 100_000
-# element pairs the presentation and quotient checks may work over; P3 universal has 56,644
+# element pairs the fallback closure of generated_subsemigroup may work over; P3 universal has 56,644
 PAIR_BUDGET = 1_000_000
 
 
@@ -37,7 +39,7 @@ class BisAlgebra:
     ``rngm[i]`` are the unit masks of its sources and ranges.  Idempotents
     are the unit subsets, and tables indexed by unit mask give the idempotent
     on each and the arrows with a source or a range in it, so domain, range,
-    order, meet, difference and skew join are bit operations.  Products stay
+    order, difference and skew join are bit operations.  Products stay
     memoized in ``_mul``, because composing arrows is not a bit operation
     (and tests poison the memo to show the identity checks consult it), as
     do inverses in ``_inv``.  Memo writes are idempotent, so concurrent
@@ -107,9 +109,6 @@ class BisAlgebra:
 
     def leq(self, i: int, j: int) -> bool:
         return not self.elements[i] & ~self.elements[j]
-
-    def meet(self, i: int, j: int) -> int:
-        return self.index[self.elements[i] & self.elements[j]]
 
     def is_idempotent(self, i: int) -> bool:
         return self._idem[self.srcm[i]] == i
@@ -384,15 +383,6 @@ def _check_multiplicative(S: FinInverseSemigroup, T: BisAlgebra, phi, what: str)
                 raise LawViolation(f"{what} not multiplicative at ({S.label(x)},{S.label(g)})")
 
 
-def _check_pair_budget(B: BisAlgebra, what: str) -> None:
-    """Refuse, before its pair passes start, a check over more than ``PAIR_BUDGET`` pairs."""
-    if len(B) ** 2 > PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"{what} would work over the {len(B) ** 2:,} pairs of {len(B):,} "
-            f"bisections, over the budget of {PAIR_BUDGET:,}"
-        )
-
-
 def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """Build the germ groupoid and the canonical representation into its bisections.
 
@@ -425,13 +415,36 @@ class PresentationReport:
 def generated_subsemigroup(B: BisAlgebra, seeds) -> frozenset[int]:
     """Closure of the seeds under product, inverse, difference and skew join.
 
-    Semi-naive: each element, in the order found, is combined in both orders
-    with itself and every element found before it, and inverted, so every
-    pair is combined once.  Stops as soon as all of B is reached.
+    First on atoms.  The domains d(x) = x⁻¹x of the seeds are in the
+    closure, so for each unit c so is the product of the domains that
+    contain c with every other domain differenced away; that is {c} when
+    some domain contains c and no other unit lies in the same domains.
+    Then x·{c} is the atom of x at source c, for every seed x with c in its
+    domain.  If every single-arrow element is reached this way the closure
+    is all of B, since every bisection is the iterated skew join of its
+    pairwise orthogonal atoms.
+
+    Otherwise semi-naive, refused with ``BudgetExceeded`` when B has more
+    than ``PAIR_BUDGET`` pairs: each element, in the order found, is
+    combined in both orders with itself and every element found before it,
+    and inverted, so every pair is combined once.  Stops as soon as all of
+    B is reached.
     """
+    seeds, n = tuple(seeds), len(B)
+    doms = {B.srcm[x] for x in seeds}
+    # per unit, the domains containing it, as a mask over doms
+    sig = [sum((m >> c & 1) << k for k, m in enumerate(doms)) for c in range(B.groupoid.n_units)]
+    units = sum(1 << c for c, s in enumerate(sig) if s and sig.count(s) == 1)
+    atoms = reduce(or_, (B.elements[x] & B._src_arrows[B.srcm[x] & units] for x in seeds), 0)
+    if atoms == (1 << B.groupoid.n_arrows) - 1:
+        return frozenset(range(n))
+    if n * n > PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"the seeds miss atoms, and closing them would work over the {n * n:,} "
+            f"pairs of {n:,} bisections, over the budget of {PAIR_BUDGET:,}"
+        )
     found = list(dict.fromkeys((B.zero, *seeds)))
     seen = set(found)
-    n = len(B)
     mul, diff, skew = B.mul, B.diff, B.skew
     for i, x in enumerate(found):
         if len(found) == n:
@@ -456,7 +469,6 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     """
     rep = iota(S, relations)
     B = rep.algebra
-    _check_pair_budget(B, "the presentation check")
     rel_ok = True
     for rel in relations:
         acc = B.zero
@@ -495,10 +507,22 @@ def _chi_unit_mask(full: IotaRep, chi) -> int:
 def congruence(full: IotaRep, chi) -> Congruence:
     """The congruence of an invariant character set on the universal algebra.
 
-    Two elements are identified when their domains agree outside the ideal
-    of idempotents missing the character set and the elements agree on the
-    common part.  The partition is cross-checked against the kernel of the
-    restriction map onto arrows based in the character set.
+    Two elements i, j are identified when some idempotent e below both
+    domains has ie = je, with d(i) - e and d(j) - e in the ideal of
+    idempotents missing the character set χ.  Such an e contains
+    c = d(i) ∩ χ = d(j) ∩ χ, and ie = je gives ic = jc; conversely e = c
+    serves.  So i and j are identified exactly when f(i) = f(j), for
+    f(i) = i·(d(i) ∩ χ), whose domain is d(i) ∩ χ: the relation is an
+    equivalence, and one pass of n products partitions B by f.
+
+    f(i) is also the arrows of i with source in χ, and each is checked
+    against that value of the restriction map x ↦ x ∩ keep.  Its kernel is
+    a congruence exactly when every arrow has its source in χ iff its
+    range is.  Then an arrow ab, with source that of b and b's range the
+    source of a, is kept iff a and b are, and a⁻¹ iff a, so the map
+    preserves products and inverses.  And an arrow a with only its source
+    in χ identifies {a⁻¹} with 0 but not its inverse {a}; swap a and a⁻¹
+    when only the range is in χ.
     """
     chi = frozenset(chi)
     S = full.semigroup
@@ -509,66 +533,21 @@ def congruence(full: IotaRep, chi) -> Congruence:
     B = full.algebra
     G = B.groupoid
     chi_mask = _chi_unit_mask(full, chi)
-    n = len(B)
-    d_mask = B.srcm
-
-    def literal_equiv(i: int, j: int) -> bool:
-        # e ranges over idempotents below both domains; f, g exist in the
-        # ideal iff the leftover domains avoid the character set, so only
-        # the minimal choices f = d(i)-e and g = d(j)-e need be examined.
-        common = d_mask[i] & d_mask[j]
-        e = common
-        while True:
-            if not (d_mask[i] & ~e) & chi_mask and not (d_mask[j] & ~e) & chi_mask:
-                idem = B.idem_element(e)
-                if B.mul(i, idem) == B.mul(j, idem):
-                    return True
-            if e == 0:
-                return False
-            e = (e - 1) & common
-
-    class_of = list(range(n))
-    for i in range(n):
-        if class_of[i] != i:
-            continue
-        for j in range(i + 1, n):
-            if class_of[j] == j and literal_equiv(i, j):
-                class_of[j] = i
-    reps = sorted(set(class_of))
-    renum = {rep: k for k, rep in enumerate(reps)}
-    class_of = [renum[c] for c in class_of]
-    classes = tuple(
-        tuple(i for i in range(n) if class_of[i] == k) for k in range(len(reps))
-    )
-
-    # kernel of the restriction map
+    for a in range(G.n_arrows):
+        if (chi_mask >> G.src[a] ^ chi_mask >> G.rng[a]) & 1:
+            raise LawViolation(f"partition not compatible with inversion at {G.arrow_labels[a]}")
     keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
-    kernel: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    class_of = []
     for i, arrows in enumerate(B.elements):
-        kernel.setdefault(arrows & keep, []).append(i)
-    kernel_classes = sorted(tuple(v) for v in kernel.values())
-    if kernel_classes != sorted(classes):
-        raise LawViolation("literal congruence disagrees with the restriction kernel")
-
-    cong = Congruence(B, classes, tuple(class_of))
-    _check_congruence(cong)
-    return cong
-
-
-def _check_congruence(cong: Congruence) -> None:
-    B, cls = cong.algebra, cong.class_of
-    n = len(B)
-    seen_mul: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(n):
-            key = (cls[i], cls[j])
-            val = cls[B.mul(i, j)]
-            if seen_mul.setdefault(key, val) != val:
-                raise LawViolation("partition not compatible with the product")
-    seen_inv: dict[int, int] = {}
-    for i in range(n):
-        if seen_inv.setdefault(cls[i], cls[B.inv(i)]) != cls[B.inv(i)]:
-            raise LawViolation("partition not compatible with inversion")
+        k = B.mul(i, B.idem_element(B.srcm[i] & chi_mask))
+        if B.elements[k] != arrows & keep:
+            raise LawViolation("literal congruence disagrees with the restriction kernel")
+        class_of.append(first.setdefault(k, len(first)))
+    classes: list[list[int]] = [[] for _ in first]
+    for i, k in enumerate(class_of):
+        classes[k].append(i)
+    return Congruence(B, tuple(map(tuple, classes)), tuple(class_of))
 
 
 # ---------------------------------------------------------------------------
@@ -591,64 +570,69 @@ class AdditiveMorphism:
 
 
 def _check_additive(m: AdditiveMorphism) -> None:
+    """t preserves zero, products, compatibility, compatible joins and
+    idempotent differences, checked on atoms (single-arrow bisections).
+
+    Three checks: t(0) = 0; t(x) is the union of t(x - {a}) and t({a}) for
+    the least arrow a of x, so by induction the union of the images of the
+    atoms of x; and t({a})t({b}) = t({a}{b}) for all arrows a and b, where
+    {a}{b} = 0 unless a and b compose.  They suffice.  The product of T
+    distributes over unions, and the composable pairs of arrows of x and y
+    biject onto the arrows of xy, so t(x)t(y) is the union of t({ab}) over
+    them, which is t(xy).  Compatible x and y join to the bisection x ∪ y,
+    whose image t(x) ∪ t(y) is an element of T: t(x) and t(y) are
+    compatible with that join.  Unit atoms are idempotents and distinct
+    ones multiply to 0, so their images are disjoint idempotents, and
+    t(e - f) = t(e) - t(f) for idempotents e and f.  Conversely a morphism
+    passes all three, x being the compatible join of its atoms.  The cost
+    is n images and arrows² products in T.
+    """
     B, T, t = m.source, m.target, m.table
     n = len(B)
     if len(t) != n:
         raise LawViolation(f"{n} elements but {len(t)} images")
     if t[B.zero] != T.zero:
         raise LawViolation("zero not preserved")
-    for i in range(n):
-        for j in range(n):
-            if t[B.mul(i, j)] != T.mul(t[i], t[j]):
-                raise LawViolation(
-                    f"product not preserved at ({B.label(i)},{B.label(j)})"
-                )
-            if B.compatible(i, j):
-                if not T.compatible(t[i], t[j]):
-                    raise LawViolation(
-                        f"compatibility not preserved at ({B.label(i)},{B.label(j)})"
-                    )
-                if t[B.join(i, j)] != T.join(t[i], t[j]):
-                    raise LawViolation(
-                        f"compatible join not preserved at ({B.label(i)},{B.label(j)})"
-                    )
-    # difference on idempotents, a consequence recorded as a direct check
-    for i in range(n):
-        if B.is_idempotent(i):
-            for j in range(n):
-                if B.is_idempotent(j) and t[B.diff(i, j)] != T.diff(t[i], t[j]):
-                    raise LawViolation("idempotent difference not preserved")
+    img, index = [T.elements[k] for k in t], B.index
+    for i, e in enumerate(B.elements):
+        rest, low = index[e & (e - 1)], index[e & -e]
+        if img[i] != img[rest] | img[low]:
+            raise LawViolation(f"compatible join not preserved at ({B.label(rest)},{B.label(low)})")
+    atoms = [index[1 << a] for a in range(B.groupoid.n_arrows)]
+    for x in atoms:
+        for y in atoms:
+            if t[B.mul(x, y)] != T.mul(t[x], t[y]):
+                raise LawViolation(f"product not preserved at ({B.label(x)},{B.label(y)})")
 
 
 def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
     """Common lower bounds of images lift to common lower bounds: every d
     below t(a) and t(b) is below t(c) for some c below a and b.
 
-    Needs t multiplicative, as :meth:`AdditiveMorphism.build` checks.  Then:
-    t is order-preserving, since a <= b means a = b·a⁻¹a, and then
+    Needs t additive, as :meth:`AdditiveMorphism.build` checks.  Then t is
+    order-preserving, since a <= b means a = b·a⁻¹a, so
     t(a) = t(b)·t(a⁻¹a) <= t(b); meets of local bisections are
-    intersections, so c ranges below a∧b and the best c is a∧b itself; so a
-    c exists for d iff d <= t(a∧b), and it suffices to test the largest d:
-    t(a)∧t(b) <= t(a∧b), over pairs with a∧b = ``B.meet(a, b)``.
+    intersections, so c ranges below a∧b and the best c is a∧b itself; so
+    the property is t(a)∧t(b) <= t(a∧b) for all a and b.  That holds
+    exactly when distinct atoms have disjoint images.  If they do,
+    t(a) ∩ t(b), the union of t({c}) ∩ t({d}) over arrows c of a and d of
+    b, is the union over the arrows of a∧b, which is t(a∧b).  If t({c})
+    meets t({d}) for c ≠ d, then {c}∧{d} = 0 and t(0) = 0.  The images are
+    disjoint exactly when their sizes add up to the size of their union.
     """
-    B, t = m.source, m.table
-    img = [m.target.elements[k] for k in t]
-    meet = B.meet
-    n = len(B)
-    return not any(
-        img[a] & img[b] & ~img[meet(a, b)] for a in range(n) for b in range(a + 1, n)
-    )
+    B, T, t = m.source, m.target, m.table
+    imgs = [T.elements[t[B.index[1 << a]]] for a in range(B.groupoid.n_arrows)]
+    return sum(x.bit_count() for x in imgs) == reduce(or_, imgs, 0).bit_count()
 
 
 # ---------------------------------------------------------------------------
 # restriction morphism and the quotient theorem
 
-def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Character, ...], tuple[Germ, ...], dict[int, int]]:
+def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Germ, ...], dict[int, int]]:
     gg = full.germs
     G = gg.groupoid
     chi_mask = _chi_unit_mask(full, chi)
     unit_old = [u for u in range(G.n_units) if chi_mask >> u & 1]
-    units = tuple(gg.units[u] for u in unit_old)
     unit_new = {old: new for new, old in enumerate(unit_old)}
     keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
     for a in keep:
@@ -674,12 +658,12 @@ def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Charact
         comp=comp,
     )
     germs = tuple(gg.germs[a] for a in keep)
-    return restr, units, germs, proj
+    return restr, germs, proj
 
 
 def restriction_morphism(full: IotaRep, chi) -> AdditiveMorphism:
     """Cut every bisection down to the arrows based in the character set."""
-    restr, _, _, proj = _restricted_groupoid(full, chi)
+    restr, _, proj = _restricted_groupoid(full, chi)
     target = BisAlgebra(restr)
     table = []
     for arrows in full.algebra.elements:
@@ -706,17 +690,17 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 
     Builds the congruence and restriction morphism on one side and the germ
     groupoid of the carved-out relation set on the other, then matches them.
+    The carved-out set comes first, so that an ``x_pi`` over its budget
+    refuses before the universal algebra is built.
     """
     chi = frozenset(chi)
-    full = iota(S, frozenset())
-    _check_pair_budget(full.algebra, "the quotient check")
-    cong = congruence(full, chi)
-    morph = restriction_morphism(full, chi)
-    _, _, restr_germs, _ = _restricted_groupoid(full, chi)
-
     # the composite of the canonical map and the quotient, restricted to
     # idempotents: images are character sets inside chi
     rels = x_pi(character_rep(S.semilattice, sorted(chi)))
+    full = iota(S, frozenset())
+    cong = congruence(full, chi)
+    morph = restriction_morphism(full, chi)
+    _, restr_germs, _ = _restricted_groupoid(full, chi)
 
     gq = germ_groupoid(S, rels)
     spectrum_ok = set(gq.units) == chi

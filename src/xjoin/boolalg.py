@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .semilattice import (
+    BudgetExceeded,
     Character,
     FinMeetSemilattice,
     LawViolation,
@@ -24,6 +26,9 @@ from .semilattice import (
     x_prime,
     x_tight,
 )
+
+# subsets of candidate parts x_pi may walk; the tight P(4) Booleanization walks 66,674
+X_PI_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -346,15 +351,23 @@ def x_pi(rep: SemilatticeRep, max_size: int | None = None) -> frozenset[XRelatio
     Emits every (e, parts) with the image of e equal to the join of the part
     images, for parts of size at most ``max_size`` (default: all subsets).
     A part whose image leaves the image of e puts the join outside it, so
-    only subsets of the candidates below e's image are walked.
+    only subsets of the candidates below e's image are walked.  Their number
+    is forecast first, and ``BudgetExceeded`` raised when it is over
+    ``X_PI_BUDGET``.
     """
     E, images = rep.domain, rep.images
     if max_size is None:
         max_size = E.n
+    cand_lists = [[p for p in range(E.n) if not images[p] & ~t] for t in images]
+    walk = sum(comb(len(c), k) for c in cand_lists for k in range(min(max_size, len(c)) + 1))
+    if walk > X_PI_BUDGET:
+        raise BudgetExceeded(
+            f"x_pi would walk {walk:,} subsets of candidate parts, "
+            f"over the budget of {X_PI_BUDGET:,}"
+        )
     out = []
-    for e in range(E.n):
+    for e, cands in enumerate(cand_lists):
         target = images[e]
-        cands = [p for p in range(E.n) if not images[p] & ~target]
         for size in range(min(max_size, len(cands)) + 1):
             for combo in combinations(cands, size):
                 acc = 0

@@ -9,6 +9,7 @@ because the ``suite`` command runs them too.
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations, product as iproduct
 
 from xjoin import lcmhull
@@ -292,6 +293,8 @@ def left_divide_brute(P, x, r):
 
 # the answer of right_lcm_search_brute when its bounded search cannot decide
 UNDECIDED = "undecided"
+# per product, x's multiples by every cofactor up to the depth, keyed by (x, depth)
+_MULTIPLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def right_lcm_search_brute(P, x, y, depth: int = 6):
@@ -305,7 +308,10 @@ def right_lcm_search_brute(P, x, y, depth: int = 6):
     (u1, a1), (u2, a2) = x, y
     if not (u1.startswith(u2) or u2.startswith(u1)):
         return None  # the u-part of every multiple keeps its prefix
-    frag_x = [P.multiply(x, z) for z in P.elements_up_to(depth)]
+    multiples = _MULTIPLES.setdefault(P, {})
+    if (x, depth) not in multiples:
+        multiples[x, depth] = [P.multiply(x, z) for z in P.elements_up_to(depth)]
+    frag_x = multiples[x, depth]
     inter = [t for t in frag_x if P.left_divide(y, t) is not None]
     if not inter:
         return UNDECIDED
@@ -448,6 +454,95 @@ def is_weakly_meet_preserving_brute(m) -> bool:
                 ):
                     return False
     return True
+
+
+def check_additive_brute(m) -> None:
+    """Raise ``LawViolation`` unless the table preserves zero, every product,
+    compatibility and join of every compatible pair, and the difference of
+    every pair of idempotents."""
+    B, T, t = m.source, m.target, m.table
+    n = len(B)
+    if len(t) != n:
+        raise LawViolation(f"{n} elements but {len(t)} images")
+    if t[B.zero] != T.zero:
+        raise LawViolation("zero not preserved")
+    for i in range(n):
+        for j in range(n):
+            if t[B.mul(i, j)] != T.mul(t[i], t[j]):
+                raise LawViolation(f"product not preserved at ({B.label(i)},{B.label(j)})")
+            if B.compatible(i, j):
+                if not T.compatible(t[i], t[j]):
+                    raise LawViolation(
+                        f"compatibility not preserved at ({B.label(i)},{B.label(j)})"
+                    )
+                if t[B.join(i, j)] != T.join(t[i], t[j]):
+                    raise LawViolation(
+                        f"compatible join not preserved at ({B.label(i)},{B.label(j)})"
+                    )
+    for i in range(n):
+        if B.is_idempotent(i):
+            for j in range(n):
+                if B.is_idempotent(j) and t[B.diff(i, j)] != T.diff(t[i], t[j]):
+                    raise LawViolation("idempotent difference not preserved")
+
+
+def congruence_brute(full, chi):
+    """(classes, class_of) of the literal congruence of a character set on
+    the universal algebra, by its definition: i and j are identified when
+    some idempotent e below both domains has ie = je and leaves domains
+    d(i) - e and d(j) - e missing the set.  Greedy over all pairs, each
+    element joining the class of the first earlier class representative
+    identified with it; then checked against the restriction kernel and for
+    compatibility with every product and inverse.  Raises ``LawViolation``."""
+    B = full.algebra
+    G = B.groupoid
+    chi_mask = sum(1 << full.germs.unit_index[c] for c in chi)
+    n = len(B)
+    d_mask = B.srcm
+
+    def literal_equiv(i: int, j: int) -> bool:
+        common = d_mask[i] & d_mask[j]
+        e = common
+        while True:
+            if not (d_mask[i] & ~e) & chi_mask and not (d_mask[j] & ~e) & chi_mask:
+                idem = B.idem_element(e)
+                if B.mul(i, idem) == B.mul(j, idem):
+                    return True
+            if e == 0:
+                return False
+            e = (e - 1) & common
+
+    class_of = list(range(n))
+    for i in range(n):
+        if class_of[i] != i:
+            continue
+        for j in range(i + 1, n):
+            if class_of[j] == j and literal_equiv(i, j):
+                class_of[j] = i
+    reps = sorted(set(class_of))
+    renum = {rep: k for k, rep in enumerate(reps)}
+    class_of = [renum[c] for c in class_of]
+    classes = tuple(tuple(i for i in range(n) if class_of[i] == k) for k in range(len(reps)))
+
+    keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
+    kernel: dict[int, list[int]] = {}
+    for i, arrows in enumerate(B.elements):
+        kernel.setdefault(arrows & keep, []).append(i)
+    if sorted(tuple(v) for v in kernel.values()) != sorted(classes):
+        raise LawViolation("literal congruence disagrees with the restriction kernel")
+
+    seen_mul: dict[tuple[int, int], int] = {}
+    for i in range(n):
+        for j in range(n):
+            val = class_of[B.mul(i, j)]
+            if seen_mul.setdefault((class_of[i], class_of[j]), val) != val:
+                raise LawViolation("partition not compatible with the product")
+    seen_inv: dict[int, int] = {}
+    for i in range(n):
+        val = class_of[B.inv(i)]
+        if seen_inv.setdefault(class_of[i], val) != val:
+            raise LawViolation("partition not compatible with inversion")
+    return classes, tuple(class_of)
 
 
 def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:

@@ -1,17 +1,20 @@
 import copy
+import dataclasses
 import itertools
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from xjoin import invsgp
+from xjoin import bisection, invsgp
 from xjoin import semilattice as sl
 from xjoin.bisection import (
     BISECTION_BUDGET,
     PAIR_BUDGET,
     AdditiveMorphism,
     BisAlgebra,
+    _check_additive,
     _validate_representation,
     bis_to_json,
     bisection_count,
@@ -32,6 +35,8 @@ from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
 from oracles import (
     character_set_invariant_brute,
+    check_additive_brute,
+    congruence_brute,
     count_bisections_brute,
     generated_subsemigroup_brute,
     invariant_closure_brute,
@@ -209,20 +214,41 @@ class TestBisectionBudget:
         with pytest.raises(BudgetExceeded, match="83,135,918,096,825 elements, over the budget of 100,000"):
             BisAlgebra(G)
 
-    def test_pair_passes_over_budget_are_refused(self):
-        # the universal algebra of I3 is inside BISECTION_BUDGET, its pairs are not
+    def test_i3_universal_checks_answer(self):
+        # the universal algebra of I3 has 33,082 elements and 1.1e9 pairs;
+        # the checks work on its 33 arrows and answer in well under a second
         S = invsgp.from_partial_maps(*I3_MAPS)[0]
-        chi = sl.spectrum(S.semilattice, rels(S, "tight"))
-        over = "1,094,418,724 pairs of 33,082 bisections, over the budget of 1,000,000"
-        with pytest.raises(BudgetExceeded, match=f"quotient check would work over the {over}"):
-            theorem_quotients_check(S, chi)
-        with pytest.raises(BudgetExceeded, match=f"presentation check would work over the {over}"):
-            check_presentation(S, rels(S, "core"))
+        chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, "tight")))
+        start = time.perf_counter()
+        q = theorem_quotients_check(S, chi)
+        assert time.perf_counter() - start < 5.0
+        assert (q.class_count, q.quotient_size, q.weakly_meet_preserving, q.ok) == (34, 34, True, True)
+        # the tight algebra of I3 is I3 itself
+        assert q.class_count == S.n
+        start = time.perf_counter()
+        p = check_presentation(S, rels(S, "core"))
+        assert time.perf_counter() - start < 5.0
+        assert (p.generated, p.total, p.ok) == (33_082, 33_082, True)
+
+    def test_fallback_closure_over_budget_is_refused(self):
+        # idempotent seeds reach only the unit atoms of the I3 universal
+        # algebra, so the closure falls back to pairs, over PAIR_BUDGET
+        rep = iota(invsgp.from_partial_maps(*I3_MAPS)[0], frozenset())
+        B = rep.algebra
+        idems = [rep.images[e] for e in rep.semigroup.idems]
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="1,094,418,724 pairs of 33,082 bisections, over the budget of 1,000,000"):
+            generated_subsemigroup(B, idems)
+        assert time.perf_counter() - start < 1.0
 
     def test_pair_passes_under_budget_run(self):
-        # the quotient check on this algebra runs in TestQuotientTheorem
+        # the fallback closure runs on this algebra: idempotents generate
+        # only idempotents
         S = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])[0]
-        assert len(iota(S, frozenset()).algebra) ** 2 == 56_644 <= PAIR_BUDGET
+        rep = iota(S, frozenset())
+        assert len(rep.algebra) ** 2 == 56_644 <= PAIR_BUDGET
+        idems = generated_subsemigroup(rep.algebra, [rep.images[e] for e in S.idems])
+        assert idems == {i for i in range(len(rep.algebra)) if rep.algebra.is_idempotent(i)}
         assert check_presentation(S, frozenset()).ok
 
     def test_many_arrows_under_budget(self):
@@ -461,6 +487,17 @@ class TestCongruence:
         with pytest.raises(LawViolation, match="invariant"):
             congruence(full, lone)
 
+    def test_arrow_check_rejects_non_invariant_set(self, monkeypatch):
+        # past the semigroup-level invariance test, the arrows crossing the
+        # set show that its restriction kernel is no congruence
+        full = iota(I2, frozenset())
+        lone = frozenset({Character(E_I2.index("1>1"))})
+        with pytest.raises(LawViolation, match="partition not compatible"):
+            congruence_brute(full, lone)
+        monkeypatch.setattr(bisection, "character_set_invariant", lambda S, chi: True)
+        with pytest.raises(LawViolation, match="partition not compatible with inversion at"):
+            congruence(full, lone)
+
     def test_rejects_non_universal_algebra(self):
         tight_rep = iota(I2, rels(I2, "tight"))
         with pytest.raises(LawViolation, match="universal"):
@@ -557,16 +594,28 @@ def accepted_morphisms(source: BisAlgebra, target: BisAlgebra):
             continue
 
 
+def small_algebras() -> list[BisAlgebra]:
+    return [
+        BisAlgebra(one_unit_groupoid()),
+        iota(invsgp.z2_with_zero(), frozenset()).algebra,
+        iota(invsgp.group_with_zero([[0]]), frozenset()).algebra,
+        iota(invsgp.chain_semigroup(2), frozenset()).algebra,
+        iota(invsgp.group_with_zero([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), frozenset()).algebra,
+        algebra("b2", "tight"),
+    ]
+
+
+def raises_law(check, *args) -> bool:
+    try:
+        check(*args)
+    except LawViolation:
+        return True
+    return False
+
+
 class TestWeakMeetTestAgainstDefinition:
     def test_every_accepted_table_between_small_algebras(self):
-        small = [
-            BisAlgebra(one_unit_groupoid()),
-            iota(invsgp.z2_with_zero(), frozenset()).algebra,
-            iota(invsgp.group_with_zero([[0]]), frozenset()).algebra,
-            iota(invsgp.chain_semigroup(2), frozenset()).algebra,
-            iota(invsgp.group_with_zero([[0, 1, 2], [1, 2, 0], [2, 0, 1]]), frozenset()).algebra,
-            algebra("b2", "tight"),
-        ]
+        small = small_algebras()
         verdicts = []
         for source in small:
             for target in small:
@@ -577,6 +626,22 @@ class TestWeakMeetTestAgainstDefinition:
                     assert verdict == is_weakly_meet_preserving_brute(m), (m.table,)
                     verdicts.append(verdict)
         assert True in verdicts and False in verdicts
+
+    def test_additive_check_against_pair_loop(self):
+        # every table, the zero's image included, between the small algebras
+        small = small_algebras()
+        accepted = rejected = 0
+        for source in small:
+            for target in small:
+                if len(target) ** len(source) > 20_000:
+                    continue
+                for table in itertools.product(range(len(target)), repeat=len(source)):
+                    m = AdditiveMorphism(source, target, table)
+                    refused = raises_law(_check_additive, m)
+                    assert refused == raises_law(check_additive_brute, m), (table,)
+                    accepted += not refused
+                    rejected += refused
+        assert accepted > 50 and rejected > 1000
 
     def test_group_collapse_stays_false(self):
         source = iota(invsgp.z2_with_zero(), frozenset()).algebra
@@ -598,6 +663,47 @@ class TestWeakMeetTestAgainstDefinition:
         for chi in spectra:
             m = restriction_morphism(full, chi)
             assert is_weakly_meet_preserving(m) == is_weakly_meet_preserving_brute(m)
+
+
+class TestAtomChecksAgainstOracles:
+    """The congruence, restriction morphism and generated set, worked on
+    arrows and atoms, against their loops over element pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), data=st.data())
+    def test_random_semigroups(self, S, data):
+        # the pair loops are quadratic or worse; P3 and I3 are checked on their own
+        assume(bisection_count(germ_groupoid(S, frozenset()).groupoid) <= 120)
+        full = iota(S, frozenset())
+        B = full.algebra
+        for name in sl.BUILTIN_RELATION_SETS:
+            chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
+            cong, m = congruence(full, chi), restriction_morphism(full, chi)
+            assert (cong.classes, cong.class_of) == congruence_brute(full, chi)
+            check_additive_brute(m)
+            i = data.draw(st.integers(0, len(B) - 1))
+            v = data.draw(st.integers(0, len(m.target) - 1))
+            bad = AdditiveMorphism(B, m.target, m.table[:i] + (v,) + m.table[i + 1:])
+            assert raises_law(_check_additive, bad) == raises_law(check_additive_brute, bad)
+            rep = iota(S, rels(S, name))
+            idems = [rep.images[e] for e in S.idems]
+            for seeds in (rep.images, idems):
+                assert generated_subsemigroup(rep.algebra, seeds) == generated_subsemigroup_brute(rep.algebra, seeds)
+
+    @pytest.mark.parametrize("s", ("i2", "b2", "p3"))
+    def test_poisoned_product_is_caught(self, s):
+        # congruence reads each class off the product i·(d(i) ∩ chi)
+        S = SEMIGROUPS[s]()
+        full = iota(S, frozenset())
+        B = full.algebra
+        for name in ("none", "tight"):
+            chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
+            chi_mask = sum(1 << full.germs.unit_index[c] for c in chi)
+            for i in range(len(B)):
+                key = (i, B.idem_element(B.srcm[i] & chi_mask))
+                bad = poisoned(B, {key: (B.mul(*key) + 1) % len(B)})
+                with pytest.raises(LawViolation, match="restriction kernel"):
+                    congruence(dataclasses.replace(full, algebra=bad), chi)
 
 
 class TestUniversalMorphism:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from xjoin import boolalg as ba
 from xjoin import semilattice as sl
-from xjoin.semilattice import Character, LawViolation, XRelation
+from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
 from oracles import x_pi_brute
 
@@ -293,6 +294,17 @@ class TestXPi:
         E = sl.powerset_semilattice(4)
         _, rep = ba.booleanization(E, sl.x_tight(E))
         assert ba.x_pi(rep) == x_pi_brute(rep)
+
+    def test_forecast_refuses_p5(self):
+        # P(4) walks 66,674 subsets; the top of P(5) alone has 2^32
+        E = sl.powerset_semilattice(5)
+        _, rep = ba.booleanization(E, sl.x_tight(E))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"walk 4,\d{3},\d{3},\d{3} subsets .* budget of 250,000"):
+            ba.x_pi(rep)
+        assert time.perf_counter() - start < 0.5
+        # a bound on the parts shrinks the forecast to what is walked
+        assert len(ba.x_pi(rep, max_size=1)) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())

@@ -85,14 +85,30 @@ class TestChecks:
         assert code == 2 and out == ""
         assert "83,135,918,096,825" in err and "100,000" in err
 
-    @pytest.mark.parametrize("command, x", [("quotient-check", "tight"), ("presentation-check", "core")])
-    def test_over_budget_pairs_refused_fast(self, files, capsys, command, x):
-        # both checks work over all pairs of the 33,082-element universal algebra of I3
+    @pytest.mark.parametrize("command, x, line", [
+        ("quotient-check", "tight", "classes=34 quotient=34 wmp=true ok=true"),
+        ("presentation-check", "core", "relations=ok generated=33082 total=33082 ok=true"),
+    ], ids=["quotient-check-tight", "presentation-check-core"])
+    def test_i3_universal_checks_answer_fast(self, files, capsys, command, x, line):
+        # both checks work on the 33 arrows of the 33,082-element universal algebra of I3
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--invsgp", files["i3"], "--x", x)
         assert time.perf_counter() - start < 5.0
+        assert (code, out, err) == (0, line + "\n", "")
+
+    def test_x_pi_over_budget_refused_fast(self, files, capsys):
+        # the tight spectrum of a 16-step chain is one character below every
+        # nonzero element, so each of them has all 17 elements as candidates
+        # (16 · 2^17 subsets) and the zero has itself (2)
+        chain = files["base"] / "chain16.json"
+        chain.write_text(json.dumps({"points": 16, "partial_maps": [
+            {str(j): str(j) for j in range(1, i + 1)} for i in range(1, 17)
+        ]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "quotient-check", "--invsgp", str(chain), "--x", "tight")
+        assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "1,094,418,724" in err and "33,082" in err and "1,000,000" in err
+        assert "2,097,154 subsets" in err and "250,000" in err
 
     def test_presentation_check(self, files, capsys):
         code, out, _ = run(capsys, "presentation-check", "--invsgp", files["i2"], "--x", "none")
