@@ -10,20 +10,27 @@ universal-morphism machinery.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from math import comb, factorial
 from operator import or_
 
 from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi
-from .groupoid import FinGroupoid, Germ, GermGroupoid, germ_groupoid, theta
+from .groupoid import (
+    FinGroupoid,
+    GermArrows,
+    GermGroupoid,
+    _groupoid_doc,
+    germ_arrows,
+    germ_groupoid,
+    theta,
+)
 from .invsgp import (
     FinInverseSemigroup,
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_text
 
 # local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
 BISECTION_BUDGET = 100_000
@@ -48,12 +55,7 @@ class BisAlgebra:
     """
 
     def __init__(self, groupoid: FinGroupoid):
-        count = bisection_count(groupoid)
-        if count > BISECTION_BUDGET:
-            raise BudgetExceeded(
-                f"enumerating the local bisections of {groupoid.n_arrows} arrows would "
-                f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
-            )
+        _check_bisection_budget(groupoid)
         G = self.groupoid = groupoid
         by_src, by_rng = [0] * G.n_units, [0] * G.n_units
         for a in range(G.n_arrows):
@@ -163,7 +165,16 @@ def _unions(parts: list[int]) -> list[int]:
     return out
 
 
-def bisection_count(G: FinGroupoid) -> int:
+def _check_bisection_budget(G) -> None:
+    count = bisection_count(G)
+    if count > BISECTION_BUDGET:
+        raise BudgetExceeded(
+            f"enumerating the local bisections of {G.n_arrows} arrows would "
+            f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
+        )
+
+
+def bisection_count(G: FinGroupoid | GermArrows) -> int:
     """How many local bisections G has, counted without enumerating them.
 
     A local bisection is, in each orbit, a partial bijection between its
@@ -387,9 +398,13 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """Build the germ groupoid and the canonical representation into its bisections.
 
     Verifies that the map kills zero, is multiplicative (checked on
-    ``S.gens``) and satisfies the join constraints on idempotents.
+    ``S.gens``) and satisfies the join constraints on idempotents.  The
+    algebra's size is forecast from the germs' sources and ranges, before
+    the groupoid's composition table is built and checked.
     """
-    gg = germ_groupoid(S, relations)
+    arrows = germ_arrows(S, relations)
+    _check_bisection_budget(arrows)
+    gg = germ_groupoid(S, relations, arrows)
     B = BisAlgebra(gg.groupoid)
     images = tuple(B.index[sum(1 << a for a in theta(gg, s))] for s in range(S.n))
     if images[0] != B.zero:
@@ -628,9 +643,8 @@ def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # restriction morphism and the quotient theorem
 
-def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Germ, ...], dict[int, int]]:
-    gg = full.germs
-    G = gg.groupoid
+def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, dict[int, int]]:
+    G = full.germs.groupoid
     chi_mask = _chi_unit_mask(full, chi)
     unit_old = [u for u in range(G.n_units) if chi_mask >> u & 1]
     unit_new = {old: new for new, old in enumerate(unit_old)}
@@ -657,19 +671,23 @@ def _restricted_groupoid(full: IotaRep, chi) -> tuple[FinGroupoid, tuple[Germ, .
         inv=[proj[G.inv[a]] for a in keep],
         comp=comp,
     )
-    germs = tuple(gg.germs[a] for a in keep)
-    return restr, germs, proj
+    return restr, proj
 
 
 def restriction_morphism(full: IotaRep, chi) -> AdditiveMorphism:
-    """Cut every bisection down to the arrows based in the character set."""
-    restr, _, proj = _restricted_groupoid(full, chi)
+    """Cut every bisection down to the arrows based in the character set.
+
+    The cut of x is the cut of x minus its least arrow, an earlier element,
+    with that arrow added when it is kept.
+    """
+    restr, proj = _restricted_groupoid(full, chi)
     target = BisAlgebra(restr)
-    table = []
-    for arrows in full.algebra.elements:
-        cut = sum(1 << proj[a] for a in _bits(arrows) if a in proj)
-        table.append(target.index[cut])
-    return AdditiveMorphism.build(full.algebra, target, table)
+    B = full.algebra
+    kept = [1 << proj[a] if a in proj else 0 for a in range(B.groupoid.n_arrows)]
+    cuts = [0]
+    for e in B.elements[1:]:
+        cuts.append(cuts[B.index[e & (e - 1)]] | kept[(e & -e).bit_length() - 1])
+    return AdditiveMorphism.build(B, target, map(target.index.__getitem__, cuts))
 
 
 @dataclass(frozen=True)
@@ -700,7 +718,8 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     full = iota(S, frozenset())
     cong = congruence(full, chi)
     morph = restriction_morphism(full, chi)
-    _, restr_germs, _ = _restricted_groupoid(full, chi)
+    # the germs the restriction keeps: those based in chi, in order
+    restr_germs = tuple(g for g in full.germs.germs if g.base in chi)
 
     gq = germ_groupoid(S, rels)
     spectrum_ok = set(gq.units) == chi
@@ -866,10 +885,9 @@ def _count_additive_morphisms(B: BisAlgebra, T: BisAlgebra, pins: dict[int, int]
 # JSON emission
 
 def bis_to_json(B: BisAlgebra) -> str:
-    from .groupoid import groupoid_to_json
-
-    doc = {
-        "groupoid": json.loads(groupoid_to_json(B.groupoid)),
-        "elements": [_bits(e) for e in B.elements],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # the arrows of each element are its least arrow and then those of the
+    # element without it, which comes earlier
+    arrows: list[list[int]] = [[]]
+    for e in B.elements[1:]:
+        arrows.append([(e & -e).bit_length() - 1, *arrows[B.index[e & (e - 1)]]])
+    return _json_text({"groupoid": _groupoid_doc(B.groupoid), "elements": arrows})

@@ -20,6 +20,7 @@ from .semilattice import (
     LawViolation,
     XRelation,
     _bits,
+    _json_text,
     characters,
     spectrum,
     x_core,
@@ -420,7 +421,7 @@ def rep_to_json(rep: SemilatticeRep) -> str:
             for x in range(rep.domain.n)
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def rep_from_json(E: FinMeetSemilattice, text: str) -> SemilatticeRep:

@@ -8,10 +8,12 @@ germ equality a plain pair comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from operator import getitem, itemgetter
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
-from .semilattice import Character, LawViolation, spectrum
+from .semilattice import Character, LawViolation, _json_text, spectrum
 
 
 @dataclass(frozen=True)
@@ -50,50 +52,75 @@ class FinGroupoid:
 
 
 def _check_groupoid(G: FinGroupoid) -> None:
+    """The groupoid laws, a row of ``comp`` at a time.
+
+    Row a must be defined exactly at the arrows ending at src(a), one list
+    comparison, with the composites' sources and ranges read through the
+    row.  Associativity then compares, for each composable (a, b), the row
+    of ab with row a read through row b, both restricted to the arrows
+    ending at src(b); cancellation reads (ab)b⁻¹ along row a.  A failed
+    row is walked entry by entry to name its witness, in the order of the
+    definitional loops (``tests/oracles.py``).
+    """
     n, m = G.n_arrows, G.n_units
-    if not (len(G.src) == len(G.rng) == len(G.inv) == len(G.comp) == n):
+    src, rng, inv, comp, names = G.src, G.rng, G.inv, G.comp, G.arrow_labels
+    if not (len(src) == len(rng) == len(inv) == len(comp) == n) or any(len(r) != n for r in comp):
         raise LawViolation("arrow table sizes disagree")
     if len(G.unit_arrow) != m:
         raise LawViolation("need one identity arrow per unit")
     for u in range(m):
         ua = G.unit_arrow[u]
-        if G.src[ua] != u or G.rng[ua] != u:
+        if src[ua] != u or rng[ua] != u:
             raise LawViolation(f"identity arrow of unit {G.unit_labels[u]} is not a loop at it")
-    for a in range(n):
-        for b in range(n):
-            c = G.comp[a][b]
-            if (c >= 0) != (G.src[a] == G.rng[b]):
-                raise LawViolation(
-                    f"composability of ({G.arrow_labels[a]},{G.arrow_labels[b]}) "
-                    "disagrees with source/range"
-                )
-            if c >= 0 and (G.src[c] != G.src[b] or G.rng[c] != G.rng[a]):
-                raise LawViolation(f"composite of ({G.arrow_labels[a]},{G.arrow_labels[b]}) mislocated")
+    ending_at: dict[int, list[int]] = {u: [] for u in {*src, *rng}}
+    for c in range(n):
+        ending_at[rng[c]].append(c)
+    into = {u: _pick(arrows) for u, arrows in ending_at.items()}
+    for a, row in enumerate(comp):
+        u = src[a]
+        ok = [b for b, c in enumerate(row) if c >= 0] == ending_at[u]
+        if ok and ending_at[u]:
+            located = _pick(into[u](row))
+            ok = located(src) == into[u](src) and located(rng).count(rng[a]) == len(ending_at[u])
+        if not ok:
+            for b, c in enumerate(row):
+                if (c >= 0) != (u == rng[b]):
+                    raise LawViolation(
+                        f"composability of ({names[a]},{names[b]}) disagrees with source/range"
+                    )
+                if c >= 0 and (src[c] != src[b] or rng[c] != rng[a]):
+                    raise LawViolation(f"composite of ({names[a]},{names[b]}) mislocated")
     # By the checks above, (ab)c and a(bc) are both defined exactly when ab
     # is and c ends where b starts, so only those triples are compared.
-    ending_at: dict[int, list[int]] = {}
-    for c in range(n):
-        ending_at.setdefault(G.rng[c], []).append(c)
-    for a in range(n):
-        for b in range(n):
-            ab = G.comp[a][b]
-            if ab < 0:
-                continue
-            for c in ending_at.get(G.src[b], ()):
-                if G.comp[ab][c] != G.comp[a][G.comp[b][c]]:
-                    raise LawViolation(
-                        f"composition not associative at "
-                        f"({G.arrow_labels[a]},{G.arrow_labels[b]},{G.arrow_labels[c]})"
-                    )
-    for a in range(n):
-        ia = G.inv[a]
-        if G.src[ia] != G.rng[a] or G.rng[ia] != G.src[a]:
-            raise LawViolation(f"inverse of {G.arrow_labels[a]} mislocated")
-        if G.comp[a][ia] != G.unit_arrow[G.rng[a]] or G.comp[ia][a] != G.unit_arrow[G.src[a]]:
-            raise LawViolation(f"inverse law fails at {G.arrow_labels[a]}")
-        for b in range(n):
-            if G.src[a] == G.rng[b] and G.comp[G.comp[a][b]][G.inv[b]] != a:
-                raise LawViolation("cancellation fails")
+    through = [_pick(into[src[b]](row)) for b, row in enumerate(comp)]
+    for a, row in enumerate(comp):
+        for b in ending_at[src[a]]:
+            restrict = into[src[b]]
+            if restrict(comp[row[b]]) != through[b](row):
+                ab = row[b]
+                c = next(c for c in ending_at[src[b]] if comp[ab][c] != row[comp[b][c]])
+                raise LawViolation(
+                    f"composition not associative at ({names[a]},{names[b]},{names[c]})"
+                )
+    for a, row in enumerate(comp):
+        ia = inv[a]
+        if src[ia] != rng[a] or rng[ia] != src[a]:
+            raise LawViolation(f"inverse of {names[a]} mislocated")
+        if row[ia] != G.unit_arrow[rng[a]] or comp[ia][a] != G.unit_arrow[src[a]]:
+            raise LawViolation(f"inverse law fails at {names[a]}")
+        # (ab)b⁻¹ for each b ending at src(a), gathered along the row
+        ends = into[src[a]]
+        back = list(map(getitem, map(comp.__getitem__, ends(row)), ends(inv)))
+        if back.count(a) != len(back):
+            raise LawViolation("cancellation fails")
+
+
+def _pick(idxs) -> Callable:
+    """The map from a sequence to the tuple of its entries at ``idxs``."""
+    if len(idxs) == 1:
+        i = idxs[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idxs) if idxs else lambda seq: ()
 
 
 def is_local_bisection(G: FinGroupoid, arrows) -> bool:
@@ -126,79 +153,107 @@ def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
 
 
 @dataclass(frozen=True)
-class GermGroupoid:
-    """Groupoid of germs over the spectrum of a closed relation set.
+class GermArrows:
+    """The units and germs of a germ groupoid, with sources and ranges but no
+    composition table: enough to forecast its bisections.
 
     ``unit_index`` and ``arrow_index`` map a unit or germ to its position in
-    ``units`` or ``germs``, which is its index in ``groupoid``.
+    ``units`` or ``germs``.
     """
 
     semigroup: FinInverseSemigroup
     relations: frozenset          # the closed relation set actually used
     units: tuple[Character, ...]
     germs: tuple[Germ, ...]
-    groupoid: FinGroupoid
+    src: tuple[int, ...]
+    rng: tuple[int, ...]
     unit_index: dict[Character, int] = field(compare=False, repr=False)
     arrow_index: dict[Germ, int] = field(compare=False, repr=False)
 
+    @property
+    def n_units(self) -> int:
+        return len(self.units)
 
-def germ_groupoid(S: FinInverseSemigroup, relations) -> GermGroupoid:
-    """Restrict the character action to the spectrum of the closed relation set
-    and form its groupoid of germs."""
-    E, elems = S.semilattice, S.idems
+    @property
+    def n_arrows(self) -> int:
+        return len(self.germs)
+
+
+@dataclass(frozen=True)
+class GermGroupoid(GermArrows):
+    """Groupoid of germs over the spectrum of a closed relation set; a unit's
+    or germ's position is its index in ``groupoid``."""
+
+    groupoid: FinGroupoid
+
+
+def germ_arrows(S: FinInverseSemigroup, relations) -> GermArrows:
+    """Restrict the character action to the spectrum of the closed relation
+    set and list its germs, with their sources and ranges.
+
+    The germs at a unit c with generator f are the products sf for the s
+    with f below d(s).
+    """
+    mult, inv, idems = S.mult, S.inv, S.idems
     closed = invariant_closure(S, relations)
-    units = tuple(sorted(spectrum(E, closed)))
+    units = tuple(sorted(spectrum(S.semilattice, closed)))
     unit_pos = {c: i for i, c in enumerate(units)}
-
+    dom_rows = [mult[mult[inv[s]][s]] for s in range(S.n)]
     germs: set[Germ] = set()
     for c in units:
-        f = elems[c.gen]
-        for s in range(S.n):
-            if natural_leq(S, f, S.d(s)):
-                germs.add(Germ(c, S.mul(s, f)))
+        f = idems[c.gen]
+        germs.update(Germ(c, row[f]) for row, d in zip(mult, dom_rows) if d[f] == f)
     germ_list = tuple(sorted(germs))
-    germ_pos = {g: i for i, g in enumerate(germ_list)}
-
     src, rng = [], []
     for g in germ_list:
         src.append(unit_pos[g.base])
-        f = elems[g.base.gen]
-        moved = S.mul(S.mul(g.rep, f), S.inv[g.rep])
-        target = Character(S.idem_pos[moved])
+        target = Character(S.idem_pos[mult[mult[g.rep][idems[g.base.gen]]][inv[g.rep]]])
         if target not in unit_pos:
             raise LawViolation(
-                f"range of germ [{S.label(g.rep)},{S.label(f)}] left the spectrum; "
+                f"range of germ [{S.label(g.rep)},{S.label(idems[g.base.gen])}] left the spectrum; "
                 "the relation set was not invariant"
             )
         rng.append(unit_pos[target])
+    germ_pos = {g: i for i, g in enumerate(germ_list)}
+    return GermArrows(S, closed, units, germ_list, tuple(src), tuple(rng), unit_pos, germ_pos)
 
-    unit_arrow = []
-    for c in units:
-        unit_arrow.append(germ_pos[Germ(c, elems[c.gen])])
 
+def germ_groupoid(S: FinInverseSemigroup, relations, arrows: GermArrows | None = None) -> GermGroupoid:
+    """Restrict the character action to the spectrum of the closed relation set
+    and form its groupoid of germs.
+
+    ``arrows``, when given, is ``germ_arrows(S, relations)``, already
+    computed.  The composite of germs [s, c] and [t, c'] with c the range of
+    the second is the germ of st at c', whose representative is the product
+    of the representatives, since t ends in the idempotent of c'.
+    """
+    if arrows is None:
+        arrows = germ_arrows(S, relations)
+    mult, idems, units = S.mult, S.idems, arrows.units
+    src, rng, germ_list = arrows.src, arrows.rng, arrows.germs
+    pos = {(s, g.rep): i for i, (s, g) in enumerate(zip(src, germ_list))}
+    reps = [g.rep for g in germ_list]
+    ending_at: list[list[int]] = [[] for _ in units]
+    for b, r in enumerate(rng):
+        ending_at[r].append(b)
     n = len(germ_list)
-    comp = [[-1] * n for _ in range(n)]
-    for ai, a in enumerate(germ_list):
-        for bi, b in enumerate(germ_list):
-            if src[ai] != rng[bi]:
-                continue
-            prod = Germ(b.base, S.mul(S.mul(a.rep, b.rep), elems[b.base.gen]))
-            comp[ai][bi] = germ_pos[prod]
-    inv = []
-    for ai, a in enumerate(germ_list):
-        target = units[rng[ai]]
-        inv.append(germ_pos[Germ(target, S.mul(S.inv[a.rep], elems[target.gen]))])
-
+    comp = []
+    for a, rep in zip(src, reps):
+        row = [-1] * n
+        prod = mult[rep]
+        for b in ending_at[a]:
+            row[b] = pos[src[b], prod[reps[b]]]
+        comp.append(row)
     G = FinGroupoid.from_parts(
-        unit_labels=tuple(E.label(c.gen) for c in units),
-        arrow_labels=tuple(f"[{S.label(g.rep)};{E.label(g.base.gen)}]" for g in germ_list),
+        unit_labels=tuple(S.semilattice.label(c.gen) for c in units),
+        arrow_labels=tuple(f"[{S.label(g.rep)};{S.semilattice.label(g.base.gen)}]" for g in germ_list),
         src=src,
         rng=rng,
-        unit_arrow=unit_arrow,
-        inv=inv,
+        unit_arrow=[pos[u, idems[c.gen]] for u, c in enumerate(units)],
+        inv=[pos[r, mult[S.inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)],
         comp=comp,
     )
-    return GermGroupoid(S, closed, units, germ_list, G, unit_pos, germ_pos)
+    return GermGroupoid(**{f.name: getattr(arrows, f.name) for f in fields(arrows)}, groupoid=G)
 
 
 def theta(gg: GermGroupoid, s: int, excl=()) -> frozenset[int]:
@@ -239,7 +294,12 @@ def groupoid_to_dot(G: FinGroupoid) -> str:
 
 
 def groupoid_to_json(G: FinGroupoid) -> str:
-    doc = {
+    return _json_text(_groupoid_doc(G))
+
+
+def _groupoid_doc(G: FinGroupoid) -> dict:
+    """The JSON document of :func:`groupoid_to_json`, before encoding."""
+    return {
         "units": list(G.unit_labels),
         "arrows": [
             {"label": G.arrow_labels[a], "src": G.src[a], "rng": G.rng[a], "inv": G.inv[a]}
@@ -248,7 +308,6 @@ def groupoid_to_json(G: FinGroupoid) -> str:
         "unit_arrow": list(G.unit_arrow),
         "comp": [list(row) for row in G.comp],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def groupoid_from_json(text: str) -> FinGroupoid:

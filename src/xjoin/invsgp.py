@@ -8,13 +8,18 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .semilattice import (
+    BudgetExceeded,
     Character,
     FinMeetSemilattice,
     LawViolation,
     XRelation,
+    _json_text,
     builtin_relations,
     spectrum,
 )
+
+# multiplication-table entries from_partial_maps may build; I5 has 2,390,116, I6 177,608,929
+TABLE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,14 @@ def validate(table, labels=None) -> FinInverseSemigroup:
 
     Reports the first violated law with witnesses: associativity, existence
     and uniqueness of generalized inverses, commuting idempotents, and the
-    absorbing zero at index 0.
+    absorbing zero at index 0.  Each check reads whole rows or runs over a
+    generating set; only a failed check walks entries, to name its witness.
     """
     try:
-        rows = tuple(tuple(map(int, row)) for row in table)
+        # int() returns an int unchanged; the type test is the cheaper pass
+        rows = tuple(
+            tuple(row) if set(map(type, row)) == {int} else tuple(map(int, row)) for row in table
+        )
     except (TypeError, ValueError):
         raise LawViolation("'mult' must be a square table of element indices") from None
     n = len(rows)
@@ -80,58 +89,112 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     labels = tuple(str(x) for x in labels)
     if len(labels) != n or len(set(labels)) != n:
         raise LawViolation("need one distinct label per element")
+    distinct = []
     for i, row in enumerate(rows):
         if len(row) != n:
             raise LawViolation(f"row {labels[i]} has length {len(row)}, want {n}")
-        for v in row:
-            if not 0 <= v < n:
-                raise LawViolation(f"entry {v} out of range in row {labels[i]}")
-    gens = tuple(_generators(rows))
+        values = set(row)
+        if min(values) < 0 or max(values) >= n:
+            v = next(v for v in row if not 0 <= v < n)
+            raise LawViolation(f"entry {v} out of range in row {labels[i]}")
+        distinct.append(len(values))
+    gens, tree = _generators(rows, distinct)
     _check_associative(rows, labels, gens)
-    inv = []
+    inv = _tree_inverses(rows, tree)
+    idems = tuple(a for a in range(n) if rows[a][a] == a)
+    if inv is None or not _idempotents_commute(rows, idems):
+        _inverse_witness(rows, labels, idems)
+    if rows[0].count(0) != n or any(row[0] for row in rows):
+        a = next(a for a in range(n) if rows[0][a] != 0 or rows[a][0] != 0)
+        raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
+    idem_pos = {a: i for i, a in enumerate(idems)}
+    E = FinMeetSemilattice.from_meet(
+        [[idem_pos[rows[a][b]] for b in idems] for a in idems],
+        [labels[a] for a in idems],
+    )
+    return FinInverseSemigroup(rows, inv, labels, E, idems, idem_pos, tuple(gens))
+
+
+def _generators(rows, distinct) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Elements whose left-normed products reach every element, and the
+    tree of those products.
+
+    Elements with the most distinct products (``distinct[a]`` for a) are
+    tried first, ties in index order; one not yet
+    reached becomes a generator.  The reached set grows by right
+    multiplication, so each (element, generator) product is formed once.
+    The tree lists every element once, as (x, p, g) with x = pg and p
+    listed before x, or as (g, -1, g) for a generator g.
+    """
+    gens: list[int] = []
+    tree: list[tuple[int, int, int]] = []
+    reached: set[int] = set()
+    for g in sorted(range(len(rows)), key=distinct.__getitem__, reverse=True):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = [(rows[x][g], x, g) for x in reached] + [(g, -1, g)]
+        while frontier:
+            link = frontier.pop()
+            x = link[0]
+            if x not in reached:
+                reached.add(x)
+                tree.append(link)
+                frontier.extend((rows[x][h], x, h) for h in gens)
+    return gens, tree
+
+
+def _tree_inverses(rows, tree) -> tuple[int, ...] | None:
+    """Inverses along the generating tree, or None when a generator has not
+    exactly one generalized inverse.
+
+    A generator's inverse is found by scan; then (pg)⁻¹ = g⁻¹p⁻¹ down the
+    tree.  In an associative table whose idempotents commute this is an
+    inverse of pg: with e = gg⁻¹ and f = p⁻¹p idempotent,
+    pg·g⁻¹p⁻¹·pg = p(ef)g = p(fe)g = pg, and symmetrically.  So the table
+    is regular with commuting idempotents, an inverse semigroup (Howie,
+    *Fundamentals of Semigroup Theory*, 5.1.1), and these are its unique
+    inverses; :func:`validate` checks that the idempotents commute.
+    """
+    n = len(rows)
+    inv = [-1] * n
+    for x, p, g in tree:
+        if p >= 0:
+            inv[x] = rows[inv[g]][inv[p]]
+            continue
+        row_g = rows[g]
+        cands = [y for y in range(n) if rows[row_g[y]][g] == g and rows[rows[y][g]][y] == y]
+        if len(cands) != 1:
+            return None
+        inv[x] = cands[0]
+    return tuple(inv)
+
+
+def _idempotents_commute(rows, idems) -> bool:
+    """The table restricted to the idempotents is symmetric."""
+    if len(idems) < 2:
+        return True
+    pick = itemgetter(*idems)
+    block = [pick(rows[e]) for e in idems]
+    return block == list(zip(*block))
+
+
+def _inverse_witness(rows, labels, idems) -> None:
+    """Name the first element without exactly one generalized inverse, by
+    scanning every candidate, or else the first idempotents that do not
+    commute.  Runs only once the row checks have failed; in an associative
+    table one of the two then fails."""
+    n = len(rows)
     for a in range(n):
         cands = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]
         if len(cands) != 1:
             raise LawViolation(
                 f"element {labels[a]} has {len(cands)} generalized inverses, want exactly 1"
             )
-        inv.append(cands[0])
-    idems = tuple(a for a in range(n) if rows[a][a] == a)
     for e in idems:
         for f in idems:
             if rows[e][f] != rows[f][e]:
                 raise LawViolation(f"idempotents {labels[e]} and {labels[f]} do not commute")
-    for a in range(n):
-        if rows[0][a] != 0 or rows[a][0] != 0:
-            raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
-    idem_pos = {a: i for i, a in enumerate(idems)}
-    E = FinMeetSemilattice.from_meet(
-        [[idem_pos[rows[a][b]] for b in idems] for a in idems],
-        [labels[a] for a in idems],
-    )
-    return FinInverseSemigroup(rows, tuple(inv), labels, E, idems, idem_pos, gens)
-
-
-def _generators(rows) -> list[int]:
-    """Elements whose left-normed products reach every element.
-
-    Elements with the most distinct products are tried first; one not yet
-    reached becomes a generator.  The reached set grows by right
-    multiplication, so each (element, generator) product is formed once.
-    """
-    gens: list[int] = []
-    reached: set[int] = set()
-    for g in sorted(range(len(rows)), key=lambda a: -len(set(rows[a]))):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = [rows[x][g] for x in reached] + [g]
-        while frontier:
-            x = frontier.pop()
-            if x not in reached:
-                reached.add(x)
-                frontier.extend(rows[x][h] for h in gens)
-    return gens
 
 
 def _check_associative(rows, labels, gens) -> None:
@@ -142,10 +205,14 @@ def _check_associative(rows, labels, gens) -> None:
     product, so the table is associative as soon as this holds for every a
     in a set ``gens`` whose left-normed products reach every element.  Row x
     of the check compares the row of xg with row x read through the row of g.
+    A two-sided identity g passes unchecked: (xg)y = xy = x(gy).
     """
     if len(rows) < 2:
         return
+    identity = tuple(range(len(rows)))
     for g in gens:
+        if rows[g] == identity and all(row[g] == x for x, row in enumerate(rows)):
+            continue
         through_g = itemgetter(*rows[g])
         for x, row in enumerate(rows):
             if rows[row[g]] != through_g(row):
@@ -168,7 +235,9 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
     The empty map is adjoined as the zero.  Returns the semigroup and the
     partial map realizing each element, aligned with element indices.
     Elements are ordered by domain size, then by their sorted (point, image)
-    pairs.
+    pairs.  Raises ``BudgetExceeded`` once the closure is found, before any
+    table is built, when the table would have more than ``TABLE_BUDGET``
+    entries.
     """
     gens = []
     for m in maps:
@@ -188,23 +257,43 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
         for h in (pm, {v: k for k, v in pm.items()}):
             images.append(tuple(h.get(x, 0) for x in range(width)))
     through = [itemgetter(*g) for g in images]
-    seen = {(0,) * width, *images}
-    frontier = list(seen)
+    # parent[h] is (f, k) with h = f*images[k]; the zero and the generators are roots
+    parent: dict[tuple, tuple | None] = dict.fromkeys(((0,) * width, *images))
+    frontier = list(parent)
     while frontier:
         f = frontier.pop()
-        for get in through:
+        for k, get in enumerate(through):
             h = get(f)
-            if h not in seen:
-                seen.add(h)
+            if h not in parent:
+                parent[h] = (f, k)
                 frontier.append(h)
+    n = len(parent)
+    if n * n > TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"the partial maps on {points} points generate {n:,} elements, whose table "
+            f"of {n * n:,} entries is over the budget of {TABLE_BUDGET:,}"
+        )
     pmaps = sorted(
-        ({x: y for x, y in enumerate(f) if y} for f in seen),
+        ({x: y for x, y in enumerate(f) if y} for f in parent),
         key=lambda m: (len(m), sorted(m.items())),
     )
     elems = [tuple(m.get(x, 0) for x in range(width)) for m in pmaps]
     idx = {f: i for i, f in enumerate(elems)}
-    through = [itemgetter(*g) for g in elems]
-    table = [[idx[get(f)] for get in through] for f in elems]
+    # Rows along the closure tree (Froidure and Pin, "Algorithms for
+    # computing finite semigroups", 1997): the roots' rows by lookup, and
+    # row(f*g) = row(f) read through row(g), since (f*g)*y = f*(g*y).
+    table: list = [None] * n
+    reads = {}
+    right = [itemgetter(*e) for e in elems]
+    for f, link in parent.items():
+        if link is None:
+            table[idx[f]] = tuple([idx[get(f)] for get in right])
+            continue
+        p, k = link
+        read = reads.get(k)
+        if read is None:
+            read = reads[k] = itemgetter(*table[idx[images[k]]])
+        table[idx[f]] = read(table[idx[p]])
     labels = [_pmap_label(m) for m in pmaps]
     return validate(table, labels), tuple(pmaps)
 
@@ -337,7 +426,7 @@ def invsgp_to_json(S: FinInverseSemigroup) -> str:
         "mult": [list(r) for r in S.mult],
         "zero": S.labels[0],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def invsgp_from_json(text: str) -> FinInverseSemigroup:

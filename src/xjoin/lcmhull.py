@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
-from .semilattice import BudgetExceeded, LawViolation
+from .semilattice import BudgetExceeded, LawViolation, _json_text
 
 
 # nothing in the package raises this any more; perfbench/make_reference.py still names it
@@ -463,7 +463,7 @@ def zappa_data_to_json(data: ZappaSzepData) -> str:
         "action": action,
         "restriction": restriction,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 @dataclass(frozen=True)
@@ -799,7 +799,7 @@ def hull_relations_to_json(P, relations) -> str:
         {"e": r.e.format(P), "parts": sorted(p.format(P) for p in r.parts)}
         for r in sorted(relations, key=lambda r: hull_relation_sort_key(P, r))
     ]
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def hull_relations_from_json(P, text: str) -> tuple[HullRelation, ...]:

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import and_, itemgetter
 
 
@@ -37,6 +38,44 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent the standard library encodes in pure Python, one call per
+    value.  Here a list of plain ints is one ``str.join`` of their reprs;
+    strings get the same C quoting and other scalars go to ``json.dumps``.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(o, nl: str) -> str:
+    if isinstance(o, str):
+        return _json_str(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if set(map(type, o)) == {int}:
+            items = map(int.__repr__, o)
+        else:
+            items = [_json_value(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_json_key(k) + ": " + _json_value(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(o)
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _json_str(k)
+    if k is None or isinstance(k, (int, float)):
+        return _json_str(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
 @dataclass(frozen=True)
@@ -369,7 +408,7 @@ def builtin_relations(E: FinMeetSemilattice, name: str) -> frozenset[XRelation]:
 
 def semilattice_to_json(E: FinMeetSemilattice) -> str:
     doc = {"elements": list(E.labels), "meet": [list(r) for r in E.meet_table]}
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def semilattice_from_json(text: str) -> FinMeetSemilattice:
@@ -387,7 +426,7 @@ def relations_to_json(E: FinMeetSemilattice, rels) -> str:
         {"e": E.label(r.e), "parts": sorted(E.label(p) for p in r.parts)}
         for r in sorted(rels, key=relation_sort_key)
     ]
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return _json_text(doc)
 
 
 def relations_from_json(E: FinMeetSemilattice, text: str) -> frozenset[XRelation]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import weakref
 from itertools import combinations, product as iproduct
+from operator import itemgetter
 
 from xjoin import lcmhull
 from xjoin.bisection import VarietyReport
-from xjoin.invsgp import conjugate
+from xjoin.invsgp import _check_associative, _generators, conjugate
 from xjoin.semilattice import Character, LawViolation, XRelation
 
 
@@ -130,6 +131,104 @@ def is_associative_brute(rows) -> bool:
                 if rows[ab][c] != rows[a][rows[b][c]]:
                     return False
     return True
+
+
+def partial_map_table_lookup(pmaps, points: int):
+    """The multiplication table of partial maps in the given order, one dict
+    lookup per entry, with f*g the map f after g."""
+    width = max(points, 1) + 1
+    elems = [tuple(m.get(x, 0) for x in range(width)) for m in pmaps]
+    idx = {f: i for i, f in enumerate(elems)}
+    through = [itemgetter(*g) for g in elems]
+    return tuple(tuple(idx[get(f)] for get in through) for f in elems)
+
+
+def validate_brute(table, labels=None):
+    """The checks of ``invsgp.validate`` entry by entry, in its order and
+    wording, returning (rows, inverses, idempotents) or raising
+    ``LawViolation``: the range loop, Light's test (checked against the
+    triple loop by its own tests), the n² scan for generalized inverses,
+    the idempotent pairs and the zero's row and column."""
+    try:
+        rows = tuple(tuple(map(int, row)) for row in table)
+    except (TypeError, ValueError):
+        raise LawViolation("'mult' must be a square table of element indices") from None
+    n = len(rows)
+    if n == 0:
+        raise LawViolation("semigroup needs at least the zero element")
+    if labels is None:
+        labels = tuple("0" if i == 0 else f"s{i}" for i in range(n))
+    labels = tuple(str(x) for x in labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise LawViolation("need one distinct label per element")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise LawViolation(f"row {labels[i]} has length {len(row)}, want {n}")
+        for v in row:
+            if not 0 <= v < n:
+                raise LawViolation(f"entry {v} out of range in row {labels[i]}")
+    _check_associative(rows, labels, _generators(rows, [len(set(r)) for r in rows])[0])
+    inv = []
+    for a in range(n):
+        cands = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]
+        if len(cands) != 1:
+            raise LawViolation(
+                f"element {labels[a]} has {len(cands)} generalized inverses, want exactly 1"
+            )
+        inv.append(cands[0])
+    idems = tuple(a for a in range(n) if rows[a][a] == a)
+    for e in idems:
+        for f in idems:
+            if rows[e][f] != rows[f][e]:
+                raise LawViolation(f"idempotents {labels[e]} and {labels[f]} do not commute")
+    for a in range(n):
+        if rows[0][a] != 0 or rows[a][0] != 0:
+            raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
+    return rows, tuple(inv), idems
+
+
+def check_groupoid_brute(G) -> None:
+    """The groupoid laws pair by pair and triple by triple, in the order and
+    wording of ``groupoid._check_groupoid``."""
+    n, m = G.n_arrows, G.n_units
+    if not (len(G.src) == len(G.rng) == len(G.inv) == len(G.comp) == n):
+        raise LawViolation("arrow table sizes disagree")
+    if len(G.unit_arrow) != m:
+        raise LawViolation("need one identity arrow per unit")
+    for u in range(m):
+        ua = G.unit_arrow[u]
+        if G.src[ua] != u or G.rng[ua] != u:
+            raise LawViolation(f"identity arrow of unit {G.unit_labels[u]} is not a loop at it")
+    for a in range(n):
+        for b in range(n):
+            c = G.comp[a][b]
+            if (c >= 0) != (G.src[a] == G.rng[b]):
+                raise LawViolation(
+                    f"composability of ({G.arrow_labels[a]},{G.arrow_labels[b]}) "
+                    "disagrees with source/range"
+                )
+            if c >= 0 and (G.src[c] != G.src[b] or G.rng[c] != G.rng[a]):
+                raise LawViolation(f"composite of ({G.arrow_labels[a]},{G.arrow_labels[b]}) mislocated")
+    for a in range(n):
+        for b in range(n):
+            ab = G.comp[a][b]
+            if ab < 0:
+                continue
+            for c in range(n):
+                if G.rng[c] == G.src[b] and G.comp[ab][c] != G.comp[a][G.comp[b][c]]:
+                    raise LawViolation(
+                        f"composition not associative at "
+                        f"({G.arrow_labels[a]},{G.arrow_labels[b]},{G.arrow_labels[c]})"
+                    )
+    for a in range(n):
+        ia = G.inv[a]
+        if G.src[ia] != G.rng[a] or G.rng[ia] != G.src[a]:
+            raise LawViolation(f"inverse of {G.arrow_labels[a]} mislocated")
+        if G.comp[a][ia] != G.unit_arrow[G.rng[a]] or G.comp[ia][a] != G.unit_arrow[G.src[a]]:
+            raise LawViolation(f"inverse law fails at {G.arrow_labels[a]}")
+        for b in range(n):
+            if G.src[a] == G.rng[b] and G.comp[G.comp[a][b]][G.inv[b]] != a:
+                raise LawViolation("cancellation fails")
 
 
 def partial_map_closure_brute(points: int, maps):

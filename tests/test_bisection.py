@@ -30,7 +30,7 @@ from xjoin.bisection import (
     skew_join,
     theorem_quotients_check,
 )
-from xjoin.groupoid import FinGroupoid, germ_groupoid
+from xjoin.groupoid import FinGroupoid, germ_arrows, germ_groupoid
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
 from oracles import (
@@ -213,6 +213,19 @@ class TestBisectionBudget:
         G = germ_groupoid(S, rels(S, "none")).groupoid
         with pytest.raises(BudgetExceeded, match="83,135,918,096,825 elements, over the budget of 100,000"):
             BisAlgebra(G)
+
+    def test_iota_forecasts_before_composing(self, monkeypatch):
+        # iota forecasts from the germs' sources and ranges, so an algebra
+        # over budget is refused before any composition table is built
+        def composed(*args):
+            raise AssertionError("composition table built before the forecast")
+
+        monkeypatch.setattr(bisection, "germ_groupoid", composed)
+        S = invsgp.from_partial_maps(*I4_MAPS)[0]
+        with pytest.raises(BudgetExceeded, match="208 arrows would give 83,135,918,096,825 elements"):
+            bisection.iota(S, frozenset())
+        arrows = germ_arrows(S, frozenset())
+        assert bisection_count(arrows) == bisection_count(germ_groupoid(S, frozenset()).groupoid)
 
     def test_i3_universal_checks_answer(self):
         # the universal algebra of I3 has 33,082 elements and 1.1e9 pairs;

@@ -110,6 +110,38 @@ class TestChecks:
         assert code == 2 and out == ""
         assert "2,097,154 subsets" in err and "250,000" in err
 
+    @pytest.mark.parametrize("command, x", [("booleanize", "none"), ("presentation-check", "core")])
+    def test_i5_universal_refused_before_composition(self, files, capsys, command, x):
+        # the forecast reads only the germs' sources and ranges, so neither
+        # the 1,545² composition table nor its check is built
+        i5 = files["base"] / "i5.json"
+        i5.write_text(json.dumps({"points": 5, "partial_maps": [
+            {"1": "2", "2": "3", "3": "4", "4": "5", "5": "1"},
+            {"1": "2", "2": "1", "3": "3", "4": "4", "5": "5"},
+            {"1": "1", "2": "2", "3": "3", "4": "4"},
+        ]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--invsgp", str(i5), "--x", x)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert "1545 arrows" in err and "100,000" in err
+
+    def test_table_over_budget_refused_fast(self, files, capsys):
+        # I6: 13,327 partial injections of 6 points, whose table would have
+        # 177,608,929 entries
+        i6 = files["base"] / "i6.json"
+        i6.write_text(json.dumps({"points": 6, "partial_maps": [
+            {"1": "2", "2": "3", "3": "4", "4": "5", "5": "6", "6": "1"},
+            {"1": "2", "2": "1", "3": "3", "4": "4", "5": "5", "6": "6"},
+            {"1": "1", "2": "2", "3": "3", "4": "4", "5": "5"},
+        ]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invsgp", "--input", str(i6))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "6 points" in err and "13,327 elements" in err
+        assert "177,608,929 entries" in err and "10,000,000" in err
+
     def test_presentation_check(self, files, capsys):
         code, out, _ = run(capsys, "presentation-check", "--invsgp", files["i2"], "--x", "none")
         assert code == 0

@@ -1,10 +1,15 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.groupoid import (
     FinGroupoid,
     Germ,
+    _check_groupoid,
     germ_groupoid,
     germ_of,
     groupoid_from_json,
@@ -15,7 +20,7 @@ from xjoin.groupoid import (
 )
 from xjoin.semilattice import Character, LawViolation
 
-from oracles import germs_equal_existential
+from oracles import check_groupoid_brute, germs_equal_existential
 
 
 I2 = invsgp.i2()
@@ -205,3 +210,74 @@ class TestEmission:
             FinGroupoid.from_parts(
                 ["u"], [f"a{i}" for i in range(5)], [0] * 5, [0] * 5, [0], range(5), loop,
             )
+
+
+def _relabelled(G: FinGroupoid, order) -> FinGroupoid:
+    """G with arrow order[i] renamed i; built without validation."""
+    where = {old: new for new, old in enumerate(order)}
+    where[-1] = -1
+    return FinGroupoid(
+        G.unit_labels,
+        tuple(G.arrow_labels[a] for a in order),
+        tuple(G.src[a] for a in order),
+        tuple(G.rng[a] for a in order),
+        tuple(where[a] for a in G.unit_arrow),
+        tuple(where[G.inv[a]] for a in order),
+        tuple(tuple(where[G.comp[a][b]] for b in order) for a in order),
+    )
+
+
+def _outcome(check, G):
+    try:
+        check(G)
+    except LawViolation as exc:
+        return str(exc)
+    return None
+
+
+I3 = invsgp.from_partial_maps(3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}])[0]
+P3 = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])[0]
+LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+GROUPOIDS = [
+    germ_groupoid(S, invsgp.semigroup_relations(S, name)).groupoid
+    for S in (I2, invsgp.b2(), P3, I3, invsgp.z2_with_zero())
+    for name in ("none", "tight", "core")
+] + [
+    FinGroupoid(("u",), tuple(f"a{i}" for i in range(5)), (0,) * 5, (0,) * 5, (0,), tuple(range(5)),
+                tuple(map(tuple, LOOP))),
+]
+
+
+class TestCheckGroupoidOracle:
+    """The row checks of ``_check_groupoid`` against the pair and triple
+    loops of ``oracles.check_groupoid_brute``: the same groupoids accepted
+    and the same message for the rest."""
+
+    def test_germ_groupoids_accepted(self):
+        for G in GROUPOIDS[:-1]:
+            assert _outcome(_check_groupoid, G) is None
+            assert _outcome(check_groupoid_brute, G) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(G=st.sampled_from(GROUPOIDS), data=st.data())
+    def test_relabelled_and_corrupted(self, G, data):
+        n, m = G.n_arrows, G.n_units
+        G = _relabelled(G, data.draw(st.permutations(range(n))))
+        field = data.draw(st.sampled_from(["intact", "comp", "inv", "src", "rng", "unit_arrow"]))
+        if field == "comp":
+            a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            comp = [list(row) for row in G.comp]
+            comp[a][b] = data.draw(st.integers(-1, n - 1))
+            G = dataclasses.replace(G, comp=tuple(map(tuple, comp)))
+        elif field != "intact":
+            values = list(getattr(G, field))
+            top = m - 1 if field in ("src", "rng") else n - 1
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(st.integers(0, top))
+            G = dataclasses.replace(G, **{field: tuple(values)})
+        assert _outcome(_check_groupoid, G) == _outcome(check_groupoid_brute, G)
+
+    def test_ragged_table_rejected(self):
+        G = GROUPOIDS[0]
+        comp = (G.comp[0][:-1],) + G.comp[1:]
+        with pytest.raises(LawViolation, match="arrow table sizes disagree"):
+            _check_groupoid(dataclasses.replace(G, comp=comp))

@@ -1,6 +1,8 @@
 import json
 import random
 import re
+import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,15 @@ from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
-from xjoin.semilattice import Character, LawViolation, XRelation
+from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
-from oracles import invariant_closure_brute, is_associative_brute, partial_map_closure_brute
+from oracles import (
+    invariant_closure_brute,
+    is_associative_brute,
+    partial_map_closure_brute,
+    partial_map_table_lookup,
+    validate_brute,
+)
 
 
 GENERATORS = {
@@ -118,6 +126,13 @@ class TestLightAssociativity:
             table[a][b] = v
         self.check(table)
 
+    def test_one_sided_identities_are_checked(self):
+        # 2 is a left identity and not a right one, then a right identity and
+        # not a left one; in each table Light's test fails only at 2
+        for table in ([[0, 0, 0], [0, 1, 0], [0, 1, 2]], [[0, 0, 0], [0, 0, 1], [2, 2, 2]]):
+            assert named_triple(table) is not None
+            self.check(table)
+
     def test_chain_is_generated_only_by_itself(self):
         # every element of a chain is idempotent and above all its products,
         # so the generating set is the whole semigroup and every row is used
@@ -181,6 +196,137 @@ class TestPartialMaps:
             for i, a in enumerate(idems):
                 for j, b in enumerate(idems):
                     assert idems[S.semilattice.meet(i, j)] == S.mult[a][b]
+
+
+def transformation_table(points: int):
+    """All maps of {0..points-1} to itself under composition (f after g):
+    associative, and not inverse for two points or more."""
+    maps = sorted(product(range(points), repeat=points))
+    idx = {f: i for i, f in enumerate(maps)}
+    return [[idx[tuple(f[x] for x in g)] for g in maps] for f in maps]
+
+
+# associative tables that are not inverse semigroups: a null semigroup, a
+# left-zero band with a zero adjoined, a monogenic semigroup x, x^2 = x^3
+# with a zero, the full transformation monoids on two and three points, and
+# the partial transformations of three points generated by 1,2,3 -> 3,3,1
+# and by 1 -> undefined, 2,3 -> 3: regular, and each generator has one
+# inverse, but two idempotents do not commute
+NOT_INVERSE = [
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 1, 1], [0, 2, 2]],
+    [[0, 0, 0], [0, 2, 2], [0, 2, 2]],
+    transformation_table(2),
+    transformation_table(3),
+    [
+        [0, 1, 2, 3, 4, 5, 6, 7, 8], [1, 1, 6, 8, 4, 8, 6, 8, 8], [2, 3, 0, 1, 5, 4, 7, 6, 8],
+        [3, 3, 7, 8, 5, 8, 7, 8, 8], [6, 8, 1, 1, 8, 4, 8, 6, 8], [7, 8, 3, 3, 8, 5, 8, 7, 8],
+        [6, 8, 1, 1, 8, 4, 8, 6, 8], [7, 8, 3, 3, 8, 5, 8, 7, 8], [8, 8, 8, 8, 8, 8, 8, 8, 8],
+    ],
+]
+
+
+class TestValidateOracle:
+    """validate's row checks against the entry-by-entry checks of
+    ``oracles.validate_brute``: the same tables accepted, with the same
+    inverses and idempotents, and the same message for the rest."""
+
+    def check(self, table):
+        try:
+            want = validate_brute(table)
+        except LawViolation as exc:
+            with pytest.raises(LawViolation) as got:
+                invsgp.validate(table)
+            assert str(got.value) == str(exc)
+            return
+        S = invsgp.validate(table)
+        assert (S.mult, S.inv, S.idems) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=st.sampled_from(
+            [S.mult for S in (I2, B2, I3, invsgp.z2_with_zero(), invsgp.chain_semigroup(4))]
+            + [invsgp.from_partial_maps(*GENERATORS["p3"])[0].mult] + NOT_INVERSE
+        ),
+        data=st.data(),
+    )
+    def test_relabelled_and_corrupted(self, table, data):
+        # relabelled, which moves the zero off index 0 unless it stays put,
+        # and left intact a third of the time; a corrupted entry may leave
+        # the range by one at either end
+        n = len(table)
+        order = data.draw(st.permutations(range(n)))
+        where = {old: new for new, old in enumerate(order)}
+        table = [[where[table[a][b]] for b in order] for a in order]
+        if data.draw(st.integers(0, 2)):
+            a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            table[a][b] = data.draw(st.integers(-1, n))
+        self.check(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables(5))
+    def test_random_tables(self, table):
+        self.check(table)
+
+    def test_not_inverse_tables_name_their_element(self):
+        for table in NOT_INVERSE:
+            with pytest.raises(LawViolation, match="generalized inverses"):
+                invsgp.validate(table)
+        with pytest.raises(LawViolation, match="entry 3 out of range in row s1"):
+            invsgp.validate([[0, 0, 0], [0, 1, 3], [0, -1, 2]])
+
+
+@st.composite
+def partial_injections(draw, points: int):
+    image = draw(st.permutations(range(1, points + 1)))
+    domain = draw(st.sets(st.integers(1, points))) if points else set()
+    return {k: image[k - 1] for k in domain}
+
+
+class TestRowsAlongTheTree:
+    """from_partial_maps fills rows from their parents in the closure tree;
+    the table of one lookup per entry must agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_lookup_table(self, data):
+        points = data.draw(st.integers(0, 4))
+        maps = data.draw(st.lists(partial_injections(points), max_size=3))
+        S, pmaps = invsgp.from_partial_maps(points, maps)
+        assert S.mult == partial_map_table_lookup(pmaps, points)
+
+
+I5_MAPS = [{1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 1, 2: 2, 3: 3, 4: 4}]
+I6_MAPS = [
+    {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1},
+    {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 6},
+    {1: 1, 2: 2, 3: 3, 4: 4, 5: 5},
+]
+
+
+class TestTableBudget:
+    def test_i6_refused_before_any_table(self):
+        # 13,327 elements close in a fraction of a second; their table would
+        # take minutes and gigabytes
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as exc:
+            invsgp.from_partial_maps(6, I6_MAPS)
+        assert time.perf_counter() - start < 1.0
+        msg = str(exc.value)
+        assert "6 points" in msg and "13,327 elements" in msg
+        assert "177,608,929 entries" in msg and f"{invsgp.TABLE_BUDGET:,}" in msg
+
+    def test_i5_answers(self):
+        S, _ = invsgp.from_partial_maps(5, I5_MAPS)
+        assert S.n == 1546 and S.n ** 2 == 2_390_116 <= invsgp.TABLE_BUDGET
+        assert S.semilattice.n == 32
+
+    def test_budget_bounds_entries_inclusively(self, monkeypatch):
+        monkeypatch.setattr(invsgp, "TABLE_BUDGET", 34 * 34)
+        assert invsgp.from_partial_maps(*GENERATORS["i3"])[0].n == 34
+        monkeypatch.setattr(invsgp, "TABLE_BUDGET", 34 * 34 - 1)
+        with pytest.raises(BudgetExceeded, match="34 elements, whose table of 1,156 entries"):
+            invsgp.from_partial_maps(*GENERATORS["i3"])
 
 
 class TestOrderAndCompatibility:

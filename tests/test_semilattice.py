@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -339,3 +340,36 @@ class TestJson:
     def test_unknown_label(self):
         with pytest.raises(LawViolation, match="unknown element"):
             sl.relations_from_json(E3, '[{"e": "nope", "parts": []}]')
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS | st.lists(st.integers()),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """The one JSON emitter against ``json.dumps(doc, indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert sl._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.dictionaries(st.integers() | st.booleans(), JSON_SCALARS)
+           | st.dictionaries(st.floats(allow_nan=False), JSON_SCALARS))
+    def test_non_string_keys(self, doc):
+        assert sl._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_rejects_what_json_rejects(self):
+        for doc in ({(1, 2): 0}, {"a": {1, 2}}, {1: 0, "a": 0}):
+            with pytest.raises(TypeError) as want:
+                json.dumps(doc, indent=2, sort_keys=True)
+            with pytest.raises(TypeError) as got:
+                sl._json_text(doc)
+            assert str(got.value) == str(want.value)
