@@ -21,7 +21,6 @@ from .semilattice import (
     XRelation,
     _bits,
     _json_text,
-    characters,
     spectrum,
     x_core,
     x_prime,
@@ -52,9 +51,6 @@ class FinBooleanAlgebra:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def atom(self, i: int) -> int:
-        return 1 << i
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << i for i in range(self.m))
@@ -268,13 +264,13 @@ class BAMorphism:
         return sorted(self.atom_images) == sorted(self.target.atoms())
 
 
-def universal_extension(rep: SemilatticeRep, relations, *, verify_unique: bool = True) -> BAMorphism:
+def universal_extension(rep: SemilatticeRep, relations) -> BAMorphism:
     """The morphism out of the Booleanization through which the representation factors.
 
     The image of the spectrum atom at generator g is
     rep(g) minus the join of rep over the maximal nonzero elements strictly
-    below g.  When the codomain has at most 4 atoms and ``verify_unique`` is
-    set, uniqueness is confirmed by exhaustive search.
+    below g.  When the codomain has at most 4 atoms, uniqueness is confirmed
+    by exhaustive search.
     """
     if not is_x_to_join(rep, relations):
         raise LawViolation("representation does not satisfy the join constraints")
@@ -294,7 +290,7 @@ def universal_extension(rep: SemilatticeRep, relations, *, verify_unique: bool =
     for a in range(E.n):
         if psi.apply(iota.images[a]) != rep.images[a]:
             raise LawViolation(f"extension does not factor the representation at {E.label(a)}")
-    if verify_unique and rep.codomain.m <= 4:
+    if rep.codomain.m <= 4:
         count = _count_extensions(rep, iota, limit=2)
         if count != 1:
             raise LawViolation(f"expected a unique extension, search found {count}")
@@ -396,12 +392,12 @@ def generated_subalgebra(B: FinBooleanAlgebra, seeds) -> frozenset[int]:
     return frozenset(els)
 
 
-def theorem_isom_check(rep: SemilatticeRep, max_size: int | None = None) -> bool:
+def theorem_isom_check(rep: SemilatticeRep) -> bool:
     """A generating representation identifies its codomain with its own Booleanization."""
     gen = generated_subalgebra(rep.codomain, rep.images)
     if len(gen) != rep.codomain.size:
         raise LawViolation("image of the representation does not generate the codomain")
-    rels = x_pi(rep, max_size)
+    rels = x_pi(rep)
     psi = universal_extension(rep, rels)
     return psi.is_bijective()
 

@@ -248,10 +248,11 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
             if not (1 <= k <= points and 1 <= v <= points):
                 raise LawViolation(f"generator {pm} leaves 1..{points}")
         gens.append(pm)
-    # A map is its image tuple over 0..points, with 0 for "undefined"; the
-    # product f*g (f after g) is f read through g, itemgetter(*g)(f).  At
-    # least two positions keep itemgetter's result a tuple.
-    width = max(points, 1) + 1
+    # A map is its image tuple over 0..m, m the largest point a generator
+    # names (every element is undefined above it), with 0 for "undefined";
+    # the product f*g (f after g) is f read through g, itemgetter(*g)(f).
+    # At least two positions keep itemgetter's result a tuple.
+    width = max([1, *(p for pm in gens for p in (*pm, *pm.values()))]) + 1
     images = []
     for pm in gens:
         for h in (pm, {v: k for k, v in pm.items()}):

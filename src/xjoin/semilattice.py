@@ -346,10 +346,6 @@ class XRelation:
     parts: frozenset[int]
 
 
-def relation(e: int, parts) -> XRelation:
-    return XRelation(e, frozenset(parts))
-
-
 def relation_sort_key(rel: XRelation):
     return (rel.e, len(rel.parts), sorted(rel.parts))
 

@@ -16,7 +16,7 @@ from .bisection import (
     check_variety_identities,
     iota,
 )
-from .groupoid import germ_groupoid, theta
+from .groupoid import germ_groupoid, is_local_bisection, theta
 from .semilattice import Character, FinMeetSemilattice, XRelation
 
 
@@ -148,10 +148,9 @@ def boolalg_suite(max_size: int = 8):
     return out
 
 
-def invsgp_suite(max_size: int = 10):
+def invsgp_suite():
     out = []
     cat = [invsgp.i2(), invsgp.b2(), invsgp.z2_with_zero(), invsgp.chain_semigroup(3)]
-    cat = [S for S in cat if S.n <= max_size]
 
     ok = True
     detail = ""
@@ -202,10 +201,9 @@ def invsgp_suite(max_size: int = 10):
     return out
 
 
-def groupoid_suite(max_size: int = 10):
+def groupoid_suite():
     out = []
     cat = [invsgp.i2(), invsgp.b2(), invsgp.chain_semigroup(3)]
-    cat = [S for S in cat if S.n <= max_size]
 
     ok = True
     for S in cat:
@@ -247,24 +245,22 @@ def groupoid_suite(max_size: int = 10):
                         want -= theta(gg, t)
                     if got != frozenset(want):
                         ok = False
-                    from .groupoid import is_local_bisection
                     if not is_local_bisection(G, got):
                         ok = False
     out.append(("basic arrow sets are bisections and subtract as sets", ok, ""))
     return out
 
 
-def bisection_suite(max_size: int = 10, budget: int = 250_000):
+def bisection_suite():
     out = []
     cat = [invsgp.i2(), invsgp.b2(), invsgp.chain_semigroup(3)]
-    cat = [S for S in cat if S.n <= max_size]
 
     ok = True
     detail = ""
     for S in cat:
         for name in semilattice.BUILTIN_RELATION_SETS:
             rep = iota(S, invsgp.semigroup_relations(S, name))
-            vr = check_variety_identities(rep.algebra, budget)
+            vr = check_variety_identities(rep.algebra)
             if not vr.ok:
                 ok, detail = False, f"{S.n}-element semigroup, {name}: {vr.first_failure()}"
     out.append(("variety identities hold on the bisection algebras", ok, detail))
@@ -345,8 +341,8 @@ def run_all(max_size: int = 8):
     results = []
     results.extend(semilattice_suite(max_size=max_size))
     results.extend(boolalg_suite(max_size=max_size))
-    results.extend(invsgp_suite(max_size=max(max_size, 7)))
-    results.extend(groupoid_suite(max_size=max(max_size, 7)))
-    results.extend(bisection_suite(max_size=max(max_size, 7)))
+    results.extend(invsgp_suite())
+    results.extend(groupoid_suite())
+    results.extend(bisection_suite())
     results.extend(hull_suite())
     return results

@@ -15,6 +15,7 @@ from operator import itemgetter
 
 from xjoin import lcmhull
 from xjoin.bisection import VarietyReport
+from xjoin.groupoid import FinGroupoid
 from xjoin.invsgp import _check_associative, _generators, conjugate
 from xjoin.semilattice import Character, LawViolation, XRelation
 
@@ -642,6 +643,36 @@ def congruence_brute(full, chi):
         if seen_inv.setdefault(class_of[i], val) != val:
             raise LawViolation("partition not compatible with inversion")
     return classes, tuple(class_of)
+
+
+def restricted_groupoid_brute(full, chi):
+    """The universal germ groupoid cut down to the units in a character set,
+    built afresh as a groupoid, with the map from kept arrows to their new
+    indices.  A dense composition table over the kept arrows, whose
+    composability is checked against the ambient groupoid's.  Reads only
+    ``full.germs``.  Raises ``LawViolation``."""
+    G = full.germs.groupoid
+    unit_old = sorted(full.germs.unit_index[c] for c in chi)
+    unit_new = {old: new for new, old in enumerate(unit_old)}
+    keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
+    if any(G.rng[a] not in unit_new for a in keep):
+        raise LawViolation("character set is not invariant: a range escapes it")
+    proj = {old: new for new, old in enumerate(keep)}
+    comp = [[proj.get(G.comp[a][b], -1) for b in keep] for a in keep]
+    for ai, a in enumerate(keep):
+        for bi, b in enumerate(keep):
+            if (G.comp[a][b] >= 0) != (comp[ai][bi] >= 0):
+                raise LawViolation("restriction lost a composite")
+    restr = FinGroupoid.from_parts(
+        unit_labels=[G.unit_labels[u] for u in unit_old],
+        arrow_labels=[G.arrow_labels[a] for a in keep],
+        src=[unit_new[G.src[a]] for a in keep],
+        rng=[unit_new[G.rng[a]] for a in keep],
+        unit_arrow=[proj[G.unit_arrow[u]] for u in unit_old],
+        inv=[proj[G.inv[a]] for a in keep],
+        comp=comp,
+    )
+    return restr, proj
 
 
 def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:

@@ -189,7 +189,6 @@ def test_criterion_08_universal_morphisms():
     # the quotient composite against its own carved-out relation set
     E = I2.semilattice
     chi = sl.spectrum(E, invsgp.semigroup_relations(I2, "tight"))
-    morph = restriction_morphism(full, chi)
     chi_sorted = tuple(sorted(chi))
     BA = ba.FinBooleanAlgebra(tuple(E.label(c.gen) for c in chi_sorted))
     images = [
@@ -197,6 +196,7 @@ def test_criterion_08_universal_morphisms():
         for e in range(E.n)
     ]
     carved = ba.x_pi(ba.SemilatticeRep.build(E, BA, images))
+    morph = restriction_morphism(full, germ_groupoid(I2, carved))
     phi = tuple(morph.table[full.images[s]] for s in range(I2.n))
     cases.append((I2, carved, morph.target, phi))
     for S, relations, target, phi in cases:

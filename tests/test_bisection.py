@@ -30,6 +30,7 @@ from xjoin.bisection import (
     skew_join,
     theorem_quotients_check,
 )
+from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_arrows, germ_groupoid
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
@@ -43,6 +44,7 @@ from oracles import (
     is_multiplicative_brute,
     is_weakly_meet_preserving_brute,
     left_normed_closure,
+    restricted_groupoid_brute,
     variety_brute,
 )
 
@@ -53,6 +55,11 @@ E_I2 = I2.semilattice
 
 def rels(S, name):
     return invsgp.semigroup_relations(S, name)
+
+
+def carved(S, chi):
+    """The germ groupoid of the relation set that the character set χ carves out."""
+    return germ_groupoid(S, x_pi(character_rep(S.semilattice, sorted(chi))))
 
 
 def one_unit_groupoid():
@@ -562,11 +569,70 @@ class TestQuotientTheorem:
         assert len(iota(S, frozenset()).algebra) == 238
 
 
+    def test_builds_the_universal_and_the_carved_algebra_only(self, monkeypatch):
+        built = []
+
+        class Counted(BisAlgebra):
+            def __init__(self, groupoid):
+                built.append(groupoid)
+                super().__init__(groupoid)
+
+        monkeypatch.setattr(bisection, "BisAlgebra", Counted)
+        chi = sl.spectrum(E_I2, rels(I2, "tight"))
+        assert theorem_quotients_check(I2, chi).ok
+        assert [G.n_units for G in built] == [3, 2]
+        assert built[1] == carved(I2, chi).groupoid
+
+    def test_carved_groupoid_of_smaller_chi_is_rejected(self):
+        full = iota(I2, frozenset())
+        every = frozenset(full.germs.units)
+        tight = sl.spectrum(E_I2, rels(I2, "tight"))
+        assert tight < every
+        small, big = carved(I2, tight), carved(I2, every)
+        # the arrows of the smaller set under the units of the larger
+        bad = dataclasses.replace(small, units=big.units, unit_index=big.unit_index)
+        # the first germ at the character of the identity, which only the larger has
+        with pytest.raises(LawViolation, match=r"^germ \[1>1,2>2;1>1,2>2\] is not an arrow of the carved-out"):
+            restriction_morphism(full, bad)
+
+    def test_germ_mismatch_reports_without_restricting(self, monkeypatch):
+        # the carved-out set of the tight spectrum, offered for all of it
+        tight = sl.spectrum(E_I2, rels(I2, "tight"))
+        tight_rels = x_pi(character_rep(E_I2, sorted(tight)))
+        monkeypatch.setattr(bisection, "x_pi", lambda rep: tight_rels)
+        monkeypatch.setattr(bisection, "restriction_morphism", None)
+        every = frozenset(sl.characters(E_I2))
+        report = theorem_quotients_check(I2, every)
+        assert report == bisection.QuotientReport(False, 21, 7, False, False, False, False)
+
+
+class TestCarvedGroupoidAgainstRestriction:
+    """The germ groupoid of the carved-out relation set is the universal
+    groupoid restricted to χ, and the restriction morphism into its algebra
+    is the cut through the oracle's arrow map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups())
+    def test_random_semigroups(self, S):
+        assume(bisection_count(germ_arrows(S, frozenset())) <= 5_000)
+        full = iota(S, frozenset())
+        B = full.algebra
+        for name in sl.BUILTIN_RELATION_SETS:
+            chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
+            cg = carved(S, chi)
+            restr, proj = restricted_groupoid_brute(full, chi)
+            assert cg.groupoid == restr
+            assert {a: cg.arrow_index[full.germs.germs[a]] for a in proj} == proj
+            m = restriction_morphism(full, cg)
+            cuts = [sum(1 << k for a, k in proj.items() if e >> a & 1) for e in B.elements]
+            assert m.table == tuple(m.target.index[c] for c in cuts)
+
+
 class TestWeaklyMeetPreserving:
     def test_quotient_map(self):
         full = iota(I2, frozenset())
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        assert is_weakly_meet_preserving(restriction_morphism(full, chi))
+        assert is_weakly_meet_preserving(restriction_morphism(full, carved(I2, chi)))
 
     def test_identity(self):
         B = iota(I2, rels(I2, "tight")).algebra
@@ -674,7 +740,7 @@ class TestWeakMeetTestAgainstDefinition:
         full = iota(S, frozenset())
         spectra = {sl.spectrum(S.semilattice, rels(S, name)) for name in sl.BUILTIN_RELATION_SETS}
         for chi in spectra:
-            m = restriction_morphism(full, chi)
+            m = restriction_morphism(full, carved(S, chi))
             assert is_weakly_meet_preserving(m) == is_weakly_meet_preserving_brute(m)
 
 
@@ -691,7 +757,7 @@ class TestAtomChecksAgainstOracles:
         B = full.algebra
         for name in sl.BUILTIN_RELATION_SETS:
             chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
-            cong, m = congruence(full, chi), restriction_morphism(full, chi)
+            cong, m = congruence(full, chi), restriction_morphism(full, carved(S, chi))
             assert (cong.classes, cong.class_of) == congruence_brute(full, chi)
             check_additive_brute(m)
             i = data.draw(st.integers(0, len(B) - 1))
@@ -735,7 +801,6 @@ class TestUniversalMorphism:
     def test_agrees_with_restriction_quotient(self):
         full = iota(I2, frozenset())
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        morph = restriction_morphism(full, chi)
         from xjoin import boolalg
         E, elems = I2.semilattice, I2.idems
         chi_sorted = tuple(sorted(chi))
@@ -744,9 +809,10 @@ class TestUniversalMorphism:
             sum(1 << i for i, c in enumerate(chi_sorted) if E.leq(c.gen, e))
             for e in range(E.n)
         ]
-        carved = boolalg.x_pi(boolalg.SemilatticeRep.build(E, BA, images))
+        carved_rels = boolalg.x_pi(boolalg.SemilatticeRep.build(E, BA, images))
+        morph = restriction_morphism(full, germ_groupoid(I2, carved_rels))
         phi = tuple(morph.table[full.images[s]] for s in range(I2.n))
-        res = find_universal_morphism(I2, carved, morph.target, phi)
+        res = find_universal_morphism(I2, carved_rels, morph.target, phi)
         assert res.unique
         assert len(set(res.morphism.table)) == len(morph.target)  # bijective
 

@@ -165,6 +165,19 @@ class TestStructureCommands:
         assert code == 0
         assert "elements=7" in out and "idempotents=4" in out
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_invsgp_ignores_points_no_generator_names(self, files, capsys, fmt):
+        # points no generator names are undefined in every element, so a
+        # million of them change neither the semigroup nor its labels
+        doc = json.loads(Path(files["i3"]).read_text())
+        wide = files["base"] / "i3_wide.json"
+        wide.write_text(json.dumps({**doc, "points": 10**6}))
+        _, want, _ = run(capsys, "invsgp", "--input", files["i3"], "--format", fmt)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "invsgp", "--input", str(wide), "--format", fmt)
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and out == want
+
     def test_invsgp_json_round_trip(self, files, capsys):
         code, out, _ = run(capsys, "invsgp", "--input", files["i2"], "--format", "json")
         assert code == 0
