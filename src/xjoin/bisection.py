@@ -30,7 +30,7 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_text
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_text, _unions
 
 # local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
 BISECTION_BUDGET = 100_000
@@ -155,14 +155,6 @@ class BisAlgebra:
 
     def unit_algebra(self) -> FinBooleanAlgebra:
         return FinBooleanAlgebra(self.groupoid.unit_labels)
-
-
-def _unions(parts: list[int]) -> list[int]:
-    """Entry m is the union of parts[u] over the set bits u of m."""
-    out = [0]
-    for p in parts:
-        out += [x | p for x in out]
-    return out
 
 
 def _check_bisection_budget(G) -> None:
@@ -406,7 +398,7 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     _check_bisection_budget(arrows)
     gg = germ_groupoid(S, relations, arrows)
     B = BisAlgebra(gg.groupoid)
-    images = tuple(B.index[sum(1 << a for a in theta(gg, s))] for s in range(S.n))
+    images = tuple(B.index[theta(gg, s)] for s in range(S.n))
     if images[0] != B.zero:
         raise LawViolation("zero has germs")
     _check_multiplicative(S, B, images, "canonical map")
@@ -427,8 +419,9 @@ class PresentationReport:
     total: int
 
 
-def generated_subsemigroup(B: BisAlgebra, seeds) -> frozenset[int]:
-    """Closure of the seeds under product, inverse, difference and skew join.
+def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
+    """Closure of the seeds under product, inverse, difference and skew join,
+    as a mask over the element indices of B.
 
     First on atoms.  The domains d(x) = x⁻¹x of the seeds are in the
     closure, so for each unit c so is the product of the domains that
@@ -452,7 +445,7 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> frozenset[int]:
     units = sum(1 << c for c, s in enumerate(sig) if s and sig.count(s) == 1)
     atoms = reduce(or_, (B.elements[x] & B._src_arrows[B.srcm[x] & units] for x in seeds), 0)
     if atoms == (1 << B.groupoid.n_arrows) - 1:
-        return frozenset(range(n))
+        return (1 << n) - 1
     if n * n > PAIR_BUDGET:
         raise BudgetExceeded(
             f"the seeds miss atoms, and closing them would work over the {n * n:,} "
@@ -471,7 +464,7 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> frozenset[int]:
             if k not in seen:
                 seen.add(k)
                 found.append(k)
-    return frozenset(seen)
+    return sum(1 << k for k in seen)
 
 
 def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
@@ -487,14 +480,12 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     rel_ok = True
     for rel in relations:
         acc = B.zero
-        for p in sorted(rel.parts):
+        for p in _bits(rel.parts):
             acc = B.skew(acc, rep.images[S.idems[p]])
         if acc != rep.images[S.idems[rel.e]]:
             rel_ok = False
-    reached = generated_subsemigroup(B, rep.images)
-    return PresentationReport(
-        rel_ok and len(reached) == len(B), rel_ok, len(reached), len(B)
-    )
+    reached = generated_subsemigroup(B, rep.images).bit_count()
+    return PresentationReport(rel_ok and reached == len(B), rel_ok, reached, len(B))
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +711,6 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 @dataclass
 class UniversalResult:
     morphism: AdditiveMorphism
-    unique: bool
     method: str
 
 
@@ -780,8 +770,8 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
         count = _count_additive_morphisms(B, target, dict(zip(uni.images, phi)), limit=2)
         if count != 1:
             raise LawViolation(f"expected a unique morphism, search found {count}")
-        return UniversalResult(morph, True, "exhaustive")
-    return UniversalResult(morph, True, "generators")
+        return UniversalResult(morph, "exhaustive")
+    return UniversalResult(morph, "generators")
 
 
 def _count_additive_morphisms(B: BisAlgebra, T: BisAlgebra, pins: dict[int, int], limit: int = 2) -> int:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 from .semilattice import (
     BudgetExceeded,
@@ -21,6 +19,8 @@ from .semilattice import (
     XRelation,
     _bits,
     _json_text,
+    _union_at,
+    _unions,
     spectrum,
     x_core,
     x_prime,
@@ -107,13 +107,8 @@ def is_x_to_join(rep: SemilatticeRep, relations) -> bool:
     """Proper, and every join constraint holds in the codomain."""
     if not is_proper(rep):
         return False
-    for rel in relations:
-        acc = 0
-        for p in rel.parts:
-            acc |= rep.images[p]
-        if rep.images[rel.e] != acc:
-            return False
-    return True
+    images = rep.images
+    return all(images[rel.e] == _union_at(images, rel.parts) for rel in relations)
 
 
 def is_tight(rep: SemilatticeRep) -> bool:
@@ -215,9 +210,9 @@ def booleanization(E: FinMeetSemilattice, relations) -> tuple[FinBooleanAlgebra,
     return rep.codomain, rep
 
 
-def basic_set(E: FinMeetSemilattice, relations, a: int, excl=frozenset()) -> int:
+def basic_set(E: FinMeetSemilattice, relations, a: int, excl=()) -> int:
     """Atom set of spectrum characters below a and below no excluded element."""
-    excl = frozenset(excl)
+    excl = tuple(excl)
     for b in excl:
         if not E.leq(b, a):
             raise LawViolation(f"excluded element {E.label(b)} is not below {E.label(a)}")
@@ -342,21 +337,19 @@ def _count_extensions(rep: SemilatticeRep, iota: SemilatticeRep, limit: int) -> 
 # ---------------------------------------------------------------------------
 # relations carved out by a representation
 
-def x_pi(rep: SemilatticeRep, max_size: int | None = None) -> frozenset[XRelation]:
+def x_pi(rep: SemilatticeRep) -> frozenset[XRelation]:
     """All join constraints the representation itself satisfies.
 
     Emits every (e, parts) with the image of e equal to the join of the part
-    images, for parts of size at most ``max_size`` (default: all subsets).
-    A part whose image leaves the image of e puts the join outside it, so
-    only subsets of the candidates below e's image are walked.  Their number
-    is forecast first, and ``BudgetExceeded`` raised when it is over
-    ``X_PI_BUDGET``.
+    images.  A part whose image leaves the image of e puts the join outside
+    it, so only subsets of the candidates below e's image are walked: their
+    joins and part masks are built by doubling, one list entry per subset.
+    Their number is forecast first, and ``BudgetExceeded`` raised when it is
+    over ``X_PI_BUDGET``.
     """
     E, images = rep.domain, rep.images
-    if max_size is None:
-        max_size = E.n
     cand_lists = [[p for p in range(E.n) if not images[p] & ~t] for t in images]
-    walk = sum(comb(len(c), k) for c in cand_lists for k in range(min(max_size, len(c)) + 1))
+    walk = sum(1 << len(c) for c in cand_lists)
     if walk > X_PI_BUDGET:
         raise BudgetExceeded(
             f"x_pi would walk {walk:,} subsets of candidate parts, "
@@ -364,19 +357,16 @@ def x_pi(rep: SemilatticeRep, max_size: int | None = None) -> frozenset[XRelatio
         )
     out = []
     for e, cands in enumerate(cand_lists):
+        joins = _unions([images[p] for p in cands])
+        masks = _unions([1 << p for p in cands])
         target = images[e]
-        for size in range(min(max_size, len(cands)) + 1):
-            for combo in combinations(cands, size):
-                acc = 0
-                for p in combo:
-                    acc |= images[p]
-                if acc == target:
-                    out.append(XRelation(e, frozenset(combo)))
+        out.extend(XRelation(e, m) for j, m in zip(joins, masks) if j == target)
     return frozenset(out)
 
 
-def generated_subalgebra(B: FinBooleanAlgebra, seeds) -> frozenset[int]:
-    """Closure of the seed masks under join, meet and difference."""
+def generated_subalgebra(B: FinBooleanAlgebra, seeds) -> int:
+    """Closure of the seed masks under join, meet and difference, as a mask
+    over the elements of B."""
     els = set(seeds)
     els.add(0)
     changed = True
@@ -389,13 +379,13 @@ def generated_subalgebra(B: FinBooleanAlgebra, seeds) -> frozenset[int]:
                     if c not in els:
                         els.add(c)
                         changed = True
-    return frozenset(els)
+    return sum(1 << x for x in els)
 
 
 def theorem_isom_check(rep: SemilatticeRep) -> bool:
     """A generating representation identifies its codomain with its own Booleanization."""
     gen = generated_subalgebra(rep.codomain, rep.images)
-    if len(gen) != rep.codomain.size:
+    if gen.bit_count() != rep.codomain.size:
         raise LawViolation("image of the representation does not generate the codomain")
     rels = x_pi(rep)
     psi = universal_extension(rep, rels)

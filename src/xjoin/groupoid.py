@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from operator import getitem, itemgetter
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
-from .semilattice import Character, LawViolation, _json_text, spectrum
+from .semilattice import Character, LawViolation, _bits, _json_text, spectrum
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,10 @@ def _pick(idxs) -> Callable:
     return itemgetter(*idxs) if idxs else lambda seq: ()
 
 
-def is_local_bisection(G: FinGroupoid, arrows) -> bool:
-    """Source and range are injective on the arrow set."""
-    arrows = tuple(arrows)
-    srcs = [G.src[a] for a in arrows]
-    rngs = [G.rng[a] for a in arrows]
-    return len(set(srcs)) == len(arrows) and len(set(rngs)) == len(arrows)
+def is_local_bisection(G: FinGroupoid, arrows: int) -> bool:
+    """Source and range are injective on the arrow mask."""
+    bits = _bits(arrows)
+    return len({G.src[a] for a in bits}) == len(bits) == len({G.rng[a] for a in bits})
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +254,8 @@ def germ_groupoid(S: FinInverseSemigroup, relations, arrows: GermArrows | None =
     return GermGroupoid(**{f.name: getattr(arrows, f.name) for f in fields(arrows)}, groupoid=G)
 
 
-def theta(gg: GermGroupoid, s: int, excl=()) -> frozenset[int]:
-    """Arrow set of all germs of s whose source kills every excluded element.
+def theta(gg: GermGroupoid, s: int, excl=()) -> int:
+    """Arrow mask of all germs of s whose source kills every excluded element.
 
     Excluded elements must lie below s in the natural order.
     """
@@ -265,15 +263,15 @@ def theta(gg: GermGroupoid, s: int, excl=()) -> frozenset[int]:
     for t in excl:
         if not natural_leq(S, t, s):
             raise LawViolation(f"excluded element {S.label(t)} is not below {S.label(s)}")
-    out = []
+    out = 0
     for c in gg.units:
         f = S.idems[c.gen]
         if not natural_leq(S, f, S.d(s)):
             continue
         if any(natural_leq(S, f, S.d(t)) for t in excl):
             continue
-        out.append(gg.arrow_index[Germ(c, S.mul(s, f))])
-    return frozenset(out)
+        out |= 1 << gg.arrow_index[Germ(c, S.mul(s, f))]
+    return out
 
 
 # ---------------------------------------------------------------------------

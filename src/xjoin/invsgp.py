@@ -13,6 +13,7 @@ from .semilattice import (
     FinMeetSemilattice,
     LawViolation,
     XRelation,
+    _bits,
     _json_text,
     builtin_relations,
     spectrum,
@@ -377,8 +378,10 @@ def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]
     frontier = list(seen)
     while frontier:
         e, parts = frontier.pop()
+        ps = _bits(parts)
         for c in conj:
-            key = (c[e], frozenset(map(c.__getitem__, parts)))
+            # a set of bits: conjugation may send two parts to one
+            key = (c[e], sum({1 << c[p] for p in ps}))
             if key not in seen:
                 seen.add(key)
                 frontier.append(key)

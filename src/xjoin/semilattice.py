@@ -1,14 +1,16 @@
 """Finite meet-semilattices with bottom: order, covers, characters and spectra.
 
 A semilattice is stored as an explicit n-by-n meet table over element
-indices, with index 0 reserved for the bottom element.  ``from_meet`` also
-builds the order once as int masks over element indices: ``below[x]`` (the
-y <= x), ``above[x]`` (the y >= x) and ``atom_bits``.  Downsets, atoms,
-joins, covers and spectra are bit operations on them.  Covers use the atom
-criterion (Exel, "Inverse semigroups and combinatorial C*-algebras", 2008):
-y ^ z != 0 exactly when some atom lies below both.  Characters are encoded
-by their principal-filter generator, so a spectrum is just a set of nonzero
-element indices wrapped in :class:`Character`.
+indices, with index 0 reserved for the bottom element.  Every set of
+elements is an int mask over element indices, bit i standing for element i:
+the order masks ``below[x]`` (the y <= x), ``above[x]`` (the y >= x) and
+``atom_bits`` that ``from_meet`` builds once, covers, and the parts of a
+relation.  Downsets, atoms, joins, covers and spectra are bit operations on
+them.  Covers use the atom criterion (Exel, "Inverse semigroups and
+combinatorial C*-algebras", 2008): y ^ z != 0 exactly when some atom lies
+below both.  Characters are encoded by their principal-filter generator, so
+a spectrum is just a set of nonzero element indices wrapped in
+:class:`Character`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,30 @@ def _bits(mask: int) -> list[int]:
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _mask_key(mask: int) -> tuple[int, list[int]]:
+    """Orders masks by size, then by ascending element list."""
+    return mask.bit_count(), _bits(mask)
+
+
+def _unions(parts: list[int]) -> list[int]:
+    """Entry m is the union of parts[u] over the set bits u of m."""
+    out = [0]
+    for p in parts:
+        out += [x | p for x in out]
+    return out
+
+
+def _union_at(parts, mask: int) -> int:
+    """The union of parts[u] over the set bits u of mask: one entry of
+    ``_unions(parts)``, without building the others."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= parts[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -261,33 +287,27 @@ def random_semilattice(rng, max_size: int = 10, ground: int = 5) -> FinMeetSemil
 # ---------------------------------------------------------------------------
 # covers and denseness
 
-def is_cover(E: FinMeetSemilattice, x: int, parts, *, restricted: bool = True) -> bool:
-    """Does the set cover x: every nonzero y <= x meets some element of the set.
+def is_cover(E: FinMeetSemilattice, x: int, parts: int) -> bool:
+    """Does the element mask ``parts`` cover x: every nonzero y <= x meets
+    some part.
 
-    Equivalently, every atom below x lies below some element of the set.
-    Zeros in `parts` are dropped.  With ``restricted`` (the default) every
-    remaining element must lie below x, otherwise the input is rejected;
-    ``restricted=False`` runs the same check without that requirement.
+    Equivalently, every atom below x lies below some part.  The bottom may be
+    a part; a part not below x is rejected.
     """
-    zs = frozenset(parts) - {0}
-    if restricted:
-        for z in zs:
-            if not E.leq(z, x):
-                raise LawViolation(f"cover element {E.label(z)} is not below {E.label(x)}")
-    reach = 0
-    for z in zs:
-        reach |= E.below[z]
-    return not E.below[x] & E.atom_bits & ~reach
+    stray = parts & ~E.below[x]
+    if stray:
+        raise LawViolation(f"cover element {E.label(_bits(stray)[0])} is not below {E.label(x)}")
+    return not E.below[x] & E.atom_bits & ~_union_at(E.below, parts)
 
 
 def dense_in(E: FinMeetSemilattice, f: int, e: int) -> bool:
     """f is dense in e: f <= e and {f} covers e."""
     if not E.leq(f, e):
         raise LawViolation(f"{E.label(f)} is not below {E.label(e)}")
-    return is_cover(E, e, (f,))
+    return is_cover(E, e, 1 << f)
 
 
-def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[frozenset[int]]:
+def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[int]:
     """Inclusion-minimal sets of nonzero elements below x that cover x and,
     with ``need_join``, have join x; by size, then by ascending element list.
 
@@ -303,7 +323,7 @@ def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[frozen
     outside = [full & ~a if need_join else 0 for a in E.above]
     want_atoms, want_outside = atoms[x], outside[x]
     pool = _bits(E.below[x] & ~1)
-    found: list[frozenset[int]] = []
+    found: list[int] = []
 
     def walk(start, members, atoms1, atoms2, out1, out2):
         for j, y in enumerate(pool[start:], start):
@@ -314,16 +334,16 @@ def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[frozen
                 continue
             a1, o1 = atoms1 | a, out1 | o
             if a1 == want_atoms and o1 == want_outside:
-                found.append(frozenset(chosen))
+                found.append(sum(1 << z for z in chosen))
             else:
                 walk(j + 1, chosen, a1, a2, o1, o2)
 
     walk(0, (), 0, 0, 0, 0)
-    found.sort(key=lambda c: (len(c), sorted(c)))
+    found.sort(key=_mask_key)
     return found
 
 
-def minimal_covers(E: FinMeetSemilattice, x: int) -> list[frozenset[int]]:
+def minimal_covers(E: FinMeetSemilattice, x: int) -> list[int]:
     """All inclusion-minimal covers of a nonzero x drawn from its nonzero downset."""
     return _minimal_sets(E, x, False)
 
@@ -340,14 +360,15 @@ class Character:
 
 @dataclass(frozen=True)
 class XRelation:
-    """One join constraint: the element e against a finite set of parts."""
+    """One join constraint: the element e against a finite set of parts,
+    given as an element mask."""
 
     e: int
-    parts: frozenset[int]
+    parts: int
 
 
 def relation_sort_key(rel: XRelation):
-    return (rel.e, len(rel.parts), sorted(rel.parts))
+    return (rel.e, *_mask_key(rel.parts))
 
 
 def characters(E: FinMeetSemilattice) -> frozenset[Character]:
@@ -358,12 +379,9 @@ def characters(E: FinMeetSemilattice) -> frozenset[Character]:
 def spectrum(E: FinMeetSemilattice, relations) -> frozenset[Character]:
     """The characters satisfying every relation.  A relation fails at the
     generators below e or below some part, but not both."""
-    bad = 0
+    below, bad = E.below, 0
     for rel in relations:
-        reach = 0
-        for p in rel.parts:
-            reach |= E.below[p]
-        bad |= reach ^ E.below[rel.e]
+        bad |= _union_at(below, rel.parts) ^ below[rel.e]
     return frozenset(Character(g) for g in range(1, E.n) if not bad >> g & 1)
 
 
@@ -380,7 +398,7 @@ def x_prime(E: FinMeetSemilattice) -> frozenset[XRelation]:
 def x_core(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Constraints identifying every element with each element dense in it."""
     return frozenset(
-        XRelation(e, frozenset((f,))) for e in range(1, E.n) for f in E.down(e) if f and dense_in(E, f, e)
+        XRelation(e, 1 << f) for e in range(1, E.n) for f in E.down(e) if f and dense_in(E, f, e)
     )
 
 
@@ -419,7 +437,7 @@ def semilattice_from_json(text: str) -> FinMeetSemilattice:
 
 def relations_to_json(E: FinMeetSemilattice, rels) -> str:
     doc = [
-        {"e": E.label(r.e), "parts": sorted(E.label(p) for p in r.parts)}
+        {"e": E.label(r.e), "parts": sorted(E.label(p) for p in _bits(r.parts))}
         for r in sorted(rels, key=relation_sort_key)
     ]
     return _json_text(doc)
@@ -437,5 +455,5 @@ def relations_from_json(E: FinMeetSemilattice, text: str) -> frozenset[XRelation
             raise LawViolation("each relation in JSON needs 'e' and 'parts'") from None
         if not isinstance(parts, list):
             raise LawViolation("relation 'parts' must be a list of element labels")
-        out.append(XRelation(E.index(e), frozenset(E.index(p) for p in parts)))
+        out.append(XRelation(E.index(e), sum({1 << E.index(p) for p in parts})))
     return frozenset(out)

@@ -23,6 +23,17 @@ from xjoin.semilattice import Character, LawViolation, XRelation
 # ---------------------------------------------------------------------------
 # semilattice order, covers and spectra, on the meet table
 
+def mask_of(elements) -> int:
+    """The int mask of a collection of element indices, as the library
+    stores relation parts and covers."""
+    return sum(1 << x for x in set(elements))
+
+
+def elements_of(mask: int) -> list[int]:
+    """The element indices of a mask, ascending."""
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
 def down_brute(E, x: int) -> tuple[int, ...]:
     return tuple(y for y in range(E.n) if E.meet(y, x) == y)
 
@@ -42,9 +53,9 @@ def covers_brute(E, x: int, parts) -> bool:
     return all(any(E.meet(y, z) for z in parts) for y in down_brute(E, x) if y)
 
 
-def minimal_sets_brute(E, x: int, accept) -> list[frozenset[int]]:
+def minimal_sets_brute(E, x: int, accept) -> list[int]:
     """Inclusion-minimal subsets of the nonzero downset of x that `accept`
-    holds on, walking every subset by size."""
+    holds on, walking every subset by size; returned as element masks."""
     pool = [y for y in down_brute(E, x) if y]
     found: list[frozenset[int]] = []
     for size in range(1, len(pool) + 1):
@@ -54,10 +65,10 @@ def minimal_sets_brute(E, x: int, accept) -> list[frozenset[int]]:
                 continue
             if accept(cand):
                 found.append(cand)
-    return found
+    return [mask_of(c) for c in found]
 
 
-def minimal_covers_brute(E, x: int) -> list[frozenset[int]]:
+def minimal_covers_brute(E, x: int) -> list[int]:
     return minimal_sets_brute(E, x, lambda c: covers_brute(E, x, c))
 
 
@@ -90,7 +101,7 @@ def x_prime_brute(E) -> frozenset[XRelation]:
 
 def x_core_brute(E) -> frozenset[XRelation]:
     return frozenset(
-        XRelation(e, frozenset((f,)))
+        XRelation(e, mask_of((f,)))
         for e in range(1, E.n)
         for f in down_brute(E, e)
         if f and covers_brute(E, e, (f,))
@@ -105,7 +116,7 @@ def spectrum_brute(E, relations) -> frozenset[Character]:
     return frozenset(
         Character(g)
         for g in range(1, E.n)
-        if all(below(g, r.e) == any(below(g, p) for p in r.parts) for r in relations)
+        if all(below(g, r.e) == any(below(g, p) for p in elements_of(r.parts)) for r in relations)
     )
 
 
@@ -278,7 +289,7 @@ def invariant_closure_brute(S, relations) -> frozenset:
         rel = frontier.pop()
         for s in range(S.n):
             e2 = pos[conjugate(S, s, elems[rel.e])]
-            parts2 = frozenset(pos[conjugate(S, s, elems[p])] for p in rel.parts)
+            parts2 = mask_of(pos[conjugate(S, s, elems[p])] for p in elements_of(rel.parts))
             cand = XRelation(e2, parts2)
             if cand not in out:
                 out.add(cand)
@@ -675,9 +686,10 @@ def restricted_groupoid_brute(full, chi):
     return restr, proj
 
 
-def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:
+def generated_subsemigroup_brute(B, seeds) -> int:
     """Closure under product, inverse, difference and skew join, by rounds
-    over all pairs until a round adds nothing."""
+    over all pairs until a round adds nothing; as a mask over the element
+    indices of B."""
     els = set(seeds)
     els.add(B.zero)
     changed = True
@@ -694,23 +706,21 @@ def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:
                     if k not in els:
                         els.add(k)
                         changed = True
-    return frozenset(els)
+    return mask_of(els)
 
 
-def x_pi_brute(rep, max_size: int | None = None) -> frozenset[XRelation]:
+def x_pi_brute(rep) -> frozenset[XRelation]:
     """Every (e, parts) whose part images join to the image of e, walking
     all subsets of the domain by size."""
     E = rep.domain
-    if max_size is None:
-        max_size = E.n
     out = []
     for e in range(E.n):
         target = rep.images[e]
-        for size in range(0, max_size + 1):
+        for size in range(0, E.n + 1):
             for combo in combinations(range(E.n), size):
                 acc = 0
                 for p in combo:
                     acc |= rep.images[p]
                 if acc == target:
-                    out.append(XRelation(e, frozenset(combo)))
+                    out.append(XRelation(e, mask_of(combo)))
     return frozenset(out)

@@ -10,7 +10,7 @@ from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
-from oracles import x_pi_brute
+from oracles import mask_of, x_pi_brute
 
 
 E3 = sl.chain(3)
@@ -139,7 +139,7 @@ class TestBooleanization:
         for E in (E3, D, sl.powerset_semilattice(3)):
             for name in sl.BUILTIN_RELATION_SETS:
                 B, rep = ba.booleanization(E, sl.builtin_relations(E, name))
-                assert len(ba.generated_subalgebra(B, rep.images)) == B.size
+                assert ba.generated_subalgebra(B, rep.images).bit_count() == B.size
 
 
 class TestBasicSets:
@@ -258,37 +258,40 @@ class TestXPi:
         rels = sl.x_tight(E3)
         _, rep = ba.booleanization(E3, rels)
         carved = ba.x_pi(rep)
-        assert XRelation(2, frozenset({1})) in carved
-        assert XRelation(0, frozenset()) in carved
+        assert XRelation(2, mask_of({1})) in carved
+        assert XRelation(0, 0) in carved
 
     def test_injective_rep_only_join_pairs(self):
         B = ba.FinBooleanAlgebra(("a", "b"))
         rep = ba.SemilatticeRep.build(D, B, (0, 1, 2, 3))
         carved = ba.x_pi(rep)
         top, a, b = D.index("1"), D.index("a"), D.index("b")
-        assert XRelation(top, frozenset({a, b})) in carved
-        assert XRelation(a, frozenset({b})) not in carved
+        assert XRelation(top, mask_of({a, b})) in carved
+        assert XRelation(a, mask_of({b})) not in carved
 
     def test_parts_bound(self):
+        # the relations with at most one part: each element against itself,
+        # and the bottom against nothing
         B = ba.FinBooleanAlgebra(("a", "b"))
         rep = ba.SemilatticeRep.build(D, B, (0, 1, 2, 3))
-        assert all(len(r.parts) <= 1 for r in ba.x_pi(rep, max_size=1))
+        small = {r for r in ba.x_pi(rep) if r.parts.bit_count() <= 1}
+        assert small == {XRelation(0, 0)} | {XRelation(x, mask_of({x})) for x in range(D.n)}
 
     def test_bounded_parts_suffice_for_the_spectrum(self):
         # parts larger than atom-count-plus-one never cut further
         for E in (E3, D, sl.powerset_semilattice(2)):
             for name in sl.BUILTIN_RELATION_SETS:
                 _, rep = ba.booleanization(E, sl.builtin_relations(E, name))
-                full = sl.spectrum(E, ba.x_pi(rep))
-                bounded = sl.spectrum(E, ba.x_pi(rep, max_size=rep.codomain.m + 1))
+                carved = ba.x_pi(rep)
+                full = sl.spectrum(E, carved)
+                bounded = sl.spectrum(E, [r for r in carved if r.parts.bit_count() <= rep.codomain.m + 1])
                 assert full == bounded
 
     @pytest.mark.parametrize("E", (sl.powerset_semilattice(3), sl.chain(6), D), ids=("P3", "chain6", "diamond"))
     @pytest.mark.parametrize("name", sl.BUILTIN_RELATION_SETS)
     def test_matches_all_subsets_walk(self, E, name):
         _, rep = ba.booleanization(E, sl.builtin_relations(E, name))
-        for max_size in (None, 0, 1, 2):
-            assert ba.x_pi(rep, max_size) == x_pi_brute(rep, max_size)
+        assert ba.x_pi(rep) == x_pi_brute(rep)
 
     def test_matches_all_subsets_walk_on_p4(self):
         E = sl.powerset_semilattice(4)
@@ -303,8 +306,6 @@ class TestXPi:
         with pytest.raises(BudgetExceeded, match=r"walk 4,\d{3},\d{3},\d{3} subsets .* budget of 250,000"):
             ba.x_pi(rep)
         assert time.perf_counter() - start < 0.5
-        # a bound on the parts shrinks the forecast to what is walked
-        assert len(ba.x_pi(rep, max_size=1)) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
@@ -319,8 +320,7 @@ class TestXPi:
         back = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)) if k else []
         images = [sum(1 << j for j, a in enumerate(back) if x >> a & 1) for x in can.images]
         rep = ba.SemilatticeRep.build(E, ba.FinBooleanAlgebra(tuple(f"q{j}" for j in range(m))), images)
-        max_size = data.draw(st.sampled_from((None, 1, 2)))
-        assert ba.x_pi(rep, max_size) == x_pi_brute(rep, max_size)
+        assert ba.x_pi(rep) == x_pi_brute(rep)
 
 
 class TestIsomCheck:

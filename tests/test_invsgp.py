@@ -13,8 +13,10 @@ from xjoin import semilattice as sl
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
 from oracles import (
+    elements_of,
     invariant_closure_brute,
     is_associative_brute,
+    mask_of,
     partial_map_closure_brute,
     partial_map_table_lookup,
     validate_brute,
@@ -42,7 +44,7 @@ def e_of(S):
 
 
 def rel(e, parts):
-    return XRelation(e, frozenset(parts))
+    return XRelation(e, mask_of(parts))
 
 
 class TestValidate:
@@ -382,8 +384,8 @@ class TestConjugationCarriesCovers:
                     e2 = pos[invsgp.conjugate(S, s, elems[e_idx])]
                     if e2 == 0:
                         continue
-                    parts2 = frozenset(
-                        pos[invsgp.conjugate(S, s, elems[p])] for p in cov
+                    parts2 = mask_of(
+                        pos[invsgp.conjugate(S, s, elems[p])] for p in elements_of(cov)
                     )
                     assert sl.is_cover(E, e2, parts2)
 
@@ -408,7 +410,7 @@ class TestInvariantClosure:
             pool = E.down(e)
             for size in range(len(pool) + 1):
                 for combo in combinations(pool, size):
-                    if sl.is_cover(E, e, combo) or e == 0:
+                    if sl.is_cover(E, e, mask_of(combo)) or e == 0:
                         all_covers.add(rel(e, combo))
         all_covers = frozenset(all_covers)
         assert invsgp.invariant_closure(I2, all_covers) == all_covers

@@ -15,6 +15,7 @@ from oracles import (
     covers_brute,
     down_brute,
     join_brute,
+    mask_of,
     meet_associativity_brute,
     minimal_covers_brute,
     spectrum_brute,
@@ -29,7 +30,7 @@ V = sl.antichain(2)
 
 
 def rel(e, parts):
-    return XRelation(e, frozenset(parts))
+    return XRelation(e, mask_of(parts))
 
 
 class TestConstruction:
@@ -78,29 +79,25 @@ class TestOrder:
 
 class TestCovers:
     def test_chain_singleton_cover(self):
-        assert sl.is_cover(E3, 2, (1,))
+        assert sl.is_cover(E3, 2, mask_of({1}))
 
     def test_diamond_single_atom_not_cover(self):
-        assert not sl.is_cover(D, D.index("1"), (D.index("a"),))
+        assert not sl.is_cover(D, D.index("1"), mask_of({D.index("a")}))
 
     def test_empty_set_never_covers_nonzero(self):
         for E in (E3, D, V):
             for x in range(1, E.n):
-                assert not sl.is_cover(E, x, ())
+                assert not sl.is_cover(E, x, 0)
 
     def test_zero_covered_by_anything(self):
-        assert sl.is_cover(E3, 0, ())
+        assert sl.is_cover(E3, 0, 0)
 
     def test_rejects_part_not_below(self):
         with pytest.raises(LawViolation, match="not below"):
-            sl.is_cover(E3, 1, (2,))
-
-    def test_unrestricted_flag_allows_parts_above(self):
-        # the unrestricted reading makes any superset element a cover
-        assert sl.is_cover(E3, 1, (2,), restricted=False)
+            sl.is_cover(E3, 1, mask_of({2}))
 
     def test_zero_parts_dropped(self):
-        assert sl.is_cover(E3, 2, (0, 1))
+        assert sl.is_cover(E3, 2, mask_of({0, 1}))
 
 
 class TestDense:
@@ -124,7 +121,7 @@ class TestDense:
             for e in range(1, E.n):
                 for f in E.down(e):
                     if f:
-                        assert sl.dense_in(E, f, e) == sl.is_cover(E, e, (f,))
+                        assert sl.dense_in(E, f, e) == sl.is_cover(E, e, mask_of({f}))
 
 
 class TestCharacters:
@@ -201,7 +198,7 @@ class TestSpectra:
             [frozenset(), {1}, {1, 2}, {1, 3}, {1, 2, 3}], ["0", "d", "a", "b", "t"]
         )
         d, a, b, t = (km.index(x) for x in "dabt")
-        assert sl.is_cover(km, t, (a,)) and km.join_of((a,)) == a
+        assert sl.is_cover(km, t, mask_of({a})) and km.join_of((a,)) == a
         assert rel(t, {a, b}) in sl.x_prime(km)
         assert rel(t, {d}) not in sl.x_prime(km)
         assert rel(t, {d}) in sl.x_core(km)  # d is dense in t
@@ -260,12 +257,11 @@ class TestMasksAgainstOracles:
         for x in elems:
             assert sl.minimal_covers(E, x) == minimal_covers_brute(E, x)
             parts = data.draw(st.sets(st.sampled_from(elems), max_size=4))
-            assert sl.is_cover(E, x, parts, restricted=False) == covers_brute(E, x, parts)
             if all(p in down_brute(E, x) for p in parts):
-                assert sl.is_cover(E, x, parts) == covers_brute(E, x, parts)
+                assert sl.is_cover(E, x, mask_of(parts)) == covers_brute(E, x, parts)
             else:
                 with pytest.raises(LawViolation, match="not below"):
-                    sl.is_cover(E, x, parts)
+                    sl.is_cover(E, x, mask_of(parts))
         assert sl.x_prime(E) == x_prime_brute(E)
         assert sl.x_core(E) == x_core_brute(E)
 
@@ -332,6 +328,17 @@ class TestJson:
         rels = sl.x_tight(D)
         back = sl.relations_from_json(D, sl.relations_to_json(D, rels))
         assert back == rels
+
+    @settings(max_examples=100, deadline=None)
+    @given(E=families(), data=st.data())
+    def test_relations_round_trip_on_random_semilattices(self, E, data):
+        # parts may hold the bottom and repeat a label; a repeat is one part
+        elems = st.sampled_from(range(E.n))
+        drawn = data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=4)), max_size=6))
+        rels = frozenset(rel(e, parts) for e, parts in drawn)
+        assert sl.relations_from_json(E, sl.relations_to_json(E, rels)) == rels
+        doc = [{"e": E.label(e), "parts": [E.label(p) for p in parts]} for e, parts in drawn]
+        assert sl.relations_from_json(E, json.dumps(doc)) == rels
 
     def test_bad_document(self):
         with pytest.raises(LawViolation):
