@@ -269,8 +269,12 @@ def universal_extension(rep: SemilatticeRep, relations) -> BAMorphism:
     """
     if not is_x_to_join(rep, relations):
         raise LawViolation("representation does not satisfy the join constraints")
+    return _extension(rep, spectrum_atoms(rep.domain, relations))
+
+
+def _extension(rep: SemilatticeRep, atoms) -> BAMorphism:
+    """:func:`universal_extension` from the spectrum of relations rep satisfies."""
     E = rep.domain
-    atoms = spectrum_atoms(E, relations)
     iota = character_rep(E, atoms)
     images = []
     for c in atoms:
@@ -364,6 +368,26 @@ def x_pi(rep: SemilatticeRep) -> frozenset[XRelation]:
     return frozenset(out)
 
 
+def x_pi_spectrum(rep: SemilatticeRep) -> frozenset[Character]:
+    """``spectrum(E, x_pi(rep))`` in closed form: the nonzero g whose image
+    is not the union of the images strictly below it.
+
+    The character at g fails (e, S) in X_pi when g <= e and no part of S is
+    above g, or when g is not below e but below a part p.  In the second
+    case q = e meet p has rep(q) = rep(e) & rep(p) = rep(p), so (p, {q})
+    is in X_pi and fails at g the first way.  In the first way, meeting
+    each part with g gives parts strictly below g whose images join to
+    rep(g) & rep(e) = rep(g): (g, those parts) is in X_pi and fails at g.
+    Conversely, if the images strictly below g join to rep(g), those
+    elements form such a relation.  So n unions replace the listing.
+    """
+    E, images = rep.domain, rep.images
+    return frozenset(
+        Character(g) for g in range(1, E.n)
+        if _union_at(images, E.below[g] & ~(1 << g)) != images[g]
+    )
+
+
 def generated_subalgebra(B: FinBooleanAlgebra, seeds) -> int:
     """Closure of the seed masks under join, meet and difference, as a mask
     over the elements of B."""
@@ -387,9 +411,8 @@ def theorem_isom_check(rep: SemilatticeRep) -> bool:
     gen = generated_subalgebra(rep.codomain, rep.images)
     if gen.bit_count() != rep.codomain.size:
         raise LawViolation("image of the representation does not generate the codomain")
-    rels = x_pi(rep)
-    psi = universal_extension(rep, rels)
-    return psi.is_bijective()
+    # generating implies proper, and rep satisfies X_pi by definition
+    return _extension(rep, tuple(sorted(x_pi_spectrum(rep)))).is_bijective()
 
 
 # ---------------------------------------------------------------------------

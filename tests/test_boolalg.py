@@ -10,7 +10,7 @@ from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
-from oracles import mask_of, x_pi_brute
+from oracles import mask_of, spectrum_brute, x_pi_brute
 
 
 E3 = sl.chain(3)
@@ -310,17 +310,71 @@ class TestXPi:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
     def test_matches_all_subsets_walk_on_random_reps(self, seed, m, data):
-        # a canonical map followed by the Boolean morphism of a map from m
-        # new atoms to the old ones: meets and bottom are kept, joins need not be
-        E = sl.random_semilattice(random.Random(seed), max_size=8)
-        _, can = ba.booleanization(E, sl.builtin_relations(E, data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))))
-        k = can.codomain.m
-        if k == 0:
-            m = 0
-        back = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)) if k else []
-        images = [sum(1 << j for j, a in enumerate(back) if x >> a & 1) for x in can.images]
-        rep = ba.SemilatticeRep.build(E, ba.FinBooleanAlgebra(tuple(f"q{j}" for j in range(m))), images)
+        rep = _composite_rep(seed, m, data)
         assert ba.x_pi(rep) == x_pi_brute(rep)
+
+
+def _composite_rep(seed, m, data):
+    """A canonical map followed by the Boolean morphism of a map from m new
+    atoms to the old ones: meets and bottom are kept, joins need not be."""
+    E = sl.random_semilattice(random.Random(seed), max_size=8)
+    _, can = ba.booleanization(E, sl.builtin_relations(E, data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))))
+    k = can.codomain.m
+    if k == 0:
+        m = 0
+    back = data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)) if k else []
+    images = [sum(1 << j for j, a in enumerate(back) if x >> a & 1) for x in can.images]
+    return ba.SemilatticeRep.build(E, ba.FinBooleanAlgebra(tuple(f"q{j}" for j in range(m))), images)
+
+
+def _generates(rep):
+    return ba.generated_subalgebra(rep.codomain, rep.images).bit_count() == rep.codomain.size
+
+
+def _assert_paths_agree(rep):
+    # the closed form against the spectrum and extension read off the listed X_pi
+    rels = ba.x_pi(rep)
+    assert ba.spectrum_atoms(rep.domain, rels) == tuple(sorted(ba.x_pi_spectrum(rep)))
+    assert ba.theorem_isom_check(rep) == ba.universal_extension(rep, rels).is_bijective()
+
+
+class TestXPiSpectrum:
+    @pytest.mark.parametrize("E", (sl.powerset_semilattice(3), sl.chain(6), D), ids=("P3", "chain6", "diamond"))
+    @pytest.mark.parametrize("name", sl.BUILTIN_RELATION_SETS)
+    def test_matches_spectrum_of_all_subsets_walk(self, E, name):
+        _, rep = ba.booleanization(E, sl.builtin_relations(E, name))
+        assert ba.x_pi_spectrum(rep) == spectrum_brute(E, x_pi_brute(rep))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
+    def test_matches_spectrum_of_all_subsets_walk_on_random_reps(self, seed, m, data):
+        rep = _composite_rep(seed, m, data)
+        assert ba.x_pi_spectrum(rep) == spectrum_brute(rep.domain, x_pi_brute(rep))
+        if _generates(rep):
+            _assert_paths_agree(rep)
+
+    @pytest.mark.parametrize("E", (E3, D), ids=("E3", "diamond"))
+    def test_agrees_with_listed_x_pi_on_generating_reps(self, E):
+        reps = [rep for rep in all_proper_reps(E) if _generates(rep)]
+        assert reps
+        for rep in reps:
+            _assert_paths_agree(rep)
+
+    @pytest.mark.parametrize("k", (3, 4))
+    def test_agrees_with_listed_x_pi_on_powersets(self, k):
+        E = sl.powerset_semilattice(k)
+        _, rep = ba.booleanization(E, sl.x_tight(E))
+        _assert_paths_agree(rep)
+
+    @pytest.mark.parametrize("k", (5, 6))
+    def test_isom_check_past_the_x_pi_budget(self, k):
+        # x_pi refuses P(5) and P(6); the closed form needs no listing
+        E = sl.powerset_semilattice(k)
+        B, rep = ba.booleanization(E, sl.x_tight(E))
+        assert B.m == k
+        start = time.perf_counter()
+        assert ba.theorem_isom_check(rep)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestIsomCheck:
