@@ -46,12 +46,12 @@ class BisAlgebra:
     ``rngm[i]`` are the unit masks of its sources and ranges.  Idempotents
     are the unit subsets, and tables indexed by unit mask give the idempotent
     on each and the arrows with a source or a range in it, so domain, range,
-    order, difference and skew join are bit operations.  Products stay
-    memoized in ``_mul``, because composing arrows is not a bit operation
-    (and tests poison the memo to show the identity checks consult it), as
-    do inverses in ``_inv``.  Memo writes are idempotent, so concurrent
-    readers stay consistent.  Raises ``BudgetExceeded`` before enumerating
-    when ``bisection_count`` is over ``BISECTION_BUDGET``.
+    order, difference, skew join and products with an idempotent factor are
+    bit operations; other products walk one factor's arrows (:meth:`mul`)
+    and are memoized in ``_mul``, which every product reads first (tests
+    poison it), as inverses are in ``_inv``.  Memo writes are idempotent,
+    so concurrent readers stay consistent.  Raises ``BudgetExceeded``
+    before enumerating when ``bisection_count`` is over ``BISECTION_BUDGET``.
     """
 
     def __init__(self, groupoid: FinGroupoid):
@@ -64,7 +64,7 @@ class BisAlgebra:
         self.elements, self.srcm, self.rngm = _all_bisections(G, by_src, by_rng)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.zero = 0
-        self._src_arrows, self._rng_arrows = _unions(by_src), _unions(by_rng)
+        self._by_src, self._src_arrows, self._rng_arrows = by_src, _unions(by_src), _unions(by_rng)
         self._idem = [self.index[e] for e in _unions([1 << a for a in G.unit_arrow])]
         self._mul: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
@@ -74,31 +74,41 @@ class BisAlgebra:
 
     def label(self, i: int) -> str:
         arrows = _bits(self.elements[i])
-        if not arrows:
-            return "0"
-        G = self.groupoid
-        return "{" + ",".join(G.arrow_labels[a] for a in arrows) + "}"
+        names = self.groupoid.arrow_labels
+        return "{" + ",".join(names[a] for a in arrows) + "}" if arrows else "0"
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        got = self._mul.get(key)
+        """UV = {ab : a in U, b in V, s(a) = r(b)}.  U is injective on
+        sources, so each b of V with r(b) a source of U meets one a, U's
+        arrow leaving r(b), and no other b meets any.  An idempotent e is
+        the identities 1_u for u in a unit set D, so eV and Ve are the b of V
+        with r(b), or s(b), in D by the unit laws 1_{r(b)}b = b = b1_{s(b)}.
+        These follow from what ``FinGroupoid.from_parts`` checks: by
+        cancellation, (ab)b⁻¹ = a, right multiplication is injective;
+        1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives 1_u1_u = 1_u, then b1_u1_u =
+        b1_u gives b1_u = b, and 1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
+        """
+        got = self._mul.get((i, j))
         if got is not None:
             return got
-        comp = self.groupoid.comp
-        right = _bits(self.elements[j])
-        out = 0
-        for a in _bits(self.elements[i]):
-            row = comp[a]
-            for b in right:
-                c = row[b]
-                if c >= 0:
-                    out |= 1 << c
+        u, v, srcm = self.elements[i], self.elements[j], self.srcm
+        if self._idem[srcm[i]] == i:
+            return self.index[v & self._rng_arrows[srcm[i]]]
+        if self._idem[srcm[j]] == j:
+            return self.index[u & self._src_arrows[srcm[j]]]
+        comp, rng, by_src = self.groupoid.comp, self.groupoid.rng, self._by_src
+        out, rest = 0, v & self._rng_arrows[srcm[i]]
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            out |= 1 << comp[(u & by_src[rng[b]]).bit_length() - 1][b]
+            rest ^= low
         k = self.index.get(out)
         if k is None:
             raise LawViolation(
                 f"product of {self.label(i)} and {self.label(j)} is not a bisection"
             )
-        self._mul[key] = k
+        self._mul[i, j] = k
         return k
 
     def inv(self, i: int) -> int:
@@ -194,27 +204,27 @@ def _all_bisections(
     then by ascending arrow list, given the arrow masks leaving and entering
     each unit.
 
-    Depth first on an explicit stack (so the depth is not the arrow count):
-    each bisection is extended by every arrow above its last one that shares
-    no source or range with it, smallest first, which reaches sets of equal
-    size in ascending order, so bucketing by size sorts."""
+    Level order: size k + 1 extends each bisection of size k, in order, by
+    each arrow above its last one that shares no source or range with it,
+    ascending.  A set arises once, from itself less its largest arrow, and
+    (that parent, the added arrow) orders as the arrow list does."""
     sbit = [1 << u for u in G.src]
     rbit = [1 << u for u in G.rng]
-    clash = [by_src[s] | by_rng[r] for s, r in zip(G.src, G.rng)]
-    by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(G.n_units + 1)]
-    stack = [(0, (1 << G.n_arrows) - 1, 0, 0)]
-    while stack:
-        mask, free, src_mask, rng_mask = stack.pop()
-        by_size[src_mask.bit_count()].append((mask, src_mask, rng_mask))
-        rest = free
-        while rest:  # highest arrow first, so the lowest is popped first
-            a = rest.bit_length() - 1
-            rest ^= 1 << a
-            stack.append((
-                mask | 1 << a, free & ~clash[a] & -(2 << a),
-                src_mask | sbit[a], rng_mask | rbit[a],
-            ))
-    return tuple(zip(*(t for bucket in by_size for t in bucket)))
+    keep = [~(by_src[s] | by_rng[r]) for s, r in zip(G.src, G.rng)]
+    masks, srcs, rngs, frees, start = [0], [0], [0], [(1 << G.n_arrows) - 1], 0
+    while frees:  # frees[k]: the arrows free to extend the k-th bisection of the last level
+        level = zip(masks[start:], frees, srcs[start:], rngs[start:])
+        start, frees = len(masks), []
+        for mask, free, s, r in level:
+            while free:
+                low = free & -free
+                a = low.bit_length() - 1
+                free ^= low
+                masks.append(mask | low)
+                frees.append(free & keep[a])
+                srcs.append(s | sbit[a])
+                rngs.append(r | rbit[a])
+    return tuple(masks), tuple(srcs), tuple(rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +317,12 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
     the triple taking, for each d-variable, the least element with that
     domain, and 0 for each unread variable; visiting tuples in the order of
     those triples reports the same witnesses as the triple loop.  The
-    sample evaluates every identity on every sampled triple, since sampled
-    tuples hardly repeat.  Every operation of a bisection algebra is total,
-    so no evaluation raises; products are read through the memo in ``_mul``.
+    sample evaluates the (d x, d y) laws once per distinct pair, at its
+    first sampled triple, and every other identity on every sampled
+    triple: evaluation reads nothing but B, so a repeated tuple repeats its
+    verdict, and only a first failure is reported.  Every operation of a
+    bisection algebra is total, so no evaluation raises; products are read
+    through the memo in ``_mul``.
     """
     n = len(B)
     total = n * n * n
@@ -341,10 +354,13 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
         checked = total
     else:
         sample = range(0, total, total // budget + 1)
+        pairs: set[tuple[int, int]] = set()
         for t in sample:
             x, y, z = t // (n * n), t // n % n, t % n
             e, f = d(x), d(y)
-            note(_idem_pair_laws(B, e, f), x, y, z)
+            if (e, f) not in pairs:
+                pairs.add((e, f))
+                note(_idem_pair_laws(B, e, f), x, y, z)
             note(_idem_triple_laws(B, e, f, d(z)), x, y, z)
             note(_pair_laws(B, x, y), x, y, z)
             note(_z_laws(B, z, e, f), x, y, z)
@@ -477,13 +493,10 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     """
     rep = iota(S, relations)
     B = rep.algebra
-    rel_ok = True
-    for rel in relations:
-        acc = B.zero
-        for p in _bits(rel.parts):
-            acc = B.skew(acc, rep.images[S.idems[p]])
-        if acc != rep.images[S.idems[rel.e]]:
-            rel_ok = False
+    rel_ok = all(
+        reduce(B.skew, (rep.images[S.idems[p]] for p in _bits(rel.parts)), B.zero)
+        == rep.images[S.idems[rel.e]] for rel in relations
+    )
     reached = generated_subsemigroup(B, rep.images).bit_count()
     return PresentationReport(rel_ok and reached == len(B), rel_ok, reached, len(B))
 
@@ -496,18 +509,6 @@ class Congruence:
     algebra: BisAlgebra
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
-
-
-def _chi_unit_mask(full: IotaRep, chi) -> int:
-    mask = 0
-    for c in chi:
-        u = full.germs.unit_index.get(c)
-        if u is None:
-            raise LawViolation(
-                f"character at generator index {c.gen} is not a unit of the groupoid"
-            )
-        mask |= 1 << u
-    return mask
 
 
 def congruence(full: IotaRep, chi) -> Congruence:
@@ -538,7 +539,11 @@ def congruence(full: IotaRep, chi) -> Congruence:
         raise LawViolation("character set is not invariant under the action")
     B = full.algebra
     G = B.groupoid
-    chi_mask = _chi_unit_mask(full, chi)
+    units = full.germs.unit_index
+    stray = next((c for c in chi if c not in units), None)
+    if stray is not None:
+        raise LawViolation(f"character at generator index {stray.gen} is not a unit of the groupoid")
+    chi_mask = sum(1 << units[c] for c in chi)
     for a in range(G.n_arrows):
         if (chi_mask >> G.src[a] ^ chi_mask >> G.rng[a]) & 1:
             raise LawViolation(f"partition not compatible with inversion at {G.arrow_labels[a]}")

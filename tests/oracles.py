@@ -133,6 +133,40 @@ def count_bisections_brute(G) -> int:
     return count
 
 
+def all_bisections_brute(G) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Arrow, source and range masks of every local bisection, by size and
+    then by ascending arrow list: depth first on an explicit stack, each
+    bisection extended by every arrow above its last one that shares no
+    source or range with it, smallest first, which reaches sets of equal
+    size in ascending order, so bucketing by size sorts."""
+    clash = [
+        sum(1 << b for b in range(G.n_arrows) if G.src[b] == G.src[a] or G.rng[b] == G.rng[a])
+        for a in range(G.n_arrows)
+    ]
+    by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(G.n_units + 1)]
+    stack = [(0, (1 << G.n_arrows) - 1, 0, 0)]
+    while stack:
+        mask, free, src_mask, rng_mask = stack.pop()
+        by_size[src_mask.bit_count()].append((mask, src_mask, rng_mask))
+        for a in reversed(elements_of(free)):  # highest first, so the lowest is popped first
+            stack.append((
+                mask | 1 << a, free & ~clash[a] & -(2 << a),
+                src_mask | 1 << G.src[a], rng_mask | 1 << G.rng[a],
+            ))
+    return tuple(zip(*(t for bucket in by_size for t in bucket)))
+
+
+def product_brute(G, left: int, right: int) -> int:
+    """The arrow mask of the product of two arrow masks: every arrow of the
+    left factor composed with every arrow of the right one, where defined."""
+    out = 0
+    for a in elements_of(left):
+        for b in elements_of(right):
+            if G.comp[a][b] >= 0:
+                out |= 1 << G.comp[a][b]
+    return out
+
+
 def is_associative_brute(rows) -> bool:
     """(ab)c = a(bc) for every triple of a multiplication table."""
     n = len(rows)
@@ -705,6 +739,25 @@ def generated_subsemigroup_brute(B, seeds) -> int:
                 for k in (B.mul(i, j), B.diff(i, j), B.skew(i, j)):
                     if k not in els:
                         els.add(k)
+                        changed = True
+    return mask_of(els)
+
+
+def generated_subalgebra_brute(seeds) -> int:
+    """Closure of the seed masks of a Boolean algebra under join, meet and
+    difference, by rounds over all pairs until a round adds nothing; as a
+    mask over its elements."""
+    els = set(seeds)
+    els.add(0)
+    changed = True
+    while changed:
+        changed = False
+        current = list(els)
+        for a in current:
+            for b in current:
+                for c in (a | b, a & b, a & ~b):
+                    if c not in els:
+                        els.add(c)
                         changed = True
     return mask_of(els)
 

@@ -35,6 +35,7 @@ from xjoin.groupoid import FinGroupoid, germ_arrows, germ_groupoid
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
 from oracles import (
+    all_bisections_brute,
     character_set_invariant_brute,
     check_additive_brute,
     congruence_brute,
@@ -45,6 +46,7 @@ from oracles import (
     is_weakly_meet_preserving_brute,
     left_normed_closure,
     mask_of,
+    product_brute,
     restricted_groupoid_brute,
     variety_brute,
 )
@@ -180,6 +182,32 @@ class TestMaskOperationsAgainstDefinitions:
                 assert B.diff(i, j) == difference(B, i, j)
                 assert B.skew(i, j) == skew_join(B, i, j)
                 assert B.compatible(i, j) == (B.elements[i] | B.elements[j] in B.index)
+
+
+class TestKernelsAgainstOracles:
+    """The mask kernels of ``BisAlgebra`` against the double-loop product
+    and the stack-and-bucket enumeration, on a fresh algebra whose memo
+    starts empty, so the kernel computes every product checked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           data=st.data())
+    def test_random_semigroups(self, S, name, data):
+        G = germ_groupoid(S, rels(S, name)).groupoid
+        B = BisAlgebra(G)
+        assert (B.elements, B.srcm, B.rngm) == all_bisections_brute(G)
+        assert not B._mul
+        n, els = len(B), B.elements
+        sample = range(n) if n <= 40 else sorted(
+            data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=40))
+        )
+        for i in sample:
+            for j in sample:
+                assert els[B.mul(i, j)] == product_brute(G, els[i], els[j])
+        for e in map(B.idem_element, range(1 << G.n_units)):
+            for v in sample:
+                assert els[B.mul(e, v)] == product_brute(G, els[e], els[v])
+                assert els[B.mul(v, e)] == product_brute(G, els[v], els[e])
 
 
 I3_MAPS = (3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}])
@@ -417,6 +445,27 @@ class TestVarietyIdentities:
         report = check_variety_identities(poisoned(B, poison), budget)
         assert report == variety_brute(poisoned(B, poison), budget)
         assert report.exhaustive == (len(B) ** 3 <= budget)
+
+    def test_sampled_mode_reports_witness_of_a_repeated_idempotent_pair(self):
+        # the sample evaluates the (d x, d y) laws once per distinct pair:
+        # poison the meet of a pair the sample meets more than once
+        B, budget = algebra("i2", "none"), 500
+        n = len(B)
+        firsts: dict[tuple[int, int], int] = {}
+        counts: dict[tuple[int, int], int] = {}
+        for t in range(0, n ** 3, n ** 3 // budget + 1):
+            pair = (B.d(t // (n * n)), B.d(t // n % n))
+            firsts.setdefault(pair, t)
+            counts[pair] = counts.get(pair, 0) + 1
+        e, f = next(p for p, c in counts.items() if c > 1 and p[0] != p[1])
+        poison = {(e, f): (B.mul(e, f) + 1) % n}
+        report = check_variety_identities(poisoned(B, poison), budget)
+        assert not report.exhaustive
+        assert report == variety_brute(poisoned(B, poison), budget)
+        # meet-commutativity fails first where (e, f) or (f, e) is first sampled
+        t = min(firsts[p] for p in ((e, f), (f, e)) if p in firsts)
+        witness = f"({B.label(t // (n * n))},{B.label(t // n % n)},{B.label(t % n)})"
+        assert ("2-meet-comm", witness) in report.failures
 
     @pytest.mark.parametrize("case", [("b2", "none"), ("b2", "tight"), ("chain3", "none")])
     def test_matches_triple_loop_with_each_product_poisoned(self, case):

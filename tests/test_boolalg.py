@@ -10,7 +10,7 @@ from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
-from oracles import mask_of, spectrum_brute, x_pi_brute
+from oracles import generated_subalgebra_brute, mask_of, spectrum_brute, x_pi_brute
 
 
 E3 = sl.chain(3)
@@ -139,7 +139,15 @@ class TestBooleanization:
         for E in (E3, D, sl.powerset_semilattice(3)):
             for name in sl.BUILTIN_RELATION_SETS:
                 B, rep = ba.booleanization(E, sl.builtin_relations(E, name))
-                assert ba.generated_subalgebra(B, rep.images).bit_count() == B.size
+                assert ba.generates(B, rep.images)
+                assert generated_subalgebra_brute(rep.images).bit_count() == B.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(0, 6), data=st.data())
+    def test_generates_matches_closure(self, m, data):
+        B = ba.FinBooleanAlgebra(tuple(f"p{i}" for i in range(m)))
+        seeds = data.draw(st.lists(st.integers(0, B.top), max_size=m + 2))
+        assert ba.generates(B, seeds) == (generated_subalgebra_brute(seeds).bit_count() == B.size)
 
 
 class TestBasicSets:
@@ -328,7 +336,7 @@ def _composite_rep(seed, m, data):
 
 
 def _generates(rep):
-    return ba.generated_subalgebra(rep.codomain, rep.images).bit_count() == rep.codomain.size
+    return generated_subalgebra_brute(rep.images).bit_count() == rep.codomain.size
 
 
 def _assert_paths_agree(rep):
