@@ -1,8 +1,8 @@
 """Boolean inverse semigroups of local bisections of a finite groupoid.
 
-Elements are arrow sets on which source and range are injective, held as
-int masks over arrow indices (as ``boolalg`` holds its elements) and
-enumerated by backtracking over per-unit occupancy.  The module carries the
+An element is its arrow set, held as an int mask over arrow indices (as
+``boolalg`` holds its elements), and a morphism out of an algebra is the
+tuple of images of its single-arrow elements.  The module carries the
 canonical representation of an inverse semigroup into the bisection algebra
 of its germ groupoid, the presentation and quotient checks, and the
 universal-morphism machinery.
@@ -30,54 +30,93 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_text, _unions
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _union_at, _unions, spectrum
 
-# local bisections BisAlgebra may enumerate; the universal algebra of I3 has 33,082
+# idempotents a BisAlgebra may tabulate and elements it may list; I4 universal has 2^15, I3 33,082
 BISECTION_BUDGET = 100_000
 # element pairs the fallback closure of generated_subsemigroup may work over; P3 universal has 56,644
 PAIR_BUDGET = 1_000_000
 
 
-class BisAlgebra:
-    """All local bisections of a finite groupoid, with the algebra operations.
+class _Memo(dict):
+    """A value per arrow mask, computed by ``fill`` on a miss."""
 
-    ``elements[i]`` is the arrow mask of element i, ordered by size and then
-    by ascending arrow list; index 0 is the empty bisection.  ``srcm[i]`` and
-    ``rngm[i]`` are the unit masks of its sources and ranges.  Idempotents
-    are the unit subsets, and tables indexed by unit mask give the idempotent
-    on each and the arrows with a source or a range in it, so domain, range,
-    order, difference, skew join and products with an idempotent factor are
-    bit operations; other products walk one factor's arrows (:meth:`mul`)
-    and are memoized in ``_mul``, which every product reads first (tests
-    poison it), as inverses are in ``_inv``.  Memo writes are idempotent,
-    so concurrent readers stay consistent.  Raises ``BudgetExceeded``
-    before enumerating when ``bisection_count`` is over ``BISECTION_BUDGET``.
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, mask: int) -> int:
+        self[mask] = out = self.fill(mask)
+        return out
+
+
+class BisAlgebra:
+    """The local bisections of a finite groupoid, with the algebra operations.
+
+    An element is its arrow mask; 0 is the empty bisection.  ``srcm[x]`` and
+    ``rngm[x]`` are the unit masks of its sources and ranges, kept per mask.
+    Idempotents are the masks of identity arrows only, one per unit subset,
+    and tables indexed by unit mask give the idempotent on each and the
+    arrows with a source or a range in it, so domain, range, order,
+    difference, skew join and products with an idempotent factor are bit
+    operations; other products walk one factor's arrows (:meth:`mul`) and
+    are memoized in ``_mul``, which every product reads first (tests poison
+    it), as inverses are in ``_inv``.  Memo writes are idempotent, so
+    concurrent readers stay consistent.  Raises ``BudgetExceeded`` when the
+    2^units idempotents are over ``BISECTION_BUDGET``; every idempotent is
+    an element, so this refuses no algebra that :attr:`elements` lists.
     """
 
     def __init__(self, groupoid: FinGroupoid):
-        _check_bisection_budget(groupoid)
+        _check_unit_budget(groupoid)
         G = self.groupoid = groupoid
         by_src, by_rng = [0] * G.n_units, [0] * G.n_units
         for a in range(G.n_arrows):
             by_src[G.src[a]] |= 1 << a
             by_rng[G.rng[a]] |= 1 << a
-        self.elements, self.srcm, self.rngm = _all_bisections(G, by_src, by_rng)
-        self.index = {e: i for i, e in enumerate(self.elements)}
         self.zero = 0
-        self._by_src, self._src_arrows, self._rng_arrows = by_src, _unions(by_src), _unions(by_rng)
-        self._idem = [self.index[e] for e in _unions([1 << a for a in G.unit_arrow])]
+        src_bits, rng_bits = [1 << u for u in G.src], [1 << u for u in G.rng]
+        srcm = self.srcm = _Memo(lambda x: _union_at(src_bits, x))
+        rngm = self.rngm = _Memo(lambda x: _union_at(rng_bits, x))
+        self._by_src, self._by_rng = by_src, by_rng
+        src_arrows, rng_arrows = self._src_arrows, self._rng_arrows = _unions(by_src), _unions(by_rng)
+        # per y, the arrows sharing a source or a range with y
+        self._blocked = _Memo(lambda y: src_arrows[srcm[y]] | rng_arrows[rngm[y]])
+        self._idem = _unions([1 << a for a in G.unit_arrow])
+        self._moving = self._idem[-1] ^ (1 << G.n_arrows) - 1  # the arrows that are not identities
         self._mul: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
+        self._elements: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return bisection_count(self.groupoid)
 
-    def label(self, i: int) -> str:
-        arrows = _bits(self.elements[i])
+    # not cached_property: its write to the instance dict slows every later attribute load
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """Every element, by size and then by ascending arrow list, listed on
+        first read; ``BudgetExceeded`` when there are over ``BISECTION_BUDGET``."""
+        if self._elements is None:
+            G = self.groupoid
+            count = bisection_count(G)
+            if count > BISECTION_BUDGET:
+                raise BudgetExceeded(
+                    f"enumerating the local bisections of {G.n_arrows} arrows would "
+                    f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
+                )
+            self._elements, srcs, rngs = _all_bisections(G, self._by_src, self._by_rng)
+            self.srcm.update(zip(self._elements, srcs))
+            self.rngm.update(zip(self._elements, rngs))
+        return self._elements
+
+    def label(self, x: int) -> str:
         names = self.groupoid.arrow_labels
-        return "{" + ",".join(names[a] for a in arrows) + "}" if arrows else "0"
+        return "{" + ",".join(names[a] for a in _bits(x)) + "}" if x else "0"
 
-    def mul(self, i: int, j: int) -> int:
+    def _is_bisection(self, mask: int) -> bool:
+        n = mask.bit_count()
+        return self.srcm[mask].bit_count() == n == self.rngm[mask].bit_count()
+
+    def mul(self, x: int, y: int) -> int:
         """UV = {ab : a in U, b in V, s(a) = r(b)}.  U is injective on
         sources, so each b of V with r(b) a source of U meets one a, U's
         arrow leaving r(b), and no other b meets any.  An idempotent e is
@@ -88,77 +127,69 @@ class BisAlgebra:
         1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives 1_u1_u = 1_u, then b1_u1_u =
         b1_u gives b1_u = b, and 1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
         """
-        got = self._mul.get((i, j))
+        got = self._mul.get((x, y))
         if got is not None:
             return got
-        u, v, srcm = self.elements[i], self.elements[j], self.srcm
-        if self._idem[srcm[i]] == i:
-            return self.index[v & self._rng_arrows[srcm[i]]]
-        if self._idem[srcm[j]] == j:
-            return self.index[u & self._src_arrows[srcm[j]]]
+        if not x & self._moving:
+            return y & self._rng_arrows[self.srcm[x]]
+        if not y & self._moving:
+            return x & self._src_arrows[self.srcm[y]]
         comp, rng, by_src = self.groupoid.comp, self.groupoid.rng, self._by_src
-        out, rest = 0, v & self._rng_arrows[srcm[i]]
+        out, rest = 0, y & self._rng_arrows[self.srcm[x]]
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
-            out |= 1 << comp[(u & by_src[rng[b]]).bit_length() - 1][b]
+            out |= 1 << comp[(x & by_src[rng[b]]).bit_length() - 1][b]
             rest ^= low
-        k = self.index.get(out)
-        if k is None:
-            raise LawViolation(
-                f"product of {self.label(i)} and {self.label(j)} is not a bisection"
-            )
-        self._mul[i, j] = k
-        return k
+        if not self._is_bisection(out):
+            raise LawViolation(f"product of {self.label(x)} and {self.label(y)} is not a bisection")
+        self._mul[x, y] = out
+        return out
 
-    def inv(self, i: int) -> int:
-        got = self._inv.get(i)
+    def inv(self, x: int) -> int:
+        got = self._inv.get(x)
         if got is None:
             inv = self.groupoid.inv
-            got = self.index[sum(1 << inv[a] for a in _bits(self.elements[i]))]
-            self._inv[i] = got
+            self._inv[x] = got = sum(1 << inv[a] for a in _bits(x))
         return got
 
-    def leq(self, i: int, j: int) -> bool:
-        return not self.elements[i] & ~self.elements[j]
+    def leq(self, x: int, y: int) -> bool:
+        return not x & ~y
 
-    def is_idempotent(self, i: int) -> bool:
-        return self._idem[self.srcm[i]] == i
+    def is_idempotent(self, x: int) -> bool:
+        return not x & self._moving
 
-    def d(self, i: int) -> int:
-        return self._idem[self.srcm[i]]
+    def d(self, x: int) -> int:
+        return self._idem[self.srcm[x]]
 
-    def r(self, i: int) -> int:
-        return self._idem[self.rngm[i]]
+    def r(self, x: int) -> int:
+        return self._idem[self.rngm[x]]
 
-    def compatible(self, i: int, j: int) -> bool:
-        return self.is_idempotent(self.mul(self.inv(i), j)) and self.is_idempotent(
-            self.mul(i, self.inv(j))
+    def compatible(self, x: int, y: int) -> bool:
+        return self.is_idempotent(self.mul(self.inv(x), y)) and self.is_idempotent(
+            self.mul(x, self.inv(y))
         )
 
-    def join(self, i: int, j: int) -> int:
+    def join(self, x: int, y: int) -> int:
         """The union of compatible bisections; compatible exactly when it is one."""
-        k = self.index.get(self.elements[i] | self.elements[j])
-        if k is None:
-            raise LawViolation(f"{self.label(i)} and {self.label(j)} are not compatible")
-        return k
+        if not self._is_bisection(x | y):
+            raise LawViolation(f"{self.label(x)} and {self.label(y)} are not compatible")
+        return x | y
 
-    def diff(self, i: int, j: int) -> int:
-        """Arrows of i whose source and range avoid the sources and ranges of j."""
-        blocked = self._src_arrows[self.srcm[j]] | self._rng_arrows[self.rngm[j]]
-        return self.index[self.elements[i] & ~blocked]
+    def diff(self, x: int, y: int) -> int:
+        """Arrows of x whose source and range avoid the sources and ranges of y."""
+        return x & ~self._blocked[y]
 
-    def skew(self, i: int, j: int) -> int:
-        """diff(i, j) joined with j; always a bisection, so no compatibility check."""
-        blocked = self._src_arrows[self.srcm[j]] | self._rng_arrows[self.rngm[j]]
-        return self.index[self.elements[i] & ~blocked | self.elements[j]]
+    def skew(self, x: int, y: int) -> int:
+        """diff(x, y) joined with y; always a bisection, so no compatibility check."""
+        return x & ~self._blocked[y] | y
 
     # --- idempotents as unit masks -----------------------------------------
 
-    def idem_mask(self, i: int) -> int:
-        if not self.is_idempotent(i):
-            raise LawViolation(f"{self.label(i)} is not an idempotent")
-        return self.srcm[i]
+    def idem_mask(self, x: int) -> int:
+        if not self.is_idempotent(x):
+            raise LawViolation(f"{self.label(x)} is not an idempotent")
+        return self.srcm[x]
 
     def idem_element(self, mask: int) -> int:
         return self._idem[mask]
@@ -167,17 +198,18 @@ class BisAlgebra:
         return FinBooleanAlgebra(self.groupoid.unit_labels)
 
 
-def _check_bisection_budget(G) -> None:
-    count = bisection_count(G)
-    if count > BISECTION_BUDGET:
+def _check_unit_budget(G: FinGroupoid | GermArrows) -> None:
+    if 1 << G.n_units > BISECTION_BUDGET:
         raise BudgetExceeded(
-            f"enumerating the local bisections of {G.n_arrows} arrows would "
-            f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
+            f"the bisection algebra on {G.n_units} units has {1 << G.n_units:,} "
+            f"idempotents, over the budget of {BISECTION_BUDGET:,}"
         )
 
 
-def bisection_count(G: FinGroupoid | GermArrows) -> int:
-    """How many local bisections G has, counted without enumerating them.
+def bisection_count(G: FinGroupoid | GermArrows, within: int = -1) -> int:
+    """How many local bisections G has, counted without enumerating them;
+    with a unit mask ``within`` that is a union of orbits, how many are made
+    of arrows with source in it.
 
     A local bisection is, in each orbit, a partial bijection between its
     units with one of the h arrows from source to range for each matched
@@ -191,7 +223,7 @@ def bisection_count(G: FinGroupoid | GermArrows) -> int:
         orbit[s] |= 1 << r
         loops[s] += s == r
     total = 1
-    for units in set(orbit):
+    for units in {o for u, o in enumerate(orbit) if within >> u & 1}:
         n, h = units.bit_count(), loops[_bits(units)[0]]
         total *= sum(comb(n, k) ** 2 * factorial(k) * h ** k for k in range(n + 1))
     return total
@@ -306,8 +338,8 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
 
     Exhaustive when the n^3 triples (x, y, z) fit the budget; otherwise a
     deterministic stride sample of them.  ``checked`` counts triples, and
-    each failure names the first triple, in lexicographic order, at which
-    the identity fails.
+    each failure names the first triple, in lexicographic order over
+    :attr:`BisAlgebra.elements`, at which the identity fails.
 
     No identity reads all three variables freely, so the exhaustive check
     evaluates each one once per distinct argument tuple: (d x, d y) for 1a,
@@ -324,7 +356,8 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
     bisection algebra is total, so no evaluation raises; products are read
     through the memo in ``_mul``.
     """
-    n = len(B)
+    els = B.elements
+    n = len(els)
     total = n * n * n
     d = B.d
     failures: dict[str, str] = {}
@@ -336,9 +369,9 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
 
     if total <= budget:
         first: dict[int, int] = {}
-        for x in range(n):
-            first.setdefault(d(x), x)
-        reps = sorted(first.values())
+        for k, x in enumerate(els):
+            first.setdefault(d(x), k)
+        reps = [els[k] for k in sorted(first.values())]
         for x in reps:
             e = d(x)
             for y in reps:
@@ -346,17 +379,17 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
                 note(_idem_pair_laws(B, e, f), x, y, 0)
                 for z in reps:
                     note(_idem_triple_laws(B, e, f, d(z)), x, y, z)
-                for z in range(n):
+                for z in els:
                     note(_z_laws(B, z, e, f), x, y, z)
-        for x in range(n):
-            for y in range(n):
+        for x in els:
+            for y in els:
                 note(_pair_laws(B, x, y), x, y, 0)
         checked = total
     else:
         sample = range(0, total, total // budget + 1)
         pairs: set[tuple[int, int]] = set()
         for t in sample:
-            x, y, z = t // (n * n), t // n % n, t % n
+            x, y, z = els[t // (n * n)], els[t // n % n], els[t % n]
             e, f = d(x), d(y)
             if (e, f) not in pairs:
                 pairs.add((e, f))
@@ -407,14 +440,14 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
 
     Verifies that the map kills zero, is multiplicative (checked on
     ``S.gens``) and satisfies the join constraints on idempotents.  The
-    algebra's size is forecast from the germs' sources and ranges, before
-    the groupoid's composition table is built and checked.
+    unit budget of :class:`BisAlgebra` is checked on the germs' units,
+    before the groupoid's composition table is built and checked.
     """
-    arrows = germ_arrows(S, relations)
-    _check_bisection_budget(arrows)
+    arrows = germ_arrows(S, spectrum(S.semilattice, invariant_closure(S, relations)))
+    _check_unit_budget(arrows)
     gg = germ_groupoid(S, relations, arrows)
     B = BisAlgebra(gg.groupoid)
-    images = tuple(B.index[theta(gg, s)] for s in range(S.n))
+    images = tuple(theta(gg, s) for s in range(S.n))
     if images[0] != B.zero:
         raise LawViolation("zero has germs")
     _check_multiplicative(S, B, images, "canonical map")
@@ -436,8 +469,8 @@ class PresentationReport:
 
 
 def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
-    """Closure of the seeds under product, inverse, difference and skew join,
-    as a mask over the element indices of B.
+    """The number of elements of the closure of the seeds under product,
+    inverse, difference and skew join.
 
     First on atoms.  The domains d(x) = x⁻¹x of the seeds are in the
     closure, so for each unit c so is the product of the domains that
@@ -454,14 +487,14 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
     and inverted, so every pair is combined once.  Stops as soon as all of
     B is reached.
     """
-    seeds, n = tuple(seeds), len(B)
+    seeds, n = tuple(seeds), bisection_count(B.groupoid)
     doms = {B.srcm[x] for x in seeds}
     # per unit, the domains containing it, as a mask over doms
     sig = [sum((m >> c & 1) << k for k, m in enumerate(doms)) for c in range(B.groupoid.n_units)]
     units = sum(1 << c for c, s in enumerate(sig) if s and sig.count(s) == 1)
-    atoms = reduce(or_, (B.elements[x] & B._src_arrows[B.srcm[x] & units] for x in seeds), 0)
+    atoms = reduce(or_, (x & B._src_arrows[B.srcm[x] & units] for x in seeds), 0)
     if atoms == (1 << B.groupoid.n_arrows) - 1:
-        return (1 << n) - 1
+        return n
     if n * n > PAIR_BUDGET:
         raise BudgetExceeded(
             f"the seeds miss atoms, and closing them would work over the {n * n:,} "
@@ -480,7 +513,7 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
             if k not in seen:
                 seen.add(k)
                 found.append(k)
-    return sum(1 << k for k in seen)
+    return len(found)
 
 
 def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
@@ -497,18 +530,19 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
         reduce(B.skew, (rep.images[S.idems[p]] for p in _bits(rel.parts)), B.zero)
         == rep.images[S.idems[rel.e]] for rel in relations
     )
-    reached = generated_subsemigroup(B, rep.images).bit_count()
-    return PresentationReport(rel_ok and reached == len(B), rel_ok, reached, len(B))
+    reached, total = generated_subsemigroup(B, rep.images), bisection_count(B.groupoid)
+    return PresentationReport(rel_ok and reached == total, rel_ok, reached, total)
 
 
 # ---------------------------------------------------------------------------
 # congruence from an invariant character set
 
-@dataclass
+@dataclass(frozen=True)
 class Congruence:
-    algebra: BisAlgebra
-    classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
+    """x and y are identified when x ∩ keep = y ∩ keep; ``class_count`` counts the classes."""
+
+    keep: int
+    class_count: int
 
 
 def congruence(full: IotaRep, chi) -> Congruence:
@@ -519,17 +553,18 @@ def congruence(full: IotaRep, chi) -> Congruence:
     idempotents missing the character set χ.  Such an e contains
     c = d(i) ∩ χ = d(j) ∩ χ, and ie = je gives ic = jc; conversely e = c
     serves.  So i and j are identified exactly when f(i) = f(j), for
-    f(i) = i·(d(i) ∩ χ), whose domain is d(i) ∩ χ: the relation is an
-    equivalence, and one pass of n products partitions B by f.
+    f(i) = i·(d(i) ∩ χ): the relation is an equivalence.  By the unit laws
+    (see :meth:`BisAlgebra.mul`), f(i) is the arrows of i with source in χ,
+    i ∩ keep.
 
-    f(i) is also the arrows of i with source in χ, and each is checked
-    against that value of the restriction map x ↦ x ∩ keep.  Its kernel is
-    a congruence exactly when every arrow has its source in χ iff its
-    range is.  Then an arrow ab, with source that of b and b's range the
-    source of a, is kept iff a and b are, and a⁻¹ iff a, so the map
-    preserves products and inverses.  And an arrow a with only its source
-    in χ identifies {a⁻¹} with 0 but not its inverse {a}; swap a and a⁻¹
-    when only the range is in χ.
+    The kernel of x ↦ x ∩ keep is a congruence exactly when every arrow
+    has its source in χ iff its range is.  Then an arrow ab, with source
+    that of b and b's range the source of a, is kept iff a and b are, and
+    a⁻¹ iff a, so the map preserves products and inverses.  And an arrow a
+    with only its source in χ identifies {a⁻¹} with 0 but not its inverse
+    {a}; swap a and a⁻¹ when only the range is in χ.  The classes biject
+    with the bisections inside keep, each its own image, and χ is then a
+    union of orbits, so ``bisection_count`` counts them.
     """
     chi = frozenset(chi)
     S = full.semigroup
@@ -537,8 +572,7 @@ def congruence(full: IotaRep, chi) -> Congruence:
         raise LawViolation("congruence needs the universal algebra (empty relation set)")
     if not character_set_invariant(S, chi):
         raise LawViolation("character set is not invariant under the action")
-    B = full.algebra
-    G = B.groupoid
+    G = full.algebra.groupoid
     units = full.germs.unit_index
     stray = next((c for c in chi if c not in units), None)
     if stray is not None:
@@ -548,17 +582,7 @@ def congruence(full: IotaRep, chi) -> Congruence:
         if (chi_mask >> G.src[a] ^ chi_mask >> G.rng[a]) & 1:
             raise LawViolation(f"partition not compatible with inversion at {G.arrow_labels[a]}")
     keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
-    first: dict[int, int] = {}
-    class_of = []
-    for i, arrows in enumerate(B.elements):
-        k = B.mul(i, B.idem_element(B.srcm[i] & chi_mask))
-        if B.elements[k] != arrows & keep:
-            raise LawViolation("literal congruence disagrees with the restriction kernel")
-        class_of.append(first.setdefault(k, len(first)))
-    classes: list[list[int]] = [[] for _ in first]
-    for i, k in enumerate(class_of):
-        classes[k].append(i)
-    return Congruence(B, tuple(map(tuple, classes)), tuple(class_of))
+    return Congruence(keep, bisection_count(G, chi_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -566,28 +590,36 @@ def congruence(full: IotaRep, chi) -> Congruence:
 
 @dataclass
 class AdditiveMorphism:
+    """A morphism of bisection algebras by its atom images: ``images[a]`` is
+    the image of {a}, and x goes to the union of the images of its arrows."""
+
     source: BisAlgebra
     target: BisAlgebra
-    table: tuple[int, ...]
+    images: tuple[int, ...]
 
     @classmethod
-    def build(cls, source, target, table) -> "AdditiveMorphism":
-        m = cls(source, target, tuple(table))
+    def build(cls, source, target, images) -> "AdditiveMorphism":
+        m = cls(source, target, tuple(images))
         _check_additive(m)
         return m
 
-    def apply(self, i: int) -> int:
-        return self.table[i]
+    def apply(self, x: int) -> int:
+        return _union_at(self.images, x)
 
 
 def _check_additive(m: AdditiveMorphism) -> None:
-    """t preserves zero, products, compatibility, compatible joins and
-    idempotent differences, checked on atoms (single-arrow bisections).
+    """The atom images t({a}) extend to a morphism t that preserves zero,
+    products, compatibility, compatible joins and idempotent differences:
+    checked as t({a})t({b}) = t({a}{b}) for all arrows a and b, where
+    {a}{b} is {ab} when a and b compose and 0 otherwise.
 
-    Three checks: t(0) = 0; t(x) is the union of t(x - {a}) and t({a}) for
-    the least arrow a of x, so by induction the union of the images of the
-    atoms of x; and t({a})t({b}) = t({a}{b}) for all arrows a and b, where
-    {a}{b} = 0 unless a and b compose.  They suffice.  The product of T
+    It suffices.  t(0) = 0, the empty union.  t({a⁻¹}) = t({a})⁻¹ by
+    uniqueness of inverses, since t({a})t({a⁻¹})t({a}) = t({a}{a⁻¹}{a})
+    = t({a}), and likewise for t({a⁻¹}).  So for distinct arrows a and b
+    of one bisection, whose sources differ, the domains of t({a}) and
+    t({b}) multiply to t({a⁻¹}{a}{b⁻¹}{b}) = t(0) = 0, and so do the
+    ranges: the atom images of a bisection have disjoint sources and
+    ranges, so their union t(x) is an element of T.  The product of T
     distributes over unions, and the composable pairs of arrows of x and y
     biject onto the arrows of xy, so t(x)t(y) is the union of t({ab}) over
     them, which is t(xy).  Compatible x and y join to the bisection x ∪ y,
@@ -595,25 +627,17 @@ def _check_additive(m: AdditiveMorphism) -> None:
     compatible with that join.  Unit atoms are idempotents and distinct
     ones multiply to 0, so their images are disjoint idempotents, and
     t(e - f) = t(e) - t(f) for idempotents e and f.  Conversely a morphism
-    passes all three, x being the compatible join of its atoms.  The cost
-    is n images and arrows² products in T.
+    passes, {a}{b} being the product in B.  The cost is arrows² products
+    in T.
     """
-    B, T, t = m.source, m.target, m.table
-    n = len(B)
-    if len(t) != n:
-        raise LawViolation(f"{n} elements but {len(t)} images")
-    if t[B.zero] != T.zero:
-        raise LawViolation("zero not preserved")
-    img, index = [T.elements[k] for k in t], B.index
-    for i, e in enumerate(B.elements):
-        rest, low = index[e & (e - 1)], index[e & -e]
-        if img[i] != img[rest] | img[low]:
-            raise LawViolation(f"compatible join not preserved at ({B.label(rest)},{B.label(low)})")
-    atoms = [index[1 << a] for a in range(B.groupoid.n_arrows)]
-    for x in atoms:
-        for y in atoms:
-            if t[B.mul(x, y)] != T.mul(t[x], t[y]):
-                raise LawViolation(f"product not preserved at ({B.label(x)},{B.label(y)})")
+    B, T, t = m.source, m.target, m.images
+    G = B.groupoid
+    if len(t) != G.n_arrows:
+        raise LawViolation(f"{G.n_arrows} arrows but {len(t)} atom images")
+    for a, row in enumerate(G.comp):
+        for b, ab in enumerate(row):
+            if T.mul(t[a], t[b]) != (t[ab] if ab >= 0 else T.zero):
+                raise LawViolation(f"product not preserved at ({B.label(1 << a)},{B.label(1 << b)})")
 
 
 def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
@@ -631,23 +655,21 @@ def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
     meets t({d}) for c ≠ d, then {c}∧{d} = 0 and t(0) = 0.  The images are
     disjoint exactly when their sizes add up to the size of their union.
     """
-    B, T, t = m.source, m.target, m.table
-    imgs = [T.elements[t[B.index[1 << a]]] for a in range(B.groupoid.n_arrows)]
-    return sum(x.bit_count() for x in imgs) == reduce(or_, imgs, 0).bit_count()
+    return sum(x.bit_count() for x in m.images) == reduce(or_, m.images, 0).bit_count()
 
 
 # ---------------------------------------------------------------------------
 # restriction morphism and the quotient theorem
 
 def restriction_morphism(full: IotaRep, carved: GermGroupoid) -> AdditiveMorphism:
-    """Cut every bisection of the universal algebra down to the arrows based
-    at units of the carved-out germ groupoid, as an element of its algebra.
+    """Cut the universal algebra down to the arrows based at units of the
+    carved-out germ groupoid, as a morphism into its algebra.
 
-    A kept germ is sent to its arrow in ``carved``; a kept germ that is not
-    one raises ``LawViolation`` naming it.  :meth:`AdditiveMorphism.build`
-    checks products, as for any morphism.  The cut of x is the cut of x
-    minus its least arrow, an earlier element, with that arrow's image added
-    when it is kept.
+    The atom image ``kept[a]`` of a universal arrow is its germ's arrow in
+    ``carved`` when the germ is based at a unit there, and 0 otherwise; a
+    kept germ that is not an arrow of ``carved`` raises ``LawViolation``
+    naming it.  :meth:`AdditiveMorphism.build` checks products, as for any
+    morphism.
     """
     kept = []
     for a, g in enumerate(full.germs.germs):
@@ -659,12 +681,7 @@ def restriction_morphism(full: IotaRep, carved: GermGroupoid) -> AdditiveMorphis
             raise LawViolation(
                 f"germ {full.germs.groupoid.arrow_labels[a]} is not an arrow of the carved-out groupoid"
             )
-    target = BisAlgebra(carved.groupoid)
-    B = full.algebra
-    cuts = [0]
-    for e in B.elements[1:]:
-        cuts.append(cuts[B.index[e & (e - 1)]] | kept[(e & -e).bit_length() - 1])
-    return AdditiveMorphism.build(B, target, map(target.index.__getitem__, cuts))
+    return AdditiveMorphism.build(full.algebra, BisAlgebra(carved.groupoid), kept)
 
 
 @dataclass(frozen=True)
@@ -684,10 +701,25 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 
     Builds the congruence on the universal algebra and the germ groupoid of
     the carved-out relation set, whose germs must be those based in χ, and
-    restricts the universal algebra into that groupoid's algebra; the
-    restriction must identify exactly the congruence classes and be onto.
-    The carved-out set comes first, so that an ``x_pi`` over its budget
-    refuses before the universal algebra is built.
+    restricts the universal algebra into that groupoid's algebra.  The
+    restriction identifies exactly the congruence classes and is onto when
+    ``kept`` is a bijection from the arrows based in χ, the congruence's
+    keep mask, onto the carved groupoid's arrows.  It preserves composition,
+    as the morphism check shows, and so sources and ranges: t({1_u}) is an
+    idempotent single arrow, a unit arrow 1_v, and t({a}) = t({a})1_v for
+    u = s(a) puts the source of t({a}) at v.  So x ∩ keep ↦ t(x) is the
+    isomorphism of bisection algebras that the groupoid isomorphism
+    induces, and the class count equals the size of the quotient.  The
+    carved-out set comes first, so that an ``x_pi`` over its budget refuses
+    before the universal algebra is built.
+
+    The carved groupoid is built over the spectrum of X_π itself, not of
+    its invariant closure: once :func:`congruence` has found χ invariant,
+    X_π is invariant.  For s in S, a character c of χ with c(s⁻¹s) = 1
+    moves to s·c in χ, with (s·c)(f) = c(s⁻¹fs), a bijection onto the c of
+    χ with c(ss⁻¹) = 1.  So π(s⁻¹fs) is the preimage of π(f) under that
+    partial bijection for every f, a map that preserves unions: if π(e) is
+    the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).
     """
     chi = frozenset(chi)
     # the composite of the canonical map and the quotient, restricted to
@@ -695,18 +727,17 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     rels = x_pi(character_rep(S.semilattice, sorted(chi)))
     full = iota(S, frozenset())
     cong = congruence(full, chi)
-    carved = germ_groupoid(S, rels)
+    carved = germ_groupoid(S, rels, germ_arrows(S, spectrum(S.semilattice, rels)))
+    size = bisection_count(carved.groupoid)
     spectrum_ok = set(carved.units) == chi
     if carved.germs != tuple(g for g in full.germs.germs if g.base in chi):
-        return QuotientReport(
-            False, len(cong.classes), bisection_count(carved), spectrum_ok, False, False, False
-        )
+        return QuotientReport(False, cong.class_count, size, spectrum_ok, False, False, False)
     morph = restriction_morphism(full, carved)
-    bijective = len(set(morph.table)) == len(cong.classes) == len(morph.target)
-    wmp = is_weakly_meet_preserving(morph)
+    kept, wmp = morph.images, is_weakly_meet_preserving(morph)
+    inside = sorted(k for a, k in enumerate(kept) if cong.keep >> a & 1)
+    bijective = inside == [1 << c for c in range(carved.n_arrows)] and cong.class_count == size
     return QuotientReport(
-        spectrum_ok and bijective and wmp, len(cong.classes), len(morph.target),
-        spectrum_ok, True, bijective, wmp,
+        spectrum_ok and bijective and wmp, cong.class_count, size, spectrum_ok, True, bijective, wmp,
     )
 
 
@@ -740,10 +771,11 @@ def _validate_representation(S: FinInverseSemigroup, target: BisAlgebra, phi, re
 def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebra, phi) -> UniversalResult:
     """Factor a join-respecting representation through the algebra of germs.
 
-    The morphism is assembled on single-arrow pieces and extended by
-    compatible joins; uniqueness is settled by exhaustive constrained search
-    for targets of at most UNIQUENESS_SEARCH_LIMIT elements, and by
-    generator determinacy above that.
+    The atom of a germ [s, c] goes to phi(s) times the idempotent that the
+    extension of the idempotent representation gives the unit c; uniqueness
+    is settled by exhaustive constrained search for targets of at most
+    UNIQUENESS_SEARCH_LIMIT elements, and by generator determinacy above
+    that.
     """
     phi = tuple(phi)
     relations = frozenset(relations)
@@ -757,21 +789,13 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
         target.idem_element(psi_e.atom_images[atom_pos[rep.domain.label(c.gen)]])
         for c in uni.germs.units
     ]
-
-    table = []
-    for arrows in B.elements:
-        acc = target.zero
-        for a in _bits(arrows):
-            g = uni.germs.germs[a]
-            piece = target.mul(phi[g.rep], unit_singletons[B.groupoid.src[a]])
-            acc = target.join(acc, piece)
-        table.append(acc)
-    morph = AdditiveMorphism.build(B, target, table)
+    images = [target.mul(phi[g.rep], unit_singletons[u]) for g, u in zip(uni.germs.germs, B.groupoid.src)]
+    morph = AdditiveMorphism.build(B, target, images)
     for s in range(S.n):
-        if morph.table[uni.images[s]] != phi[s]:
+        if morph.apply(uni.images[s]) != phi[s]:
             raise LawViolation(f"morphism does not factor the map at {S.label(s)}")
 
-    if len(target) <= UNIQUENESS_SEARCH_LIMIT:
+    if bisection_count(target.groupoid) <= UNIQUENESS_SEARCH_LIMIT:
         count = _count_additive_morphisms(B, target, dict(zip(uni.images, phi)), limit=2)
         if count != 1:
             raise LawViolation(f"expected a unique morphism, search found {count}")
@@ -780,68 +804,47 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
 
 
 def _count_additive_morphisms(B: BisAlgebra, T: BisAlgebra, pins: dict[int, int], limit: int = 2) -> int:
-    """Exhaustive count of additive morphisms extending the pinned images.
+    """Exhaustive count of additive morphisms that send each pinned element
+    of B to its pin in T.
 
-    Backtracking over element images, pruning with the product, inverse,
-    zero and compatible-join constraints against everything already placed.
+    Backtracking over atom images, arrow by arrow.  t(x) is the union of
+    its atoms' images, so the image of {a} lies inside the pin of every
+    pinned x that contains a.  Each placed atom is checked against the
+    products of the placed atoms, and each leaf against the pins and by
+    :meth:`AdditiveMorphism.build`.
     """
-    n = len(B)
-    assign = [-1] * n
-    assign[B.zero] = T.zero
-    for k, v in pins.items():
-        if assign[k] not in (-1, v):
-            return 0
-        assign[k] = v
-    order = [i for i in range(n) if assign[i] < 0]
+    G = B.groupoid
+    n, comp = G.n_arrows, G.comp
+    cands = [[v for v in T.elements if all(not v & ~w for x, w in pins.items() if x >> a & 1)] for a in range(n)]
+    img = [-1] * n
     count = 0
 
-    def consistent(i: int) -> bool:
-        for j in range(n):
-            if assign[j] < 0:
-                continue
-            for a, b in ((i, j), (j, i)):
-                k = B.mul(a, b)
-                if assign[k] >= 0 and assign[k] != T.mul(assign[a], assign[b]):
+    def consistent(a: int) -> bool:
+        for b in range(a + 1):
+            for x, y in ((a, b), (b, a)):
+                want = T.zero if comp[x][y] < 0 else img[comp[x][y]]
+                if want >= 0 and T.mul(img[x], img[y]) != want:
                     return False
-            if B.compatible(i, j):
-                if not T.compatible(assign[i], assign[j]):
-                    return False
-                k = B.join(i, j)
-                if assign[k] >= 0 and assign[k] != T.join(assign[i], assign[j]):
-                    return False
-        k = B.inv(i)
-        if assign[k] >= 0 and assign[k] != T.inv(assign[i]):
-            return False
         return True
 
-    def valid_leaf() -> bool:
-        # the incremental checks skip constraints whose result element was
-        # assigned after both operands, so leaves get a full validation
-        try:
-            AdditiveMorphism.build(B, T, tuple(assign))
-        except LawViolation:
-            return False
-        return True
-
-    def rec(pos: int):
+    def rec(a: int):
         nonlocal count
         if count >= limit:
             return
-        if pos == len(order):
-            if valid_leaf():
-                count += 1
+        if a == n:
+            m = AdditiveMorphism(B, T, tuple(img))
+            try:
+                _check_additive(m)
+            except LawViolation:
+                return
+            count += all(m.apply(x) == v for x, v in pins.items())
             return
-        i = order[pos]
-        for t in range(len(T)):
-            assign[i] = t
-            if consistent(i):
-                rec(pos + 1)
-            assign[i] = -1
+        for v in cands[a]:
+            img[a] = v
+            if consistent(a):
+                rec(a + 1)
+        img[a] = -1
 
-    # the pins themselves must be mutually consistent
-    for i in range(n):
-        if assign[i] >= 0 and not consistent(i):
-            return 0
     rec(0)
     return count
 
@@ -850,9 +853,15 @@ def _count_additive_morphisms(B: BisAlgebra, T: BisAlgebra, pins: dict[int, int]
 # JSON emission
 
 def bis_to_json(B: BisAlgebra) -> str:
-    # the arrows of each element are its least arrow and then those of the
-    # element without it, which comes earlier
-    arrows: list[list[int]] = [[]]
-    for e in B.elements[1:]:
-        arrows.append([(e & -e).bit_length() - 1, *arrows[B.index[e & (e - 1)]]])
-    return _json_text({"groupoid": _groupoid_doc(B.groupoid), "elements": arrows})
+    """``_json_text({"elements": ..., "groupoid": ...})`` for the arrow
+    lists of the elements.  An element's list is that of the element without
+    its top arrow, which comes earlier, with the top arrow appended."""
+    texts = {0: "[]"}
+    for x in B.elements[1:]:
+        top = x.bit_length() - 1
+        rest = texts[x ^ 1 << top]
+        texts[x] = (rest[:-6] + ",\n      " if rest != "[]" else "[\n      ") + str(top) + "\n    ]"
+    return (
+        '{\n  "elements": [\n    ' + ",\n    ".join(texts.values()) + '\n  ],\n  "groupoid": '
+        + _json_value(_groupoid_doc(B.groupoid), "\n  ") + "\n}"
+    )

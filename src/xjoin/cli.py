@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import boolalg, invsgp, lcmhull, semilattice, suites
-from .bisection import check_presentation, iota, theorem_quotients_check
+from .bisection import bis_to_json, bisection_count, check_presentation, iota, theorem_quotients_check
 from .groupoid import germ_groupoid, groupoid_to_dot, groupoid_to_json
 from .semilattice import LawViolation
 
@@ -95,14 +95,9 @@ def _cmd_booleanize(args) -> int:
     if args.format == "dot":
         _emit(groupoid_to_dot(G), args.out)
     elif args.format == "json":
-        from .bisection import bis_to_json
-
         _emit(bis_to_json(rep.algebra), args.out)
     else:
-        _emit(
-            f"units={G.n_units} arrows={G.n_arrows} elements={len(rep.algebra)}",
-            args.out,
-        )
+        _emit(f"units={G.n_units} arrows={G.n_arrows} elements={bisection_count(G)}", args.out)
     return 0
 
 

@@ -160,7 +160,6 @@ class GermArrows:
     """
 
     semigroup: FinInverseSemigroup
-    relations: frozenset          # the closed relation set actually used
     units: tuple[Character, ...]
     germs: tuple[Germ, ...]
     src: tuple[int, ...]
@@ -185,16 +184,15 @@ class GermGroupoid(GermArrows):
     groupoid: FinGroupoid
 
 
-def germ_arrows(S: FinInverseSemigroup, relations) -> GermArrows:
-    """Restrict the character action to the spectrum of the closed relation
-    set and list its germs, with their sources and ranges.
+def germ_arrows(S: FinInverseSemigroup, units) -> GermArrows:
+    """List the germs of the character action at a set of units (the spectrum
+    of an invariant relation set), with their sources and ranges.
 
     The germs at a unit c with generator f are the products sf for the s
     with f below d(s).
     """
     mult, inv, idems = S.mult, S.inv, S.idems
-    closed = invariant_closure(S, relations)
-    units = tuple(sorted(spectrum(S.semilattice, closed)))
+    units = tuple(sorted(units))
     unit_pos = {c: i for i, c in enumerate(units)}
     dom_rows = [mult[mult[inv[s]][s]] for s in range(S.n)]
     germs: set[Germ] = set()
@@ -213,20 +211,20 @@ def germ_arrows(S: FinInverseSemigroup, relations) -> GermArrows:
             )
         rng.append(unit_pos[target])
     germ_pos = {g: i for i, g in enumerate(germ_list)}
-    return GermArrows(S, closed, units, germ_list, tuple(src), tuple(rng), unit_pos, germ_pos)
+    return GermArrows(S, units, germ_list, tuple(src), tuple(rng), unit_pos, germ_pos)
 
 
 def germ_groupoid(S: FinInverseSemigroup, relations, arrows: GermArrows | None = None) -> GermGroupoid:
     """Restrict the character action to the spectrum of the closed relation set
     and form its groupoid of germs.
 
-    ``arrows``, when given, is ``germ_arrows(S, relations)``, already
-    computed.  The composite of germs [s, c] and [t, c'] with c the range of
+    ``arrows``, when given, is the :func:`germ_arrows` of that spectrum,
+    already computed.  The composite of germs [s, c] and [t, c'] with c the range of
     the second is the germ of st at c', whose representative is the product
     of the representatives, since t ends in the idempotent of c'.
     """
     if arrows is None:
-        arrows = germ_arrows(S, relations)
+        arrows = germ_arrows(S, spectrum(S.semilattice, invariant_closure(S, relations)))
     mult, idems, units = S.mult, S.idems, arrows.units
     src, rng, germ_list = arrows.src, arrows.rng, arrows.germs
     pos = {(s, g.rep): i for i, (s, g) in enumerate(zip(src, germ_list))}

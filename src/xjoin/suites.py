@@ -268,11 +268,9 @@ def bisection_suite():
     ok = True
     for S in cat:
         B = iota(S, frozenset()).algebra
-        n = len(B)
-        for i in range(n):
-            for j in range(n):
-                union_bis = B.elements[i] | B.elements[j] in B.index
-                if B.compatible(i, j) != union_bis:
+        for x in B.elements:
+            for y in B.elements:
+                if B.compatible(x, y) != is_local_bisection(B.groupoid, x | y):
                     ok = False
     out.append(("compatibility test agrees with the union criterion", ok, ""))
 

@@ -556,17 +556,16 @@ def _identity_checks(B, x: int, y: int, z: int):
 def variety_brute(B, budget: int = 250_000) -> VarietyReport:
     """Every identity on every triple (or on a deterministic stride sample
     of the triples), with the first counterexample per identity."""
-    n = len(B)
+    els = B.elements
+    n = len(els)
     total = n * n * n
     exhaustive = total <= budget
     if exhaustive:
-        triples = (
-            (x, y, z) for x in range(n) for y in range(n) for z in range(n)
-        )
+        triples = ((x, y, z) for x in els for y in els for z in els)
     else:
         stride = total // budget + 1
         triples = (
-            (t // (n * n), t // n % n, t % n) for t in range(0, total, stride)
+            (els[t // (n * n)], els[t // n % n], els[t % n]) for t in range(0, total, stride)
         )
     failures: dict[str, str] = {}
     checked = 0
@@ -582,37 +581,48 @@ def variety_brute(B, budget: int = 250_000) -> VarietyReport:
     return VarietyReport(not items, exhaustive, checked, items)
 
 
-def is_weakly_meet_preserving_brute(m) -> bool:
+def expanded(m) -> dict[int, int]:
+    """The image of every element of a morphism's source, by definition the
+    union of the images of its atoms."""
+    out = {}
+    for x in m.source.elements:
+        out[x] = 0
+        for a in elements_of(x):
+            out[x] |= m.images[a]
+    return out
+
+
+def is_weakly_meet_preserving_brute(B, T, t) -> bool:
     """Common lower bounds of images lift to common lower bounds: every d
-    below t(a) and t(b) is below t(c) for some c below a and b."""
-    B, T, t = m.source, m.target, m.table
-    n = len(B)
-    for d in range(len(T)):
-        for a in range(n):
+    below t(a) and t(b) is below t(c) for some c below a and b, for a table
+    t from the elements of B to those of T."""
+    els = B.elements
+    for d in T.elements:
+        for a in els:
             if not T.leq(d, t[a]):
                 continue
-            for b in range(n):
+            for b in els:
                 if not T.leq(d, t[b]):
                     continue
                 if not any(
-                    B.leq(c, a) and B.leq(c, b) and T.leq(d, t[c]) for c in range(n)
+                    B.leq(c, a) and B.leq(c, b) and T.leq(d, t[c]) for c in els
                 ):
                     return False
     return True
 
 
-def check_additive_brute(m) -> None:
-    """Raise ``LawViolation`` unless the table preserves zero, every product,
-    compatibility and join of every compatible pair, and the difference of
-    every pair of idempotents."""
-    B, T, t = m.source, m.target, m.table
-    n = len(B)
-    if len(t) != n:
-        raise LawViolation(f"{n} elements but {len(t)} images")
+def check_additive_brute(B, T, t) -> None:
+    """Raise ``LawViolation`` unless the table t from the elements of B
+    lands in T and preserves zero, every product, compatibility and join of
+    every compatible pair, and the difference of every pair of
+    idempotents."""
+    els, targets = B.elements, set(T.elements)
+    if any(t[i] not in targets for i in els):
+        raise LawViolation("image outside the target")
     if t[B.zero] != T.zero:
         raise LawViolation("zero not preserved")
-    for i in range(n):
-        for j in range(n):
+    for i in els:
+        for j in els:
             if t[B.mul(i, j)] != T.mul(t[i], t[j]):
                 raise LawViolation(f"product not preserved at ({B.label(i)},{B.label(j)})")
             if B.compatible(i, j):
@@ -624,26 +634,29 @@ def check_additive_brute(m) -> None:
                     raise LawViolation(
                         f"compatible join not preserved at ({B.label(i)},{B.label(j)})"
                     )
-    for i in range(n):
+    for i in els:
         if B.is_idempotent(i):
-            for j in range(n):
+            for j in els:
                 if B.is_idempotent(j) and t[B.diff(i, j)] != T.diff(t[i], t[j]):
                     raise LawViolation("idempotent difference not preserved")
 
 
 def congruence_brute(full, chi):
     """(classes, class_of) of the literal congruence of a character set on
-    the universal algebra, by its definition: i and j are identified when
-    some idempotent e below both domains has ie = je and leaves domains
-    d(i) - e and d(j) - e missing the set.  Greedy over all pairs, each
-    element joining the class of the first earlier class representative
-    identified with it; then checked against the restriction kernel and for
-    compatibility with every product and inverse.  Raises ``LawViolation``."""
+    the universal algebra, by its definition, over the positions of
+    ``B.elements``: x and y are identified when some idempotent e below both
+    domains has xe = ye and leaves domains d(x) - e and d(y) - e missing the
+    set.  Greedy over all pairs, each element joining the class of the
+    first earlier class representative identified with it; then checked
+    against the restriction kernel and for compatibility with every product
+    and inverse.  Raises ``LawViolation``."""
     B = full.algebra
     G = B.groupoid
     chi_mask = sum(1 << full.germs.unit_index[c] for c in chi)
-    n = len(B)
-    d_mask = B.srcm
+    els = B.elements
+    n = len(els)
+    where = {x: i for i, x in enumerate(els)}
+    d_mask = [B.srcm[x] for x in els]
 
     def literal_equiv(i: int, j: int) -> bool:
         common = d_mask[i] & d_mask[j]
@@ -651,7 +664,7 @@ def congruence_brute(full, chi):
         while True:
             if not (d_mask[i] & ~e) & chi_mask and not (d_mask[j] & ~e) & chi_mask:
                 idem = B.idem_element(e)
-                if B.mul(i, idem) == B.mul(j, idem):
+                if B.mul(els[i], idem) == B.mul(els[j], idem):
                     return True
             if e == 0:
                 return False
@@ -671,7 +684,7 @@ def congruence_brute(full, chi):
 
     keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
     kernel: dict[int, list[int]] = {}
-    for i, arrows in enumerate(B.elements):
+    for i, arrows in enumerate(els):
         kernel.setdefault(arrows & keep, []).append(i)
     if sorted(tuple(v) for v in kernel.values()) != sorted(classes):
         raise LawViolation("literal congruence disagrees with the restriction kernel")
@@ -679,12 +692,12 @@ def congruence_brute(full, chi):
     seen_mul: dict[tuple[int, int], int] = {}
     for i in range(n):
         for j in range(n):
-            val = class_of[B.mul(i, j)]
+            val = class_of[where[B.mul(els[i], els[j])]]
             if seen_mul.setdefault((class_of[i], class_of[j]), val) != val:
                 raise LawViolation("partition not compatible with the product")
     seen_inv: dict[int, int] = {}
     for i in range(n):
-        val = class_of[B.inv(i)]
+        val = class_of[where[B.inv(els[i])]]
         if seen_inv.setdefault(class_of[i], val) != val:
             raise LawViolation("partition not compatible with inversion")
     return classes, tuple(class_of)
@@ -720,10 +733,9 @@ def restricted_groupoid_brute(full, chi):
     return restr, proj
 
 
-def generated_subsemigroup_brute(B, seeds) -> int:
+def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:
     """Closure under product, inverse, difference and skew join, by rounds
-    over all pairs until a round adds nothing; as a mask over the element
-    indices of B."""
+    over all pairs until a round adds nothing."""
     els = set(seeds)
     els.add(B.zero)
     changed = True
@@ -740,7 +752,7 @@ def generated_subsemigroup_brute(B, seeds) -> int:
                     if k not in els:
                         els.add(k)
                         changed = True
-    return mask_of(els)
+    return frozenset(els)
 
 
 def generated_subalgebra_brute(seeds) -> int:

@@ -122,7 +122,7 @@ def test_criterion_04_bisection_counts():
     assert count_bisections_brute(full.algebra.groupoid) == 21
     E = I2.semilattice
     chi = sl.spectrum(E, tight)
-    assert len(congruence(full, chi).classes) == 7
+    assert congruence(full, chi).class_count == 7
     elapsed = time.monotonic() - t0
     _report(4, elapsed < 1.0, f"7 / 21 / 7 classes in {elapsed:.2f}s")
 
@@ -197,7 +197,7 @@ def test_criterion_08_universal_morphisms():
     ]
     carved = ba.x_pi(ba.SemilatticeRep.build(E, BA, images))
     morph = restriction_morphism(full, germ_groupoid(I2, carved))
-    phi = tuple(morph.table[full.images[s]] for s in range(I2.n))
+    phi = tuple(morph.apply(full.images[s]) for s in range(I2.n))
     cases.append((I2, carved, morph.target, phi))
     for S, relations, target, phi in cases:
         assert len(target) <= 30
@@ -205,7 +205,7 @@ def test_criterion_08_universal_morphisms():
         assert res.method == "exhaustive"
         uni = iota(S, relations)
         for s in range(S.n):
-            assert res.morphism.table[uni.images[s]] == phi[s]
+            assert res.morphism.apply(uni.images[s]) == phi[s]
     _report(8, True, f"{len(cases)} representations factored with unique morphisms")
 
 

@@ -78,9 +78,21 @@ class TestChecks:
         assert "classes=7" in out and "ok=true" in out
 
     def test_over_budget_bisections_refused_fast(self, files, capsys):
-        # the universal groupoid of I4 has 15 units and 208 arrows
+        # the universal groupoid of I4 has 15 units and 208 arrows: the
+        # checks answer from the arrows, and only listing the
+        # 83,135,918,096,825 elements is refused
+        for command, x, line in (
+            ("quotient-check", "none", "classes=83135918096825 quotient=83135918096825 wmp=true ok=true"),
+            ("quotient-check", "tight", "classes=209 quotient=209 wmp=true ok=true"),
+            ("presentation-check", "core", "relations=ok generated=83135918096825 total=83135918096825 ok=true"),
+            ("booleanize", "core", "units=15 arrows=208 elements=83135918096825"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--invsgp", files["i4"], "--x", x)
+            assert time.perf_counter() - start < 5.0
+            assert (code, out, err) == (0, line + "\n", "")
         start = time.perf_counter()
-        code, out, err = run(capsys, "quotient-check", "--invsgp", files["i4"], "--x", "none")
+        code, out, err = run(capsys, "booleanize", "--invsgp", files["i4"], "--x", "core", "--format", "json")
         assert time.perf_counter() - start < 5.0
         assert code == 2 and out == ""
         assert "83,135,918,096,825" in err and "100,000" in err
@@ -112,8 +124,8 @@ class TestChecks:
 
     @pytest.mark.parametrize("command, x", [("booleanize", "none"), ("presentation-check", "core")])
     def test_i5_universal_refused_before_composition(self, files, capsys, command, x):
-        # the forecast reads only the germs' sources and ranges, so neither
-        # the 1,545² composition table nor its check is built
+        # the unit budget reads only the germs' units, so neither the
+        # 1,545² composition table nor its check is built
         i5 = files["base"] / "i5.json"
         i5.write_text(json.dumps({"points": 5, "partial_maps": [
             {"1": "2", "2": "3", "3": "4", "4": "5", "5": "1"},
@@ -124,7 +136,7 @@ class TestChecks:
         code, out, err = run(capsys, command, "--invsgp", str(i5), "--x", x)
         assert time.perf_counter() - start < 2.0
         assert code == 2 and out == ""
-        assert "1545 arrows" in err and "100,000" in err
+        assert "31 units" in err and "2,147,483,648 idempotents" in err and "100,000" in err
 
     def test_table_over_budget_refused_fast(self, files, capsys):
         # I6: 13,327 partial injections of 6 points, whose table would have
