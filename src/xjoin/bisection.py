@@ -12,30 +12,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from math import comb, factorial
 from operator import or_
 
-from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi
-from .groupoid import (
-    FinGroupoid,
-    GermArrows,
-    GermGroupoid,
-    _groupoid_doc,
-    germ_arrows,
-    germ_groupoid,
-    theta,
-)
+from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi_spectrum
+from .groupoid import FinGroupoid, GermGroupoid, _groupoid_doc, germ_groupoid, theta
 from .invsgp import (
     FinInverseSemigroup,
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _union_at, _unions, spectrum
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _union_at
 
-# idempotents a BisAlgebra may tabulate and elements it may list; I4 universal has 2^15, I3 33,082
+# elements B.elements may list; I3 universal has 33,082
 BISECTION_BUDGET = 100_000
-# element pairs the fallback closure of generated_subsemigroup may work over; P3 universal has 56,644
-PAIR_BUDGET = 1_000_000
 
 
 class _Memo(dict):
@@ -55,19 +46,18 @@ class BisAlgebra:
     An element is its arrow mask; 0 is the empty bisection.  ``srcm[x]`` and
     ``rngm[x]`` are the unit masks of its sources and ranges, kept per mask.
     Idempotents are the masks of identity arrows only, one per unit subset,
-    and tables indexed by unit mask give the idempotent on each and the
-    arrows with a source or a range in it, so domain, range, order,
-    difference, skew join and products with an idempotent factor are bit
-    operations; other products walk one factor's arrows (:meth:`mul`) and
-    are memoized in ``_mul``, which every product reads first (tests poison
-    it), as inverses are in ``_inv``.  Memo writes are idempotent, so
-    concurrent readers stay consistent.  Raises ``BudgetExceeded`` when the
-    2^units idempotents are over ``BISECTION_BUDGET``; every idempotent is
-    an element, so this refuses no algebra that :attr:`elements` lists.
+    and memos keyed by unit mask give the idempotent on each and the arrows
+    with a source or a range in it, filled per mask on first read, so
+    domain, range, order, difference, skew join and products with an
+    idempotent factor are bit operations; other products walk one factor's
+    arrows (:meth:`mul`) and are memoized in ``_mul``, which every product
+    reads first (tests poison it), as inverses are in ``_inv``.  Memo writes
+    are idempotent, so concurrent readers stay consistent.  Building tabulates
+    nothing per element or idempotent; only :attr:`elements` lists, under
+    ``BISECTION_BUDGET``.
     """
 
     def __init__(self, groupoid: FinGroupoid):
-        _check_unit_budget(groupoid)
         G = self.groupoid = groupoid
         by_src, by_rng = [0] * G.n_units, [0] * G.n_units
         for a in range(G.n_arrows):
@@ -78,11 +68,14 @@ class BisAlgebra:
         srcm = self.srcm = _Memo(lambda x: _union_at(src_bits, x))
         rngm = self.rngm = _Memo(lambda x: _union_at(rng_bits, x))
         self._by_src, self._by_rng = by_src, by_rng
-        src_arrows, rng_arrows = self._src_arrows, self._rng_arrows = _unions(by_src), _unions(by_rng)
+        src_arrows = self._src_arrows = _Memo(lambda m: _union_at(by_src, m))
+        rng_arrows = self._rng_arrows = _Memo(lambda m: _union_at(by_rng, m))
         # per y, the arrows sharing a source or a range with y
         self._blocked = _Memo(lambda y: src_arrows[srcm[y]] | rng_arrows[rngm[y]])
-        self._idem = _unions([1 << a for a in G.unit_arrow])
-        self._moving = self._idem[-1] ^ (1 << G.n_arrows) - 1  # the arrows that are not identities
+        unit_bits = [1 << a for a in G.unit_arrow]
+        self._idem = _Memo(lambda m: _union_at(unit_bits, m))
+        # the arrows that are not identities
+        self._moving = self._idem[(1 << G.n_units) - 1] ^ (1 << G.n_arrows) - 1
         self._mul: dict[tuple[int, int], int] = {}
         self._inv: dict[int, int] = {}
         self._elements: tuple[int, ...] | None = None
@@ -198,15 +191,7 @@ class BisAlgebra:
         return FinBooleanAlgebra(self.groupoid.unit_labels)
 
 
-def _check_unit_budget(G: FinGroupoid | GermArrows) -> None:
-    if 1 << G.n_units > BISECTION_BUDGET:
-        raise BudgetExceeded(
-            f"the bisection algebra on {G.n_units} units has {1 << G.n_units:,} "
-            f"idempotents, over the budget of {BISECTION_BUDGET:,}"
-        )
-
-
-def bisection_count(G: FinGroupoid | GermArrows, within: int = -1) -> int:
+def bisection_count(G: FinGroupoid, within: int = -1) -> int:
     """How many local bisections G has, counted without enumerating them;
     with a unit mask ``within`` that is a union of orbits, how many are made
     of arrows with source in it.
@@ -439,13 +424,10 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """Build the germ groupoid and the canonical representation into its bisections.
 
     Verifies that the map kills zero, is multiplicative (checked on
-    ``S.gens``) and satisfies the join constraints on idempotents.  The
-    unit budget of :class:`BisAlgebra` is checked on the germs' units,
-    before the groupoid's composition table is built and checked.
+    ``S.gens``) and satisfies the join constraints on idempotents.  Nothing
+    here lists the algebra: its size is :func:`bisection_count`.
     """
-    arrows = germ_arrows(S, spectrum(S.semilattice, invariant_closure(S, relations)))
-    _check_unit_budget(arrows)
-    gg = germ_groupoid(S, relations, arrows)
+    gg = germ_groupoid(S, relations)
     B = BisAlgebra(gg.groupoid)
     images = tuple(theta(gg, s) for s in range(S.n))
     if images[0] != B.zero:
@@ -470,50 +452,37 @@ class PresentationReport:
 
 def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
     """The number of elements of the closure of the seeds under product,
-    inverse, difference and skew join.
+    inverse, difference and skew join, when that is all of B; otherwise
+    ``LawViolation`` naming the first arrow the seeds miss.
 
-    First on atoms.  The domains d(x) = x⁻¹x of the seeds are in the
-    closure, so for each unit c so is the product of the domains that
-    contain c with every other domain differenced away; that is {c} when
-    some domain contains c and no other unit lies in the same domains.
-    Then x·{c} is the atom of x at source c, for every seed x with c in its
-    domain.  If every single-arrow element is reached this way the closure
-    is all of B, since every bisection is the iterated skew join of its
-    pairwise orthogonal atoms.
+    On atoms.  The domains d(x) = x⁻¹x of the seeds are in the closure, so
+    for each unit c so is the product of the domains that contain c with
+    every other domain differenced away; that is {c} when some domain
+    contains c and no other unit lies in the same domains.  Then x·{c} is
+    the atom of x at source c, for every seed x with c in its domain.  If
+    every single-arrow element is reached this way the closure is all of B,
+    since every bisection is the iterated skew join of its pairwise
+    orthogonal atoms.
 
-    Otherwise semi-naive, refused with ``BudgetExceeded`` when B has more
-    than ``PAIR_BUDGET`` pairs: each element, in the order found, is
-    combined in both orders with itself and every element found before it,
-    and inverted, so every pair is combined once.  Stops as soon as all of
-    B is reached.
+    The canonical images θ(s), the seeds of :func:`check_presentation`,
+    always reach every atom.  θ(f) for an idempotent f is the identities at
+    the units whose generator lies below f, and it is its own domain.  For
+    units c ≠ c' with generators g, g', say g ≰ g', the domain of θ(g)
+    holds c and not c': the domains split every pair of units, and each
+    unit c lies in that of θ(g).  A germ [s, c] has c in the domain of θ(s)
+    and is the atom of θ(s) at source c.
     """
-    seeds, n = tuple(seeds), bisection_count(B.groupoid)
+    seeds, G = tuple(seeds), B.groupoid
     doms = {B.srcm[x] for x in seeds}
     # per unit, the domains containing it, as a mask over doms
-    sig = [sum((m >> c & 1) << k for k, m in enumerate(doms)) for c in range(B.groupoid.n_units)]
+    sig = [sum((m >> c & 1) << k for k, m in enumerate(doms)) for c in range(G.n_units)]
     units = sum(1 << c for c, s in enumerate(sig) if s and sig.count(s) == 1)
     atoms = reduce(or_, (x & B._src_arrows[B.srcm[x] & units] for x in seeds), 0)
-    if atoms == (1 << B.groupoid.n_arrows) - 1:
-        return n
-    if n * n > PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"the seeds miss atoms, and closing them would work over the {n * n:,} "
-            f"pairs of {n:,} bisections, over the budget of {PAIR_BUDGET:,}"
-        )
-    found = list(dict.fromkeys((B.zero, *seeds)))
-    seen = set(found)
-    mul, diff, skew = B.mul, B.diff, B.skew
-    for i, x in enumerate(found):
-        if len(found) == n:
-            break
-        reached = [B.inv(x)]
-        for y in found[: i + 1]:
-            reached += (mul(x, y), mul(y, x), diff(x, y), diff(y, x), skew(x, y), skew(y, x))
-        for k in reached:
-            if k not in seen:
-                seen.add(k)
-                found.append(k)
-    return len(found)
+    missed = ~atoms & (1 << G.n_arrows) - 1
+    if missed:
+        first = (missed & -missed).bit_length() - 1
+        raise LawViolation(f"the generators miss the arrow {G.arrow_labels[first]}")
+    return bisection_count(G)
 
 
 def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
@@ -522,7 +491,8 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     :func:`iota` has already checked that the canonical generators kill zero
     and are multiplicative; this checks that they satisfy the join
     constraints as iterated skew joins and generate the whole algebra under
-    the extended signature.
+    the extended signature, which :func:`generated_subsemigroup` proves they
+    do; a missed arrow raises ``LawViolation``.
     """
     rep = iota(S, relations)
     B = rep.algebra
@@ -530,8 +500,8 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
         reduce(B.skew, (rep.images[S.idems[p]] for p in _bits(rel.parts)), B.zero)
         == rep.images[S.idems[rel.e]] for rel in relations
     )
-    reached, total = generated_subsemigroup(B, rep.images), bisection_count(B.groupoid)
-    return PresentationReport(rel_ok and reached == total, rel_ok, reached, total)
+    total = generated_subsemigroup(B, rep.images)
+    return PresentationReport(rel_ok, rel_ok, total, total)
 
 
 # ---------------------------------------------------------------------------
@@ -627,16 +597,38 @@ def _check_additive(m: AdditiveMorphism) -> None:
     compatible with that join.  Unit atoms are idempotents and distinct
     ones multiply to 0, so their images are disjoint idempotents, and
     t(e - f) = t(e) - t(f) for idempotents e and f.  Conversely a morphism
-    passes, {a}{b} being the product in B.  The cost is arrows² products
-    in T.
+    passes, {a}{b} being the product in B.
+
+    A row a of ``comp`` defined exactly at the arrows ending at u = src(a)
+    takes products only there.  The rest of the row is one mask test:
+    t({a})t({b}) is 0 exactly when t({b}) has no arrow whose range is a
+    source of t({a}), so the union of the images of the arrows ending at
+    the other units must have none.  Any other row, and a failing one, is
+    walked entry by entry, which names the first witness.  The cost is a
+    product in T per composable pair of arrows.
     """
     B, T, t = m.source, m.target, m.images
     G = B.groupoid
     if len(t) != G.n_arrows:
         raise LawViolation(f"{G.n_arrows} arrows but {len(t)} atom images")
+    ending_at: list[list[int]] = [[] for _ in range(G.n_units)]
+    into = [0] * G.n_units  # per unit, the union of the images of the arrows ending there
+    for b, r in enumerate(G.rng):
+        ending_at[r].append(b)
+        into[r] |= t[b]
+    before = list(accumulate(into, or_, initial=0))
+    after = list(accumulate(reversed(into), or_, initial=0))[::-1]
     for a, row in enumerate(G.comp):
+        u, x = G.src[a], t[a]
+        ends = ending_at[u]
+        if (
+            row.count(-1) == len(row) - len(ends)
+            and all(row[b] >= 0 and T.mul(x, t[b]) == t[row[b]] for b in ends)
+            and not (before[u] | after[u + 1]) & T._rng_arrows[T.srcm[x]]
+        ):
+            continue
         for b, ab in enumerate(row):
-            if T.mul(t[a], t[b]) != (t[ab] if ab >= 0 else T.zero):
+            if T.mul(x, t[b]) != (t[ab] if ab >= 0 else T.zero):
                 raise LawViolation(f"product not preserved at ({B.label(1 << a)},{B.label(1 << b)})")
 
 
@@ -709,11 +701,10 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     idempotent single arrow, a unit arrow 1_v, and t({a}) = t({a})1_v for
     u = s(a) puts the source of t({a}) at v.  So x ∩ keep ↦ t(x) is the
     isomorphism of bisection algebras that the groupoid isomorphism
-    induces, and the class count equals the size of the quotient.  The
-    carved-out set comes first, so that an ``x_pi`` over its budget refuses
-    before the universal algebra is built.
+    induces, and the class count equals the size of the quotient.
 
-    The carved groupoid is built over the spectrum of X_π itself, not of
+    The carved groupoid is built over the spectrum of X_π, read in closed
+    form by :func:`x_pi_spectrum` without listing X_π, and not over that of
     its invariant closure: once :func:`congruence` has found χ invariant,
     X_π is invariant.  For s in S, a character c of χ with c(s⁻¹s) = 1
     moves to s·c in χ, with (s·c)(f) = c(s⁻¹fs), a bijection onto the c of
@@ -722,12 +713,11 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).
     """
     chi = frozenset(chi)
-    # the composite of the canonical map and the quotient, restricted to
-    # idempotents: images are character sets inside chi
-    rels = x_pi(character_rep(S.semilattice, sorted(chi)))
     full = iota(S, frozenset())
     cong = congruence(full, chi)
-    carved = germ_groupoid(S, rels, germ_arrows(S, spectrum(S.semilattice, rels)))
+    # the composite of the canonical map and the quotient, restricted to
+    # idempotents, sends each to the characters of chi below it
+    carved = germ_groupoid(S, units=x_pi_spectrum(character_rep(S.semilattice, sorted(chi))))
     size = bisection_count(carved.groupoid)
     spectrum_ok = set(carved.units) == chi
     if carved.germs != tuple(g for g in full.germs.germs if g.base in chi):
@@ -735,7 +725,7 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     morph = restriction_morphism(full, carved)
     kept, wmp = morph.images, is_weakly_meet_preserving(morph)
     inside = sorted(k for a, k in enumerate(kept) if cong.keep >> a & 1)
-    bijective = inside == [1 << c for c in range(carved.n_arrows)] and cong.class_count == size
+    bijective = inside == [1 << c for c in range(carved.groupoid.n_arrows)] and cong.class_count == size
     return QuotientReport(
         spectrum_ok and bijective and wmp, cong.class_count, size, spectrum_ok, True, bijective, wmp,
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
@@ -151,46 +151,36 @@ def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
 
 
 @dataclass(frozen=True)
-class GermArrows:
-    """The units and germs of a germ groupoid, with sources and ranges but no
-    composition table: enough to forecast its bisections.
-
-    ``unit_index`` and ``arrow_index`` map a unit or germ to its position in
-    ``units`` or ``germs``.
-    """
+class GermGroupoid:
+    """Groupoid of germs over the spectrum of a closed relation set; a unit's
+    or germ's position in ``units`` or ``germs``, which ``unit_index`` and
+    ``arrow_index`` map it to, is its index in ``groupoid``."""
 
     semigroup: FinInverseSemigroup
     units: tuple[Character, ...]
     germs: tuple[Germ, ...]
-    src: tuple[int, ...]
-    rng: tuple[int, ...]
+    groupoid: FinGroupoid
     unit_index: dict[Character, int] = field(compare=False, repr=False)
     arrow_index: dict[Germ, int] = field(compare=False, repr=False)
 
-    @property
-    def n_units(self) -> int:
-        return len(self.units)
 
-    @property
-    def n_arrows(self) -> int:
-        return len(self.germs)
-
-
-@dataclass(frozen=True)
-class GermGroupoid(GermArrows):
-    """Groupoid of germs over the spectrum of a closed relation set; a unit's
-    or germ's position is its index in ``groupoid``."""
-
-    groupoid: FinGroupoid
-
-
-def germ_arrows(S: FinInverseSemigroup, units) -> GermArrows:
-    """List the germs of the character action at a set of units (the spectrum
-    of an invariant relation set), with their sources and ranges.
+def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> GermGroupoid:
+    """Restrict the character action to the spectrum of the closed relation
+    set, or to ``units`` when the caller already has that spectrum, and form
+    its groupoid of germs.
 
     The germs at a unit c with generator f are the products sf for the s
-    with f below d(s).
+    with f below d(s).  A germ is fixed by that representative t = sf, since
+    d(t) = f names its unit, so there are at most S.n - 1 germs and the
+    composition table is smaller than the multiplication table of S.  The
+    composite of germs [s, c] and [t, c'] with c the range of the second is
+    the germ of st at c', whose representative is the product of the
+    representatives, since t ends in the idempotent of c'.
     """
+    if (relations is None) == (units is None):
+        raise TypeError("germ_groupoid takes one of relations and units")
+    if units is None:
+        units = spectrum(S.semilattice, invariant_closure(S, relations))
     mult, inv, idems = S.mult, S.inv, S.idems
     units = tuple(sorted(units))
     unit_pos = {c: i for i, c in enumerate(units)}
@@ -210,23 +200,6 @@ def germ_arrows(S: FinInverseSemigroup, units) -> GermArrows:
                 "the relation set was not invariant"
             )
         rng.append(unit_pos[target])
-    germ_pos = {g: i for i, g in enumerate(germ_list)}
-    return GermArrows(S, units, germ_list, tuple(src), tuple(rng), unit_pos, germ_pos)
-
-
-def germ_groupoid(S: FinInverseSemigroup, relations, arrows: GermArrows | None = None) -> GermGroupoid:
-    """Restrict the character action to the spectrum of the closed relation set
-    and form its groupoid of germs.
-
-    ``arrows``, when given, is the :func:`germ_arrows` of that spectrum,
-    already computed.  The composite of germs [s, c] and [t, c'] with c the range of
-    the second is the germ of st at c', whose representative is the product
-    of the representatives, since t ends in the idempotent of c'.
-    """
-    if arrows is None:
-        arrows = germ_arrows(S, spectrum(S.semilattice, invariant_closure(S, relations)))
-    mult, idems, units = S.mult, S.idems, arrows.units
-    src, rng, germ_list = arrows.src, arrows.rng, arrows.germs
     pos = {(s, g.rep): i for i, (s, g) in enumerate(zip(src, germ_list))}
     reps = [g.rep for g in germ_list]
     ending_at: list[list[int]] = [[] for _ in units]
@@ -246,10 +219,10 @@ def germ_groupoid(S: FinInverseSemigroup, relations, arrows: GermArrows | None =
         src=src,
         rng=rng,
         unit_arrow=[pos[u, idems[c.gen]] for u, c in enumerate(units)],
-        inv=[pos[r, mult[S.inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)],
+        inv=[pos[r, mult[inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)],
         comp=comp,
     )
-    return GermGroupoid(**{f.name: getattr(arrows, f.name) for f in fields(arrows)}, groupoid=G)
+    return GermGroupoid(S, units, germ_list, G, unit_pos, {g: i for i, g in enumerate(germ_list)})
 
 
 def theta(gg: GermGroupoid, s: int, excl=()) -> int:

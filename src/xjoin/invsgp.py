@@ -242,7 +242,10 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
     """
     gens = []
     for m in maps:
-        pm = {int(k): int(v) for k, v in m.items()}
+        try:
+            pm = {int(k): int(v) for k, v in m.items()}
+        except (TypeError, ValueError):
+            raise LawViolation("'partial_maps' must map points to points") from None
         if len(set(pm.values())) != len(pm):
             raise LawViolation(f"generator {pm} is not injective")
         for k, v in pm.items():

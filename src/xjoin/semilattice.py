@@ -131,7 +131,10 @@ class FinMeetSemilattice:
             raise LawViolation("semilattice needs at least the bottom element")
         if labels is None:
             labels = tuple("0" if i == 0 else f"x{i}" for i in range(n))
-        labels = tuple(str(x) for x in labels)
+        try:
+            labels = tuple(str(x) for x in labels)
+        except TypeError:
+            raise LawViolation("'elements' must be a list of labels") from None
         if len(labels) != n:
             raise LawViolation(f"{n} elements but {len(labels)} labels")
         if len(set(labels)) != n:

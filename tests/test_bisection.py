@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 import time
 from functools import reduce
 from operator import or_
@@ -13,7 +14,6 @@ from xjoin import bisection, invsgp
 from xjoin import semilattice as sl
 from xjoin.bisection import (
     BISECTION_BUDGET,
-    PAIR_BUDGET,
     AdditiveMorphism,
     BisAlgebra,
     _check_additive,
@@ -33,7 +33,7 @@ from xjoin.bisection import (
     theorem_quotients_check,
 )
 from xjoin.boolalg import character_rep, x_pi
-from xjoin.groupoid import FinGroupoid, germ_arrows, germ_groupoid
+from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation
 
 from oracles import (
@@ -253,8 +253,8 @@ def cyclic_groupoid(h: int) -> FinGroupoid:
 
 class TestBisectionBudget:
     """``bisection_count`` forecasts the size of ``BisAlgebra`` from orbits
-    and isotropy; the algebra refuses to be built when its idempotents are
-    over the budget, and to list its elements when they are."""
+    and isotropy; any algebra is built, and only listing its elements is
+    refused when they are over the budget."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS))
@@ -281,30 +281,30 @@ class TestBisectionBudget:
         assert len(B) == 83_135_918_096_825
         with pytest.raises(BudgetExceeded, match="83,135,918,096,825 elements, over the budget of 100,000"):
             B.elements
-        # 17 units have 2^17 idempotents: refused when built; 16 fit
+        # 17 units have 2^17 idempotents: the algebra builds and works on
+        # masks, and only listing its 131,072 elements is refused; 16 fit
         for n in (16, 17):
             G = germ_groupoid(invsgp.chain_semigroup(n), frozenset()).groupoid
-            assert bisection_count(G) == 2 ** n
+            B = BisAlgebra(G)
+            assert bisection_count(G) == len(B) == 2 ** n
+            top = B.idem_element((1 << n) - 1)
+            assert B.mul(top, top) == top == B.d(top) and B.diff(top, top) == 0
             if n == 16:
-                assert len(BisAlgebra(G).elements) == 65_536
+                assert len(B.elements) == 65_536
                 continue
-            with pytest.raises(BudgetExceeded, match="17 units has 131,072 idempotents, over the budget of 100,000"):
-                BisAlgebra(G)
+            with pytest.raises(BudgetExceeded, match="131,072 elements, over the budget of 100,000"):
+                B.elements
 
-    def test_iota_forecasts_before_composing(self, monkeypatch):
-        # iota checks the unit budget on the germs' units, so an algebra
-        # over budget is refused before any composition table is built
-        def composed(*args):
-            raise AssertionError("composition table built before the unit budget")
-
-        monkeypatch.setattr(bisection, "germ_groupoid", composed)
-        with pytest.raises(BudgetExceeded, match="17 units has 131,072 idempotents"):
-            bisection.iota(invsgp.chain_semigroup(17), frozenset())
-        monkeypatch.undo()
-        S = invsgp.from_partial_maps(*I4_MAPS)[0]
-        B = bisection.iota(S, frozenset()).algebra
-        arrows = germ_arrows(S, sl.spectrum(S.semilattice, frozenset()))
-        assert bisection_count(arrows) == bisection_count(B.groupoid) == len(B) == 83_135_918_096_825
+    def test_iota_forecasts_before_composing(self):
+        # iota sizes its algebra by the forecast and lists nothing, however
+        # many units its groupoid has
+        for S, want in (
+            (invsgp.chain_semigroup(17), 2 ** 17),
+            (invsgp.from_partial_maps(*I4_MAPS)[0], 83_135_918_096_825),
+        ):
+            B = bisection.iota(S, frozenset()).algebra
+            assert bisection_count(B.groupoid) == len(B) == want
+            assert B._elements is None
 
     def test_i3_universal_checks_answer(self):
         # the universal algebra of I3 has 33,082 elements and 1.1e9 pairs;
@@ -321,28 +321,6 @@ class TestBisectionBudget:
         p = check_presentation(S, rels(S, "core"))
         assert time.perf_counter() - start < 5.0
         assert (p.generated, p.total, p.ok) == (33_082, 33_082, True)
-
-    def test_fallback_closure_over_budget_is_refused(self):
-        # idempotent seeds reach only the unit atoms of the I3 universal
-        # algebra, so the closure falls back to pairs, over PAIR_BUDGET
-        rep = iota(invsgp.from_partial_maps(*I3_MAPS)[0], frozenset())
-        B = rep.algebra
-        idems = [rep.images[e] for e in rep.semigroup.idems]
-        start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match="1,094,418,724 pairs of 33,082 bisections, over the budget of 1,000,000"):
-            generated_subsemigroup(B, idems)
-        assert time.perf_counter() - start < 1.0
-
-    def test_pair_passes_under_budget_run(self):
-        # the fallback closure runs on this algebra: idempotents generate
-        # only idempotents
-        S = invsgp.from_partial_maps(3, [{1: 2, 2: 3}])[0]
-        rep = iota(S, frozenset())
-        B = rep.algebra
-        assert len(B) ** 2 == 56_644 <= PAIR_BUDGET
-        idems = generated_subsemigroup(B, [rep.images[e] for e in S.idems])
-        assert idems == sum(map(B.is_idempotent, B.elements)) == 2 ** B.groupoid.n_units
-        assert check_presentation(S, frozenset()).ok
 
     def test_many_arrows_under_budget(self):
         # more arrows than the default recursion limit: the enumeration
@@ -561,25 +539,39 @@ class TestGeneratedSubsemigroup:
         S = SEMIGROUPS[s]()
         rep = iota(S, rels(S, name))
         B = rep.algebra
-        idems = [rep.images[e] for e in S.idems]
         # the closure only finds elements of the generated set, so equal
         # counts mean equal sets
-        for seeds in (rep.images, idems, rep.images[-1:]):
-            assert generated_subsemigroup(B, seeds) == len(generated_subsemigroup_brute(B, seeds))
-        # idempotents only generate idempotents: a proper subalgebra, so
-        # the closure runs to its end without the early exit
-        if not all(map(B.is_idempotent, B.elements)):
-            assert generated_subsemigroup(B, idems) < len(B)
+        assert generated_subsemigroup(B, rep.images) == len(generated_subsemigroup_brute(B, rep.images))
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        case=st.sampled_from(SMALL_CASES + [("p3", "tight")]),
-        data=st.data(),
-    )
-    def test_matches_rounds_on_random_seeds(self, case, data):
-        B = algebra(*case)
-        seeds = data.draw(st.lists(st.sampled_from(B.elements), max_size=3))
-        assert generated_subsemigroup(B, seeds) == len(generated_subsemigroup_brute(B, seeds))
+
+class TestCanonicalGenerators:
+    """The facts that leave only listing under a budget: a germ is fixed by
+    its representative s·f, whose domain f names its unit, so a germ
+    groupoid has at most S.n - 1 arrows; and the canonical images reach
+    every atom, so the presentation check needs no closure."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS))
+    def test_random_semigroups(self, S, name):
+        X = rels(S, name)
+        rep = iota(S, X)
+        G = rep.algebra.groupoid
+        assert G.n_arrows <= S.n - 1
+        assert generated_subsemigroup(rep.algebra, rep.images) == bisection_count(G)
+        # an arrow that lies in the image of one non-idempotent alone, taken
+        # out of it, is the arrow the check names
+        holders = [[s for s, x in enumerate(rep.images) if x >> a & 1] for a in range(G.n_arrows)]
+        lone = [(a, h[0]) for a, h in enumerate(holders) if len(h) == 1 and not S.is_idempotent(h[0])]
+        if not lone:
+            return
+        a, s = lone[0]
+        images = list(rep.images)
+        images[s] ^= 1 << a
+        cut = dataclasses.replace(rep, images=tuple(images))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bisection, "iota", lambda S, relations: cut)
+            with pytest.raises(LawViolation, match=re.escape(f"miss the arrow {G.arrow_labels[a]}")):
+                check_presentation(S, X)
 
 
 class TestCongruence:
@@ -711,10 +703,9 @@ class TestQuotientTheorem:
         assert theorem_quotients_check(I2, chi) == bisection.QuotientReport(False, 7, 7, True, True, False, True)
 
     def test_germ_mismatch_reports_without_restricting(self, monkeypatch):
-        # the carved-out set of the tight spectrum, offered for all of it
+        # the carved-out units of the tight spectrum, offered for all of it
         tight = sl.spectrum(E_I2, rels(I2, "tight"))
-        tight_rels = x_pi(character_rep(E_I2, sorted(tight)))
-        monkeypatch.setattr(bisection, "x_pi", lambda rep: tight_rels)
+        monkeypatch.setattr(bisection, "x_pi_spectrum", lambda rep: tight)
         monkeypatch.setattr(bisection, "restriction_morphism", None)
         every = frozenset(sl.characters(E_I2))
         report = theorem_quotients_check(I2, every)
@@ -729,7 +720,7 @@ class TestCarvedGroupoidAgainstRestriction:
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups())
     def test_random_semigroups(self, S):
-        assume(bisection_count(germ_arrows(S, sl.spectrum(S.semilattice, frozenset()))) <= 5_000)
+        assume(bisection_count(germ_groupoid(S, frozenset()).groupoid) <= 5_000)
         full = iota(S, frozenset())
         B = full.algebra
         for name in sl.BUILTIN_RELATION_SETS:
@@ -885,9 +876,8 @@ class TestAtomChecksAgainstOracles:
                 bad = AdditiveMorphism(B, m.target, m.images[:a] + (v,) + m.images[a + 1:])
                 assert raises_law(_check_additive, bad) == raises_law(check_additive_brute, B, m.target, expanded(bad))
             rep = iota(S, rels(S, name))
-            idems = [rep.images[e] for e in S.idems]
-            for seeds in (rep.images, idems):
-                assert generated_subsemigroup(rep.algebra, seeds) == len(generated_subsemigroup_brute(rep.algebra, seeds))
+            reached = generated_subsemigroup_brute(rep.algebra, rep.images)
+            assert generated_subsemigroup(rep.algebra, rep.images) == len(reached)
 
     @pytest.mark.parametrize("s", ("i2", "b2", "p3"))
     def test_poisoned_product_is_caught(self, s):
@@ -929,7 +919,7 @@ class TestMaskPathAgainstEnumeratingOracles:
     @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
            data=st.data())
     def test_random_semigroups(self, S, name, data):
-        assume(bisection_count(germ_arrows(S, sl.spectrum(S.semilattice, frozenset()))) <= 120)
+        assume(bisection_count(germ_groupoid(S, frozenset()).groupoid) <= 120)
         full, X = iota(S, frozenset()), rels(S, name)
         B = full.algebra
         chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, X))

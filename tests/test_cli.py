@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xjoin import invsgp
+from xjoin import boolalg, invsgp
 from xjoin import semilattice as sl
 from xjoin.cli import main
 
@@ -111,7 +111,8 @@ class TestChecks:
     def test_x_pi_over_budget_refused_fast(self, files, capsys):
         # the tight spectrum of a 16-step chain is one character below every
         # nonzero element, so each of them has all 17 elements as candidates
-        # (16 · 2^17 subsets) and the zero has itself (2)
+        # (16 · 2^17 subsets) and the zero has itself (2): x_pi refuses, and
+        # the quotient check, which reads X_pi's spectrum in closed form, answers
         chain = files["base"] / "chain16.json"
         chain.write_text(json.dumps({"points": 16, "partial_maps": [
             {str(j): str(j) for j in range(1, i + 1)} for i in range(1, 17)
@@ -119,24 +120,33 @@ class TestChecks:
         start = time.perf_counter()
         code, out, err = run(capsys, "quotient-check", "--invsgp", str(chain), "--x", "tight")
         assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert "2,097,154 subsets" in err and "250,000" in err
+        assert (code, out, err) == (0, "classes=2 quotient=2 wmp=true ok=true\n", "")
+        S = invsgp.invsgp_from_json(chain.read_text())
+        chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, invsgp.semigroup_relations(S, "tight")))
+        start = time.perf_counter()
+        with pytest.raises(sl.BudgetExceeded, match="2,097,154 subsets of candidate parts, over the budget of 250,000"):
+            boolalg.x_pi(boolalg.character_rep(S.semilattice, sorted(chi)))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("command, x", [("booleanize", "none"), ("presentation-check", "core")])
     def test_i5_universal_refused_before_composition(self, files, capsys, command, x):
-        # the unit budget reads only the germs' units, so neither the
-        # 1,545² composition table nor its check is built
+        # I5's universal algebra, 31 units and 1,545 arrows, answers from its
+        # arrows; no budget reads its 2^31 idempotents
         i5 = files["base"] / "i5.json"
         i5.write_text(json.dumps({"points": 5, "partial_maps": [
             {"1": "2", "2": "3", "3": "4", "4": "5", "5": "1"},
             {"1": "2", "2": "1", "3": "3", "4": "4", "5": "5"},
             {"1": "1", "2": "2", "3": "3", "4": "4"},
         ]}))
+        count = 8868249359917215104633431316993619608586
+        line = {
+            "booleanize": f"units=31 arrows=1545 elements={count}",
+            "presentation-check": f"relations=ok generated={count} total={count} ok=true",
+        }[command]
         start = time.perf_counter()
         code, out, err = run(capsys, command, "--invsgp", str(i5), "--x", x)
-        assert time.perf_counter() - start < 2.0
-        assert code == 2 and out == ""
-        assert "31 units" in err and "2,147,483,648 idempotents" in err and "100,000" in err
+        assert time.perf_counter() - start < 5.0
+        assert (code, out, err) == (0, line + "\n", "")
 
     def test_table_over_budget_refused_fast(self, files, capsys):
         # I6: 13,327 partial injections of 6 points, whose table would have
@@ -369,6 +379,8 @@ class TestErrors:
             ("invsgp", {"partial_maps": [{"1": "2"}]}, "'points'"),
             ("invsgp", {"points": "2", "partial_maps": [{"1": "2"}]}, "'points'"),
             ("invsgp", {"points": 2, "partial_maps": [[1, 2]]}, "'partial_maps'"),
+            ("invsgp", {"points": 2, "partial_maps": [{"1": [2]}]}, "'partial_maps'"),
+            ("invsgp", {"points": 2, "partial_maps": [{"1": None}]}, "'partial_maps'"),
             ("invsgp", 7, "object"),
             ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0]]}, "'mult'"),
             ("invsgp", {"elements": ["x", "z"], "zero": "z", "mult": [[0, 5], [1, 1]]}, "'mult'"),
@@ -381,12 +393,14 @@ class TestErrors:
             ("semilattice", {"elements": ["0"], "meet": [[[0]]]}, "'meet'"),
             ("semilattice", {"elements": ["0", "x"], "meet": [[0, 0], [0, None]]}, "'meet'"),
             ("semilattice", {"elements": ["0"], "meet": 5}, "'meet'"),
+            ("semilattice", {"elements": 5, "meet": [[0]]}, "'elements'"),
         ],
-        ids=["points-missing", "points-string", "maps-not-objects", "not-an-object",
+        ids=["points-missing", "points-string", "maps-not-objects", "maps-list-image",
+             "maps-null-image", "not-an-object",
              "mult-short-row", "mult-bad-entry", "mult-null-entry", "mult-list-entry",
              "mult-not-a-list", "relation-without-e", "relation-parts-not-a-list",
              "relations-not-a-list", "meet-list-entry", "meet-null-entry",
-             "meet-not-a-list"],
+             "meet-not-a-list", "elements-not-a-list"],
     )
     def test_malformed_json_names_key(self, files, capsys, tmp_path, command, doc, key):
         bad = tmp_path / "bad.json"
