@@ -23,21 +23,10 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _union_at
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _Memo, _union_at
 
 # elements B.elements may list; I3 universal has 33,082
 BISECTION_BUDGET = 100_000
-
-
-class _Memo(dict):
-    """A value per arrow mask, computed by ``fill`` on a miss."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, mask: int) -> int:
-        self[mask] = out = self.fill(mask)
-        return out
 
 
 class BisAlgebra:
@@ -109,16 +98,18 @@ class BisAlgebra:
         n = mask.bit_count()
         return self.srcm[mask].bit_count() == n == self.rngm[mask].bit_count()
 
-    def mul(self, x: int, y: int) -> int:
-        """UV = {ab : a in U, b in V, s(a) = r(b)}.  U is injective on
-        sources, so each b of V with r(b) a source of U meets one a, U's
-        arrow leaving r(b), and no other b meets any.  An idempotent e is
-        the identities 1_u for u in a unit set D, so eV and Ve are the b of V
-        with r(b), or s(b), in D by the unit laws 1_{r(b)}b = b = b1_{s(b)}.
-        These follow from what ``FinGroupoid.from_parts`` checks: by
-        cancellation, (ab)b⁻¹ = a, right multiplication is injective;
-        1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives 1_u1_u = 1_u, then b1_u1_u =
-        b1_u gives b1_u = b, and 1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
+    def mul(self, x: int, y: int, store: bool = True) -> int:
+        """UV = {ab : a in U, b in V, s(a) = r(b)}, read from ``_mul`` first
+        and, unless ``store`` is false, written there when it walks.  U is
+        injective on sources, so each b of V with r(b) a source of U meets
+        one a, U's arrow leaving r(b), and no other b meets any.  An
+        idempotent e is the identities 1_u for u in a unit set D, so eV and
+        Ve are the b of V with r(b), or s(b), in D by the unit laws
+        1_{r(b)}b = b = b1_{s(b)}.  These follow from what
+        ``FinGroupoid.from_parts`` checks: by cancellation, (ab)b⁻¹ = a, right
+        multiplication is injective; 1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives
+        1_u1_u = 1_u, then b1_u1_u = b1_u gives b1_u = b, and
+        1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
         """
         got = self._mul.get((x, y))
         if got is not None:
@@ -136,7 +127,8 @@ class BisAlgebra:
             rest ^= low
         if not self._is_bisection(out):
             raise LawViolation(f"product of {self.label(x)} and {self.label(y)} is not a bisection")
-        self._mul[x, y] = out
+        if store:
+            self._mul[x, y] = out
         return out
 
     def inv(self, x: int) -> int:
@@ -605,7 +597,7 @@ def _check_additive(m: AdditiveMorphism) -> None:
     source of t({a}), so the union of the images of the arrows ending at
     the other units must have none.  Any other row, and a failing one, is
     walked entry by entry, which names the first witness.  The cost is a
-    product in T per composable pair of arrows.
+    product in T per composable pair of arrows, asked once, so not stored.
     """
     B, T, t = m.source, m.target, m.images
     G = B.groupoid
@@ -623,12 +615,12 @@ def _check_additive(m: AdditiveMorphism) -> None:
         ends = ending_at[u]
         if (
             row.count(-1) == len(row) - len(ends)
-            and all(row[b] >= 0 and T.mul(x, t[b]) == t[row[b]] for b in ends)
+            and all(row[b] >= 0 and T.mul(x, t[b], store=False) == t[row[b]] for b in ends)
             and not (before[u] | after[u + 1]) & T._rng_arrows[T.srcm[x]]
         ):
             continue
         for b, ab in enumerate(row):
-            if T.mul(x, t[b]) != (t[ab] if ab >= 0 else T.zero):
+            if T.mul(x, t[b], store=False) != (t[ab] if ab >= 0 else T.zero):
                 raise LawViolation(f"product not preserved at ({B.label(1 << a)},{B.label(1 << b)})")
 
 
@@ -710,14 +702,16 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     moves to s·c in χ, with (s·c)(f) = c(s⁻¹fs), a bijection onto the c of
     χ with c(ss⁻¹) = 1.  So π(s⁻¹fs) is the preimage of π(f) under that
     partial bijection for every f, a map that preserves unions: if π(e) is
-    the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).
+    the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).  Over
+    every unit, the carved groupoid is the universal one and is reused.
     """
     chi = frozenset(chi)
     full = iota(S, frozenset())
     cong = congruence(full, chi)
     # the composite of the canonical map and the quotient, restricted to
     # idempotents, sends each to the characters of chi below it
-    carved = germ_groupoid(S, units=x_pi_spectrum(character_rep(S.semilattice, sorted(chi))))
+    units = tuple(sorted(x_pi_spectrum(character_rep(S.semilattice, sorted(chi)))))
+    carved = full.germs if units == full.germs.units else germ_groupoid(S, units=units)
     size = bisection_count(carved.groupoid)
     spectrum_ok = set(carved.units) == chi
     if carved.germs != tuple(g for g in full.germs.germs if g.base in chi):

@@ -167,7 +167,8 @@ class GermGroupoid:
 def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> GermGroupoid:
     """Restrict the character action to the spectrum of the closed relation
     set, or to ``units`` when the caller already has that spectrum, and form
-    its groupoid of germs.
+    its groupoid of germs: all below reads only S and the units, so equal S
+    and units give equal groupoids.
 
     The germs at a unit c with generator f are the products sf for the s
     with f below d(s).  A germ is fixed by that representative t = sf, since

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
-from .semilattice import BudgetExceeded, LawViolation, _json_text
+from .semilattice import BudgetExceeded, LawViolation, _json_text, _Memo
 
 
 # nothing in the package raises this any more; perfbench/make_reference.py still names it
@@ -107,16 +107,7 @@ class NatPow:
         return sum(p)
 
     def elements_up_to(self, depth: int) -> list[tuple[int, ...]]:
-        out = []
-
-        def rec(prefix, left):
-            if len(prefix) == self.k:
-                out.append(tuple(prefix))
-                return
-            for v in range(left + 1):
-                rec(prefix + [v], left - v)
-
-        rec([], depth)
+        out = (t for t in iproduct(range(depth + 1), repeat=self.k) if sum(t) <= depth)
         return sorted(out, key=lambda t: (sum(t), t))
 
     def right_lcm(self, p, q):
@@ -237,22 +228,23 @@ def hull_identity(P) -> HullElement:
     return hull_element(P, P.identity, P.identity)
 
 
-def hull_mul(P, x: HullElement, y: HullElement) -> HullElement:
-    """[a,b][c,d] via the right LCM of b and c; zero when the ideals miss."""
-    if x.is_zero or y.is_zero:
-        return HULL_ZERO
-    a, b = x.p, x.q
-    c, d = y.p, y.q
+def _cofactors(P, b, c) -> tuple | None:
+    """(b\\r, c\\r) for r the right LCM of b and c, or None when their
+    ideals miss; ``LawViolation`` when the oracles disagree."""
     r = P.right_lcm(b, c)
     if r is None:
-        return HULL_ZERO
-    b1 = P.left_divide(b, r)
-    c1 = P.left_divide(c, r)
+        return None
+    b1, c1 = P.left_divide(b, r), P.left_divide(c, r)
     if b1 is None or c1 is None:
-        raise LawViolation(
-            f"oracle inconsistency: lcm {P.format(r)} not divisible by its arguments"
-        )
-    return HullElement(P.multiply(a, b1), P.multiply(d, c1))
+        raise LawViolation(f"oracle inconsistency: lcm {P.format(r)} not divisible by its arguments")
+    return b1, c1
+
+
+def hull_mul(P, x: HullElement, y: HullElement) -> HullElement:
+    """[a,b][c,d] = [a(b\\r), d(c\\r)] with r the right LCM of b and c;
+    zero when the ideals miss."""
+    cof = None if x.is_zero or y.is_zero else _cofactors(P, x.q, y.p)
+    return HULL_ZERO if cof is None else HullElement(P.multiply(x.p, cof[0]), P.multiply(y.q, cof[1]))
 
 
 def hull_inv(x: HullElement) -> HullElement:
@@ -266,59 +258,67 @@ def fragment_law_failure(P, depth: int) -> str | None:
     The fragment is the zero and every [p,q] with p and q among
     ``P.elements_up_to(depth)``.  The check is exact over the same
     quantifiers as the definition, in the same order: (xy)z = x(yz) for all
-    x, y, z in the fragment, then x x* x = x for all x, then ef = fe for the
-    idempotents [p,p].  Products leave the fragment, so every element
-    reached gets an int index; the row u*z over the fragment is built once
-    per element u, and each pair (x, y) compares row(xy) with x times
-    row(y).  The products x*v are memoised for the current x only, which
-    keeps the memory at one row per element.
+    x, y, z in the fragment, then x x* x = x for all x (x* by ``hull_inv``),
+    then ef = fe for the idempotents [p,p].  It runs on ints: monoid
+    elements are numbered, and hull elements are codes, 0 the zero and
+    1 + p*n + q the fragment's [p,q], with elements reached later numbered
+    next.  By the formula of ``hull_mul``, [a,b][c,d] depends on (b,c) only
+    through the cofactor pair (b\\r, c\\r), so that pair is memoised per
+    (b,c) and ``P.multiply`` per (a, cofactor): each oracle is asked once
+    per distinct argument pair.  Each row u*z over the fragment is built
+    once, and each (x, y) compares row(xy) with x times row(y).
     """
     frag = P.elements_up_to(depth)
-    els = [HULL_ZERO] + [HullElement(p, q) for p in frag for q in frag]
-    reached = list(els)
-    index = {u: i for i, u in enumerate(reached)}
-    rows: dict[int, list[int]] = {}
+    n, N = len(frag), len(frag) ** 2 + 1
+    mon, pairs = list(frag), [None] + [(p, q) for p in range(n) for q in range(n)]
+    number, code = _numbering(mon), _numbering(pairs)
 
-    def intern(u: HullElement) -> int:
-        i = index.get(u)
-        if i is None:
-            i = index[u] = len(reached)
-            reached.append(u)
-        return i
+    def cofactor(bc):
+        cof = _cofactors(P, mon[bc[0]], mon[bc[1]])
+        return None if cof is None else (number[cof[0]], number[cof[1]])
 
-    def row(i: int) -> list[int]:
-        r = rows.get(i)
-        if r is None:
-            u = reached[i]
-            r = rows[i] = [intern(hull_mul(P, u, z)) for z in els]
-        return r
+    cofactor_of = _Memo(cofactor)
+    times = _Memo(lambda ab: number[P.multiply(mon[ab[0]], mon[ab[1]])])
+
+    def mul(x: int, y: int) -> int:
+        if not (x and y):
+            return 0
+        (a, b), (c, d) = pairs[x], pairs[y]
+        cof = cofactor_of[b, c]
+        return 0 if cof is None else code[times[a, cof[0]], times[d, cof[1]]]
+
+    row = _Memo(lambda u: [mul(u, z) for z in range(N)])
+
+    def element(i: int) -> HullElement:
+        return HullElement(mon[pairs[i][0]], mon[pairs[i][1]]) if i else HULL_ZERO
 
     def failure(law: str, **named: int) -> str:
-        where = " ".join(f"{k}={reached[i].format(P)}" for k, i in named.items())
+        where = " ".join(f"{k}={element(i).format(P)}" for k, i in named.items())
         return f"{P!r}: {law} at {where}"
 
-    for x, ux in enumerate(els):
-        memo = dict(enumerate(row(x)))  # x*v for v in the fragment is row(x)[v]
-        for y, xy in enumerate(row(x)):
-            rhs = []
-            for v in row(y):
-                xv = memo.get(v)
-                if xv is None:
-                    xv = memo[v] = intern(hull_mul(P, ux, reached[v]))
-                rhs.append(xv)
-            lhs = row(xy)
-            if lhs != rhs:
-                z = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    for x in range(N):
+        times_x = _Memo(lambda v, x=x: mul(x, v))
+        times_x.update(enumerate(row[x]))  # x*v for v in the fragment is row[x][v]
+        for y, xy in enumerate(row[x]):
+            rhs = list(map(times_x.__getitem__, row[y]))
+            if row[xy] != rhs:
+                z = next(k for k, (a, b) in enumerate(zip(row[xy], rhs)) if a != b)
                 return failure("associativity fails", x=x, y=y, z=z)
-    for x, ux in enumerate(els):
-        if hull_mul(P, hull_mul(P, ux, hull_inv(ux)), ux) != ux:
+    for x in range(N):
+        inv = hull_inv(element(x))
+        if mul(mul(x, 0 if inv.is_zero else code[number[inv.p], number[inv.q]]), x) != x:
             return failure("inverse law fails", x=x)
-    idems = [1 + a * len(frag) + a for a in range(len(frag))]
-    for e in idems:
-        for f in idems:
-            if row(e)[f] != row(f)[e]:
-                return failure("idempotents do not commute", e=e, f=f)
+    for e, f in iproduct([1 + a * n + a for a in range(n)], repeat=2):
+        if row[e][f] != row[f][e]:
+            return failure("idempotents do not commute", e=e, f=f)
     return None
+
+
+def _numbering(items: list) -> _Memo:
+    """The index of each item in ``items``; a new item is appended."""
+    index = _Memo(lambda item: items.append(item) or len(items) - 1)
+    index.update((item, i) for i, item in enumerate(items))
+    return index
 
 
 def hull_idem_leq(P, p, q) -> bool:

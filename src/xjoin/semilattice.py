@@ -66,6 +66,17 @@ def _union_at(parts, mask: int) -> int:
     return out
 
 
+class _Memo(dict):
+    """A value per key, computed by ``fill`` on a miss."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = out = self.fill(key)
+        return out
+
+
 def _json_text(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 

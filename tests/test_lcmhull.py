@@ -78,24 +78,24 @@ class TestFragmentLaws:
         assert lh.fragment_law_failure(M, depth) == hull_fragment_brute(M, depth) is None
 
     @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
-    def test_corrupted_product_is_caught(self, M, monkeypatch):
-        # [p,e][e,p] is [p,p]; sending it to zero breaks both associativity
-        # and the inverse law at x = [p,e]
+    def test_corrupted_product_is_caught(self, M):
+        # p p answered as p, and a common multiple p p that is not least
+        # answered as the lcm of p and p, each break associativity
         p = M.elements_up_to(1)[1]
-        bad = (h(M, p, M.identity), h(M, M.identity, p))
-        true_mul = lh.hull_mul
+        pp = M.multiply(p, p)
+        for method, args, value in (("multiply", (p, p), p), ("right_lcm", (p, p), pp)):
+            bad = OneWrongEntry(M, method, args, value)
+            got = lh.fragment_law_failure(bad, 1)
+            assert got is not None and got == hull_fragment_brute(bad, 1)
+            assert got.startswith(f"{M!r}: associativity fails at ")
+            # the named witness breaks the law under the corrupted product
+            named = {k: lh.parse_hull(M, v) for k, v in re.findall(r"(\w)=(\S+)", got)}
+            x, y, z = named["x"], named["y"], named["z"]
 
-        def corrupted(P, x, y):
-            return lh.HULL_ZERO if (x, y) == bad else true_mul(P, x, y)
+            def mul(u, v):
+                return lh.hull_mul(bad, u, v)
 
-        monkeypatch.setattr(lh, "hull_mul", corrupted)
-        got = lh.fragment_law_failure(M, 1)
-        assert got is not None and got == hull_fragment_brute(M, 1)
-        assert got.startswith(f"{M!r}: associativity fails at ")
-        # the named witness breaks the law under the corrupted product
-        named = {k: lh.parse_hull(M, v) for k, v in re.findall(r"(\w)=(\S+)", got)}
-        x, y, z = named["x"], named["y"], named["z"]
-        assert corrupted(M, corrupted(M, x, y), z) != corrupted(M, x, corrupted(M, y, z))
+            assert mul(mul(x, y), z) != mul(x, mul(y, z))
 
     @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
     def test_corrupted_inverse_is_caught(self, M, monkeypatch):
@@ -105,6 +105,43 @@ class TestFragmentLaws:
         monkeypatch.setattr(lh, "hull_inv", lambda x: x if x == bad else true_inv(x))
         got = lh.fragment_law_failure(M, 1)
         assert got == hull_fragment_brute(M, 1) == f"{M!r}: inverse law fails at x={bad.format(M)}"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_wrong_oracle_entry(self, data):
+        M = data.draw(st.sampled_from([FREE, NAT2, NX]), label="monoid")
+        elements = st.sampled_from(M.elements_up_to(2))
+        method = data.draw(st.sampled_from(["multiply", "right_lcm", "left_divide"]))
+        args = data.draw(st.tuples(elements, elements), label="args")
+        # a product is always an element; the other two may answer None
+        value = data.draw(elements if method == "multiply" else elements | st.none())
+        bad = OneWrongEntry(M, method, args, value)
+
+        def outcome(check):
+            try:
+                return check(bad, 1)
+            except LawViolation as exc:
+                return f"LawViolation: {exc}"
+
+        assert outcome(lh.fragment_law_failure) == outcome(hull_fragment_brute)
+
+
+class OneWrongEntry:
+    """A monoid oracle that answers ``value`` to ``method(*args)`` and
+    delegates everything else to M."""
+
+    def __init__(self, M, method, args, value):
+        self._M, self._entry = M, (method, args, value)
+
+    def __getattr__(self, name):
+        attr = getattr(self._M, name)
+        method, args, value = self._entry
+        if name != method:
+            return attr
+        return lambda *a: value if a == args else attr(*a)
+
+    def __repr__(self):
+        return repr(self._M)
 
 
 class TestFoundationSets:
