@@ -39,11 +39,10 @@ class BisAlgebra:
     with a source or a range in it, filled per mask on first read, so
     domain, range, order, difference, skew join and products with an
     idempotent factor are bit operations; other products walk one factor's
-    arrows (:meth:`mul`) and are memoized in ``_mul``, which every product
-    reads first (tests poison it), as inverses are in ``_inv``.  Memo writes
-    are idempotent, so concurrent readers stay consistent.  Building tabulates
-    nothing per element or idempotent; only :attr:`elements` lists, under
-    ``BISECTION_BUDGET``.
+    arrows (:meth:`mul`) and an inverse inverts each arrow, both computed
+    on every call.  Memo writes are idempotent, so concurrent readers stay
+    consistent.  Building tabulates nothing per element or idempotent; only
+    :attr:`elements` lists, under ``BISECTION_BUDGET``.
     """
 
     def __init__(self, groupoid: FinGroupoid):
@@ -65,8 +64,6 @@ class BisAlgebra:
         self._idem = _Memo(lambda m: _union_at(unit_bits, m))
         # the arrows that are not identities
         self._moving = self._idem[(1 << G.n_units) - 1] ^ (1 << G.n_arrows) - 1
-        self._mul: dict[tuple[int, int], int] = {}
-        self._inv: dict[int, int] = {}
         self._elements: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
@@ -98,11 +95,10 @@ class BisAlgebra:
         n = mask.bit_count()
         return self.srcm[mask].bit_count() == n == self.rngm[mask].bit_count()
 
-    def mul(self, x: int, y: int, store: bool = True) -> int:
-        """UV = {ab : a in U, b in V, s(a) = r(b)}, read from ``_mul`` first
-        and, unless ``store`` is false, written there when it walks.  U is
-        injective on sources, so each b of V with r(b) a source of U meets
-        one a, U's arrow leaving r(b), and no other b meets any.  An
+    def mul(self, x: int, y: int) -> int:
+        """UV = {ab : a in U, b in V, s(a) = r(b)}.  U is injective on
+        sources, so each b of V with r(b) a source of U meets one a, U's
+        arrow leaving r(b), and no other b meets any.  An
         idempotent e is the identities 1_u for u in a unit set D, so eV and
         Ve are the b of V with r(b), or s(b), in D by the unit laws
         1_{r(b)}b = b = b1_{s(b)}.  These follow from what
@@ -111,9 +107,6 @@ class BisAlgebra:
         1_u1_u = 1_u, then b1_u1_u = b1_u gives b1_u = b, and
         1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
         """
-        got = self._mul.get((x, y))
-        if got is not None:
-            return got
         if not x & self._moving:
             return y & self._rng_arrows[self.srcm[x]]
         if not y & self._moving:
@@ -127,16 +120,11 @@ class BisAlgebra:
             rest ^= low
         if not self._is_bisection(out):
             raise LawViolation(f"product of {self.label(x)} and {self.label(y)} is not a bisection")
-        if store:
-            self._mul[x, y] = out
         return out
 
     def inv(self, x: int) -> int:
-        got = self._inv.get(x)
-        if got is None:
-            inv = self.groupoid.inv
-            self._inv[x] = got = sum(1 << inv[a] for a in _bits(x))
-        return got
+        inv = self.groupoid.inv
+        return sum(1 << inv[a] for a in _bits(x))
 
     def leq(self, x: int, y: int) -> bool:
         return not x & ~y
@@ -330,8 +318,7 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
     first sampled triple, and every other identity on every sampled
     triple: evaluation reads nothing but B, so a repeated tuple repeats its
     verdict, and only a first failure is reported.  Every operation of a
-    bisection algebra is total, so no evaluation raises; products are read
-    through the memo in ``_mul``.
+    bisection algebra is total, so no evaluation raises.
     """
     els = B.elements
     n = len(els)
@@ -597,7 +584,7 @@ def _check_additive(m: AdditiveMorphism) -> None:
     source of t({a}), so the union of the images of the arrows ending at
     the other units must have none.  Any other row, and a failing one, is
     walked entry by entry, which names the first witness.  The cost is a
-    product in T per composable pair of arrows, asked once, so not stored.
+    product in T per composable pair of arrows.
     """
     B, T, t = m.source, m.target, m.images
     G = B.groupoid
@@ -615,12 +602,12 @@ def _check_additive(m: AdditiveMorphism) -> None:
         ends = ending_at[u]
         if (
             row.count(-1) == len(row) - len(ends)
-            and all(row[b] >= 0 and T.mul(x, t[b], store=False) == t[row[b]] for b in ends)
+            and all(row[b] >= 0 and T.mul(x, t[b]) == t[row[b]] for b in ends)
             and not (before[u] | after[u + 1]) & T._rng_arrows[T.srcm[x]]
         ):
             continue
         for b, ab in enumerate(row):
-            if T.mul(x, t[b], store=False) != (t[ab] if ab >= 0 else T.zero):
+            if T.mul(x, t[b]) != (t[ab] if ab >= 0 else T.zero):
                 raise LawViolation(f"product not preserved at ({B.label(1 << a)},{B.label(1 << b)})")
 
 
@@ -728,15 +715,6 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
 # ---------------------------------------------------------------------------
 # the universal morphism
 
-@dataclass
-class UniversalResult:
-    morphism: AdditiveMorphism
-    method: str
-
-
-UNIQUENESS_SEARCH_LIMIT = 30
-
-
 def _validate_representation(S: FinInverseSemigroup, target: BisAlgebra, phi, relations) -> SemilatticeRep:
     phi = tuple(phi)
     if len(phi) != S.n:
@@ -752,14 +730,20 @@ def _validate_representation(S: FinInverseSemigroup, target: BisAlgebra, phi, re
     return rep
 
 
-def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebra, phi) -> UniversalResult:
+def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebra, phi) -> AdditiveMorphism:
     """Factor a join-respecting representation through the algebra of germs.
 
     The atom of a germ [s, c] goes to phi(s) times the idempotent that the
-    extension of the idempotent representation gives the unit c; uniqueness
-    is settled by exhaustive constrained search for targets of at most
-    UNIQUENESS_SEARCH_LIMIT elements, and by generator determinacy above
-    that.
+    extension of the idempotent representation gives the unit c.
+
+    It is the only additive t with t∘θ = phi, at every size.  Such a t
+    preserves products, inverses and idempotent differences (see
+    :func:`_check_additive`), so it sends {1_c}, which
+    :func:`generated_subsemigroup` builds from the domains of the θ(f) by
+    products and differences, to the same expression in the domains of the
+    phi(f): t({1_c}) is fixed by phi.  The germ [s, c] is the atom
+    θ(s){1_c}, so t({[s, c]}) = phi(s)·t({1_c}).  The morphism built here
+    factors phi, as checked below, so it is that t.
     """
     phi = tuple(phi)
     relations = frozenset(relations)
@@ -778,59 +762,7 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
     for s in range(S.n):
         if morph.apply(uni.images[s]) != phi[s]:
             raise LawViolation(f"morphism does not factor the map at {S.label(s)}")
-
-    if bisection_count(target.groupoid) <= UNIQUENESS_SEARCH_LIMIT:
-        count = _count_additive_morphisms(B, target, dict(zip(uni.images, phi)), limit=2)
-        if count != 1:
-            raise LawViolation(f"expected a unique morphism, search found {count}")
-        return UniversalResult(morph, "exhaustive")
-    return UniversalResult(morph, "generators")
-
-
-def _count_additive_morphisms(B: BisAlgebra, T: BisAlgebra, pins: dict[int, int], limit: int = 2) -> int:
-    """Exhaustive count of additive morphisms that send each pinned element
-    of B to its pin in T.
-
-    Backtracking over atom images, arrow by arrow.  t(x) is the union of
-    its atoms' images, so the image of {a} lies inside the pin of every
-    pinned x that contains a.  Each placed atom is checked against the
-    products of the placed atoms, and each leaf against the pins and by
-    :meth:`AdditiveMorphism.build`.
-    """
-    G = B.groupoid
-    n, comp = G.n_arrows, G.comp
-    cands = [[v for v in T.elements if all(not v & ~w for x, w in pins.items() if x >> a & 1)] for a in range(n)]
-    img = [-1] * n
-    count = 0
-
-    def consistent(a: int) -> bool:
-        for b in range(a + 1):
-            for x, y in ((a, b), (b, a)):
-                want = T.zero if comp[x][y] < 0 else img[comp[x][y]]
-                if want >= 0 and T.mul(img[x], img[y]) != want:
-                    return False
-        return True
-
-    def rec(a: int):
-        nonlocal count
-        if count >= limit:
-            return
-        if a == n:
-            m = AdditiveMorphism(B, T, tuple(img))
-            try:
-                _check_additive(m)
-            except LawViolation:
-                return
-            count += all(m.apply(x) == v for x, v in pins.items())
-            return
-        for v in cands[a]:
-            img[a] = v
-            if consistent(a):
-                rec(a + 1)
-        img[a] = -1
-
-    rec(0)
-    return count
+    return morph
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ def universal_extension(rep: SemilatticeRep, relations) -> BAMorphism:
 
     The image of the spectrum atom at generator g is
     rep(g) minus the join of rep over the maximal nonzero elements strictly
-    below g.  When the codomain has at most 4 atoms, uniqueness is confirmed
-    by exhaustive search.
+    below g.  It is the only morphism that factors rep, at every size; see
+    :func:`_extension`.
     """
     if not is_x_to_join(rep, relations):
         raise LawViolation("representation does not satisfy the join constraints")
@@ -273,7 +273,17 @@ def universal_extension(rep: SemilatticeRep, relations) -> BAMorphism:
 
 
 def _extension(rep: SemilatticeRep, atoms) -> BAMorphism:
-    """:func:`universal_extension` from the spectrum of relations rep satisfies."""
+    """:func:`universal_extension` from the spectrum of relations rep satisfies.
+
+    Uniqueness.  With ι the canonical representation, the atom {c} of the
+    Booleanization is ι(c.gen) minus the union of ι(h) over h < c.gen: the
+    characters whose generator lies below c.gen but below no h < c.gen are
+    those at c.gen itself.  A morphism given by pairwise disjoint atom
+    images preserves unions and differences, so any ψ′ with ψ′∘ι = rep
+    sends {c} to rep(c.gen) minus the union of rep(h) over h < c.gen.  rep
+    preserves order, so that union is the one over the maximal nonzero h,
+    which is the formula below: ψ′ is the morphism built here.
+    """
     E = rep.domain
     iota = character_rep(E, atoms)
     images = []
@@ -289,53 +299,7 @@ def _extension(rep: SemilatticeRep, atoms) -> BAMorphism:
     for a in range(E.n):
         if psi.apply(iota.images[a]) != rep.images[a]:
             raise LawViolation(f"extension does not factor the representation at {E.label(a)}")
-    if rep.codomain.m <= 4:
-        count = _count_extensions(rep, iota, limit=2)
-        if count != 1:
-            raise LawViolation(f"expected a unique extension, search found {count}")
     return psi
-
-
-def count_extensions(rep: SemilatticeRep, relations, limit: int = 2) -> int:
-    """Number of Boolean-algebra morphisms factoring the representation.
-
-    Disjointness of atom images lets every candidate be described by an
-    ownership map from target atoms to source atoms (or none), so the
-    search is exhaustive over (k+1)^m assignments.
-    """
-    return _count_extensions(rep, booleanization(rep.domain, relations)[1], limit)
-
-
-def _count_extensions(rep: SemilatticeRep, iota: SemilatticeRep, limit: int) -> int:
-    """:func:`count_extensions` against the canonical representation ``iota``."""
-    E = rep.domain
-    k = iota.codomain.m
-    m = rep.codomain.m
-    count = 0
-
-    def rec(t_atom: int, images: list[int]):
-        nonlocal count
-        if count >= limit:
-            return
-        if t_atom == m:
-            for a in range(E.n):
-                acc = 0
-                for i in range(k):
-                    if iota.images[a] >> i & 1:
-                        acc |= images[i]
-                if acc != rep.images[a]:
-                    return
-            count += 1
-            return
-        bit = 1 << t_atom
-        for owner in range(-1, k):
-            if owner >= 0:
-                images[owner] |= bit
-            rec(t_atom + 1, images)
-            if owner >= 0:
-                images[owner] &= ~bit
-    rec(0, [0] * k)
-    return count
 
 
 # ---------------------------------------------------------------------------

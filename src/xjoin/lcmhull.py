@@ -482,10 +482,10 @@ class ZappaSzepProduct:
         self.u_monoid = FreeMonoid(data.u_alphabet)
         self.a_monoid = FreeMonoid(data.a_alphabet)
         self.identity = ("", "")
-        self._act1 = {(a, u): v for a, u, v in data.act_letter}
-        self._res1 = {(a, u): w for a, u, w in data.res_letter}
-        self._act: dict[tuple[str, str], str] = {}
-        self._res: dict[tuple[str, str], str] = {}
+        act1 = {(a, u): v for a, u, v in data.act_letter}
+        # (a, x) -> (act(a, x), res(a, x)) for a word a and a letter x
+        self._step = {(a, u): (act1[a, u], w) for a, u, w in data.res_letter}
+        self._walks: dict[tuple[str, str], tuple[str, str]] = {}
         self._act_inv: dict[tuple[str, str], str | None] = {}
         self.report: ZappaReport | None = None
 
@@ -494,40 +494,43 @@ class ZappaSzepProduct:
 
     # --- action and restriction, closed under the matched-pair laws --------
 
-    def act(self, a: str, u: str) -> str:
-        if not a or not u:
-            return u
-        key = (a, u)
-        got = self._act.get(key)
-        if got is not None:
-            return got
-        if len(a) > 1:
-            got = self.act(a[0], self.act(a[1:], u))
-        else:
-            head = self._act1[(a, u[0])]
-            got = head + self.act(self._res1[(a, u[0])], u[1:])
-        self._act[key] = got
+    def _letter(self, a: str, x: str) -> tuple[str, str]:
+        """(act(a, x), res(a, x)) for a word a and a letter x.  The letters
+        of a act right to left, each on a single letter, by
+        act(bc, x) = act(b, act(c, x)) and res(bc, x) = res(b, act(c, x)) res(c, x)."""
+        got = self._step.get((a, x))
+        if got is None:
+            v, parts = x, []
+            for c in reversed(a):
+                v, r = self._step[c, v]
+                parts.append(r)
+            got = self._step[a, x] = (v, "".join(reversed(parts)))
         return got
 
-    def res(self, a: str, u: str) -> str:
-        if not a or not u:
-            return a
-        key = (a, u)
-        got = self._res.get(key)
-        if got is not None:
-            return got
-        if len(a) > 1:
-            got = self.res(a[0], self.act(a[1:], u)) + self.res(a[1:], u)
-        else:
-            got = self.res(self._res1[(a, u[0])], u[1:])
-        self._res[key] = got
+    def _walk(self, a: str, u: str) -> tuple[str, str]:
+        """(act(a, u), res(a, u)), walking u one letter at a time by
+        act(a, xw) = act(a, x) act(res(a, x), w) and res(a, xw) = res(res(a, x), w)."""
+        got = self._walks.get((a, u))
+        if got is None:
+            out, state = [], a
+            for x in u:
+                v, state = self._letter(state, x)
+                out.append(v)
+            got = self._walks[a, u] = ("".join(out), state)
         return got
+
+    def act(self, a: str, u: str) -> str:
+        return self._walk(a, u)[0]
+
+    def res(self, a: str, u: str) -> str:
+        return self._walk(a, u)[1]
 
     # --- monoid interface ---------------------------------------------------
 
     def multiply(self, x, y):
         (u, a), (v, b) = x, y
-        return (u + self.act(a, v), self.res(a, v) + b)
+        w, r = self._walk(a, v)
+        return (u + w, r + b)
 
     def grade(self, x) -> int:
         return len(x[0]) + len(x[1])
@@ -544,19 +547,19 @@ class ZappaSzepProduct:
         """The word v with act(a, v) = w, inverted letter by letter (the
         first letter of the alphabet that a sends to the next letter of w),
         or None when some letter has no preimage."""
-        if not w:
-            return w
         key = (a, w)
         got = self._act_inv.get(key, False)
-        if got is not False:
-            return got
-        got = None
-        c = next((c for c in self.data.u_alphabet if self.act(a, c) == w[0]), None)
-        if c is not None:
-            rest = self.act_inverse(self.res(a, c), w[1:])
-            if rest is not None:
-                got = c + rest
-        self._act_inv[key] = got
+        if got is False:
+            out, state, got = [], a, None
+            for y in w:
+                c = next((c for c in self.data.u_alphabet if self._letter(state, c)[0] == y), None)
+                if c is None:
+                    break
+                out.append(c)
+                state = self._letter(state, c)[1]
+            else:
+                got = "".join(out)
+            self._act_inv[key] = got
         return got
 
     def left_divide(self, x, r):

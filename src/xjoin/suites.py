@@ -325,16 +325,6 @@ def hull_suite(depth: int = 2):
     return out
 
 
-SUITES = {
-    "semilattice": semilattice_suite,
-    "boolalg": boolalg_suite,
-    "invsgp": invsgp_suite,
-    "groupoid": groupoid_suite,
-    "bisection": bisection_suite,
-    "hull": hull_suite,
-}
-
-
 def run_all(max_size: int = 8):
     results = []
     results.extend(semilattice_suite(max_size=max_size))

@@ -14,7 +14,7 @@ from itertools import combinations, product as iproduct
 from operator import itemgetter
 
 from xjoin import lcmhull
-from xjoin.bisection import VarietyReport
+from xjoin.bisection import AdditiveMorphism, VarietyReport, _check_additive
 from xjoin.groupoid import FinGroupoid
 from xjoin.invsgp import _check_associative, _generators, conjugate
 from xjoin.semilattice import Character, LawViolation, XRelation
@@ -410,6 +410,22 @@ def hull_fragment_brute(M, depth: int) -> str | None:
     return None
 
 
+def zappa_walk_brute(data, a: str, u: str) -> tuple[str, str]:
+    """(act(a, u), res(a, u)) by the defining recursion on the letter
+    tables: a word acts by its last letter first, and a letter acts on u's
+    first letter and hands its restriction on to the rest of u."""
+    if not a or not u:
+        return u, a
+    if len(a) > 1:
+        v, r = zappa_walk_brute(data, a[1:], u)
+        w, r0 = zappa_walk_brute(data, a[0], v)
+        return w, r0 + r
+    head = next(v for b, x, v in data.act_letter if (b, x) == (a, u[0]))
+    restricted = next(w for b, x, w in data.res_letter if (b, x) == (a, u[0]))
+    w, r = zappa_walk_brute(data, restricted, u[1:])
+    return head + w, r
+
+
 def left_divide_brute(P, x, r):
     """The cofactor z with x z = r in a Zappa-Szep product, or None: the
     action inverted letter by letter, trying every letter through ``act``
@@ -789,3 +805,73 @@ def x_pi_brute(rep) -> frozenset[XRelation]:
                 if acc == target:
                     out.append(XRelation(e, mask_of(combo)))
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness of the universal morphisms, by exhaustive search
+
+def count_extensions_brute(rep, relations) -> int:
+    """The number of Boolean-algebra morphisms out of the powerset of the
+    spectrum (by :func:`spectrum_brute`) that factor rep through the map
+    sending a to the characters whose generator lies below a.
+
+    Atom images are pairwise disjoint, so a morphism is an owner for each
+    target atom, a source atom or none: all (k+1)^m of them are tried.
+    """
+    E, m = rep.domain, rep.codomain.m
+    gens = sorted(c.gen for c in spectrum_brute(E, relations))
+    iota = [mask_of(i for i, g in enumerate(gens) if E.meet(g, a) == g) for a in range(E.n)]
+    count = 0
+    for owners in iproduct(range(-1, len(gens)), repeat=m):
+        images = [mask_of(t for t, o in enumerate(owners) if o == i) for i in range(len(gens))]
+        count += all(
+            mask_of(t for i in elements_of(iota[a]) for t in elements_of(images[i])) == rep.images[a]
+            for a in range(E.n)
+        )
+    return count
+
+
+def count_additive_morphisms_brute(B, T, pins: dict[int, int], limit: int = 2) -> int:
+    """The number of additive morphisms from B to T that send each pinned
+    element of B to its pin, counted up to ``limit``.
+
+    Backtracking over atom images, arrow by arrow.  t(x) is the union of
+    its atoms' images, so the image of {a} lies inside the pin of every
+    pinned x that contains a.  Each placed atom is checked against the
+    products of the placed atoms, and each leaf against the pins and by the
+    library's morphism check.
+    """
+    G = B.groupoid
+    n, comp = G.n_arrows, G.comp
+    cands = [[v for v in T.elements if all(not v & ~w for x, w in pins.items() if x >> a & 1)] for a in range(n)]
+    img = [-1] * n
+    count = 0
+
+    def consistent(a: int) -> bool:
+        for b in range(a + 1):
+            for x, y in ((a, b), (b, a)):
+                want = T.zero if comp[x][y] < 0 else img[comp[x][y]]
+                if want >= 0 and T.mul(img[x], img[y]) != want:
+                    return False
+        return True
+
+    def rec(a: int):
+        nonlocal count
+        if count >= limit:
+            return
+        if a == n:
+            m = AdditiveMorphism(B, T, tuple(img))
+            try:
+                _check_additive(m)
+            except LawViolation:
+                return
+            count += all(m.apply(x) == v for x, v in pins.items())
+            return
+        for v in cands[a]:
+            img[a] = v
+            if consistent(a):
+                rec(a + 1)
+        img[a] = -1
+
+    rec(0)
+    return count

@@ -32,7 +32,7 @@ from xjoin.semilattice import Character, LawViolation
 
 from xjoin.suites import tight_spectrum_brute
 
-from oracles import count_bisections_brute, xa_oracle, xu_oracle
+from oracles import count_additive_morphisms_brute, count_bisections_brute, xa_oracle, xu_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -202,10 +202,10 @@ def test_criterion_08_universal_morphisms():
     for S, relations, target, phi in cases:
         assert len(target) <= 30
         res = find_universal_morphism(S, relations, target, phi)
-        assert res.method == "exhaustive"
         uni = iota(S, relations)
         for s in range(S.n):
-            assert res.morphism.apply(uni.images[s]) == phi[s]
+            assert res.apply(uni.images[s]) == phi[s]
+        assert count_additive_morphisms_brute(res.source, target, dict(zip(uni.images, phi))) == 1
     _report(8, True, f"{len(cases)} representations factored with unique morphisms")
 
 

@@ -41,6 +41,7 @@ from oracles import (
     character_set_invariant_brute,
     check_additive_brute,
     congruence_brute,
+    count_additive_morphisms_brute,
     count_bisections_brute,
     elements_of,
     expanded,
@@ -85,7 +86,7 @@ _ALGEBRAS: dict = {}
 
 def algebra(s: str, name: str) -> BisAlgebra:
     """The bisection algebra of a named semigroup under a built-in relation
-    set, built once; callers that poison the memos take a :func:`poisoned` copy."""
+    set, built once; callers that poison products take a :func:`poisoned` copy."""
     if (s, name) not in _ALGEBRAS:
         S = SEMIGROUPS[s]()
         _ALGEBRAS[s, name] = iota(S, rels(S, name)).algebra
@@ -93,11 +94,10 @@ def algebra(s: str, name: str) -> BisAlgebra:
 
 
 def poisoned(B: BisAlgebra, poison) -> BisAlgebra:
-    """A copy of B with its own memos, the given product entries overwritten."""
+    """A copy of B whose ``mul`` answers each pair in ``poison`` with its
+    entry, idempotent factors included, and every other pair as B does."""
     out = copy.copy(B)
-    out._mul = dict(B._mul)
-    out._mul.update(poison)
-    out._inv = dict(B._inv)
+    out.mul = lambda x, y: poison[x, y] if (x, y) in poison else B.mul(x, y)
     return out
 
 
@@ -211,8 +211,7 @@ class TestMaskOperationsAgainstDefinitions:
 
 class TestKernelsAgainstOracles:
     """The mask kernels of ``BisAlgebra`` against the double-loop product
-    and the stack-and-bucket enumeration, on a fresh algebra whose memo
-    starts empty, so the kernel computes every product checked."""
+    and the stack-and-bucket enumeration, on a fresh algebra."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
@@ -223,7 +222,6 @@ class TestKernelsAgainstOracles:
         masks, srcs, rngs = all_bisections_brute(G)
         assert B.elements == masks
         assert (tuple(map(B.srcm.get, masks)), tuple(map(B.rngm.get, masks))) == (srcs, rngs)
-        assert not B._mul
         n, els = len(masks), B.elements
         sample = els if n <= 40 else [
             els[k] for k in sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=40)))
@@ -448,8 +446,7 @@ class TestVarietyIdentities:
         # poison the product against the full unit set: the left side of
         # identity (6) consults it, the right side does not
         full = B.idem_element((1 << B.groupoid.n_units) - 1)
-        B._mul[(z, full)] = B.zero
-        report = check_variety_identities(B)
+        report = check_variety_identities(poisoned(B, {(z, full): B.zero}))
         assert not report.ok
         assert any(name == "6" for name, _ in report.failures)
         assert report.first_failure()
@@ -464,6 +461,7 @@ class TestVarietyIdentities:
         B = algebra(*case)
         cell = st.sampled_from(B.elements)
         poison = data.draw(st.dictionaries(st.tuples(cell, cell), cell, max_size=4))
+        assert all(poisoned(B, poison).mul(x, y) == v for (x, y), v in poison.items())
         report = check_variety_identities(poisoned(B, poison), budget)
         assert report == variety_brute(poisoned(B, poison), budget)
         assert report.exhaustive == (len(B) ** 3 <= budget)
@@ -497,6 +495,7 @@ class TestVarietyIdentities:
         for x in els:
             for y in els:
                 poison = {(x, y): els[(els.index(B.mul(x, y)) + 1) % len(els)]}
+                assert poisoned(B, poison).mul(x, y) == poison[x, y] != B.mul(x, y)
                 assert check_variety_identities(poisoned(B, poison)) == variety_brute(poisoned(B, poison))
 
 
@@ -978,14 +977,15 @@ class TestUniversalMorphism:
     def test_factor_through_self_is_identity(self):
         rep = iota(I2, rels(I2, "tight"))
         res = find_universal_morphism(I2, rels(I2, "tight"), rep.algebra, rep.images)
-        assert res.method == "exhaustive"
-        assert res.morphism.images == tuple(1 << a for a in range(rep.algebra.groupoid.n_arrows))
+        assert count_additive_morphisms_brute(res.source, rep.algebra, dict(zip(rep.images, rep.images))) == 1
+        assert res.images == tuple(1 << a for a in range(rep.algebra.groupoid.n_arrows))
 
     def test_canonical_surjection_onto_tight(self):
         tight_rep = iota(I2, rels(I2, "tight"))
         res = find_universal_morphism(I2, frozenset(), tight_rep.algebra, tight_rep.images)
-        assert res.method == "exhaustive"
-        assert set(map(res.morphism.apply, res.morphism.source.elements)) == set(tight_rep.algebra.elements)
+        pins = dict(zip(iota(I2, frozenset()).images, tight_rep.images))
+        assert count_additive_morphisms_brute(res.source, tight_rep.algebra, pins) == 1
+        assert set(map(res.apply, res.source.elements)) == set(tight_rep.algebra.elements)
 
     def test_agrees_with_restriction_quotient(self):
         full = iota(I2, frozenset())
@@ -1002,8 +1002,9 @@ class TestUniversalMorphism:
         morph = restriction_morphism(full, germ_groupoid(I2, carved_rels))
         phi = tuple(morph.apply(full.images[s]) for s in range(I2.n))
         res = find_universal_morphism(I2, carved_rels, morph.target, phi)
-        assert res.method == "exhaustive"
-        images = list(map(res.morphism.apply, res.morphism.source.elements))
+        pins = dict(zip(iota(I2, carved_rels).images, phi))
+        assert count_additive_morphisms_brute(res.source, morph.target, pins) == 1
+        images = list(map(res.apply, res.source.elements))
         assert sorted(images) == sorted(morph.target.elements)  # bijective
 
     def test_rejects_non_conforming_map(self):
@@ -1012,8 +1013,8 @@ class TestUniversalMorphism:
             find_universal_morphism(I2, rels(I2, "tight"), rep.algebra, rep.images)
 
     def test_generator_determinacy_above_search_cutoff(self):
-        # the doubled target has 49 elements, past the exhaustive-search
-        # limit; the diagonal representation still factors uniquely
+        # the doubled target has 49 elements; the diagonal representation
+        # still factors
         rep = iota(I2, rels(I2, "tight"))
         G = rep.germs.groupoid
         doubled = _disjoint_double(G)
@@ -1021,10 +1022,24 @@ class TestUniversalMorphism:
         assert len(target) == 49
         phi = tuple(x | x << G.n_arrows for x in rep.images)
         res = find_universal_morphism(I2, rels(I2, "tight"), target, phi)
-        assert res.method == "generators"
         uni = iota(I2, rels(I2, "tight"))
         for s in range(I2.n):
-            assert res.morphism.apply(uni.images[s]) == phi[s]
+            assert res.apply(uni.images[s]) == phi[s]
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           universal=st.booleans())
+    def test_unique_on_random_semigroups(self, S, name, universal):
+        # the canonical map into a target of at most 30 elements, factored
+        # through its own relation set or through the universal algebra
+        target = iota(S, rels(S, name))
+        assume(len(target.algebra) <= 30)
+        relations = frozenset() if universal else rels(S, name)
+        res = find_universal_morphism(S, relations, target.algebra, target.images)
+        uni = iota(S, relations)
+        assert [res.apply(x) for x in uni.images] == list(target.images)
+        pins = dict(zip(uni.images, target.images))
+        assert count_additive_morphisms_brute(res.source, target.algebra, pins) == 1
 
 
 def _disjoint_double(G: FinGroupoid) -> FinGroupoid:
@@ -1049,7 +1064,6 @@ def _disjoint_double(G: FinGroupoid) -> FinGroupoid:
 class TestMorphismCounter:
     def test_matches_raw_enumeration(self):
         from itertools import product
-        from xjoin.bisection import _count_additive_morphisms
 
         source = iota(invsgp.z2_with_zero(), frozenset()).algebra
         target = iota(I2, rels(I2, "tight")).algebra
@@ -1060,7 +1074,7 @@ class TestMorphismCounter:
             except LawViolation:
                 continue
             raw += 1
-        counted = _count_additive_morphisms(source, target, {}, limit=raw + 5)
+        counted = count_additive_morphisms_brute(source, target, {}, limit=raw + 5)
         assert counted == raw
         assert raw >= 2  # at least the zero map and an embedding exist
 

@@ -10,7 +10,7 @@ from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
-from oracles import generated_subalgebra_brute, mask_of, spectrum_brute, x_pi_brute
+from oracles import count_extensions_brute, generated_subalgebra_brute, mask_of, spectrum_brute, x_pi_brute
 
 
 E3 = sl.chain(3)
@@ -208,7 +208,7 @@ class TestUniversalExtension:
         rels = sl.x_tight(E3)
         B = ba.FinBooleanAlgebra(("p",))
         rep = ba.SemilatticeRep.build(E3, B, (0, 1, 1, 1))
-        assert ba.count_extensions(rep, rels, limit=5) == 1
+        assert count_extensions_brute(rep, rels) == 1
 
     def test_rejects_non_conforming_map(self):
         B = ba.FinBooleanAlgebra(("p", "q"))
@@ -222,15 +222,28 @@ class TestUniversalExtension:
         Bsrc, iota = ba.booleanization(D, rels)
         target = ba.FinBooleanAlgebra(("p", "q"))
         rep = ba.SemilatticeRep.build(D, target, (0, 1, 2, 3))
-        raw = 0
+        raw = []
         for images in itertools.product(range(target.size), repeat=Bsrc.m):
             try:
                 psi = ba.BAMorphism.build(Bsrc, target, images)
             except LawViolation:
                 continue
             if all(psi.apply(iota.images[a]) == rep.images[a] for a in range(D.n)):
-                raw += 1
-        assert raw == ba.count_extensions(rep, rels, limit=raw + 5) == 1
+                raw.append(psi)
+        assert raw == [ba.universal_extension(rep, rels)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
+    def test_unique_on_random_reps(self, seed, m, data):
+        # the canonical map, when its codomain has at most 4 atoms, and a
+        # composite of it onto m atoms each factor through one morphism only
+        name = data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))
+        rep = _composite_rep(seed, m, data, name)
+        rels = sl.builtin_relations(rep.domain, name)
+        _, can = ba.booleanization(rep.domain, rels)
+        for r in (can, rep) if can.codomain.m <= 4 else (rep,):
+            ba.universal_extension(r, rels)
+            assert count_extensions_brute(r, rels) == 1
 
     def test_round_trip_through_random_composites(self):
         # composing the canonical map with any morphism gives a conforming
@@ -322,11 +335,13 @@ class TestXPi:
         assert ba.x_pi(rep) == x_pi_brute(rep)
 
 
-def _composite_rep(seed, m, data):
-    """A canonical map followed by the Boolean morphism of a map from m new
-    atoms to the old ones: meets and bottom are kept, joins need not be."""
+def _composite_rep(seed, m, data, name=None):
+    """A canonical map, under the named or a drawn relation set, followed
+    by the Boolean morphism of a map from m new atoms to the old ones: meets
+    and bottom are kept, joins need not be."""
     E = sl.random_semilattice(random.Random(seed), max_size=8)
-    _, can = ba.booleanization(E, sl.builtin_relations(E, data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))))
+    name = name or data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))
+    _, can = ba.booleanization(E, sl.builtin_relations(E, name))
     k = can.codomain.m
     if k == 0:
         m = 0

@@ -3,7 +3,9 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import UNDECIDED, hull_fragment_brute, left_divide_brute, mask_of, right_lcm_search_brute
+from oracles import (
+    UNDECIDED, hull_fragment_brute, left_divide_brute, mask_of, right_lcm_search_brute, zappa_walk_brute,
+)
 
 from xjoin import lcmhull as lh
 from xjoin.semilattice import LawViolation
@@ -234,6 +236,30 @@ class TestZappaSzep:
         assert P.multiply(("", "ggg"), ("0", "")) == ("1", "g")
         assert right_lcm_search_brute(P, ("", ""), ("", "ggg")) == UNDECIDED
         assert P.right_lcm(("", ""), ("", "ggg")) == ("", "ggg")
+
+    def test_long_words_are_walked_in_a_loop(self):
+        # 1,200 letters on either side: no stack frame per letter
+        P = lh.monoid_from_spec("adding")
+        long_u = lh.hull_mul(P, lh.parse_hull(P, "[e.g,e.e]"), lh.parse_hull(P, f"[{'1' * 1200}.e,e.e]"))
+        assert long_u.format(P) == f"[{'0' * 1200}.g,e.e]"
+        long_a = lh.hull_mul(P, lh.parse_hull(P, f"[e.{'g' * 1200},e.e]"), lh.parse_hull(P, "[0.e,e.e]"))
+        assert long_a.format(P) == f"[0.{'g' * 600},e.e]"
+
+    @settings(max_examples=60, deadline=None)
+    @given(us=st.sampled_from(("01", "012")), as_=st.sampled_from(("g", "gh")), data=st.data())
+    def test_walk_matches_recursive_definition(self, us, as_, data):
+        # random tables, restrictions of up to two letters, not always bijective
+        action = {a: {u: data.draw(st.sampled_from(us)) for u in us} for a in as_}
+        restriction = {a: {u: data.draw(st.text(as_, max_size=2)) for u in us} for a in as_}
+        tables = lh.ZappaSzepData.from_tables(us, as_, action, restriction)
+        P = lh.ZappaSzepProduct(tables)
+        bijective = all(set(row.values()) == set(us) for row in action.values())
+        for _ in range(8):
+            a, u = data.draw(st.text(as_, max_size=4)), data.draw(st.text(us, max_size=5))
+            assert (P.act(a, u), P.res(a, u)) == zappa_walk_brute(tables, a, u)
+            v = P.act_inverse(a, u)
+            assert v is None or zappa_walk_brute(tables, a, v)[0] == u
+            assert v is not None or not bijective
 
     def test_depth_below_one_is_refused(self):
         # at depth 0 the law loops check nothing
