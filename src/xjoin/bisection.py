@@ -101,8 +101,8 @@ class BisAlgebra:
         arrow leaving r(b), and no other b meets any.  An
         idempotent e is the identities 1_u for u in a unit set D, so eV and
         Ve are the b of V with r(b), or s(b), in D by the unit laws
-        1_{r(b)}b = b = b1_{s(b)}.  These follow from what
-        ``FinGroupoid.from_parts`` checks: by cancellation, (ab)b⁻¹ = a, right
+        1_{r(b)}b = b = b1_{s(b)}.  These follow from the groupoid
+        laws, which ``germ_groupoid`` proves for germs: by cancellation, (ab)b⁻¹ = a, right
         multiplication is injective; 1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives
         1_u1_u = 1_u, then b1_u1_u = b1_u gives b1_u = b, and
         1_{r(b)}b = bb⁻¹b = b1_{s(b)}.

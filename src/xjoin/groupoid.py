@@ -7,10 +7,7 @@ germ equality a plain pair comparison.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import getitem, itemgetter
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
 from .semilattice import Character, LawViolation, _bits, _json_text, spectrum
@@ -35,92 +32,6 @@ class FinGroupoid:
     @property
     def n_arrows(self) -> int:
         return len(self.arrow_labels)
-
-    @classmethod
-    def from_parts(cls, unit_labels, arrow_labels, src, rng, unit_arrow, inv, comp) -> "FinGroupoid":
-        G = cls(
-            tuple(unit_labels),
-            tuple(arrow_labels),
-            tuple(src),
-            tuple(rng),
-            tuple(unit_arrow),
-            tuple(inv),
-            tuple(tuple(row) for row in comp),
-        )
-        _check_groupoid(G)
-        return G
-
-
-def _check_groupoid(G: FinGroupoid) -> None:
-    """The groupoid laws, a row of ``comp`` at a time.
-
-    Row a must be defined exactly at the arrows ending at src(a), one list
-    comparison, with the composites' sources and ranges read through the
-    row.  Associativity then compares, for each composable (a, b), the row
-    of ab with row a read through row b, both restricted to the arrows
-    ending at src(b); cancellation reads (ab)b⁻¹ along row a.  A failed
-    row is walked entry by entry to name its witness, in the order of the
-    definitional loops (``tests/oracles.py``).
-    """
-    n, m = G.n_arrows, G.n_units
-    src, rng, inv, comp, names = G.src, G.rng, G.inv, G.comp, G.arrow_labels
-    if not (len(src) == len(rng) == len(inv) == len(comp) == n) or any(len(r) != n for r in comp):
-        raise LawViolation("arrow table sizes disagree")
-    if len(G.unit_arrow) != m:
-        raise LawViolation("need one identity arrow per unit")
-    for u in range(m):
-        ua = G.unit_arrow[u]
-        if src[ua] != u or rng[ua] != u:
-            raise LawViolation(f"identity arrow of unit {G.unit_labels[u]} is not a loop at it")
-    ending_at: dict[int, list[int]] = {u: [] for u in {*src, *rng}}
-    for c in range(n):
-        ending_at[rng[c]].append(c)
-    into = {u: _pick(arrows) for u, arrows in ending_at.items()}
-    for a, row in enumerate(comp):
-        u = src[a]
-        ok = [b for b, c in enumerate(row) if c >= 0] == ending_at[u]
-        if ok and ending_at[u]:
-            located = _pick(into[u](row))
-            ok = located(src) == into[u](src) and located(rng).count(rng[a]) == len(ending_at[u])
-        if not ok:
-            for b, c in enumerate(row):
-                if (c >= 0) != (u == rng[b]):
-                    raise LawViolation(
-                        f"composability of ({names[a]},{names[b]}) disagrees with source/range"
-                    )
-                if c >= 0 and (src[c] != src[b] or rng[c] != rng[a]):
-                    raise LawViolation(f"composite of ({names[a]},{names[b]}) mislocated")
-    # By the checks above, (ab)c and a(bc) are both defined exactly when ab
-    # is and c ends where b starts, so only those triples are compared.
-    through = [_pick(into[src[b]](row)) for b, row in enumerate(comp)]
-    for a, row in enumerate(comp):
-        for b in ending_at[src[a]]:
-            restrict = into[src[b]]
-            if restrict(comp[row[b]]) != through[b](row):
-                ab = row[b]
-                c = next(c for c in ending_at[src[b]] if comp[ab][c] != row[comp[b][c]])
-                raise LawViolation(
-                    f"composition not associative at ({names[a]},{names[b]},{names[c]})"
-                )
-    for a, row in enumerate(comp):
-        ia = inv[a]
-        if src[ia] != rng[a] or rng[ia] != src[a]:
-            raise LawViolation(f"inverse of {names[a]} mislocated")
-        if row[ia] != G.unit_arrow[rng[a]] or comp[ia][a] != G.unit_arrow[src[a]]:
-            raise LawViolation(f"inverse law fails at {names[a]}")
-        # (ab)b⁻¹ for each b ending at src(a), gathered along the row
-        ends = into[src[a]]
-        back = list(map(getitem, map(comp.__getitem__, ends(row)), ends(inv)))
-        if back.count(a) != len(back):
-            raise LawViolation("cancellation fails")
-
-
-def _pick(idxs) -> Callable:
-    """The map from a sequence to the tuple of its entries at ``idxs``."""
-    if len(idxs) == 1:
-        i = idxs[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*idxs) if idxs else lambda seq: ()
 
 
 def is_local_bisection(G: FinGroupoid, arrows: int) -> bool:
@@ -170,13 +81,20 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
     its groupoid of germs: all below reads only S and the units, so equal S
     and units give equal groupoids.
 
-    The germs at a unit c with generator f are the products sf for the s
-    with f below d(s).  A germ is fixed by that representative t = sf, since
-    d(t) = f names its unit, so there are at most S.n - 1 germs and the
-    composition table is smaller than the multiplication table of S.  The
-    composite of germs [s, c] and [t, c'] with c the range of the second is
-    the germ of st at c', whose representative is the product of the
-    representatives, since t ends in the idempotent of c'.
+    The germs at a unit c with generator f_c are the products t = sf_c for
+    the s with f_c below d(s).  A germ is fixed by t, since d(t) = f_c names
+    its unit, so there are at most S.n - 1 germs; its range is the character
+    at t f_c t⁻¹ = r(t).  The tables are built, not checked: the groupoid
+    laws follow from those of S (Exel, "Inverse semigroups and combinatorial
+    C*-algebras", 2008, §4).
+    - Composites: for t at c and u ending at c, r(u) = f_c, so
+      d(tu) = u⁻¹f_c u = d(u) and r(tu) = t f_c t⁻¹ = r(t): the germ of tu
+      starts where u does and ends where t does.  A row is filled at
+      exactly the arrows ending at its source.
+    - Units: f_c is a loop at c, with t f_c = t and f_c u = u.
+    - Inverses: t⁻¹ = t⁻¹r(t) is a germ at the range of t, with tt⁻¹ = r(t)
+      and t⁻¹t = f_c.
+    - Associativity is that of S; cancellation follows, (ab)b⁻¹ = a(bb⁻¹) = a.
     """
     if (relations is None) == (units is None):
         raise TypeError("germ_groupoid takes one of relations and units")
@@ -213,15 +131,15 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
         prod = mult[rep]
         for b in ending_at[a]:
             row[b] = pos[src[b], prod[reps[b]]]
-        comp.append(row)
-    G = FinGroupoid.from_parts(
+        comp.append(tuple(row))
+    G = FinGroupoid(
         unit_labels=tuple(S.semilattice.label(c.gen) for c in units),
         arrow_labels=tuple(f"[{S.label(g.rep)};{S.semilattice.label(g.base.gen)}]" for g in germ_list),
-        src=src,
-        rng=rng,
-        unit_arrow=[pos[u, idems[c.gen]] for u, c in enumerate(units)],
-        inv=[pos[r, mult[inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)],
-        comp=comp,
+        src=tuple(src),
+        rng=tuple(rng),
+        unit_arrow=tuple(pos[u, idems[c.gen]] for u, c in enumerate(units)),
+        inv=tuple(pos[r, mult[inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)),
+        comp=tuple(comp),
     )
     return GermGroupoid(S, units, germ_list, G, unit_pos, {g: i for i, g in enumerate(germ_list)})
 
@@ -278,16 +196,3 @@ def _groupoid_doc(G: FinGroupoid) -> dict:
         "unit_arrow": list(G.unit_arrow),
         "comp": [list(row) for row in G.comp],
     }
-
-
-def groupoid_from_json(text: str) -> FinGroupoid:
-    doc = json.loads(text)
-    return FinGroupoid.from_parts(
-        unit_labels=doc["units"],
-        arrow_labels=[a["label"] for a in doc["arrows"]],
-        src=[a["src"] for a in doc["arrows"]],
-        rng=[a["rng"] for a in doc["arrows"]],
-        unit_arrow=doc["unit_arrow"],
-        inv=[a["inv"] for a in doc["arrows"]],
-        comp=doc["comp"],
-    )

@@ -30,7 +30,8 @@ class FinInverseSemigroup:
     Element i of ``semilattice`` is the idempotent ``idems[i]`` of the
     semigroup, with the zero at position 0; ``idem_pos`` is the inverse map.
     Every element is a left-normed product of ``gens``.  All four are built
-    once by :func:`validate` and take no part in equality.
+    once, by :func:`validate` or :func:`from_partial_maps`, and take no part
+    in equality.
     """
 
     mult: tuple[tuple[int, ...], ...]
@@ -108,12 +109,18 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     if rows[0].count(0) != n or any(row[0] for row in rows):
         a = next(a for a in range(n) if rows[0][a] != 0 or rows[a][0] != 0)
         raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
+    return _build(rows, inv, labels, idems, tuple(gens))
+
+
+def _build(rows, inv, labels, idems, gens) -> FinInverseSemigroup:
+    """The structure over a table whose laws hold, with its idempotent
+    semilattice read off the rows of the idempotents."""
     idem_pos = {a: i for i, a in enumerate(idems)}
     E = FinMeetSemilattice.from_meet(
         [[idem_pos[rows[a][b]] for b in idems] for a in idems],
         [labels[a] for a in idems],
     )
-    return FinInverseSemigroup(rows, inv, labels, E, idems, idem_pos, tuple(gens))
+    return FinInverseSemigroup(rows, inv, labels, E, idems, idem_pos, gens)
 
 
 def _generators(rows, distinct) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -239,8 +246,25 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
     pairs.  Raises ``BudgetExceeded`` once the closure is found, before any
     table is built, when the table would have more than ``TABLE_BUDGET``
     entries.
+
+    The laws of a closure of partial injections hold by construction
+    (Wagner–Preston; Lawson, *Inverse Semigroups*, 1998, ch. 1), so the
+    structure is built here, not passed to :func:`validate`.
+    - Associativity: the product is composition of maps.
+    - Inverses: the images hold each generator's inverse, so the inverse map
+      (g1...gk)⁻¹ = gk⁻¹...g1⁻¹ of an element is an element.  It is the only
+      generalized inverse g: fgf = f makes g send f(x) to x, and gfg = g
+      makes fg(y) = y for each y in the domain of g, as g is injective.
+    - Idempotents: ff = f with f injective gives f(x) = x, so they are the
+      partial identities, and 1_A1_B = 1_{A∩B} = 1_B1_A.
+    - Zero: the empty map absorbs every map and sorts first, to index 0.
+    - ``gens``: the closure multiplies by the images on the right, so every
+      element but the zero root is a left-normed product of them.  The
+      first such product to reach the zero is an image, or a nonzero
+      product times one, which the scan of the images' columns finds;
+      otherwise the zero is added.
     """
-    gens = []
+    pms = []
     for m in maps:
         try:
             pm = {int(k): int(v) for k, v in m.items()}
@@ -251,15 +275,15 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
         for k, v in pm.items():
             if not (1 <= k <= points and 1 <= v <= points):
                 raise LawViolation(f"generator {pm} leaves 1..{points}")
-        gens.append(pm)
+        pms.append(pm)
     # A map is its image tuple over 0..m, m the largest point a generator
     # names (every element is undefined above it), with 0 for "undefined";
     # the product f*g (f after g) is f read through g, itemgetter(*g)(f).
     # At least two positions keep itemgetter's result a tuple.
-    width = max([1, *(p for pm in gens for p in (*pm, *pm.values()))]) + 1
+    width = max([1, *(p for pm in pms for p in (*pm, *pm.values()))]) + 1
     images = []
-    for pm in gens:
-        for h in (pm, {v: k for k, v in pm.items()}):
+    for pm in pms:
+        for h in (pm, _inverse(pm)):
             images.append(tuple(h.get(x, 0) for x in range(width)))
     through = [itemgetter(*g) for g in images]
     # parent[h] is (f, k) with h = f*images[k]; the zero and the generators are roots
@@ -299,8 +323,17 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
         if read is None:
             read = reads[k] = itemgetter(*table[idx[images[k]]])
         table[idx[f]] = read(table[idx[p]])
-    labels = [_pmap_label(m) for m in pmaps]
-    return validate(table, labels), tuple(pmaps)
+    inv = tuple(idx[tuple(m.get(x, 0) for x in range(width))] for m in map(_inverse, pmaps))
+    idems = tuple(i for i, m in enumerate(pmaps) if all(k == v for k, v in m.items()))
+    gens = tuple(dict.fromkeys(idx[g] for g in images))
+    if 0 not in gens and not any(table[x][g] == 0 for x in range(1, n) for g in gens):
+        gens += (0,)
+    labels = tuple(_pmap_label(m) for m in pmaps)
+    return _build(tuple(table), inv, labels, idems, gens), tuple(pmaps)
+
+
+def _inverse(m: dict) -> dict:
+    return {v: k for k, v in m.items()}
 
 
 # ---------------------------------------------------------------------------

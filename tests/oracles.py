@@ -9,6 +9,7 @@ because the ``suite`` command runs them too.
 
 from __future__ import annotations
 
+import json
 import weakref
 from itertools import combinations, product as iproduct
 from operator import itemgetter
@@ -234,10 +235,12 @@ def validate_brute(table, labels=None):
 
 
 def check_groupoid_brute(G) -> None:
-    """The groupoid laws pair by pair and triple by triple, in the order and
-    wording of ``groupoid._check_groupoid``."""
+    """The groupoid laws pair by pair and triple by triple, naming the first
+    violated law with a witness.  The library builds only germ groupoids,
+    whose laws its docstrings prove, so this is the one groupoid checker."""
     n, m = G.n_arrows, G.n_units
-    if not (len(G.src) == len(G.rng) == len(G.inv) == len(G.comp) == n):
+    sizes = (len(G.src), len(G.rng), len(G.inv), len(G.comp), *map(len, G.comp))
+    if any(k != n for k in sizes):
         raise LawViolation("arrow table sizes disagree")
     if len(G.unit_arrow) != m:
         raise LawViolation("need one identity arrow per unit")
@@ -275,6 +278,36 @@ def check_groupoid_brute(G) -> None:
         for b in range(n):
             if G.src[a] == G.rng[b] and G.comp[G.comp[a][b]][G.inv[b]] != a:
                 raise LawViolation("cancellation fails")
+
+
+def from_parts(unit_labels, arrow_labels, src, rng, unit_arrow, inv, comp) -> FinGroupoid:
+    """A groupoid from its tables as any sequences, checked by
+    :func:`check_groupoid_brute`."""
+    G = FinGroupoid(
+        tuple(unit_labels),
+        tuple(arrow_labels),
+        tuple(src),
+        tuple(rng),
+        tuple(unit_arrow),
+        tuple(inv),
+        tuple(tuple(row) for row in comp),
+    )
+    check_groupoid_brute(G)
+    return G
+
+
+def groupoid_from_json(text: str) -> FinGroupoid:
+    """The inverse of ``groupoid.groupoid_to_json``, checked."""
+    doc = json.loads(text)
+    return from_parts(
+        unit_labels=doc["units"],
+        arrow_labels=[a["label"] for a in doc["arrows"]],
+        src=[a["src"] for a in doc["arrows"]],
+        rng=[a["rng"] for a in doc["arrows"]],
+        unit_arrow=doc["unit_arrow"],
+        inv=[a["inv"] for a in doc["arrows"]],
+        comp=doc["comp"],
+    )
 
 
 def partial_map_closure_brute(points: int, maps):
@@ -737,7 +770,7 @@ def restricted_groupoid_brute(full, chi):
         for bi, b in enumerate(keep):
             if (G.comp[a][b] >= 0) != (comp[ai][bi] >= 0):
                 raise LawViolation("restriction lost a composite")
-    restr = FinGroupoid.from_parts(
+    restr = from_parts(
         unit_labels=[G.unit_labels[u] for u in unit_old],
         arrow_labels=[G.arrow_labels[a] for a in keep],
         src=[unit_new[G.src[a]] for a in keep],

@@ -45,6 +45,7 @@ from oracles import (
     count_bisections_brute,
     elements_of,
     expanded,
+    from_parts,
     generated_subsemigroup_brute,
     invariant_closure_brute,
     is_multiplicative_brute,
@@ -71,7 +72,7 @@ def carved(S, chi):
 
 
 def one_unit_groupoid():
-    return FinGroupoid.from_parts(("u",), ("id",), (0,), (0,), (0,), (0,), ((0,),))
+    return from_parts(("u",), ("id",), (0,), (0,), (0,), (0,), ((0,),))
 
 
 SEMIGROUPS = {
@@ -1050,7 +1051,7 @@ def _disjoint_double(G: FinGroupoid) -> FinGroupoid:
             if G.comp[a][b] >= 0:
                 comp[a][b] = G.comp[a][b]
                 comp[a + n][b + n] = G.comp[a][b] + n
-    return FinGroupoid.from_parts(
+    return from_parts(
         unit_labels=[f"{u}/L" for u in G.unit_labels] + [f"{u}/R" for u in G.unit_labels],
         arrow_labels=[f"{a}/L" for a in G.arrow_labels] + [f"{a}/R" for a in G.arrow_labels],
         src=list(G.src) + [s + m for s in G.src],
@@ -1099,7 +1100,7 @@ class TestClosureEquivalence:
 class TestJsonEmission:
     def test_elements_reload_against_groupoid(self):
         import json
-        from xjoin.groupoid import groupoid_from_json
+        from oracles import groupoid_from_json
 
         B = iota(I2, rels(I2, "tight")).algebra
         doc = json.loads(bis_to_json(B))

@@ -206,7 +206,8 @@ class TestStructureCommands:
         assert invsgp.invsgp_from_json(out) == invsgp.i2()
 
     def test_groupoid_json_round_trip(self, files, capsys):
-        from xjoin.groupoid import germ_groupoid, groupoid_from_json
+        from oracles import groupoid_from_json
+        from xjoin.groupoid import germ_groupoid
 
         code, out, _ = run(
             capsys, "groupoid", "--invsgp", files["i2"], "--x", "tight", "--format", "json"

@@ -5,17 +5,20 @@ import time
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
+from xjoin.groupoid import germ_groupoid
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
 from oracles import (
+    check_groupoid_brute,
     elements_of,
     invariant_closure_brute,
     is_associative_brute,
+    left_normed_closure,
     mask_of,
     partial_map_closure_brute,
     partial_map_table_lookup,
@@ -296,6 +299,69 @@ class TestRowsAlongTheTree:
         maps = data.draw(st.lists(partial_injections(points), max_size=3))
         S, pmaps = invsgp.from_partial_maps(points, maps)
         assert S.mult == partial_map_table_lookup(pmaps, points)
+
+
+@st.composite
+def partial_map_inputs(draw):
+    points = draw(st.integers(0, 4))
+    return points, draw(st.lists(partial_injections(points), max_size=3))
+
+
+def over_partial_map_inputs(test):
+    """Run ``test(self, case)`` on drawn partial maps, always including Z2
+    with a zero that no product reaches, the empty map alone, B2 and I4."""
+    cases = [
+        ((2, [{1: 2, 2: 1}]), "Z2 with a zero"),
+        ((0, [{}]), "the empty map"),
+        ((2, [{1: 2}]), "B2"),
+        (GENERATORS["i4"], "I4"),
+    ]
+    for case, why in cases:
+        test = example(case=case).via(why)(test)
+    return settings(max_examples=60, deadline=None)(given(case=partial_map_inputs())(test))
+
+
+class TestBuiltWithoutValidation:
+    """from_partial_maps builds its structure without calling validate, and
+    germ_groupoid its tables without a check; both are compared with the
+    checked constructions."""
+
+    @staticmethod
+    def twins(case):
+        S, _ = invsgp.from_partial_maps(*case)
+        return S, invsgp.validate(S.mult, S.labels)
+
+    @over_partial_map_inputs
+    def test_matches_validate(self, case):
+        S, twin = self.twins(case)
+        assert (S.inv, S.idems, S.idem_pos) == (twin.inv, twin.idems, twin.idem_pos)
+        E, F = S.semilattice, twin.semilattice
+        assert (E.meet_table, E.labels, E.below, E.above, E.atom_bits) == (
+            F.meet_table, F.labels, F.below, F.above, F.atom_bits
+        )
+
+    @over_partial_map_inputs
+    def test_gens_generate(self, case):
+        S, _ = self.twins(case)
+        assert left_normed_closure(S, S.gens) == frozenset(range(S.n))
+        # the zero is a generator exactly when no product of the images reaches it
+        images = [g for g in S.gens if g]
+        assert (0 in S.gens) == (
+            any(not m for m in case[1]) or 0 not in left_normed_closure(S, images)
+        )
+
+    @over_partial_map_inputs
+    def test_invariant_closure_matches_twin(self, case):
+        S, twin = self.twins(case)
+        for name in sl.BUILTIN_RELATION_SETS:
+            X = invsgp.semigroup_relations(S, name)
+            assert invsgp.invariant_closure(S, X) == invsgp.invariant_closure(twin, X)
+
+    @over_partial_map_inputs
+    def test_germ_groupoids_are_groupoids(self, case):
+        S, _ = self.twins(case)
+        for name in sl.BUILTIN_RELATION_SETS:
+            check_groupoid_brute(germ_groupoid(S, invsgp.semigroup_relations(S, name)).groupoid)
 
 
 I5_MAPS = [{1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 1, 2: 2, 3: 3, 4: 4}]
