@@ -578,36 +578,31 @@ def _check_additive(m: AdditiveMorphism) -> None:
     t(e - f) = t(e) - t(f) for idempotents e and f.  Conversely a morphism
     passes, {a}{b} being the product in B.
 
-    A row a of ``comp`` defined exactly at the arrows ending at u = src(a)
-    takes products only there.  The rest of the row is one mask test:
-    t({a})t({b}) is 0 exactly when t({b}) has no arrow whose range is a
-    source of t({a}), so the union of the images of the arrows ending at
-    the other units must have none.  Any other row, and a failing one, is
-    walked entry by entry, which names the first witness.  The cost is a
-    product in T per composable pair of arrows.
+    Row a of ``comp`` holds the arrows b ending at u = src(a) and takes a
+    product for each; the rest of the row is one mask test: t({a})t({b}) is
+    0 exactly when t({b}) has no arrow whose range is a source of t({a}),
+    so the union of the images of the arrows ending at the other units must
+    have none.  A failing row is walked arrow by arrow, naming the first
+    witness.  The cost is a product in T per composable pair of arrows.
     """
     B, T, t = m.source, m.target, m.images
     G = B.groupoid
     if len(t) != G.n_arrows:
         raise LawViolation(f"{G.n_arrows} arrows but {len(t)} atom images")
-    ending_at: list[list[int]] = [[] for _ in range(G.n_units)]
     into = [0] * G.n_units  # per unit, the union of the images of the arrows ending there
     for b, r in enumerate(G.rng):
-        ending_at[r].append(b)
         into[r] |= t[b]
     before = list(accumulate(into, or_, initial=0))
     after = list(accumulate(reversed(into), or_, initial=0))[::-1]
     for a, row in enumerate(G.comp):
         u, x = G.src[a], t[a]
-        ends = ending_at[u]
         if (
-            row.count(-1) == len(row) - len(ends)
-            and all(row[b] >= 0 and T.mul(x, t[b]) == t[row[b]] for b in ends)
+            all(T.mul(x, t[b]) == t[ab] for b, ab in row.items())
             and not (before[u] | after[u + 1]) & T._rng_arrows[T.srcm[x]]
         ):
             continue
-        for b, ab in enumerate(row):
-            if T.mul(x, t[b]) != (t[ab] if ab >= 0 else T.zero):
+        for b in range(G.n_arrows):
+            if T.mul(x, t[b]) != (t[row[b]] if b in row else T.zero):
                 raise LawViolation(f"product not preserved at ({B.label(1 << a)},{B.label(1 << b)})")
 
 

@@ -15,7 +15,8 @@ from .semilattice import Character, LawViolation, _bits, _json_text, spectrum
 
 @dataclass(frozen=True)
 class FinGroupoid:
-    """Arrow tables of a finite groupoid; comp[a][b] is -1 when undefined."""
+    """Arrow tables of a finite groupoid.  ``comp[a]`` maps each arrow b
+    ending at the source of a, and no other, to the index of ab."""
 
     unit_labels: tuple[str, ...]
     arrow_labels: tuple[str, ...]
@@ -23,7 +24,7 @@ class FinGroupoid:
     rng: tuple[int, ...]
     unit_arrow: tuple[int, ...]
     inv: tuple[int, ...]
-    comp: tuple[tuple[int, ...], ...]
+    comp: tuple[dict[int, int], ...]
 
     @property
     def n_units(self) -> int:
@@ -89,8 +90,8 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
     C*-algebras", 2008, §4).
     - Composites: for t at c and u ending at c, r(u) = f_c, so
       d(tu) = u⁻¹f_c u = d(u) and r(tu) = t f_c t⁻¹ = r(t): the germ of tu
-      starts where u does and ends where t does.  A row is filled at
-      exactly the arrows ending at its source.
+      starts where u does and ends where t does.  So a row holds exactly
+      the arrows ending at its source.
     - Units: f_c is a loop at c, with t f_c = t and f_c u = u.
     - Inverses: t⁻¹ = t⁻¹r(t) is a germ at the range of t, with tt⁻¹ = r(t)
       and t⁻¹t = f_c.
@@ -109,8 +110,8 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
         f = idems[c.gen]
         germs.update(Germ(c, row[f]) for row, d in zip(mult, dom_rows) if d[f] == f)
     germ_list = tuple(sorted(germs))
-    src, rng = [], []
-    for g in germ_list:
+    src, rng, ending_at = [], [], [[] for _ in units]
+    for b, g in enumerate(germ_list):
         src.append(unit_pos[g.base])
         target = Character(S.idem_pos[mult[mult[g.rep][idems[g.base.gen]]][inv[g.rep]]])
         if target not in unit_pos:
@@ -119,19 +120,9 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
                 "the relation set was not invariant"
             )
         rng.append(unit_pos[target])
+        ending_at[rng[b]].append(b)
     pos = {(s, g.rep): i for i, (s, g) in enumerate(zip(src, germ_list))}
     reps = [g.rep for g in germ_list]
-    ending_at: list[list[int]] = [[] for _ in units]
-    for b, r in enumerate(rng):
-        ending_at[r].append(b)
-    n = len(germ_list)
-    comp = []
-    for a, rep in zip(src, reps):
-        row = [-1] * n
-        prod = mult[rep]
-        for b in ending_at[a]:
-            row[b] = pos[src[b], prod[reps[b]]]
-        comp.append(tuple(row))
     G = FinGroupoid(
         unit_labels=tuple(S.semilattice.label(c.gen) for c in units),
         arrow_labels=tuple(f"[{S.label(g.rep)};{S.semilattice.label(g.base.gen)}]" for g in germ_list),
@@ -139,7 +130,7 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
         rng=tuple(rng),
         unit_arrow=tuple(pos[u, idems[c.gen]] for u, c in enumerate(units)),
         inv=tuple(pos[r, mult[inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)),
-        comp=tuple(comp),
+        comp=tuple({b: pos[src[b], mult[rep][reps[b]]] for b in ending_at[a]} for a, rep in zip(src, reps)),
     )
     return GermGroupoid(S, units, germ_list, G, unit_pos, {g: i for i, g in enumerate(germ_list)})
 
@@ -186,7 +177,12 @@ def groupoid_to_json(G: FinGroupoid) -> str:
 
 
 def _groupoid_doc(G: FinGroupoid) -> dict:
-    """The JSON document of :func:`groupoid_to_json`, before encoding."""
+    """The JSON document of :func:`groupoid_to_json`, before encoding; its
+    composition table is dense, with -1 where ab is undefined."""
+    comp = [[-1] * G.n_arrows for _ in G.comp]
+    for dense, row in zip(comp, G.comp):
+        for b, ab in row.items():
+            dense[b] = ab
     return {
         "units": list(G.unit_labels),
         "arrows": [
@@ -194,5 +190,5 @@ def _groupoid_doc(G: FinGroupoid) -> dict:
             for a in range(G.n_arrows)
         ],
         "unit_arrow": list(G.unit_arrow),
-        "comp": [list(row) for row in G.comp],
+        "comp": comp,
     }

@@ -108,7 +108,7 @@ def validate(table, labels=None) -> FinInverseSemigroup:
         _inverse_witness(rows, labels, idems)
     if rows[0].count(0) != n or any(row[0] for row in rows):
         a = next(a for a in range(n) if rows[0][a] != 0 or rows[a][0] != 0)
-        raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
+        raise LawViolation(f"element {labels[0]} is not absorbing against {labels[a]}")
     return _build(rows, inv, labels, idems, tuple(gens))
 
 

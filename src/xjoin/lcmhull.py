@@ -352,14 +352,20 @@ class FoundationVerdict:
         return self.kind == "yes"
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise LawViolation(f"{name} must be at least {least}, got {value}")
+
+
 def is_foundation_set(P, F, depth: int = 4) -> FoundationVerdict:
     """Decide whether every principal right ideal meets one from the set.
 
     Exact for monoids exposing a decision rule (``P.foundation_verdict``,
     asked only about nonempty sets); elsewhere a bounded scan
     that can refute with a concrete witness but only answer Unknown
-    positively.
+    positively.  A negative depth raises ``LawViolation``.
     """
+    _at_least("depth", depth, 0)
     F = list(F)
     if not F:
         return FoundationVerdict("no", P.identity, None)
@@ -377,7 +383,7 @@ def lemma_found_check(P, F, depth: int = 4) -> bool:
 
     The cover side asks every bounded idempotent [p,p] to meet some [f,f]
     under the hull product; the two sides must agree wherever the
-    foundation decision is exact.
+    foundation decision is exact; ``is_foundation_set`` refuses a negative depth.
     """
     F = list(F)
     verdict = is_foundation_set(P, F, depth)
@@ -647,8 +653,7 @@ def zappa_szep(data: ZappaSzepData, depth: int = 4) -> ZappaSzepProduct:
     """Build the product, validate the matched-pair laws and C1 on fragments
     to the given depth (at least 1, or the law loops check nothing), and C2
     and C3 on letters, which is what makes ``right_lcm`` exact."""
-    if depth < 1:
-        raise LawViolation(f"validation depth must be at least 1, got {depth}")
+    _at_least("validation depth", depth, 1)
     P = ZappaSzepProduct(data)
     checks = []
     U, A = P.u_monoid, P.a_monoid
@@ -716,7 +721,8 @@ def hull_relation_sort_key(P, rel: HullRelation):
 
 def gen_xa(P: ZappaSzepProduct, depth: int) -> tuple[HullRelation, ...]:
     """Pairs identifying [a,a] with [b,b] whenever b extends a inside the
-    second factor, up to the grade bound."""
+    second factor, up to the grade bound, which cannot be negative."""
+    _at_least("depth", depth, 0)
     A = P.a_monoid
     out = []
     for a in A.elements_up_to(depth):
@@ -766,8 +772,12 @@ def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tup
     A family works exactly when the words u_i form a foundation set of the
     free factor; the minimal ones are the complete prefix codes.  Raises
     ``BudgetExceeded`` before enumerating when ``xu_relation_count`` is over
-    ``XU_RELATION_BUDGET``.
+    ``XU_RELATION_BUDGET``, and ``LawViolation`` on a negative depth or on
+    ``max_parts`` below 1, which no cover meets.
     """
+    _at_least("depth", depth, 0)
+    if max_parts is not None:
+        _at_least("max_parts", max_parts, 1)
     k = len(P.data.u_alphabet)
     # the count grows doubly exponentially with the depth, so find the first
     # depth over budget before computing the count at a much deeper one

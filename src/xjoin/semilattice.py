@@ -181,7 +181,8 @@ class FinMeetSemilattice:
                     )
         for x in range(n):
             if rows[0][x] != 0:
-                raise LawViolation(f"element 0 is not the bottom: 0^{labels[x]} = {labels[rows[0][x]]}")
+                bot = labels[0]
+                raise LawViolation(f"element {bot} is not the bottom: {bot}^{labels[x]} = {labels[rows[0][x]]}")
         below = tuple(sum(1 << y for y, m in enumerate(row) if m == y) for row in rows)
         above = tuple(sum(1 << y for y, m in enumerate(row) if m == x) for x, row in enumerate(rows))
         atom_bits = sum(1 << x for x in range(1, n) if below[x] == 1 | 1 << x)

@@ -221,13 +221,10 @@ def groupoid_suite():
                 if in_spec != (a in reps):
                     ok = False
             G = gg.groupoid
-            for ai in range(G.n_arrows):
-                for bi in range(G.n_arrows):
-                    c = G.comp[ai][bi]
-                    if c >= 0:
-                        prod = S.mul(gg.germs[ai].rep, gg.germs[bi].rep)
-                        if gg.germs[c].rep != prod:
-                            ok = False
+            for ai, row in enumerate(G.comp):
+                for bi, c in row.items():
+                    if gg.germs[c].rep != S.mul(gg.germs[ai].rep, gg.germs[bi].rep):
+                        ok = False
     out.append(("arrows biject with elements with admissible domain", ok, ""))
 
     ok = True

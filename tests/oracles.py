@@ -4,7 +4,10 @@ Everything here works from first definitions (exhaustive enumeration over
 subsets and words), deliberately avoiding the library's own shortcuts.  The
 semilattice oracles below read the order off the meet table, never the
 order masks; the character and all-covers oracles live in ``xjoin.suites``,
-because the ``suite`` command runs them too.
+because the ``suite`` command runs them too.  The groupoid oracles read a
+composition table in its dense JSON form, -1 where a composite is
+undefined: ``dense_comp`` expands a groupoid's rows, which hold only the
+composable arrows, and ``sparse_comp`` packs a dense table back into rows.
 """
 
 from __future__ import annotations
@@ -160,11 +163,12 @@ def all_bisections_brute(G) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
 def product_brute(G, left: int, right: int) -> int:
     """The arrow mask of the product of two arrow masks: every arrow of the
     left factor composed with every arrow of the right one, where defined."""
+    comp = dense_comp(G)
     out = 0
     for a in elements_of(left):
         for b in elements_of(right):
-            if G.comp[a][b] >= 0:
-                out |= 1 << G.comp[a][b]
+            if comp[a][b] >= 0:
+                out |= 1 << comp[a][b]
     return out
 
 
@@ -230,18 +234,39 @@ def validate_brute(table, labels=None):
                 raise LawViolation(f"idempotents {labels[e]} and {labels[f]} do not commute")
     for a in range(n):
         if rows[0][a] != 0 or rows[a][0] != 0:
-            raise LawViolation(f"element 0 is not absorbing against {labels[a]}")
+            raise LawViolation(f"element {labels[0]} is not absorbing against {labels[a]}")
     return rows, tuple(inv), idems
+
+
+def dense_comp(G) -> list[list[int]]:
+    """The composition table of G as an arrows x arrows list, -1 where a
+    composite is undefined: the form of the JSON documents."""
+    out = []
+    for row in G.comp:
+        dense = [-1] * G.n_arrows
+        for b, ab in row.items():
+            dense[b] = ab
+        out.append(dense)
+    return out
+
+
+def sparse_comp(rows) -> tuple[dict[int, int], ...]:
+    """The rows of a dense composition table as ``FinGroupoid.comp`` holds
+    them, keeping only the defined entries."""
+    return tuple({b: ab for b, ab in enumerate(row) if ab >= 0} for row in rows)
 
 
 def check_groupoid_brute(G) -> None:
     """The groupoid laws pair by pair and triple by triple, naming the first
     violated law with a witness.  The library builds only germ groupoids,
-    whose laws its docstrings prove, so this is the one groupoid checker."""
+    whose laws its docstrings prove, so this is the one groupoid checker.
+    A row of ``comp`` must name arrows only, as keys and as composites."""
     n, m = G.n_arrows, G.n_units
-    sizes = (len(G.src), len(G.rng), len(G.inv), len(G.comp), *map(len, G.comp))
-    if any(k != n for k in sizes):
+    if any(k != n for k in (len(G.src), len(G.rng), len(G.inv), len(G.comp))):
         raise LawViolation("arrow table sizes disagree")
+    if any(not 0 <= x < n for row in G.comp for item in row.items() for x in item):
+        raise LawViolation("composition table names a non-arrow")
+    comp = dense_comp(G)
     if len(G.unit_arrow) != m:
         raise LawViolation("need one identity arrow per unit")
     for u in range(m):
@@ -250,7 +275,7 @@ def check_groupoid_brute(G) -> None:
             raise LawViolation(f"identity arrow of unit {G.unit_labels[u]} is not a loop at it")
     for a in range(n):
         for b in range(n):
-            c = G.comp[a][b]
+            c = comp[a][b]
             if (c >= 0) != (G.src[a] == G.rng[b]):
                 raise LawViolation(
                     f"composability of ({G.arrow_labels[a]},{G.arrow_labels[b]}) "
@@ -260,11 +285,11 @@ def check_groupoid_brute(G) -> None:
                 raise LawViolation(f"composite of ({G.arrow_labels[a]},{G.arrow_labels[b]}) mislocated")
     for a in range(n):
         for b in range(n):
-            ab = G.comp[a][b]
+            ab = comp[a][b]
             if ab < 0:
                 continue
             for c in range(n):
-                if G.rng[c] == G.src[b] and G.comp[ab][c] != G.comp[a][G.comp[b][c]]:
+                if G.rng[c] == G.src[b] and comp[ab][c] != comp[a][comp[b][c]]:
                     raise LawViolation(
                         f"composition not associative at "
                         f"({G.arrow_labels[a]},{G.arrow_labels[b]},{G.arrow_labels[c]})"
@@ -273,16 +298,16 @@ def check_groupoid_brute(G) -> None:
         ia = G.inv[a]
         if G.src[ia] != G.rng[a] or G.rng[ia] != G.src[a]:
             raise LawViolation(f"inverse of {G.arrow_labels[a]} mislocated")
-        if G.comp[a][ia] != G.unit_arrow[G.rng[a]] or G.comp[ia][a] != G.unit_arrow[G.src[a]]:
+        if comp[a][ia] != G.unit_arrow[G.rng[a]] or comp[ia][a] != G.unit_arrow[G.src[a]]:
             raise LawViolation(f"inverse law fails at {G.arrow_labels[a]}")
         for b in range(n):
-            if G.src[a] == G.rng[b] and G.comp[G.comp[a][b]][G.inv[b]] != a:
+            if G.src[a] == G.rng[b] and comp[comp[a][b]][G.inv[b]] != a:
                 raise LawViolation("cancellation fails")
 
 
 def from_parts(unit_labels, arrow_labels, src, rng, unit_arrow, inv, comp) -> FinGroupoid:
-    """A groupoid from its tables as any sequences, checked by
-    :func:`check_groupoid_brute`."""
+    """A groupoid from its tables as any sequences, the composition table
+    dense, checked by :func:`check_groupoid_brute`."""
     G = FinGroupoid(
         tuple(unit_labels),
         tuple(arrow_labels),
@@ -290,7 +315,7 @@ def from_parts(unit_labels, arrow_labels, src, rng, unit_arrow, inv, comp) -> Fi
         tuple(rng),
         tuple(unit_arrow),
         tuple(inv),
-        tuple(tuple(row) for row in comp),
+        sparse_comp(comp),
     )
     check_groupoid_brute(G)
     return G
@@ -759,16 +784,17 @@ def restricted_groupoid_brute(full, chi):
     composability is checked against the ambient groupoid's.  Reads only
     ``full.germs``.  Raises ``LawViolation``."""
     G = full.germs.groupoid
+    dense = dense_comp(G)
     unit_old = sorted(full.germs.unit_index[c] for c in chi)
     unit_new = {old: new for new, old in enumerate(unit_old)}
     keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
     if any(G.rng[a] not in unit_new for a in keep):
         raise LawViolation("character set is not invariant: a range escapes it")
     proj = {old: new for new, old in enumerate(keep)}
-    comp = [[proj.get(G.comp[a][b], -1) for b in keep] for a in keep]
+    comp = [[proj.get(dense[a][b], -1) for b in keep] for a in keep]
     for ai, a in enumerate(keep):
         for bi, b in enumerate(keep):
-            if (G.comp[a][b] >= 0) != (comp[ai][bi] >= 0):
+            if (dense[a][b] >= 0) != (comp[ai][bi] >= 0):
                 raise LawViolation("restriction lost a composite")
     restr = from_parts(
         unit_labels=[G.unit_labels[u] for u in unit_old],
@@ -875,7 +901,7 @@ def count_additive_morphisms_brute(B, T, pins: dict[int, int], limit: int = 2) -
     library's morphism check.
     """
     G = B.groupoid
-    n, comp = G.n_arrows, G.comp
+    n, comp = G.n_arrows, dense_comp(G)
     cands = [[v for v in T.elements if all(not v & ~w for x, w in pins.items() if x >> a & 1)] for a in range(n)]
     img = [-1] * n
     count = 0

@@ -287,6 +287,22 @@ class TestHull:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("--monoid", "nx", "foundation", "--set", "1.1", "--depth", "-2"), "depth must be at least 0, got -2"),
+            (("--monoid", "free:2", "lemma", "--set", "a", "--depth", "-1"), "depth must be at least 0, got -1"),
+            (("--monoid", "adding", "xa", "--depth", "-1"), "depth must be at least 0, got -1"),
+            (("--monoid", "adding", "xu", "--depth", "-1"), "depth must be at least 0, got -1"),
+            (("--monoid", "adding", "xu", "--max-parts", "0"), "max_parts must be at least 1, got 0"),
+        ],
+        ids=["foundation", "lemma", "xa", "xu-depth", "xu-max-parts"],
+    )
+    def test_bound_out_of_range_refused(self, capsys, argv, value):
+        code, out, err = run(capsys, "hull", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {value}\n"
+
     def test_xu_over_budget_refuses_fast(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "hull", "--monoid", "adding", "xu", "--depth", "5")
@@ -369,6 +385,18 @@ class TestErrors:
         code, _, err = run(capsys, "semilattice", "--input", str(bad))
         assert code == 2
         assert "bottom" in err
+
+    def test_declared_zero_named_by_its_label(self, capsys, tmp_path):
+        # the declared zero moves to index 0, so the messages name it, not 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"elements": ["0", "a"], "mult": [[0, 0], [0, 1]], "zero": "a"}))
+        code, out, err = run(capsys, "invsgp", "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: element a is not absorbing against 0\n"
+        bad.write_text(json.dumps({"elements": ["b", "x"], "meet": [[0, 1], [1, 1]]}))
+        code, out, err = run(capsys, "semilattice", "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err == "error: element b is not the bottom: b^x = x\n"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "booleanize", "--nonsense", "x")

@@ -20,11 +20,13 @@ from xjoin.semilattice import Character, LawViolation
 
 from oracles import (
     check_groupoid_brute,
+    dense_comp,
     elements_of,
     from_parts,
     germs_equal_existential,
     groupoid_from_json,
     mask_of,
+    sparse_comp,
 )
 
 
@@ -101,10 +103,8 @@ class TestGermGroupoid:
     def test_composition_is_multiplication(self):
         for S in (I2, invsgp.b2()):
             gg = germ_groupoid(S, frozenset())
-            G = gg.groupoid
-            for a in range(G.n_arrows):
-                for b in range(G.n_arrows):
-                    c = G.comp[a][b]
+            for a, row in enumerate(dense_comp(gg.groupoid)):
+                for b, c in enumerate(row):
                     if c >= 0:
                         assert gg.germs[c].rep == S.mul(gg.germs[a].rep, gg.germs[b].rep)
 
@@ -204,7 +204,7 @@ class TestEmission:
         with pytest.raises(LawViolation):
             from_parts(
                 G.unit_labels, G.arrow_labels, G.src, G.rng,
-                G.unit_arrow, bad_inv, G.comp,
+                G.unit_arrow, bad_inv, dense_comp(G),
             )
 
     def test_groupoid_validation_rejects_non_associative_loop(self):
@@ -221,6 +221,7 @@ def _relabelled(G: FinGroupoid, order) -> FinGroupoid:
     """G with arrow order[i] renamed i; built without validation."""
     where = {old: new for new, old in enumerate(order)}
     where[-1] = -1
+    comp = dense_comp(G)
     return FinGroupoid(
         G.unit_labels,
         tuple(G.arrow_labels[a] for a in order),
@@ -228,7 +229,7 @@ def _relabelled(G: FinGroupoid, order) -> FinGroupoid:
         tuple(G.rng[a] for a in order),
         tuple(where[a] for a in G.unit_arrow),
         tuple(where[G.inv[a]] for a in order),
-        tuple(tuple(where[G.comp[a][b]] for b in order) for a in order),
+        sparse_comp([where[comp[a][b]] for b in order] for a in order),
     )
 
 
@@ -249,7 +250,7 @@ GROUPOIDS = [
     for name in ("none", "tight", "core")
 ] + [
     FinGroupoid(("u",), tuple(f"a{i}" for i in range(5)), (0,) * 5, (0,) * 5, (0,), tuple(range(5)),
-                tuple(map(tuple, LOOP))),
+                sparse_comp(LOOP)),
 ]
 
 
@@ -272,9 +273,9 @@ class TestCheckGroupoidOracle:
         field = data.draw(st.sampled_from(["intact", "comp", "inv", "src", "rng", "unit_arrow"]))
         if field == "comp":
             a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-            comp = [list(row) for row in G.comp]
+            comp = dense_comp(G)
             comp[a][b] = data.draw(st.integers(-1, n - 1))
-            G = dataclasses.replace(G, comp=tuple(map(tuple, comp)))
+            G = dataclasses.replace(G, comp=sparse_comp(comp))
         elif field != "intact":
             values = list(getattr(G, field))
             top = m - 1 if field in ("src", "rng") else n - 1
@@ -282,8 +283,19 @@ class TestCheckGroupoidOracle:
             G = dataclasses.replace(G, **{field: tuple(values)})
         assert (_outcome(check_groupoid_brute, G) is None) == (is_groupoid and G == intact)
 
-    def test_ragged_table_rejected(self):
+    def test_row_missing_a_composable_arrow_rejected(self):
         G = GROUPOIDS[0]
-        comp = (G.comp[0][:-1],) + G.comp[1:]
-        with pytest.raises(LawViolation, match="arrow table sizes disagree"):
-            check_groupoid_brute(dataclasses.replace(G, comp=comp))
+        b = next(iter(G.comp[0]))
+        rows = ({c: ab for c, ab in G.comp[0].items() if c != b},) + G.comp[1:]
+        with pytest.raises(LawViolation, match="disagrees with source/range"):
+            check_groupoid_brute(dataclasses.replace(G, comp=rows))
+
+    def test_row_holding_a_non_composable_arrow_rejected(self):
+        G = GROUPOIDS[0]
+        b = next(b for b in range(G.n_arrows) if b not in G.comp[0])
+        rows = ({**G.comp[0], b: 0},) + G.comp[1:]
+        with pytest.raises(LawViolation, match="disagrees with source/range"):
+            check_groupoid_brute(dataclasses.replace(G, comp=rows))
+        rows = ({**G.comp[0], G.n_arrows: 0},) + G.comp[1:]
+        with pytest.raises(LawViolation, match="names a non-arrow"):
+            check_groupoid_brute(dataclasses.replace(G, comp=rows))

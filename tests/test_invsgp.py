@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
-from xjoin.groupoid import germ_groupoid
+from xjoin.groupoid import germ_groupoid, germ_of, groupoid_to_json
 from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
 
 from oracles import (
     check_groupoid_brute,
+    dense_comp,
     elements_of,
     invariant_closure_brute,
     is_associative_brute,
@@ -362,6 +363,20 @@ class TestBuiltWithoutValidation:
         S, _ = self.twins(case)
         for name in sl.BUILTIN_RELATION_SETS:
             check_groupoid_brute(germ_groupoid(S, invsgp.semigroup_relations(S, name)).groupoid)
+
+    @over_partial_map_inputs
+    def test_composition_rows_hold_the_composable_arrows(self, case):
+        # row a maps exactly the arrows ending at src(a), each to the germ of
+        # the product of the representatives; the JSON rows are dense
+        S, _ = invsgp.from_partial_maps(*case)
+        for name in sl.BUILTIN_RELATION_SETS:
+            gg = germ_groupoid(S, invsgp.semigroup_relations(S, name))
+            G, germs = gg.groupoid, gg.germs
+            for a, row in enumerate(G.comp):
+                assert set(row) == {b for b in range(G.n_arrows) if G.rng[b] == G.src[a]}
+                for b, ab in row.items():
+                    assert germs[ab] == germ_of(S, S.mul(germs[a].rep, germs[b].rep), germs[b].base)
+            assert json.loads(groupoid_to_json(G))["comp"] == dense_comp(G)
 
 
 I5_MAPS = [{1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 1, 2: 2, 3: 3, 4: 4}]
