@@ -10,11 +10,11 @@ universal-morphism machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import comb, factorial
 from operator import or_
+from typing import NamedTuple
 
 from .boolalg import FinBooleanAlgebra, SemilatticeRep, character_rep, is_x_to_join, universal_extension, x_pi_spectrum
 from .groupoid import FinGroupoid, GermGroupoid, _groupoid_doc, germ_groupoid, theta
@@ -242,8 +242,7 @@ def skew_join(B: BisAlgebra, i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 # variety identities
 
-@dataclass(frozen=True)
-class VarietyReport:
+class VarietyReport(NamedTuple):
     ok: bool
     exhaustive: bool
     checked: int
@@ -369,8 +368,7 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
 # ---------------------------------------------------------------------------
 # the canonical representation
 
-@dataclass
-class IotaRep:
+class IotaRep(NamedTuple):
     """The map s -> all germs of s, into the bisection algebra of the germ groupoid."""
 
     semigroup: FinInverseSemigroup
@@ -421,8 +419,7 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
 # ---------------------------------------------------------------------------
 # presentation check
 
-@dataclass(frozen=True)
-class PresentationReport:
+class PresentationReport(NamedTuple):
     ok: bool
     relations_ok: bool
     generated: int
@@ -486,8 +483,7 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
 # ---------------------------------------------------------------------------
 # congruence from an invariant character set
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     """x and y are identified when x ∩ keep = y ∩ keep; ``class_count`` counts the classes."""
 
     keep: int
@@ -537,8 +533,7 @@ def congruence(full: IotaRep, chi) -> Congruence:
 # ---------------------------------------------------------------------------
 # additive morphisms
 
-@dataclass
-class AdditiveMorphism:
+class AdditiveMorphism(NamedTuple):
     """A morphism of bisection algebras by its atom images: ``images[a]`` is
     the image of {a}, and x goes to the union of the images of its arrows."""
 
@@ -650,8 +645,7 @@ def restriction_morphism(full: IotaRep, carved: GermGroupoid) -> AdditiveMorphis
     return AdditiveMorphism.build(full.algebra, BisAlgebra(carved.groupoid), kept)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     ok: bool
     class_count: int
     quotient_size: int

@@ -9,7 +9,7 @@ list.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .semilattice import (
     BudgetExceeded,
@@ -31,8 +31,7 @@ from .semilattice import (
 X_PI_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
-class FinBooleanAlgebra:
+class FinBooleanAlgebra(NamedTuple):
     """Powerset algebra over a list of named atoms; elements are bitmasks."""
 
     atom_labels: tuple[str, ...]
@@ -62,8 +61,7 @@ class FinBooleanAlgebra:
         return "{" + ",".join(names) + "}"
 
 
-@dataclass(frozen=True)
-class SemilatticeRep:
+class SemilatticeRep(NamedTuple):
     """A representation of a semilattice in a Boolean algebra, as an image table."""
 
     domain: FinMeetSemilattice
@@ -226,8 +224,7 @@ def basic_set(E: FinMeetSemilattice, relations, a: int, excl=()) -> int:
 # ---------------------------------------------------------------------------
 # morphisms of Boolean algebras and the universal extension
 
-@dataclass(frozen=True)
-class BAMorphism:
+class BAMorphism(NamedTuple):
     """A Boolean-algebra morphism given by its atom images (pairwise disjoint)."""
 
     source: FinBooleanAlgebra

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from pathlib import Path
 
@@ -25,7 +26,9 @@ def _read(path: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
-    else:
+    elif len(text) > io.DEFAULT_BUFFER_SIZE:  # a document: not copied to add the newline
+        print(text, end="" if text.endswith("\n") else "\n")
+    else:  # one write, which a reader that stops early (grep -q) receives whole
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 

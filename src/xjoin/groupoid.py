@@ -7,14 +7,13 @@ germ equality a plain pair comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
-from .semilattice import Character, LawViolation, _bits, _json_text, spectrum
+from .semilattice import Character, LawViolation, _bits, _compare_first, _json_text, spectrum
 
 
-@dataclass(frozen=True)
-class FinGroupoid:
+class FinGroupoid(NamedTuple):
     """Arrow tables of a finite groupoid.  ``comp[a]`` maps each arrow b
     ending at the source of a, and no other, to the index of ab."""
 
@@ -44,8 +43,7 @@ def is_local_bisection(G: FinGroupoid, arrows: int) -> bool:
 # ---------------------------------------------------------------------------
 # germs
 
-@dataclass(frozen=True, order=True)
-class Germ:
+class Germ(NamedTuple):
     """A germ by canonical representative and source character."""
 
     base: Character
@@ -62,8 +60,7 @@ def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
     return Germ(c, S.mul(s, f))
 
 
-@dataclass(frozen=True)
-class GermGroupoid:
+class GermGroupoid(NamedTuple):
     """Groupoid of germs over the spectrum of a closed relation set; a unit's
     or germ's position in ``units`` or ``germs``, which ``unit_index`` and
     ``arrow_index`` map it to, is its index in ``groupoid``."""
@@ -72,8 +69,10 @@ class GermGroupoid:
     units: tuple[Character, ...]
     germs: tuple[Germ, ...]
     groupoid: FinGroupoid
-    unit_index: dict[Character, int] = field(compare=False, repr=False)
-    arrow_index: dict[Germ, int] = field(compare=False, repr=False)
+    unit_index: dict[Character, int]
+    arrow_index: dict[Germ, int]
+
+    __eq__, __ne__, __hash__ = _compare_first(4)
 
 
 def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> GermGroupoid:

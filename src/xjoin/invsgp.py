@@ -4,8 +4,8 @@ conjugation, invariant relation closure and the action on characters."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from .semilattice import (
     BudgetExceeded,
@@ -14,6 +14,7 @@ from .semilattice import (
     LawViolation,
     XRelation,
     _bits,
+    _compare_first,
     _json_text,
     builtin_relations,
     spectrum,
@@ -23,8 +24,7 @@ from .semilattice import (
 TABLE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class FinInverseSemigroup:
+class FinInverseSemigroup(NamedTuple):
     """Multiplication table over indices 0..n-1; index 0 is the zero element.
 
     Element i of ``semilattice`` is the idempotent ``idems[i]`` of the
@@ -37,10 +37,12 @@ class FinInverseSemigroup:
     mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
-    semilattice: FinMeetSemilattice = field(compare=False, repr=False)
-    idems: tuple[int, ...] = field(compare=False, repr=False)
-    idem_pos: dict[int, int] = field(compare=False, repr=False)
-    gens: tuple[int, ...] = field(compare=False, repr=False)
+    semilattice: FinMeetSemilattice
+    idems: tuple[int, ...]
+    idem_pos: dict[int, int]
+    gens: tuple[int, ...]
+
+    __eq__, __ne__, __hash__ = _compare_first(3)
 
     @property
     def n(self) -> int:

@@ -10,11 +10,11 @@ and say so in their verdicts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
+from typing import NamedTuple
 
-from .semilattice import BudgetExceeded, LawViolation, _json_text, _Memo
+from .semilattice import BudgetExceeded, LawViolation, _at_least, _json_text, _Memo
 
 
 # nothing in the package raises this any more; perfbench/make_reference.py still names it
@@ -200,8 +200,7 @@ class NRtimesNx:
 # ---------------------------------------------------------------------------
 # hull elements
 
-@dataclass(frozen=True)
-class HullElement:
+class HullElement(NamedTuple):
     """A class [p, q] of the left inverse hull, or the adjoined zero."""
 
     p: object
@@ -342,19 +341,13 @@ def parse_hull(P, text: str) -> HullElement:
 # ---------------------------------------------------------------------------
 # foundation sets
 
-@dataclass(frozen=True)
-class FoundationVerdict:
+class FoundationVerdict(NamedTuple):
     kind: str                  # "yes" | "no" | "unknown"
     witness: object = None
     depth: int | None = None
 
     def __bool__(self) -> bool:
         return self.kind == "yes"
-
-
-def _at_least(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise LawViolation(f"{name} must be at least {least}, got {value}")
 
 
 def is_foundation_set(P, F, depth: int = 4) -> FoundationVerdict:
@@ -401,8 +394,7 @@ def lemma_found_check(P, F, depth: int = 4) -> bool:
 # ---------------------------------------------------------------------------
 # Zappa-Szep products of free monoids
 
-@dataclass(frozen=True)
-class ZappaSzepData:
+class ZappaSzepData(NamedTuple):
     """Action and restriction letter tables for a product of free monoids.
 
     ``act_letter[a][u]`` is the letter the generator a sends u to, and
@@ -472,8 +464,7 @@ def zappa_data_to_json(data: ZappaSzepData) -> str:
     return _json_text(doc)
 
 
-@dataclass(frozen=True)
-class ZappaReport:
+class ZappaReport(NamedTuple):
     depth: int
     checks: tuple[str, ...]
 
@@ -709,8 +700,7 @@ def zappa_szep(data: ZappaSzepData, depth: int = 4) -> ZappaSzepProduct:
 # ---------------------------------------------------------------------------
 # relation generators for the hull
 
-@dataclass(frozen=True)
-class HullRelation:
+class HullRelation(NamedTuple):
     e: HullElement
     parts: frozenset[HullElement]
 

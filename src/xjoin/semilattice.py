@@ -16,11 +16,11 @@ a spectrum is just a set of nonzero element indices wrapped in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import and_, itemgetter
+from typing import NamedTuple
 
 
 class LawViolation(ValueError):
@@ -115,16 +115,32 @@ def _json_key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
 
 
-@dataclass(frozen=True)
-class FinMeetSemilattice:
+def _compare_first(k: int):
+    """``__eq__``, ``__ne__`` and ``__hash__`` that read only the first k fields
+    of a record, the later ones being derived: tuple's own, ``__ne__`` too, read all."""
+    def eq(self, other):
+        return self[:k] == other[:k] if type(other) is type(self) else NotImplemented
+    def ne(self, other):
+        return self[:k] != other[:k] if type(other) is type(self) else NotImplemented
+    return eq, ne, lambda self: hash(self[:k])
+
+
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise LawViolation(f"{name} must be at least {least}, got {value}")
+
+
+class FinMeetSemilattice(NamedTuple):
     """Meet table over indices 0..n-1; index 0 is the bottom element.
     The order masks are built by :meth:`from_meet` and not compared."""
 
     meet_table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
-    below: tuple[int, ...] = field(compare=False, repr=False)
-    above: tuple[int, ...] = field(compare=False, repr=False)
-    atom_bits: int = field(compare=False, repr=False)
+    below: tuple[int, ...]
+    above: tuple[int, ...]
+    atom_bits: int
+
+    __eq__, __ne__, __hash__ = _compare_first(2)
 
     @classmethod
     def from_meet(cls, table, labels=None) -> "FinMeetSemilattice":
@@ -282,8 +298,9 @@ def powerset_semilattice(k: int) -> FinMeetSemilattice:
 
 def random_semilattice(rng, max_size: int = 10, ground: int = 5) -> FinMeetSemilattice:
     """Random intersection-closed family over a small ground set."""
+    _at_least("max_size", max_size, 2)
     while True:
-        k = rng.randint(2, max(2, max_size))
+        k = rng.randint(2, max_size)
         sets = {frozenset()}
         for _ in range(k):
             sets.add(frozenset(i for i in range(ground) if rng.random() < 0.5))
@@ -366,15 +383,13 @@ def minimal_covers(E: FinMeetSemilattice, x: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # characters and X-to-join spectra
 
-@dataclass(frozen=True, order=True)
-class Character:
+class Character(NamedTuple):
     """A character encoded by its principal-filter generator."""
 
     gen: int
 
 
-@dataclass(frozen=True)
-class XRelation:
+class XRelation(NamedTuple):
     """One join constraint: the element e against a finite set of parts,
     given as an element mask."""
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import re
 import time
@@ -151,7 +150,7 @@ class TestEnumeration:
             c2 = comp[a2][b2]
             c3 = next(c for c in range(G.n_arrows) if G.src[c] == G.src[c2] and c != c2)
             comp[a1][b1] = c3
-            bad = BisAlgebra(dataclasses.replace(G, comp=sparse_comp(comp)))
+            bad = BisAlgebra(G._replace(comp=sparse_comp(comp)))
             with pytest.raises(LawViolation, match="is not a bisection"):
                 bad.mul(x, y)
             return
@@ -569,7 +568,7 @@ class TestCanonicalGenerators:
         a, s = lone[0]
         images = list(rep.images)
         images[s] ^= 1 << a
-        cut = dataclasses.replace(rep, images=tuple(images))
+        cut = rep._replace(images=tuple(images))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bisection, "iota", lambda S, relations: cut)
             with pytest.raises(LawViolation, match=re.escape(f"miss the arrow {G.arrow_labels[a]}")):
@@ -690,7 +689,7 @@ class TestQuotientTheorem:
         assert tight < every
         small, big = carved(I2, tight), carved(I2, every)
         # the arrows of the smaller set under the units of the larger
-        bad = dataclasses.replace(small, units=big.units, unit_index=big.unit_index)
+        bad = small._replace(units=big.units, unit_index=big.unit_index)
         # the first germ at the character of the identity, which only the larger has
         with pytest.raises(LawViolation, match=r"^germ \[1>1,2>2;1>1,2>2\] is not an arrow of the carved-out"):
             restriction_morphism(full, bad)
@@ -900,8 +899,8 @@ class TestAtomChecksAgainstOracles:
                 if ab < 0:
                     continue
                 comp[a][b] = (ab + 1) % G.n_arrows
-                bad = dataclasses.replace(G, comp=sparse_comp(comp))
-                bad_full = dataclasses.replace(full, algebra=BisAlgebra(bad))
+                bad = G._replace(comp=sparse_comp(comp))
+                bad_full = full._replace(algebra=BisAlgebra(bad))
                 if kept[ab] == kept[comp[a][b]]:
                     restriction_morphism(bad_full, cg)
                     continue
@@ -968,9 +967,7 @@ class TestMaskPathAgainstEnumeratingOracles:
         ab = comp[a][b]
         moved = data.draw(st.sampled_from([c for c in range(G.n_arrows) if c != ab] or [ab]))
         comp[a][b] = moved
-        bad_full = dataclasses.replace(
-            full, algebra=BisAlgebra(dataclasses.replace(G, comp=sparse_comp(comp)))
-        )
+        bad_full = full._replace(algebra=BisAlgebra(G._replace(comp=sparse_comp(comp))))
         image = [0, *m.images]  # image[c + 1]: the image of {c}, or of 0 for c = -1
         refused = raises_law(restriction_morphism, bad_full, cg)
         assert refused == (image[ab + 1] != image[moved + 1])
