@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 from pathlib import Path
 
@@ -26,9 +25,7 @@ def _read(path: str) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
-    elif len(text) > io.DEFAULT_BUFFER_SIZE:  # a document: not copied to add the newline
-        print(text, end="" if text.endswith("\n") else "\n")
-    else:  # one write, which a reader that stops early (grep -q) receives whole
+    else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xjoin import boolalg, cli, invsgp
+from xjoin import boolalg, invsgp
 from xjoin import semilattice as sl
 from xjoin.cli import main
 
@@ -311,31 +311,6 @@ class TestHull:
         assert "459,892" in err and "100,000" in err
 
 
-class TestEmit:
-    """A short text goes to stdout in one write, which a reader that stops at
-    its first line still receives whole when stdout is unbuffered; a long
-    document is written as it is, with its newline apart, and not copied."""
-
-    def writes(self, monkeypatch, text):
-        got = []
-        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": lambda self, t: got.append(t)})())
-        cli._emit(text, None)
-        return got
-
-    def test_short_text_is_one_write(self, monkeypatch):
-        assert self.writes(monkeypatch, "elements=5\nidempotents=3") == ["elements=5\nidempotents=3\n"]
-        assert self.writes(monkeypatch, "digraph {\n}\n") == ["digraph {\n}\n"]
-
-    def test_long_document_is_not_copied(self, monkeypatch):
-        doc = "[" + "0," * 10_000 + "0]"
-        got = self.writes(monkeypatch, doc)
-        assert got[0] is doc and "".join(got) == doc + "\n"
-
-    def test_out_file_has_no_added_newline(self, tmp_path):
-        cli._emit("elements=5", str(tmp_path / "out.txt"))
-        assert (tmp_path / "out.txt").read_text() == "elements=5"
-
-
 class TestParserReuse:
     """``main`` builds its parser once per process; each call of a sequence
     in this process must print and exit as it does first in a fresh one."""
@@ -392,13 +367,17 @@ class TestSuite:
         assert out.count("ok - ") >= 15
 
     @pytest.mark.parametrize("size", ["1", "0", "-1"])
-    def test_max_size_below_two_refused_fast(self, capsys, size):
-        # no random family of at least two elements fits: the draw never ended
-        start = time.perf_counter()
-        code, out, err = run(capsys, "suite", "--max-size", size)
-        assert time.perf_counter() - start < 1.0
-        assert code == 2 and out == ""
-        assert err == f"error: max_size must be at least 2, got {size}\n"
+    def test_max_size_below_two_refused(self, size):
+        # no random family of at least two elements fits: the draw never ended,
+        # so the run gets a process of its own that the timeout can stop
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "xjoin.cli", "suite", "--max-size", size],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=10,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr == f"error: max_size must be at least 2, got {size}\n"
 
 
 class TestErrors:
