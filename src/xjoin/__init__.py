@@ -2,7 +2,6 @@
 groupoids, bisection algebras and inverse-hull combinatorics."""
 
 from .semilattice import (
-    Character,
     FinMeetSemilattice,
     LawViolation,
     XRelation,
@@ -39,7 +38,7 @@ from .invsgp import (
     spectrum_invariant,
     validate,
 )
-from .groupoid import FinGroupoid, Germ, germ_groupoid, germ_of, is_local_bisection, theta
+from .groupoid import FinGroupoid, germ_groupoid, germ_of, is_local_bisection, theta
 from .bisection import (
     AdditiveMorphism,
     BisAlgebra,

@@ -509,9 +509,9 @@ def congruence(full: IotaRep, chi) -> Congruence:
     with only its source in χ identifies {a⁻¹} with 0 but not its inverse
     {a}; swap a and a⁻¹ when only the range is in χ.  The classes biject
     with the bisections inside keep, each its own image, and χ is then a
-    union of orbits, so ``bisection_count`` counts them.
+    union of orbits, so ``bisection_count`` counts them.  χ is a mask of
+    character generators.
     """
-    chi = frozenset(chi)
     S = full.semigroup
     if full.relations:
         raise LawViolation("congruence needs the universal algebra (empty relation set)")
@@ -519,10 +519,10 @@ def congruence(full: IotaRep, chi) -> Congruence:
         raise LawViolation("character set is not invariant under the action")
     G = full.algebra.groupoid
     units = full.germs.unit_index
-    stray = next((c for c in chi if c not in units), None)
+    stray = next((c for c in _bits(chi) if c not in units), None)
     if stray is not None:
-        raise LawViolation(f"character at generator index {stray.gen} is not a unit of the groupoid")
-    chi_mask = sum(1 << units[c] for c in chi)
+        raise LawViolation(f"character at generator index {stray} is not a unit of the groupoid")
+    chi_mask = sum(1 << units[c] for c in _bits(chi))
     for a in range(G.n_arrows):
         if (chi_mask >> G.src[a] ^ chi_mask >> G.rng[a]) & 1:
             raise LawViolation(f"partition not compatible with inversion at {G.arrow_labels[a]}")
@@ -633,14 +633,15 @@ def restriction_morphism(full: IotaRep, carved: GermGroupoid) -> AdditiveMorphis
     morphism.
     """
     kept = []
-    for a, g in enumerate(full.germs.germs):
-        if g.base not in carved.unit_index:
+    fg = full.germs
+    for a, (t, u) in enumerate(zip(fg.germs, fg.groupoid.src)):
+        if fg.units[u] not in carved.unit_index:
             kept.append(0)
-        elif g in carved.arrow_index:
-            kept.append(1 << carved.arrow_index[g])
+        elif t in carved.arrow_index:
+            kept.append(1 << carved.arrow_index[t])
         else:
             raise LawViolation(
-                f"germ {full.germs.groupoid.arrow_labels[a]} is not an arrow of the carved-out groupoid"
+                f"germ {fg.groupoid.arrow_labels[a]} is not an arrow of the carved-out groupoid"
             )
     return AdditiveMorphism.build(full.algebra, BisAlgebra(carved.groupoid), kept)
 
@@ -680,17 +681,18 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     partial bijection for every f, a map that preserves unions: if π(e) is
     the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).  Over
     every unit, the carved groupoid is the universal one and is reused.
+    χ is a mask of character generators.
     """
-    chi = frozenset(chi)
     full = iota(S, frozenset())
     cong = congruence(full, chi)
     # the composite of the canonical map and the quotient, restricted to
     # idempotents, sends each to the characters of chi below it
-    units = tuple(sorted(x_pi_spectrum(character_rep(S.semilattice, sorted(chi)))))
-    carved = full.germs if units == full.germs.units else germ_groupoid(S, units=units)
+    units = x_pi_spectrum(character_rep(S.semilattice, _bits(chi)))
+    fg = full.germs
+    carved = fg if tuple(_bits(units)) == fg.units else germ_groupoid(S, units=units)
     size = bisection_count(carved.groupoid)
-    spectrum_ok = set(carved.units) == chi
-    if carved.germs != tuple(g for g in full.germs.germs if g.base in chi):
+    spectrum_ok = units == chi
+    if carved.germs != tuple(t for t, u in zip(fg.germs, fg.groupoid.src) if chi >> fg.units[u] & 1):
         return QuotientReport(False, cong.class_count, size, spectrum_ok, False, False, False)
     morph = restriction_morphism(full, carved)
     kept, wmp = morph.images, is_weakly_meet_preserving(morph)
@@ -743,10 +745,10 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
 
     atom_pos = {label: i for i, label in enumerate(psi_e.source.atom_labels)}
     unit_singletons = [
-        target.idem_element(psi_e.atom_images[atom_pos[rep.domain.label(c.gen)]])
+        target.idem_element(psi_e.atom_images[atom_pos[rep.domain.label(c)]])
         for c in uni.germs.units
     ]
-    images = [target.mul(phi[g.rep], unit_singletons[u]) for g, u in zip(uni.germs.germs, B.groupoid.src)]
+    images = [target.mul(phi[t], unit_singletons[u]) for t, u in zip(uni.germs.germs, B.groupoid.src)]
     morph = AdditiveMorphism.build(B, target, images)
     for s in range(S.n):
         if morph.apply(uni.images[s]) != phi[s]:

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from .semilattice import (
     BudgetExceeded,
-    Character,
     FinMeetSemilattice,
     LawViolation,
     XRelation,
@@ -182,17 +181,17 @@ def is_ba_morphism(rep: SemilatticeRep) -> bool:
 # ---------------------------------------------------------------------------
 # Booleanization
 
-def spectrum_atoms(E: FinMeetSemilattice, relations) -> tuple[Character, ...]:
-    """The spectrum in canonical (generator) order: the atom list of the Booleanization."""
-    return tuple(sorted(spectrum(E, relations)))
+def spectrum_atoms(E: FinMeetSemilattice, relations) -> tuple[int, ...]:
+    """The spectrum's generators, ascending: the atom list of the Booleanization."""
+    return tuple(_bits(spectrum(E, relations)))
 
 
-def character_rep(E: FinMeetSemilattice, chars) -> SemilatticeRep:
-    """E represented in the powerset of a character list: a goes to the set
-    of characters whose generator lies below a."""
-    chars = tuple(chars)
-    B = FinBooleanAlgebra(tuple(E.label(c.gen) for c in chars))
-    images = [sum(1 << i for i, c in enumerate(chars) if b >> c.gen & 1) for b in E.below]
+def character_rep(E: FinMeetSemilattice, gens) -> SemilatticeRep:
+    """E represented in the powerset of a list of character generators: a
+    goes to the set of characters whose generator lies below a."""
+    gens = tuple(gens)
+    B = FinBooleanAlgebra(tuple(E.label(g) for g in gens))
+    images = [sum(1 << i for i, g in enumerate(gens) if b >> g & 1) for b in E.below]
     return SemilatticeRep.build(E, B, images)
 
 
@@ -270,22 +269,22 @@ def universal_extension(rep: SemilatticeRep, relations) -> BAMorphism:
 
 
 def _extension(rep: SemilatticeRep, atoms) -> BAMorphism:
-    """:func:`universal_extension` from the spectrum of relations rep satisfies.
+    """:func:`universal_extension` from the generators, ascending, of the
+    spectrum of relations rep satisfies.
 
-    Uniqueness.  With ι the canonical representation, the atom {c} of the
-    Booleanization is ι(c.gen) minus the union of ι(h) over h < c.gen: the
-    characters whose generator lies below c.gen but below no h < c.gen are
-    those at c.gen itself.  A morphism given by pairwise disjoint atom
-    images preserves unions and differences, so any ψ′ with ψ′∘ι = rep
-    sends {c} to rep(c.gen) minus the union of rep(h) over h < c.gen.  rep
-    preserves order, so that union is the one over the maximal nonzero h,
-    which is the formula below: ψ′ is the morphism built here.
+    Uniqueness.  With ι the canonical representation, the atom {g} of the
+    Booleanization, the character at generator g, is ι(g) minus the union
+    of ι(h) over h < g: the characters whose generator lies below g but
+    below no h < g are those at g itself.  A morphism given by pairwise
+    disjoint atom images preserves unions and differences, so any ψ′ with
+    ψ′∘ι = rep sends {g} to rep(g) minus the union of rep(h) over h < g.
+    rep preserves order, so that union is the one over the maximal nonzero
+    h, which is the formula below: ψ′ is the morphism built here.
     """
     E = rep.domain
     iota = character_rep(E, atoms)
     images = []
-    for c in atoms:
-        g = c.gen
+    for g in atoms:
         strict = E.below[g] & ~(1 << g | 1)
         img = rep.images[g]
         for h in _bits(strict):
@@ -329,7 +328,7 @@ def x_pi(rep: SemilatticeRep) -> frozenset[XRelation]:
     return frozenset(out)
 
 
-def x_pi_spectrum(rep: SemilatticeRep) -> frozenset[Character]:
+def x_pi_spectrum(rep: SemilatticeRep) -> int:
     """``spectrum(E, x_pi(rep))`` in closed form: the nonzero g whose image
     is not the union of the images strictly below it.
 
@@ -343,9 +342,8 @@ def x_pi_spectrum(rep: SemilatticeRep) -> frozenset[Character]:
     elements form such a relation.  So n unions replace the listing.
     """
     E, images = rep.domain, rep.images
-    return frozenset(
-        Character(g) for g in range(1, E.n)
-        if _union_at(images, E.below[g] & ~(1 << g)) != images[g]
+    return sum(
+        1 << g for g in range(1, E.n) if _union_at(images, E.below[g] & ~(1 << g)) != images[g]
     )
 
 
@@ -369,7 +367,7 @@ def theorem_isom_check(rep: SemilatticeRep) -> bool:
     if not generates(rep.codomain, rep.images):
         raise LawViolation("image of the representation does not generate the codomain")
     # generating implies proper, and rep satisfies X_pi by definition
-    return _extension(rep, tuple(sorted(x_pi_spectrum(rep)))).is_bijective()
+    return _extension(rep, _bits(x_pi_spectrum(rep))).is_bijective()
 
 
 # ---------------------------------------------------------------------------

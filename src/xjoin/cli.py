@@ -49,8 +49,8 @@ def _cmd_semilattice(args) -> int:
         rels = _x_relations_semilattice(E, args.x)
         spec = semilattice.spectrum(E, rels)
         lines.append(f"relations={len(rels)}")
-        lines.append(f"spectrum={len(spec)}")
-        gens = ",".join(E.label(c.gen) for c in sorted(spec))
+        lines.append(f"spectrum={spec.bit_count()}")
+        gens = ",".join(map(E.label, semilattice._bits(spec)))
         lines.append(f"spectrum_generators={gens}")
     _emit("\n".join(lines), args.out)
     return 0

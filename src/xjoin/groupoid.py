@@ -1,8 +1,8 @@
 """Finite groupoids of germs of the character action of an inverse semigroup.
 
-Arrows are germs [s, c] with source character c; the canonical
-representative of a germ is s multiplied by the generator of c, which makes
-germ equality a plain pair comparison.
+Arrows are germs [s, c] with source character c.  A germ is stored as its
+canonical representative, s multiplied by the generator of c, which also
+fixes c, so germ equality is a plain int comparison.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
-from .semilattice import Character, LawViolation, _bits, _compare_first, _json_text, spectrum
+from .semilattice import LawViolation, _bits, _compare_first, _json_text, spectrum
 
 
 class FinGroupoid(NamedTuple):
@@ -43,95 +43,92 @@ def is_local_bisection(G: FinGroupoid, arrows: int) -> bool:
 # ---------------------------------------------------------------------------
 # germs
 
-class Germ(NamedTuple):
-    """A germ by canonical representative and source character."""
-
-    base: Character
-    rep: int
-
-
-def germ_of(S: FinInverseSemigroup, s: int, c: Character) -> Germ:
-    """The germ of s at the character c; needs the generator of c below d(s)."""
-    f = S.idems[c.gen]
+def germ_of(S: FinInverseSemigroup, s: int, c: int) -> int:
+    """The germ of s at the character with generator c, as its canonical
+    representative; needs the generator below d(s)."""
+    f = S.idems[c]
     if not natural_leq(S, f, S.d(s)):
         raise LawViolation(
             f"character at {S.label(f)} is outside the domain of {S.label(s)}"
         )
-    return Germ(c, S.mul(s, f))
+    return S.mul(s, f)
 
 
 class GermGroupoid(NamedTuple):
-    """Groupoid of germs over the spectrum of a closed relation set; a unit's
-    or germ's position in ``units`` or ``germs``, which ``unit_index`` and
+    """Groupoid of germs over the spectrum of a closed relation set.  Units
+    are character generators, ascending, and germs canonical
+    representatives, by unit and then representative; a unit's or germ's
+    position in ``units`` or ``germs``, which ``unit_index`` and
     ``arrow_index`` map it to, is its index in ``groupoid``."""
 
     semigroup: FinInverseSemigroup
-    units: tuple[Character, ...]
-    germs: tuple[Germ, ...]
+    units: tuple[int, ...]
+    germs: tuple[int, ...]
     groupoid: FinGroupoid
-    unit_index: dict[Character, int]
-    arrow_index: dict[Germ, int]
+    unit_index: dict[int, int]
+    arrow_index: dict[int, int]
 
     __eq__, __ne__, __hash__ = _compare_first(4)
 
 
 def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> GermGroupoid:
     """Restrict the character action to the spectrum of the closed relation
-    set, or to ``units`` when the caller already has that spectrum, and form
-    its groupoid of germs: all below reads only S and the units, so equal S
-    and units give equal groupoids.
+    set, or to ``units``, a mask of generators, when the caller already has
+    that spectrum, and form its groupoid of germs: all below reads only S
+    and the units, so equal S and units give equal groupoids.
 
     The germs at a unit c with generator f_c are the products t = sf_c for
-    the s with f_c below d(s).  A germ is fixed by t, since d(t) = f_c names
-    its unit, so there are at most S.n - 1 germs; its range is the character
-    at t f_c t⁻¹ = r(t).  The tables are built, not checked: the groupoid
-    laws follow from those of S (Exel, "Inverse semigroups and combinatorial
-    C*-algebras", 2008, §4).
+    the s with f_c below d(s), which are the t with d(t) = f_c: d(sf_c) =
+    f_c d(s) = f_c, and t = tf_c.  A germ is fixed by t, since d(t) names
+    its unit, so there are at most S.n - 1 germs; its range is the
+    character at t f_c t⁻¹ = r(t).  The tables are built, not checked: the
+    groupoid laws follow from those of S (Exel, "Inverse semigroups and
+    combinatorial C*-algebras", 2008, §4).
     - Composites: for t at c and u ending at c, r(u) = f_c, so
       d(tu) = u⁻¹f_c u = d(u) and r(tu) = t f_c t⁻¹ = r(t): the germ of tu
       starts where u does and ends where t does.  So a row holds exactly
       the arrows ending at its source.
-    - Units: f_c is a loop at c, with t f_c = t and f_c u = u.
+    - Units: f_c is a loop at c, with t f_c = t and f_c u = u; d(f_c) = f_c
+      makes f_c its own representative.
     - Inverses: t⁻¹ = t⁻¹r(t) is a germ at the range of t, with tt⁻¹ = r(t)
-      and t⁻¹t = f_c.
+      and t⁻¹t = f_c; d(t⁻¹) = r(t) makes t⁻¹ its own representative.
+    - Ranges: the unit at r(t) = tt⁻¹ is the range of t.
     - Associativity is that of S; cancellation follows, (ab)b⁻¹ = a(bb⁻¹) = a.
     """
     if (relations is None) == (units is None):
         raise TypeError("germ_groupoid takes one of relations and units")
     if units is None:
         units = spectrum(S.semilattice, invariant_closure(S, relations))
-    mult, inv, idems = S.mult, S.inv, S.idems
-    units = tuple(sorted(units))
+    mult, inv, idems, idem_pos = S.mult, S.inv, S.idems, S.idem_pos
+    units = tuple(_bits(units))
     unit_pos = {c: i for i, c in enumerate(units)}
-    dom_rows = [mult[mult[inv[s]][s]] for s in range(S.n)]
-    germs: set[Germ] = set()
-    for c in units:
-        f = idems[c.gen]
-        germs.update(Germ(c, row[f]) for row, d in zip(mult, dom_rows) if d[f] == f)
-    germ_list = tuple(sorted(germs))
-    src, rng, ending_at = [], [], [[] for _ in units]
-    for b, g in enumerate(germ_list):
-        src.append(unit_pos[g.base])
-        target = Character(S.idem_pos[mult[mult[g.rep][idems[g.base.gen]]][inv[g.rep]]])
+    at = [[] for _ in idems]  # per generator, the elements t with d(t) at it, ascending
+    for t in range(S.n):
+        at[idem_pos[mult[inv[t]][t]]].append(t)
+    germs = tuple(t for c in units for t in at[c])
+    pos = {t: i for i, t in enumerate(germs)}
+    src = [unit_pos[c] for c in units for _ in at[c]]
+    rng, ending_at = [], [[] for _ in units]
+    for b, t in enumerate(germs):
+        target = idem_pos[mult[t][inv[t]]]
         if target not in unit_pos:
             raise LawViolation(
-                f"range of germ [{S.label(g.rep)},{S.label(idems[g.base.gen])}] left the spectrum; "
+                f"range of germ [{S.label(t)},{S.label(idems[units[src[b]]])}] left the spectrum; "
                 "the relation set was not invariant"
             )
         rng.append(unit_pos[target])
         ending_at[rng[b]].append(b)
-    pos = {(s, g.rep): i for i, (s, g) in enumerate(zip(src, germ_list))}
-    reps = [g.rep for g in germ_list]
+    labels = S.semilattice.labels
     G = FinGroupoid(
-        unit_labels=tuple(S.semilattice.label(c.gen) for c in units),
-        arrow_labels=tuple(f"[{S.label(g.rep)};{S.semilattice.label(g.base.gen)}]" for g in germ_list),
+        unit_labels=tuple(labels[c] for c in units),
+        arrow_labels=tuple(f"[{S.label(t)};{labels[units[u]]}]" for t, u in zip(germs, src)),
         src=tuple(src),
         rng=tuple(rng),
-        unit_arrow=tuple(pos[u, idems[c.gen]] for u, c in enumerate(units)),
-        inv=tuple(pos[r, mult[inv[rep]][idems[units[r].gen]]] for r, rep in zip(rng, reps)),
-        comp=tuple({b: pos[src[b], mult[rep][reps[b]]] for b in ending_at[a]} for a, rep in zip(src, reps)),
+        unit_arrow=tuple(pos[idems[c]] for c in units),
+        inv=tuple(pos[inv[t]] for t in germs),
+        comp=tuple({b: pos[mult[t][germs[b]]] for b in ending_at[u]} for t, u in zip(germs, src)),
     )
-    return GermGroupoid(S, units, germ_list, G, unit_pos, {g: i for i, g in enumerate(germ_list)})
+    return GermGroupoid(S, units, germs, G, unit_pos, pos)
 
 
 def theta(gg: GermGroupoid, s: int, excl=()) -> int:
@@ -145,12 +142,12 @@ def theta(gg: GermGroupoid, s: int, excl=()) -> int:
             raise LawViolation(f"excluded element {S.label(t)} is not below {S.label(s)}")
     out = 0
     for c in gg.units:
-        f = S.idems[c.gen]
+        f = S.idems[c]
         if not natural_leq(S, f, S.d(s)):
             continue
         if any(natural_leq(S, f, S.d(t)) for t in excl):
             continue
-        out |= 1 << gg.arrow_index[Germ(c, S.mul(s, f))]
+        out |= 1 << gg.arrow_index[S.mul(s, f)]
     return out
 
 

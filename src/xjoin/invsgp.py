@@ -9,7 +9,6 @@ from typing import NamedTuple
 
 from .semilattice import (
     BudgetExceeded,
-    Character,
     FinMeetSemilattice,
     LawViolation,
     XRelation,
@@ -268,10 +267,15 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
     """
     pms = []
     for m in maps:
-        try:
-            pm = {int(k): int(v) for k, v in m.items()}
-        except (TypeError, ValueError):
-            raise LawViolation("'partial_maps' must map points to points") from None
+        pm = {}
+        for k, v in m.items():
+            try:
+                point, image = _point(k), _point(v)
+            except ValueError:
+                raise LawViolation("'partial_maps' must map points to points") from None
+            if point in pm:
+                raise LawViolation(f"a generator names the point {point} twice")
+            pm[point] = image
         if len(set(pm.values())) != len(pm):
             raise LawViolation(f"generator {pm} is not injective")
         for k, v in pm.items():
@@ -332,6 +336,14 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
         gens += (0,)
     labels = tuple(_pmap_label(m) for m in pmaps)
     return _build(tuple(table), inv, labels, idems, gens), tuple(pmaps)
+
+
+def _point(x) -> int:
+    """A point given as an int that is not a bool, or as a string of decimal
+    digits; anything else raises ``ValueError``."""
+    if type(x) is int or type(x) is str and x.isascii() and x.isdecimal():
+        return int(x)
+    raise ValueError(f"not a point: {x!r}")
 
 
 def _inverse(m: dict) -> dict:
@@ -426,15 +438,15 @@ def invariant_closure(S: FinInverseSemigroup, relations) -> frozenset[XRelation]
     return frozenset(XRelation(*key) for key in seen)
 
 
-def act(S: FinInverseSemigroup, s: int, c: Character) -> Character:
-    """Translate a character along s; defined when the character hits d(s)."""
-    g = S.idems[c.gen]
+def act(S: FinInverseSemigroup, s: int, c: int) -> int:
+    """Translate the character at generator c along s; defined when the
+    character hits d(s).  Returns the generator of the moved character."""
+    g = S.idems[c]
     if not natural_leq(S, g, S.d(s)):
         raise LawViolation(
             f"character at {S.label(g)} is outside the domain of {S.label(s)}"
         )
-    moved = S.mul(S.mul(s, g), S.inv[s])
-    return Character(S.idem_pos[moved])
+    return S.idem_pos[S.mul(S.mul(s, g), S.inv[s])]
 
 
 def spectrum_invariant(S: FinInverseSemigroup, relations) -> bool:
@@ -444,17 +456,17 @@ def spectrum_invariant(S: FinInverseSemigroup, relations) -> bool:
     )
 
 
-def character_set_invariant(S: FinInverseSemigroup, chars) -> bool:
-    """Is an arbitrary character set stable under the action.
+def character_set_invariant(S: FinInverseSemigroup, chars: int) -> bool:
+    """Is an arbitrary character set, a mask of generators, stable under the
+    action.
 
     The action composes, act(st, c) = act(s, act(t, c)) whenever c lies
     below d(st), so it is enough to act by each of ``S.gens``.
     """
-    chars = frozenset(chars)
-    for c in chars:
-        g = S.idems[c.gen]
+    for c in _bits(chars):
+        g = S.idems[c]
         for s in S.gens:
-            if natural_leq(S, g, S.d(s)) and act(S, s, c) not in chars:
+            if natural_leq(S, g, S.d(s)) and not chars >> act(S, s, c) & 1:
                 return False
     return True
 

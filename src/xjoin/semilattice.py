@@ -8,9 +8,9 @@ the order masks ``below[x]`` (the y <= x), ``above[x]`` (the y >= x) and
 relation.  Downsets, atoms, joins, covers and spectra are bit operations on
 them.  Covers use the atom criterion (Exel, "Inverse semigroups and
 combinatorial C*-algebras", 2008): y ^ z != 0 exactly when some atom lies
-below both.  Characters are encoded by their principal-filter generator, so
-a spectrum is just a set of nonzero element indices wrapped in
-:class:`Character`.
+below both.  In the finite case a character is fixed by its principal-filter
+generator, so a character is that element index and a spectrum is a mask of
+nonzero element indices.
 """
 
 from __future__ import annotations
@@ -383,12 +383,6 @@ def minimal_covers(E: FinMeetSemilattice, x: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # characters and X-to-join spectra
 
-class Character(NamedTuple):
-    """A character encoded by its principal-filter generator."""
-
-    gen: int
-
-
 class XRelation(NamedTuple):
     """One join constraint: the element e against a finite set of parts,
     given as an element mask."""
@@ -401,18 +395,20 @@ def relation_sort_key(rel: XRelation):
     return (rel.e, *_mask_key(rel.parts))
 
 
-def characters(E: FinMeetSemilattice) -> frozenset[Character]:
-    """All characters: one per nonzero element in the finite case."""
-    return frozenset(Character(g) for g in range(1, E.n))
+def characters(E: FinMeetSemilattice) -> int:
+    """All characters, as a mask of generators: one per nonzero element in
+    the finite case."""
+    return E.above[0] & ~1
 
 
-def spectrum(E: FinMeetSemilattice, relations) -> frozenset[Character]:
-    """The characters satisfying every relation.  A relation fails at the
-    generators below e or below some part, but not both."""
+def spectrum(E: FinMeetSemilattice, relations) -> int:
+    """The characters satisfying every relation, as a mask of generators.  A
+    relation fails at the generators below e or below some part, but not
+    both."""
     below, bad = E.below, 0
     for rel in relations:
         bad |= _union_at(below, rel.parts) ^ below[rel.e]
-    return frozenset(Character(g) for g in range(1, E.n) if not bad >> g & 1)
+    return characters(E) & ~bad
 
 
 def x_tight(E: FinMeetSemilattice) -> frozenset[XRelation]:

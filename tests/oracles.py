@@ -21,7 +21,7 @@ from xjoin import lcmhull
 from xjoin.bisection import AdditiveMorphism, VarietyReport, _check_additive
 from xjoin.groupoid import FinGroupoid
 from xjoin.invsgp import _check_associative, _generators, conjugate
-from xjoin.semilattice import Character, LawViolation, XRelation
+from xjoin.semilattice import LawViolation, XRelation
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +112,14 @@ def x_core_brute(E) -> frozenset[XRelation]:
     )
 
 
-def spectrum_brute(E, relations) -> frozenset[Character]:
-    """Characters at g with g <= e exactly when g <= some part, for every relation."""
+def spectrum_brute(E, relations) -> int:
+    """The mask of the characters' generators g with g <= e exactly when
+    g <= some part, for every relation."""
     def below(g, y):
         return E.meet(g, y) == g
 
-    return frozenset(
-        Character(g)
+    return mask_of(
+        g
         for g in range(1, E.n)
         if all(below(g, r.e) == any(below(g, p) for p in elements_of(r.parts)) for r in relations)
     )
@@ -403,16 +404,16 @@ def left_normed_closure(S, gens) -> frozenset[int]:
     return frozenset(reached)
 
 
-def character_set_invariant_brute(S, chars) -> bool:
+def character_set_invariant_brute(S, chars: int) -> bool:
     """Every element s moves each character c below d(s) = s*s to the
-    character at s c s*, inside the set."""
-    chars = frozenset(chars)
-    for c in chars:
-        g = S.idems[c.gen]
+    character at s c s*, inside the set, a mask of generators."""
+    gens = elements_of(chars)
+    for c in gens:
+        g = S.idems[c]
         for s in range(S.n):
             if S.mul(g, S.mul(S.inv[s], s)) == g:
                 moved = S.mul(S.mul(s, g), S.inv[s])
-                if Character(S.idem_pos[moved]) not in chars:
+                if S.idem_pos[moved] not in gens:
                     return False
     return True
 
@@ -716,17 +717,17 @@ def check_additive_brute(B, T, t) -> None:
 
 
 def congruence_brute(full, chi):
-    """(classes, class_of) of the literal congruence of a character set on
-    the universal algebra, by its definition, over the positions of
-    ``B.elements``: x and y are identified when some idempotent e below both
-    domains has xe = ye and leaves domains d(x) - e and d(y) - e missing the
-    set.  Greedy over all pairs, each element joining the class of the
-    first earlier class representative identified with it; then checked
-    against the restriction kernel and for compatibility with every product
-    and inverse.  Raises ``LawViolation``."""
+    """(classes, class_of) of the literal congruence of a character set, a
+    mask of generators, on the universal algebra, by its definition, over
+    the positions of ``B.elements``: x and y are identified when some
+    idempotent e below both domains has xe = ye and leaves domains d(x) - e
+    and d(y) - e missing the set.  Greedy over all pairs, each element
+    joining the class of the first earlier class representative identified
+    with it; then checked against the restriction kernel and for
+    compatibility with every product and inverse.  Raises ``LawViolation``."""
     B = full.algebra
     G = B.groupoid
-    chi_mask = sum(1 << full.germs.unit_index[c] for c in chi)
+    chi_mask = mask_of(full.germs.unit_index[c] for c in elements_of(chi))
     els = B.elements
     n = len(els)
     where = {x: i for i, x in enumerate(els)}
@@ -779,13 +780,13 @@ def congruence_brute(full, chi):
 
 def restricted_groupoid_brute(full, chi):
     """The universal germ groupoid cut down to the units in a character set,
-    built afresh as a groupoid, with the map from kept arrows to their new
-    indices.  A dense composition table over the kept arrows, whose
+    a mask of generators, built afresh as a groupoid, with the map from kept
+    arrows to their new indices.  A dense composition table over the kept arrows, whose
     composability is checked against the ambient groupoid's.  Reads only
     ``full.germs``.  Raises ``LawViolation``."""
     G = full.germs.groupoid
     dense = dense_comp(G)
-    unit_old = sorted(full.germs.unit_index[c] for c in chi)
+    unit_old = sorted(full.germs.unit_index[c] for c in elements_of(chi))
     unit_new = {old: new for new, old in enumerate(unit_old)}
     keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
     if any(G.rng[a] not in unit_new for a in keep):
@@ -878,7 +879,7 @@ def count_extensions_brute(rep, relations) -> int:
     target atom, a source atom or none: all (k+1)^m of them are tried.
     """
     E, m = rep.domain, rep.codomain.m
-    gens = sorted(c.gen for c in spectrum_brute(E, relations))
+    gens = elements_of(spectrum_brute(E, relations))
     iota = [mask_of(i for i, g in enumerate(gens) if E.meet(g, a) == g) for a in range(E.n)]
     count = 0
     for owners in iproduct(range(-1, len(gens)), repeat=m):

@@ -28,11 +28,11 @@ from xjoin.bisection import (
     theorem_quotients_check,
 )
 from xjoin.groupoid import germ_groupoid
-from xjoin.semilattice import Character, LawViolation
+from xjoin.semilattice import LawViolation
 
 from xjoin.suites import tight_spectrum_brute
 
-from oracles import count_additive_morphisms_brute, count_bisections_brute, xa_oracle, xu_oracle
+from oracles import count_additive_morphisms_brute, count_bisections_brute, elements_of, xa_oracle, xu_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -61,10 +61,10 @@ def test_criterion_01_chain_family():
         E = sl.chain(n)
         tight = sl.builtin_relations(E, "tight")
         prime = sl.builtin_relations(E, "prime")
-        assert len(sl.spectrum(E, tight)) == 1
+        assert sl.spectrum(E, tight).bit_count() == 1
         Bt, rep_t = ba.booleanization(E, tight)
         assert Bt.size == 2
-        assert len(sl.spectrum(E, prime)) == n
+        assert sl.spectrum(E, prime).bit_count() == n
         Bp, rep_p = ba.booleanization(E, prime)
         assert Bp.size == 2 ** n
         assert len(set(rep_p.images)) == E.n
@@ -80,9 +80,8 @@ def test_criterion_02_tight_spectrum_is_atoms():
     rng = random.Random(20240817)
     for _ in range(50):
         E = sl.random_semilattice(rng, max_size=10)
-        atoms = frozenset(Character(a) for a in E.atoms())
         spec = sl.spectrum(E, sl.x_tight(E))
-        assert spec == atoms
+        assert elements_of(spec) == list(E.atoms())
         assert spec == tight_spectrum_brute(E)
     elapsed = time.monotonic() - t0
     _report(2, elapsed < 10.0, f"50 random semilattices in {elapsed:.2f}s")
@@ -142,14 +141,8 @@ def test_criterion_05_variety_identities(S):
 
 
 def invariant_spectra(S):
-    E = S.semilattice
-    chars = sorted(sl.characters(E))
-    return [
-        chi
-        for bits in range(1 << len(chars))
-        for chi in [frozenset(c for i, c in enumerate(chars) if bits >> i & 1)]
-        if invsgp.character_set_invariant(S, chi)
-    ]
+    # every mask of nonzero generators, ascending
+    return [chi for chi in range(0, 1 << S.semilattice.n, 2) if invsgp.character_set_invariant(S, chi)]
 
 
 @pytest.mark.parametrize("S", [invsgp.i2(), invsgp.b2()], ids=["i2", "b2"])
@@ -161,7 +154,7 @@ def test_criterion_06_quotient_theorem(S):
     assert full_spec in spectra and tight_spec in spectra
     for chi in spectra:
         report = theorem_quotients_check(S, chi)
-        assert report.ok, (sorted(c.gen for c in chi), report)
+        assert report.ok, (elements_of(chi), report)
         assert report.weakly_meet_preserving
     _report(6, True, f"{len(spectra)} invariant spectra on the {S.n}-element semigroup")
 
@@ -189,10 +182,10 @@ def test_criterion_08_universal_morphisms():
     # the quotient composite against its own carved-out relation set
     E = I2.semilattice
     chi = sl.spectrum(E, invsgp.semigroup_relations(I2, "tight"))
-    chi_sorted = tuple(sorted(chi))
-    BA = ba.FinBooleanAlgebra(tuple(E.label(c.gen) for c in chi_sorted))
+    chi_sorted = elements_of(chi)
+    BA = ba.FinBooleanAlgebra(tuple(E.label(c) for c in chi_sorted))
     images = [
-        sum(1 << i for i, c in enumerate(chi_sorted) if E.leq(c.gen, e))
+        sum(1 << i for i, c in enumerate(chi_sorted) if E.leq(c, e))
         for e in range(E.n)
     ]
     carved = ba.x_pi(ba.SemilatticeRep.build(E, BA, images))

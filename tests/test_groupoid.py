@@ -6,7 +6,6 @@ from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.groupoid import (
     FinGroupoid,
-    Germ,
     germ_groupoid,
     germ_of,
     groupoid_to_dot,
@@ -14,7 +13,7 @@ from xjoin.groupoid import (
     is_local_bisection,
     theta,
 )
-from xjoin.semilattice import Character, LawViolation
+from xjoin.semilattice import LawViolation
 
 from oracles import (
     check_groupoid_brute,
@@ -37,7 +36,7 @@ def s_idx(label):
 
 
 def char_at(label):
-    return Character(E_I2.index(label))
+    return E_I2.index(label)
 
 
 class TestGermNormalForm:
@@ -48,7 +47,7 @@ class TestGermNormalForm:
     def test_representative_at_full_domain(self):
         s = s_idx("1>2")
         c = char_at("1>1")  # the generator is exactly d(s)
-        assert germ_of(I2, s, c).rep == s
+        assert germ_of(I2, s, c) == s
 
     def test_swap_and_its_restriction(self):
         c = char_at("1>1")
@@ -67,7 +66,7 @@ class TestGermNormalForm:
         E, elems = S.semilattice, S.idems
         for f_idx in range(1, E.n):
             f = elems[f_idx]
-            c = Character(f_idx)
+            c = f_idx
             admissible = [
                 s for s in range(S.n) if invsgp.natural_leq(S, f, S.d(s))
             ]
@@ -104,7 +103,18 @@ class TestGermGroupoid:
             for a, row in enumerate(dense_comp(gg.groupoid)):
                 for b, c in enumerate(row):
                     if c >= 0:
-                        assert gg.germs[c].rep == S.mul(gg.germs[a].rep, gg.germs[b].rep)
+                        assert gg.germs[c] == S.mul(gg.germs[a], gg.germs[b])
+
+    def test_units_whose_ranges_escape_are_rejected(self):
+        # 1>2 at the character of 1>1 ends at that of 2>2, not a unit here
+        with pytest.raises(LawViolation, match=r"range of germ \[1>2,1>1\] left the spectrum"):
+            germ_groupoid(I2, units=mask_of({E_I2.index("1>1")}))
+
+    def test_takes_exactly_one_of_relations_and_units(self):
+        with pytest.raises(TypeError, match="one of relations and units"):
+            germ_groupoid(I2)
+        with pytest.raises(TypeError, match="one of relations and units"):
+            germ_groupoid(I2, frozenset(), units=sl.characters(E_I2))
 
     def test_ranges_stay_in_spectrum(self):
         for name in sl.BUILTIN_RELATION_SETS:
@@ -117,7 +127,9 @@ class TestGermGroupoid:
             tight = germ_groupoid(S, invsgp.semigroup_relations(S, "tight"))
             kept = set(tight.units)
             assert kept <= set(universal.units)
-            filtered = tuple(g for g in universal.germs if g.base in kept)
+            filtered = tuple(
+                t for t, u in zip(universal.germs, universal.groupoid.src) if universal.units[u] in kept
+            )
             assert filtered == tight.germs
 
     def test_shift_semigroup_counts(self):
@@ -141,7 +153,7 @@ class TestTheta:
     def test_exclusion_by_domain(self):
         gg = germ_groupoid(I2, frozenset())
         got = theta(gg, s_idx("1>1,2>2"), (s_idx("1>1"),))
-        bases = {gg.germs[a].base for a in elements_of(got)}
+        bases = {gg.units[gg.groupoid.src[a]] for a in elements_of(got)}
         # characters whose generator avoids the excluded domain
         assert bases == {char_at("2>2"), char_at("1>1,2>2")}
 

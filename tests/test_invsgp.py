@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from xjoin import invsgp
 from xjoin import semilattice as sl
 from xjoin.groupoid import germ_groupoid, germ_of, groupoid_to_json
-from xjoin.semilattice import BudgetExceeded, Character, LawViolation, XRelation
+from xjoin.semilattice import BudgetExceeded, LawViolation, XRelation
 
 from oracles import (
     check_groupoid_brute,
@@ -23,6 +23,7 @@ from oracles import (
     mask_of,
     partial_map_closure_brute,
     partial_map_table_lookup,
+    spectrum_brute,
     validate_brute,
 )
 
@@ -375,8 +376,25 @@ class TestBuiltWithoutValidation:
             for a, row in enumerate(G.comp):
                 assert set(row) == {b for b in range(G.n_arrows) if G.rng[b] == G.src[a]}
                 for b, ab in row.items():
-                    assert germs[ab] == germ_of(S, S.mul(germs[a].rep, germs[b].rep), germs[b].base)
+                    assert germs[ab] == germ_of(S, S.mul(germs[a], germs[b]), gg.units[G.src[b]])
             assert json.loads(groupoid_to_json(G))["comp"] == dense_comp(G)
+
+    @over_partial_map_inputs
+    def test_germs_are_canonical_representatives(self, case):
+        # a germ is its representative t, whose domain d(t) is the
+        # generator of its source unit; germs run by unit, then by t, and
+        # the units are the spectrum of the closed relation set
+        S, _ = invsgp.from_partial_maps(*case)
+        for name in sl.BUILTIN_RELATION_SETS:
+            rels = invsgp.semigroup_relations(S, name)
+            closed = invsgp.invariant_closure(S, rels)
+            gg = germ_groupoid(S, rels)
+            for a, t in enumerate(gg.germs):
+                assert S.d(t) == S.idems[gg.units[gg.groupoid.src[a]]]
+                assert gg.arrow_index[t] == a
+            keys = [(gg.units[u], t) for t, u in zip(gg.germs, gg.groupoid.src)]
+            assert keys == sorted(keys)
+            assert sl.spectrum(S.semilattice, closed) == mask_of(gg.units) == spectrum_brute(S.semilattice, closed)
 
 
 I5_MAPS = [{1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 1, 2: 2, 3: 3, 4: 4}]
@@ -525,20 +543,18 @@ class TestInvariantClosureOracle:
 class TestAction:
     def test_moves_generator(self):
         E, _ = e_of(I2)
-        c = Character(E.index("1>1"))
-        moved = invsgp.act(I2, s_idx("1>2"), c)
-        assert moved == Character(E.index("2>2"))
+        moved = invsgp.act(I2, s_idx("1>2"), E.index("1>1"))
+        assert moved == E.index("2>2")
 
     def test_idempotent_above_fixes(self):
         E, _ = e_of(I2)
-        c = Character(E.index("1>1"))
+        c = E.index("1>1")
         assert invsgp.act(I2, s_idx("1>1,2>2"), c) == c
 
     def test_outside_domain_rejected(self):
         E, _ = e_of(I2)
-        top_char = Character(E.index("1>1,2>2"))
         with pytest.raises(LawViolation, match="domain"):
-            invsgp.act(I2, s_idx("1>2"), top_char)
+            invsgp.act(I2, s_idx("1>2"), E.index("1>1,2>2"))
 
 
 class TestSpectrumInvariance:
@@ -555,8 +571,8 @@ class TestSpectrumInvariance:
         raw = {rel(top, {e1})}
         raw_spec = sl.spectrum(E, raw)
         # before closure: a character in the spectrum moves out of it
-        moved = invsgp.act(I2, s_idx("1>2"), Character(e1))
-        assert Character(e1) in raw_spec and moved not in raw_spec
+        moved = invsgp.act(I2, s_idx("1>2"), e1)
+        assert raw_spec >> e1 & 1 and not raw_spec >> moved & 1
         assert invsgp.spectrum_invariant(I2, raw)  # closure happens inside
 
 

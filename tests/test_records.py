@@ -23,13 +23,13 @@ def record_examples() -> dict[type, object]:
     gg = groupoid.germ_groupoid(I2, I2_tight)
     full = bisection.iota(I2, frozenset())
     chi = sl.spectrum(I2.semilattice, I2_tight)
-    carved = groupoid.germ_groupoid(I2, units=gg.units)
+    carved = groupoid.germ_groupoid(I2, units=chi)
     P = lcmhull.zappa_szep(lcmhull.adding_machine(), depth=2)
     xa = lcmhull.gen_xa(P, 1)
     examples = [
-        E, next(iter(sl.characters(E))), next(iter(tight)),
+        E, next(iter(tight)),
         B, rep, boolalg.universal_extension(rep, tight),
-        I2, gg, gg.groupoid, gg.germs[0],
+        I2, gg, gg.groupoid,
         full, bisection.check_variety_identities(full.algebra),
         bisection.check_presentation(I2, I2_tight), bisection.congruence(full, chi),
         bisection.restriction_morphism(full, carved), bisection.theorem_quotients_check(I2, chi),
@@ -56,7 +56,7 @@ def test_examples_cover_every_record_class():
         cls for mod in MODULES for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == mod.__name__
     }
-    assert len(records) == 21
+    assert len(records) == 19
     assert records == set(EXAMPLES)
 
 
