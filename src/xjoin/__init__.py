@@ -61,7 +61,6 @@ from .lcmhull import (
     adding_machine,
     gen_xa,
     gen_xu,
-    hull_element,
     hull_idem_leq,
     hull_inv,
     hull_mul,

@@ -14,6 +14,7 @@ from .semilattice import (
     XRelation,
     _bits,
     _compare_first,
+    _index_rows,
     _json_text,
     builtin_relations,
     spectrum,
@@ -77,13 +78,7 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     absorbing zero at index 0.  Each check reads whole rows or runs over a
     generating set; only a failed check walks entries, to name its witness.
     """
-    try:
-        # int() returns an int unchanged; the type test is the cheaper pass
-        rows = tuple(
-            tuple(row) if set(map(type, row)) == {int} else tuple(map(int, row)) for row in table
-        )
-    except (TypeError, ValueError):
-        raise LawViolation("'mult' must be a square table of element indices") from None
+    rows = _index_rows(table, "mult")
     n = len(rows)
     if n == 0:
         raise LawViolation("semigroup needs at least the zero element")
@@ -508,6 +503,7 @@ def invsgp_from_json(text: str) -> FinInverseSemigroup:
         # move the declared zero to index 0
         order = [z] + [i for i in range(len(labels)) if i != z]
         back = {old: new for new, old in enumerate(order)}
+        table = _index_rows(table, "mult")  # before back, which 0.0 and True would index
         try:
             table = [[back[table[a][b]] for b in order] for a in order]
         except (IndexError, KeyError, TypeError):

@@ -130,6 +130,18 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise LawViolation(f"{name} must be at least {least}, got {value}")
 
 
+def _index_rows(table, key: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of a table of element indices read from ``key``; an entry
+    that is not an int, or is a bool, raises ``LawViolation``."""
+    try:
+        rows = tuple(map(tuple, table))
+    except TypeError:
+        rows = None
+    if rows is None or not all(set(map(type, row)) <= {int} for row in rows):
+        raise LawViolation(f"'{key}' must be a square table of element indices")
+    return rows
+
+
 class FinMeetSemilattice(NamedTuple):
     """Meet table over indices 0..n-1; index 0 is the bottom element.
     The order masks are built by :meth:`from_meet` and not compared."""
@@ -149,10 +161,7 @@ class FinMeetSemilattice(NamedTuple):
         Raises :class:`LawViolation` naming the first violated law together
         with a witness.
         """
-        try:
-            rows = tuple(tuple(map(int, row)) for row in table)
-        except (TypeError, ValueError):
-            raise LawViolation("'meet' must be a square table of element indices") from None
+        rows = _index_rows(table, "meet")
         n = len(rows)
         if n == 0:
             raise LawViolation("semilattice needs at least the bottom element")

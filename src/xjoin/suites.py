@@ -76,13 +76,14 @@ def semilattice_suite(max_size: int = 8, samples: int = 20, seed: int = 7):
             ok = False
     out.append(("characters match brute-force filter enumeration", ok, ""))
 
+    tight = [semilattice.spectrum(E, semilattice.x_tight(E)) for E in pool]
     ok = True
     detail = ""
-    for E in pool:
-        if semilattice.spectrum(E, semilattice.x_tight(E)) != E.atom_bits:
+    for E, spec in zip(pool, tight):
+        if spec != E.atom_bits:
             ok, detail = False, f"at semilattice of size {E.n}"
             break
-        if semilattice.spectrum(E, semilattice.x_tight(E)) != tight_spectrum_brute(E):
+        if spec != tight_spectrum_brute(E):
             ok, detail = False, f"minimal covers changed the spectrum, size {E.n}"
             break
     out.append(("tight spectrum equals the atoms, against all-covers oracle", ok, detail))
@@ -96,11 +97,10 @@ def semilattice_suite(max_size: int = 8, samples: int = 20, seed: int = 7):
     out.append(("dense element iff singleton cover", ok, ""))
 
     ok = True
-    for E in pool:
-        tight = semilattice.spectrum(E, semilattice.x_tight(E))
-        if tight & ~semilattice.spectrum(E, semilattice.x_prime(E)):
+    for E, spec in zip(pool, tight):
+        if spec & ~semilattice.spectrum(E, semilattice.x_prime(E)):
             ok = False
-        if tight & ~semilattice.spectrum(E, semilattice.x_core(E)):
+        if spec & ~semilattice.spectrum(E, semilattice.x_core(E)):
             ok = False
     out.append(("tight spectrum sits inside the prime and core spectra", ok, ""))
     return out

@@ -303,6 +303,36 @@ class TestHull:
         assert code == 2 and out == ""
         assert err == f"error: {value}\n"
 
+    def test_free_rank_five_skips_e(self, capsys):
+        code, out, _ = run(capsys, "hull", "--monoid", "free:5", "foundation", "--set", "a,b,c,d", "--depth", "2")
+        assert code == 1 and out == "verdict=no witness=f\n"
+
+    @pytest.mark.parametrize("table, err", [
+        ({"u_letters": "012", "a_letters": "g", "action": {"g": {"0": "1", "1": "2", "2": "0"}},
+          "restriction": {"g": {"0": "", "1": "", "2": "g"}}}, None),
+        ({"u_letters": "01", "a_letters": "g", "action": {"g": {"0": "0", "1": "0"}},
+          "restriction": {"g": {"0": "", "1": ""}}}, "error: C3 fails: action of 'g' on length-1 words"),
+        ({"u_letters": "0e", "a_letters": "g", "action": {"g": {"0": "e", "e": "0"}},
+          "restriction": {"g": {"0": "", "e": "g"}}}, "error: letter 'e' of alphabet '0e'"),
+        ({"u_letters": "01", "a_letters": "g", "action": {"g": {"0": "1", "1": "0"}},
+          "restriction": {"g": {"0": [], "1": ["g"]}}}, "error: restriction of 'g' at '0' must be a word"),
+        ({"u_letters": "01", "a_letters": "g", "action": {"g": {"0": ["1"], "1": "0"}},
+          "restriction": {"g": {"0": "", "1": "g"}}}, "error: action of 'g' on '0' must be a single letter"),
+    ], ids=["ternary", "non-bijective", "letter-e", "restriction-not-a-word", "action-not-a-letter"])
+    def test_product_file(self, capsys, tmp_path, table, err):
+        f = tmp_path / "product.json"
+        f.write_text(json.dumps(table))
+        code, out, got = run(capsys, "hull", "--monoid", f"zs:{f}", "mul", "[e.g,e.e]", "[22.e,e.e]")
+        if err is None:
+            assert code == 0 and out == "result=[00.g,e.e]\n"
+        else:
+            assert code == 2 and out == "" and got.startswith(err)
+
+    def test_reserved_letter_refused(self, capsys):
+        code, out, err = run(capsys, "hull", "--monoid", "free:abe", "mul", "[e,a]", "[a,e]")
+        assert code == 2 and out == ""
+        assert err == "error: letter 'e' of alphabet 'abe' is reserved or repeated\n"
+
     def test_xu_over_budget_refuses_fast(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "hull", "--monoid", "adding", "xu", "--depth", "5")
@@ -410,6 +440,18 @@ class TestErrors:
         code, out, err = run(capsys, "semilattice", "--input", str(bad))
         assert code == 2 and out == ""
         assert err == "error: element b is not the bottom: b^x = x\n"
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("semilattice", {"elements": ["0", "x"], "meet": [[0, 0.4], [False, 1.9]]}, "meet"),
+        ("invsgp", {"elements": ["0", "x"], "zero": "0", "mult": [[0, False], [0.7, "1"]]}, "mult"),
+        ("invsgp", {"elements": ["x", "0"], "zero": "0", "mult": [[0.0, True], [1, 1]]}, "mult"),
+    ], ids=["meet-floats-and-bools", "mult-floats-bools-and-strings", "mult-reindexed-float-and-bool"])
+    def test_entries_that_are_not_ints_refused(self, capsys, tmp_path, command, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: '{key}' must be a square table of element indices\n"
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "booleanize", "--nonsense", "x")

@@ -8,16 +8,13 @@ from oracles import (
 )
 
 from xjoin import lcmhull as lh
+from xjoin.lcmhull import HullElement
 from xjoin.semilattice import LawViolation
 
 
 FREE = lh.FreeMonoid("ab")
 NAT2 = lh.NatPow(2)
 NX = lh.NRtimesNx()
-
-
-def h(P, p, q):
-    return lh.hull_element(P, p, q)
 
 
 class TestBuiltinOracles:
@@ -34,7 +31,11 @@ class TestBuiltinOracles:
         assert NX.right_lcm((1, 2), (3, 4)) == (3, 4)
         assert NX.right_lcm((0, 2), (0, 3)) == (0, 6)
 
-    @pytest.mark.parametrize("M,depth,cof", [(FREE, 3, 3), (NAT2, 3, 4), (NX, 4, 6)])
+    # the free monoids on 1, 2 and 3 letters stand for the factors of every
+    # Zappa-Szep product, which zappa_szep proves right LCM instead of checking
+    @pytest.mark.parametrize("M,depth,cof", [
+        (FREE, 3, 3), (NAT2, 3, 4), (NX, 4, 6), (lh.FreeMonoid("a"), 3, 3), (lh.FreeMonoid("abc"), 3, 3),
+    ])
     def test_against_bounded_ideal_search(self, M, depth, cof):
         lh._check_lcm_oracle(M, depth, cof)
 
@@ -49,19 +50,19 @@ class TestBuiltinOracles:
 
 class TestHullArithmetic:
     def test_polycyclic_contraction(self):
-        assert lh.hull_mul(FREE, h(FREE, "", "a"), h(FREE, "a", "")) == h(FREE, "", "")
+        assert lh.hull_mul(FREE, HullElement("", "a"), HullElement("a", "")) == HullElement("", "")
 
     def test_disjoint_ideals_annihilate(self):
-        assert lh.hull_mul(FREE, h(FREE, "", "a"), h(FREE, "b", "")).is_zero
+        assert lh.hull_mul(FREE, HullElement("", "a"), HullElement("b", "")).is_zero
 
     def test_identity(self):
-        one = lh.hull_identity(FREE)
-        for x in (h(FREE, "ab", "b"), lh.HULL_ZERO, one):
+        one = HullElement("", "")
+        for x in (HullElement("ab", "b"), lh.HULL_ZERO, one):
             assert lh.hull_mul(FREE, x, one) == x
             assert lh.hull_mul(FREE, one, x) == x
 
     def test_inversion_swaps(self):
-        assert lh.hull_inv(h(FREE, "a", "b")) == h(FREE, "b", "a")
+        assert lh.hull_inv(HullElement("a", "b")) == HullElement("b", "a")
         assert lh.hull_inv(lh.HULL_ZERO).is_zero
 
     def test_idempotent_order(self):
@@ -102,7 +103,7 @@ class TestFragmentLaws:
     @pytest.mark.parametrize("M", [FREE, NAT2, NX], ids=repr)
     def test_corrupted_inverse_is_caught(self, M, monkeypatch):
         p = M.elements_up_to(1)[1]
-        bad = h(M, p, M.identity)
+        bad = HullElement(p, M.identity)
         true_inv = lh.hull_inv
         monkeypatch.setattr(lh, "hull_inv", lambda x: x if x == bad else true_inv(x))
         got = lh.fragment_law_failure(M, 1)
@@ -187,10 +188,21 @@ class TestLemmaFoundCheck:
         assert lh.lemma_found_check(P, F, depth=4)
 
 
+@st.composite
+def letter_tables(draw) -> lh.ZappaSzepData:
+    """1 to 3 U-letters, the A-letters g or gh, any action, bijective or
+    not, and restrictions of up to two letters."""
+    us = draw(st.sampled_from(("0", "01", "012")))
+    as_ = draw(st.sampled_from(("g", "gh")))
+    action = {a: {u: draw(st.sampled_from(us)) for u in us} for a in as_}
+    restriction = {a: {u: draw(st.text(as_, max_size=2)) for u in us} for a in as_}
+    return lh.ZappaSzepData.from_tables(us, as_, action, restriction)
+
+
 class TestZappaSzep:
     def test_adding_machine_validates(self):
-        P = lh.zappa_szep(lh.adding_machine(), depth=4)
-        assert P.report is not None and P.report.depth == 4
+        P = lh.zappa_szep(lh.adding_machine())
+        assert isinstance(P, lh.ZappaSzepProduct) and P.data == lh.adding_machine()
 
     def test_adding_machine_action(self):
         P = lh.zappa_szep(lh.adding_machine())
@@ -200,7 +212,7 @@ class TestZappaSzep:
         assert P.act("gg", "11") == "10" and P.res("gg", "11") == "g"
 
     def test_direct_product_accepted(self):
-        P = lh.zappa_szep(direct_product(), depth=3)
+        P = lh.zappa_szep(direct_product())
         assert P.multiply(("0", "g"), ("1", "")) == ("01", "g")
 
     def test_non_bijective_action_rejected(self):
@@ -210,11 +222,11 @@ class TestZappaSzep:
             restriction={"g": {"0": "", "1": ""}},
         )
         with pytest.raises(LawViolation, match="C3"):
-            lh.zappa_szep(data, depth=3)
+            lh.zappa_szep(data)
 
     def test_second_factor_must_be_a_chain(self):
         with pytest.raises(LawViolation, match="C2"):
-            lh.zappa_szep(two_generators(), depth=2)
+            lh.zappa_szep(two_generators())
 
     def test_multiplication_and_division(self):
         P = lh.zappa_szep(lh.adding_machine())
@@ -246,14 +258,11 @@ class TestZappaSzep:
         assert long_a.format(P) == f"[0.{'g' * 600},e.e]"
 
     @settings(max_examples=60, deadline=None)
-    @given(us=st.sampled_from(("01", "012")), as_=st.sampled_from(("g", "gh")), data=st.data())
-    def test_walk_matches_recursive_definition(self, us, as_, data):
-        # random tables, restrictions of up to two letters, not always bijective
-        action = {a: {u: data.draw(st.sampled_from(us)) for u in us} for a in as_}
-        restriction = {a: {u: data.draw(st.text(as_, max_size=2)) for u in us} for a in as_}
-        tables = lh.ZappaSzepData.from_tables(us, as_, action, restriction)
+    @given(tables=letter_tables(), data=st.data())
+    def test_walk_matches_recursive_definition(self, tables, data):
         P = lh.ZappaSzepProduct(tables)
-        bijective = all(set(row.values()) == set(us) for row in action.values())
+        us, as_ = tables.u_alphabet, tables.a_alphabet
+        bijective = all(len({v for b, _, v in tables.act_letter if b == a}) == len(us) for a in as_)
         for _ in range(8):
             a, u = data.draw(st.text(as_, max_size=4)), data.draw(st.text(us, max_size=5))
             assert (P.act(a, u), P.res(a, u)) == zappa_walk_brute(tables, a, u)
@@ -261,12 +270,22 @@ class TestZappaSzep:
             assert v is None or zappa_walk_brute(tables, a, v)[0] == u
             assert v is not None or not bijective
 
-    def test_depth_below_one_is_refused(self):
-        # at depth 0 the law loops check nothing
-        with pytest.raises(LawViolation, match="depth must be at least 1"):
-            lh.zappa_szep(lh.adding_machine(), depth=0)
-        with pytest.raises(LawViolation, match="depth must be at least 1"):
-            lh.zappa_szep(two_generators(), depth=0)
+    @settings(max_examples=40, deadline=None)
+    @given(tables=letter_tables())
+    def test_matched_pair_laws_hold_for_any_tables(self, tables):
+        # the laws zappa_szep takes from its docstring's proof, on every word
+        # up to length 3
+        P = lh.ZappaSzepProduct(tables)
+        A, U = P.a_monoid.elements_up_to(3), P.u_monoid.elements_up_to(3)
+        for a in A:
+            for u in U:
+                assert (P.act(a, u), P.res(a, u)) == zappa_walk_brute(tables, a, u)
+                for v in U:
+                    assert P.act(a, u + v) == P.act(a, u) + P.act(P.res(a, u), v)
+                    assert P.res(a, u + v) == P.res(P.res(a, u), v)
+                for b in A:
+                    assert P.act(a + b, u) == P.act(a, P.act(b, u))
+                    assert P.res(a + b, u) == P.res(a, P.act(b, u)) + P.res(b, u)
 
 
 def direct_product() -> lh.ZappaSzepData:
@@ -344,7 +363,7 @@ class TestZappaRightLcm:
         (lh.adding_machine(), 4, 3199), (ternary_odometer(), 3, 3313), (direct_product(), 4, 3249),
     ], ids=["adding", "ternary", "direct"])
     def test_agrees_with_bounded_search(self, data, depth, decided):
-        P = lh.zappa_szep(data, depth=3)
+        P = lh.zappa_szep(data)
         frag = P.elements_up_to(depth)
         seen = 0
         for x in frag:
@@ -358,7 +377,7 @@ class TestZappaRightLcm:
     @pytest.mark.parametrize("data, depth", [(lh.adding_machine(), 4), (ternary_odometer(), 3)],
                              ids=["adding", "ternary"])
     def test_against_ideal_intersections(self, data, depth):
-        lh._check_lcm_oracle(lh.zappa_szep(data, depth=depth), depth, depth)
+        lh._check_lcm_oracle(lh.zappa_szep(data), depth, depth)
 
     @settings(max_examples=60, deadline=None)
     @given(data=one_generator_products())
@@ -371,14 +390,14 @@ class TestZappaRightLcm:
 
 @pytest.fixture(scope="module")
 def adding():
-    return lh.zappa_szep(lh.adding_machine(), depth=4)
+    return lh.zappa_szep(lh.adding_machine())
 
 
 class TestRelationGenerators:
     def test_xa_contains_extension_pairs(self, adding):
         xa = lh.gen_xa(adding, 3)
-        ea = lh.hull_element(adding, ("", "g"), ("", "g"))
-        eb = lh.hull_element(adding, ("", "gg"), ("", "gg"))
+        ea = HullElement(("", "g"), ("", "g"))
+        eb = HullElement(("", "gg"), ("", "gg"))
         assert lh.HullRelation(ea, frozenset((eb,))) in xa
         assert lh.HullRelation(ea, frozenset((ea,))) in xa
 
@@ -390,18 +409,16 @@ class TestRelationGenerators:
 
     def test_xu_contains_letter_cover(self, adding):
         xu = lh.gen_xu(adding, 3)
-        e = lh.hull_element(adding, ("", ""), ("", ""))
-        zero_l = lh.hull_element(adding, ("0", ""), ("0", ""))
-        one_l = lh.hull_element(adding, ("1", ""), ("1", ""))
+        e = HullElement(("", ""), ("", ""))
+        zero_l = HullElement(("0", ""), ("0", ""))
+        one_l = HullElement(("1", ""), ("1", ""))
         assert lh.HullRelation(e, frozenset((zero_l, one_l))) in xu
         assert lh.HullRelation(e, frozenset((e,))) in xu
 
     def test_xu_rejects_non_covering_family(self, adding):
         xu = lh.gen_xu(adding, 3)
-        e = lh.hull_element(adding, ("", ""), ("", ""))
-        bad = frozenset(
-            lh.hull_element(adding, (w, ""), (w, "")) for w in ("00", "01")
-        )
+        e = HullElement(("", ""), ("", ""))
+        bad = frozenset(HullElement((w, ""), (w, "")) for w in ("00", "01"))
         assert lh.HullRelation(e, bad) not in xu
 
     def test_max_parts_bound(self, adding):
@@ -515,10 +532,29 @@ class TestParsing:
         with pytest.raises(LawViolation):
             lh.monoid_from_spec("octonions")
 
+    def test_free_rank_skips_the_identity_letter(self):
+        assert lh.monoid_from_spec("free:5").alphabet == "abcdf"
+        assert lh.monoid_from_spec("free:25").alphabet == "abcdfghijklmnopqrstuvwxyz"
+        with pytest.raises(LawViolation, match=r"free rank 26 out of range 1\.\.25"):
+            lh.monoid_from_spec("free:26")
+
+    @pytest.mark.parametrize("spec, letter", [
+        ("free:abe", "e"), ("free:a.b", "."), ("free:a,b", ","), ("free:a[", "["), ("free:]", "]"),
+        ("free:a b", " "), ("free:aba", "a"),
+    ])
+    def test_alphabet_letters_the_notation_uses_are_refused(self, spec, letter):
+        with pytest.raises(LawViolation, match=re.escape(f"letter {letter!r} of alphabet {spec[5:]!r}")):
+            lh.monoid_from_spec(spec)
+
+    @pytest.mark.parametrize("alphabet", ["", ["a", "b"], None])
+    def test_alphabet_must_be_a_nonempty_string(self, alphabet):
+        with pytest.raises(LawViolation, match="must be a nonempty string of letters"):
+            lh.FreeMonoid(alphabet)
+
     def test_hull_parsing(self):
-        assert lh.parse_hull(FREE, "[e,a]") == h(FREE, "", "a")
+        assert lh.parse_hull(FREE, "[e,a]") == HullElement("", "a")
         assert lh.parse_hull(FREE, "0").is_zero
-        assert lh.parse_hull(NAT2, "[1.0,0.2]") == h(NAT2, (1, 0), (0, 2))
+        assert lh.parse_hull(NAT2, "[1.0,0.2]") == HullElement((1, 0), (0, 2))
         with pytest.raises(LawViolation):
             lh.parse_hull(FREE, "[a]")
 

@@ -24,7 +24,7 @@ def record_examples() -> dict[type, object]:
     full = bisection.iota(I2, frozenset())
     chi = sl.spectrum(I2.semilattice, I2_tight)
     carved = groupoid.germ_groupoid(I2, units=chi)
-    P = lcmhull.zappa_szep(lcmhull.adding_machine(), depth=2)
+    P = lcmhull.zappa_szep(lcmhull.adding_machine())
     xa = lcmhull.gen_xa(P, 1)
     examples = [
         E, next(iter(tight)),
@@ -33,7 +33,7 @@ def record_examples() -> dict[type, object]:
         full, bisection.check_variety_identities(full.algebra),
         bisection.check_presentation(I2, I2_tight), bisection.congruence(full, chi),
         bisection.restriction_morphism(full, carved), bisection.theorem_quotients_check(I2, chi),
-        P.data, P.report, xa[0], xa[0].e, lcmhull.is_foundation_set(P, [P.identity]),
+        P.data, xa[0], xa[0].e, lcmhull.is_foundation_set(P, [P.identity]),
     ]
     return {type(r): r for r in examples}
 
@@ -56,7 +56,7 @@ def test_examples_cover_every_record_class():
         cls for mod in MODULES for cls in vars(mod).values()
         if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == mod.__name__
     }
-    assert len(records) == 19
+    assert len(records) == 18
     assert records == set(EXAMPLES)
 
 
