@@ -12,6 +12,7 @@ from .semilattice import (
     is_cover,
     dense_in,
     spectrum,
+    x_atoms,
     x_core,
     x_prime,
     x_tight,

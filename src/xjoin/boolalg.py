@@ -21,9 +21,9 @@ from .semilattice import (
     _union_at,
     _unions,
     spectrum,
+    x_atoms,
     x_core,
     x_prime,
-    x_tight,
 )
 
 # subsets of candidate parts x_pi may walk; the tight P(4) Booleanization walks 66,674
@@ -109,7 +109,9 @@ def is_x_to_join(rep: SemilatticeRep, relations) -> bool:
 
 
 def is_tight(rep: SemilatticeRep) -> bool:
-    return is_x_to_join(rep, x_tight(rep.domain))
+    """Satisfies X_tight, tested on X_atoms, which the same maps satisfy
+    (see :func:`~xjoin.semilattice.x_atoms`)."""
+    return is_x_to_join(rep, x_atoms(rep.domain))
 
 
 def is_prime(rep: SemilatticeRep) -> bool:

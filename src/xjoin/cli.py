@@ -36,6 +36,8 @@ def _x_relations_semilattice(E, spec: str):
 
 
 def _x_relations_semigroup(S, spec: str):
+    if spec in semilattice.BUILTIN_RELATION_SETS:
+        return invsgp.semigroup_relations(S, spec)
     return _x_relations_semilattice(S.semilattice, spec)
 
 
@@ -81,7 +83,8 @@ def _cmd_groupoid(args) -> int:
 def _cmd_booleanize(args) -> int:
     if args.semilattice:
         E = semilattice.semilattice_from_json(_read(args.semilattice))
-        rels = _x_relations_semilattice(E, args.x)
+        # the atoms give the tight spectrum and representation without the cover walk
+        rels = semilattice.x_atoms(E) if args.x == "tight" else _x_relations_semilattice(E, args.x)
         B, rep = boolalg.booleanization(E, rels)
         if args.format == "json":
             _emit(boolalg.rep_to_json(rep), args.out)

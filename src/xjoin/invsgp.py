@@ -18,6 +18,7 @@ from .semilattice import (
     _json_text,
     builtin_relations,
     spectrum,
+    x_atoms,
 )
 
 # multiplication-table entries from_partial_maps may build; I5 has 2,390,116, I6 177,608,929
@@ -403,7 +404,12 @@ def conjugate(S: FinInverseSemigroup, s: int, e: int) -> int:
 
 
 def semigroup_relations(S: FinInverseSemigroup, name: str) -> frozenset[XRelation]:
-    """Builtin relation set over the idempotent semilattice of S."""
+    """Builtin relation set over the idempotent semilattice of S.  "tight"
+    gives X_atoms, whose invariant closure has the spectrum of X_tight's
+    and which the same representations satisfy (see
+    :func:`~xjoin.semilattice.x_atoms`)."""
+    if name == "tight":
+        return x_atoms(S.semilattice)
     return builtin_relations(S.semilattice, name)
 
 

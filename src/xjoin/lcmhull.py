@@ -92,6 +92,15 @@ class FreeMonoid:
         return text
 
 
+def _natural(text: str, what: str) -> int:
+    """A natural number in ASCII digits only: ``int`` would also take a sign,
+    underscores, surrounding spaces and other scripts' digits, which would
+    print back differently."""
+    if not (text.isascii() and text.isdigit()):
+        raise LawViolation(f"{what} must be written in the digits 0-9, got {text!r}")
+    return int(text)
+
+
 class NatPow:
     """The monoid of k-tuples of naturals under addition; any two ideals meet."""
 
@@ -132,10 +141,7 @@ class NatPow:
         parts = text.strip().split(".")
         if len(parts) != self.k:
             raise LawViolation(f"need {self.k} dot-separated coordinates, got {text!r}")
-        vals = tuple(int(v) for v in parts)
-        if any(v < 0 for v in vals):
-            raise LawViolation(f"coordinates must be nonnegative in {text!r}")
-        return vals
+        return tuple(_natural(v, f"coordinate in {text!r}") for v in parts)
 
 
 class NRtimesNx:
@@ -195,9 +201,9 @@ class NRtimesNx:
         parts = text.strip().split(".")
         if len(parts) != 2:
             raise LawViolation(f"need offset.step, got {text!r}")
-        m, p = int(parts[0]), int(parts[1])
-        if m < 0 or p < 1:
-            raise LawViolation(f"offset must be >= 0 and step >= 1 in {text!r}")
+        m, p = (_natural(v, f"offset and step in {text!r}") for v in parts)
+        if p < 1:
+            raise LawViolation(f"step must be >= 1 in {text!r}")
         return (m, p)
 
 
@@ -404,12 +410,15 @@ class ZappaSzepData(NamedTuple):
 
     @classmethod
     def from_tables(cls, u_alphabet, a_alphabet, action, restriction) -> "ZappaSzepData":
+        for alphabet in (u_alphabet, a_alphabet):
+            FreeMonoid(alphabet)  # refuses all but a string of letters the notation leaves free
         act, res = [], []
         for a in a_alphabet:
+            act_row, res_row = _table_row(action, "action", a), _table_row(restriction, "restriction", a)
             for u in u_alphabet:
                 try:
-                    av = action[a][u]
-                    rv = restriction[a][u]
+                    av = act_row[u]
+                    rv = res_row[u]
                 except KeyError:
                     raise LawViolation(f"missing table entry for ({a!r},{u!r})") from None
                 if type(av) is not str or len(av) != 1 or av not in u_alphabet:
@@ -422,6 +431,14 @@ class ZappaSzepData(NamedTuple):
                 act.append((a, u, av))
                 res.append((a, u, rv))
         return cls(u_alphabet, a_alphabet, tuple(act), tuple(res))
+
+
+def _table_row(table, name: str, a: str) -> dict:
+    """The entries of an action or restriction table for the A-letter a."""
+    row = table.get(a) if isinstance(table, dict) else None
+    if not isinstance(row, dict):
+        raise LawViolation(f"{name} of {a!r} must be an object over the U-letters, got {row!r}")
+    return row
 
 
 def adding_machine() -> ZappaSzepData:
@@ -437,13 +454,12 @@ def zappa_data_from_json(text: str) -> ZappaSzepData:
     """Load generator action and restriction tables; words close them."""
     doc = json.loads(text)
     try:
-        return ZappaSzepData.from_tables(
-            doc["u_letters"], doc["a_letters"], doc["action"], doc["restriction"]
-        )
+        tables = doc["u_letters"], doc["a_letters"], doc["action"], doc["restriction"]
     except (KeyError, TypeError):
         raise LawViolation(
             "product JSON needs 'u_letters', 'a_letters', 'action' and 'restriction'"
         ) from None
+    return ZappaSzepData.from_tables(*tables)
 
 
 def zappa_data_to_json(data: ZappaSzepData) -> str:
@@ -781,14 +797,14 @@ def monoid_from_spec(spec: str):
     or zs:<path to a product JSON file>."""
     if spec.startswith("free:"):
         arg = spec[5:]
-        if arg.isdigit():
+        if arg.isascii() and arg.isdigit():
             k = int(arg)
             if not 1 <= k <= 25:
                 raise LawViolation(f"free rank {k} out of range 1..25")
             return FreeMonoid("abcdfghijklmnopqrstuvwxyz"[:k])  # e is the identity
         return FreeMonoid(arg)
     if spec.startswith("nat:"):
-        return NatPow(int(spec[4:]))
+        return NatPow(_natural(spec[4:], "nat:K rank"))
     if spec == "nx":
         return NRtimesNx()
     if spec == "adding":

@@ -28,8 +28,8 @@ class LawViolation(ValueError):
 
 
 class BudgetExceeded(LawViolation):
-    """An exponential stage forecast more work than its budget allows, and
-    refused before starting."""
+    """An exponential stage forecast, or counted as it went, more work than
+    its budget allows, and refused."""
 
 
 def _bits(mask: int) -> list[int]:
@@ -348,45 +348,107 @@ def dense_in(E: FinMeetSemilattice, f: int, e: int) -> bool:
     return is_cover(E, e, 1 << f)
 
 
-def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool) -> list[int]:
-    """Inclusion-minimal sets of nonzero elements below x that cover x and,
-    with ``need_join``, have join x; by size, then by ascending element list.
+# minimal sets the cover search of one x_tight or x_prime call, or of one
+# minimal_covers call, may emit; P(7)'s tight set has 186,139
+RELATION_BUDGET = 200_000
 
-    An include/exclude walk carries the atoms the members cover and (with
-    ``need_join``) the elements outside their common upper bounds, as masks
-    of bits hit once and bits hit twice.  A set is emitted once both equal
-    those of x.  A member with no private atom and (with ``need_join``) no
-    element that only it fails to lie below stays redundant in every
-    superset, so the branch stops there.
+
+def _minimal_sets(E: FinMeetSemilattice, x: int, need_join: bool, done: int = 0) -> list[int]:
+    """Inclusion-minimal sets of nonzero elements below x that cover x and,
+    with ``need_join``, have join x; unordered.
+
+    Method: minimal transversals.  A set S of nonzero elements below x
+    covers x exactly when every atom a <= x lies below a member, that is
+    when S meets each edge H_a = above[a] & pool, pool being the nonzero
+    elements below x.  Such an S has join x exactly when no w outside
+    above[x] is an upper bound of S, that is when S meets pool & ~below[w]
+    for each such w.  Since below[w] & pool = below[w ∧ x] & pool, that
+    edge is H_v = pool & ~below[v] for v = w ∧ x < x, and every v < x
+    arises (w = v).  H_v shrinks as v grows and contains H_a whenever
+    a is not below v, since then no element above a lies below v; so with
+    ``need_join`` only the H_v for v maximal below x with every atom of x
+    below v are kept.  Dropping edges that contain another edge keeps
+    the hitting sets.  Both families of sets are upward closed in the
+    pool, so the wanted sets are the minimal hitting sets, the minimal
+    transversals, of these edges.
+
+    Search: MMCS (Murakami and Uno, "Efficient algorithms for dualizing
+    large-scale hypergraphs", Discrete Appl. Math. 2014).  Edges are bits
+    of one int: atom a at bit a, H_v at bit n + v, and y hits
+    ``want & (below[y] | ~above[y] << n)``.  A node holds the chosen set
+    S, its uncovered edges, a candidate mask and, per member, its private
+    edges (those it alone hits).  It branches on the uncovered edge F
+    with the fewest candidates.  The candidates in F are taken out of the
+    candidate mask and tried in ascending order, each put back after its
+    branch, so the branch of the i-th candidate may use the earlier ones
+    but not the later ones: a minimal transversal T containing S, and
+    otherwise made of candidates, is reached only in the branch of the
+    last candidate of F that T holds.  A set is minimal exactly when
+    every member has a private edge, and adding members only removes
+    private edges, so a branch stops as soon as a member has none: it
+    cannot lead to T, whose subsets keep their members' private edges.
+    When no edge is uncovered S is emitted, so each minimal transversal
+    is emitted once.  The bottom has no atom and so no edge; it gets no
+    sets, not the empty one.
+
+    ``done`` counts the sets already emitted by the caller's walk, and
+    ``BudgetExceeded`` is raised as soon as the count passes
+    ``RELATION_BUDGET``: it refuses mid-walk, on the count so far.
     """
-    full = E.above[0]
-    atoms = [b & E.atom_bits for b in E.below]
-    outside = [full & ~a if need_join else 0 for a in E.above]
-    want_atoms, want_outside = atoms[x], outside[x]
-    pool = _bits(E.below[x] & ~1)
+    below, above, n = E.below, E.above, E.n
+    atoms = below[x] & E.atom_bits
+    if not atoms:
+        return []
+    want = atoms
+    if need_join:
+        strict = below[x] & ~(1 << x)
+        for v in _bits(strict):
+            if above[v] & strict == 1 << v and not atoms & ~below[v]:
+                want |= 1 << n + v
+    room = RELATION_BUDGET - done
     found: list[int] = []
 
-    def walk(start, members, atoms1, atoms2, out1, out2):
-        for j, y in enumerate(pool[start:], start):
-            a, o = atoms[y], outside[y]
-            chosen = members + (y,)
-            a2, o2 = atoms2 | atoms1 & a, out2 | out1 & o
-            if any(not (atoms[z] & ~a2 or outside[z] & ~o2) for z in chosen):
-                continue
-            a1, o1 = atoms1 | a, out1 | o
-            if a1 == want_atoms and o1 == want_outside:
-                found.append(sum(1 << z for z in chosen))
-            else:
-                walk(j + 1, chosen, a1, a2, o1, o2)
+    def search(chosen, privates, cand, uncov):
+        best, size = 0, n + 1
+        u = uncov
+        while u:
+            low = u & -u
+            u ^= low
+            e = low.bit_length() - 1
+            hit = cand & (above[e] if e < n else ~below[e - n])
+            k = hit.bit_count()
+            if k < size:
+                best, size = hit, k
+                if k < 2:
+                    break
+        cand &= ~best
+        while best:
+            low = best & -best
+            best ^= low
+            y = low.bit_length() - 1
+            h = want & (below[y] | ~above[y] << n)
+            kept = [p & ~h for p in privates]
+            if all(kept):
+                if uncov & ~h:
+                    kept.append(uncov & h)
+                    search(chosen | low, kept, cand, uncov & ~h)
+                else:
+                    found.append(chosen | low)
+                    if len(found) > room:
+                        raise BudgetExceeded(
+                            f"the minimal-cover walk passed {done + len(found):,} relations "
+                            f"at {E.label(x)}, over the budget of {RELATION_BUDGET:,}"
+                        )
+            cand |= low
 
-    walk(0, (), 0, 0, 0, 0)
-    found.sort(key=_mask_key)
+    search(0, [], below[x] & ~1, want)
     return found
 
 
 def minimal_covers(E: FinMeetSemilattice, x: int) -> list[int]:
-    """All inclusion-minimal covers of a nonzero x drawn from its nonzero downset."""
-    return _minimal_sets(E, x, False)
+    """All inclusion-minimal covers of a nonzero x drawn from its nonzero
+    downset, by size, then by ascending element list."""
+    return sorted(_minimal_sets(E, x, False), key=_mask_key)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +482,44 @@ def spectrum(E: FinMeetSemilattice, relations) -> int:
     return characters(E) & ~bad
 
 
+def _cover_relations(E: FinMeetSemilattice, need_join: bool) -> frozenset[XRelation]:
+    """(x, S) for every nonzero x and every set ``_minimal_sets`` gives it,
+    under one running ``RELATION_BUDGET`` for the whole walk."""
+    rels: list[XRelation] = []
+    for x in range(1, E.n):
+        rels += [XRelation(x, m) for m in _minimal_sets(E, x, need_join, len(rels))]
+    return frozenset(rels)
+
+
 def x_tight(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Join constraints for all inclusion-minimal covers of nonzero elements."""
-    return frozenset(XRelation(x, cov) for x in range(1, E.n) for cov in minimal_covers(E, x))
+    return _cover_relations(E, False)
 
 
 def x_prime(E: FinMeetSemilattice) -> frozenset[XRelation]:
     """Constraints for minimal covers whose join exists and equals the element."""
-    return frozenset(XRelation(x, cov) for x in range(1, E.n) for cov in _minimal_sets(E, x, True))
+    return _cover_relations(E, True)
+
+
+def x_atoms(E: FinMeetSemilattice) -> frozenset[XRelation]:
+    """(x, the atoms below x) for each nonzero x: one relation per element,
+    satisfied by exactly the maps that satisfy ``x_tight``.
+
+    Let r be an order-preserving map of E into a Boolean algebra, such as
+    a representation or a character (into {0, 1}) read through a
+    conjugation.  Each (x, atoms below x) is a minimal cover of x, since
+    an atom lies below no other atom, so it is in X_tight.
+    Conversely, let r satisfy X_atoms and S cover x.  Each atom a <= x
+    lies below a member of S, so r(a) <= r(p) <= r(x) for that p; then
+    r(x), the union of those r(a), lies inside the union of r over S,
+    which lies inside r(x): r satisfies (x, S).  So the two sets have the
+    same spectrum, the atoms of E (Exel 2008: in the finite case the tight
+    characters are those at atoms), the same tight representations and,
+    since conjugating a relation conjugates the map that must satisfy it,
+    invariant closures with the same spectrum.
+    """
+    atoms = E.atom_bits
+    return frozenset(XRelation(x, b & atoms) for x, b in enumerate(E.below) if x)
 
 
 def x_core(E: FinMeetSemilattice) -> frozenset[XRelation]:

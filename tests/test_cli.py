@@ -128,6 +128,24 @@ class TestChecks:
             boolalg.x_pi(boolalg.character_rep(S.semilattice, gens))
         assert time.perf_counter() - start < 1.0
 
+    def test_powerset_rungs(self, files, capsys):
+        # P(7) Booleanizes from its atoms without the 186,139-relation cover
+        # walk; P(8)'s walk passes the relation budget and refuses mid-walk
+        p7, p8 = files["base"] / "p7.json", files["base"] / "p8.json"
+        for k, path in ((7, p7), (8, p8)):
+            path.write_text(sl.semilattice_to_json(sl.powerset_semilattice(k)))
+        start = time.perf_counter()
+        got = run(capsys, "booleanize", "--semilattice", str(p7), "--x", "tight")
+        assert time.perf_counter() - start < 10.0
+        assert got == (0, "spectrum=7 elements=128\n", "")
+        for x in ("tight", "prime"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "semilattice", "--input", str(p8), "--x", x)
+            assert time.perf_counter() - start < 10.0
+            assert code == 2 and out == ""
+            assert err.startswith("error: the minimal-cover walk passed 200,001 relations at ")
+            assert err.endswith(", over the budget of 200,000\n")
+
     @pytest.mark.parametrize("command, x", [("booleanize", "none"), ("presentation-check", "core")])
     def test_i5_universal_refused_before_composition(self, files, capsys, command, x):
         # I5's universal algebra, 31 units and 1,545 arrows, answers from its
@@ -332,6 +350,45 @@ class TestHull:
         code, out, err = run(capsys, "hull", "--monoid", "free:abe", "mul", "[e,a]", "[a,e]")
         assert code == 2 and out == ""
         assert err == "error: letter 'e' of alphabet 'abe' is reserved or repeated\n"
+
+    @pytest.mark.parametrize("monoid, x, y, bad", [
+        ("nat:2", "[1_0.+1,0.0]", "[0.0,0.0]", "'1_0'"),
+        ("nat:2", "[1_0.0,0.0]", "[0.0,0.0]", "'1_0'"),
+        ("nat:2", "[+1.0,0.0]", "[0.0,0.0]", "'+1'"),
+        ("nat:2", "[1. 0,0.0]", "[0.0,0.0]", "' 0'"),
+        ("nat:2", "[-1.0,0.0]", "[0.0,0.0]", "'-1'"),
+        ("nat:2", "[\u0661.0,0.0]", "[0.0,0.0]", "'\u0661'"),
+        ("nx", "[1_0.2,0.1]", "[0.1,0.1]", "'1_0'"),
+        ("nx", "[1.+2,0.1]", "[0.1,0.1]", "'+2'"),
+        ("nat:+2", "[1.0,0.0]", "[0.0,0.0]", "'+2'"),
+        ("nat:2_0", "[1.0,0.0]", "[0.0,0.0]", "'2_0'"),
+    ], ids=["underscore-and-sign", "underscore", "sign", "space", "negative", "arabic-indic",
+            "nx-underscore", "nx-sign", "rank-sign", "rank-underscore"])
+    def test_numbers_in_ascii_digits_only(self, capsys, monoid, x, y, bad):
+        # int() would read all of these, and the result would print them back differently
+        code, out, err = run(capsys, "hull", "--monoid", monoid, "mul", x, y)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"must be written in the digits 0-9, got {bad}" in err
+
+    def test_numbers_print_back_as_read(self, capsys):
+        code, out, _ = run(capsys, "hull", "--monoid", "nat:2", "mul", "[10.1,0.0]", "[0.0,0.0]")
+        assert (code, out) == (0, "result=[10.1,0.0]\n")
+        code, out, err = run(capsys, "hull", "--monoid", "nx", "mul", "[1.0,0.1]", "[0.1,0.1]")
+        assert (code, out, err) == (2, "", "error: step must be >= 1 in '1.0'\n")
+
+    @pytest.mark.parametrize("action, restriction, err", [
+        ({"g": ["1", "0"]}, {"g": {"0": "", "1": "g"}},
+         "error: action of 'g' must be an object over the U-letters, got ['1', '0']\n"),
+        ({"g": {"0": "1", "1": "0"}}, {"h": {"0": "", "1": "g"}},
+         "error: restriction of 'g' must be an object over the U-letters, got None\n"),
+        ({"g": {"0": "1", "1": "0"}}, ["g"],
+         "error: restriction of 'g' must be an object over the U-letters, got None\n"),
+    ], ids=["action-row-a-list", "restriction-row-missing", "restriction-a-list"])
+    def test_malformed_product_table_names_table_and_letter(self, capsys, tmp_path, action, restriction, err):
+        f = tmp_path / "product.json"
+        f.write_text(json.dumps({"u_letters": "01", "a_letters": "g", "action": action,
+                                 "restriction": restriction}))
+        assert run(capsys, "hull", "--monoid", f"zs:{f}", "mul", "[e.e,e.e]", "[e.e,e.e]") == (2, "", err)
 
     def test_xu_over_budget_refuses_fast(self, capsys):
         start = time.perf_counter()

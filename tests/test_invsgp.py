@@ -397,6 +397,23 @@ class TestBuiltWithoutValidation:
             assert sl.spectrum(S.semilattice, closed) == mask_of(gg.units) == spectrum_brute(S.semilattice, closed)
 
 
+class TestAtomsInvariantClosure:
+    """"tight" over a semigroup is X_atoms, whose invariant closure has the
+    spectrum of X_tight's: conjugating a relation conjugates the map that
+    must satisfy it, and a map satisfies X_atoms exactly when it satisfies
+    X_tight."""
+
+    @over_partial_map_inputs
+    def test_same_closed_spectrum(self, case):
+        S, _ = invsgp.from_partial_maps(*case)
+        E = S.semilattice
+        atoms, tight = sl.x_atoms(E), sl.x_tight(E)
+        assert invsgp.semigroup_relations(S, "tight") == atoms
+        assert sl.spectrum(E, invsgp.invariant_closure(S, atoms)) == sl.spectrum(
+            E, invsgp.invariant_closure(S, tight)
+        )
+
+
 I5_MAPS = [{1: 2, 2: 3, 3: 4, 4: 5, 5: 1}, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, {1: 1, 2: 2, 3: 3, 4: 4}]
 I6_MAPS = [
     {1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 1},

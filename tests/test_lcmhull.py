@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -521,6 +522,20 @@ class TestZappaJson:
         with pytest.raises(lh.LawViolation, match="u_letters"):
             lh.zappa_data_from_json("{}")
 
+    def test_malformed_table_is_not_a_missing_key(self):
+        # all four keys are there: the fault is the action row, a list
+        doc = {"u_letters": "01", "a_letters": "g", "action": {"g": ["1", "0"]},
+               "restriction": {"g": {"0": "", "1": "g"}}}
+        with pytest.raises(lh.LawViolation, match=r"^action of 'g' must be an object over the U-letters"):
+            lh.zappa_data_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("u_letters", [5, None, ["0", "1"]])
+    def test_alphabets_must_be_strings(self, u_letters):
+        doc = {"u_letters": u_letters, "a_letters": "g", "action": {"g": {"0": "1", "1": "0"}},
+               "restriction": {"g": {"0": "", "1": "g"}}}
+        with pytest.raises(lh.LawViolation, match="must be a nonempty string of letters"):
+            lh.zappa_data_from_json(json.dumps(doc))
+
 
 class TestParsing:
     def test_monoid_specs(self):
@@ -531,6 +546,20 @@ class TestParsing:
         assert isinstance(lh.monoid_from_spec("adding"), lh.ZappaSzepProduct)
         with pytest.raises(LawViolation):
             lh.monoid_from_spec("octonions")
+
+    @pytest.mark.parametrize("spec", ["nat:+2", "nat:2_0", "nat: 2", "nat:\u0662", "nat:-1", "nat:"])
+    def test_nat_rank_in_ascii_digits(self, spec):
+        with pytest.raises(LawViolation, match="nat:K rank must be written in the digits 0-9"):
+            lh.monoid_from_spec(spec)
+
+    def test_coordinates_in_ascii_digits(self):
+        assert NAT2.parse("10.0") == (10, 0)
+        assert lh.NRtimesNx().parse("3.2") == (3, 2)
+        for text in ("1_0.0", "+1.0", "1.-0", "1.\u0660", "1.0x"):
+            with pytest.raises(LawViolation, match="must be written in the digits 0-9"):
+                NAT2.parse(text)
+            with pytest.raises(LawViolation, match="must be written in the digits 0-9"):
+                lh.NRtimesNx().parse(text)
 
     def test_free_rank_skips_the_identity_letter(self):
         assert lh.monoid_from_spec("free:5").alphabet == "abcdf"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import LawViolation, XRelation
 
@@ -224,15 +225,15 @@ class TestPowersetCounts:
 
 
 @st.composite
-def families(draw):
-    """Intersection-closed families over a 5-set, at most 10 sets, as a
-    semilattice with the nonzero elements in a drawn order."""
+def families(draw, ground=5, most=10):
+    """Intersection-closed families over a ground set, at most ``most``
+    sets, as a semilattice with the nonzero elements in a drawn order."""
     sets = {0}
-    for s in draw(st.lists(st.integers(0, 31), max_size=8)):
+    for s in draw(st.lists(st.integers(0, (1 << ground) - 1), max_size=most - 2)):
         grown = sets | {s} | {s & t for t in sets}
-        if len(grown) <= 10:
+        if len(grown) <= most:
             sets = grown
-    E = sl.from_subsets([frozenset(i for i in range(5) if m >> i & 1) for m in sets])
+    E = sl.from_subsets([frozenset(i for i in range(ground) if m >> i & 1) for m in sets])
     order = [0] + draw(st.permutations(range(1, E.n)))
     table = [[order.index(E.meet(a, b)) for b in order] for a in order]
     return sl.FinMeetSemilattice.from_meet(table, [E.label(a) for a in order])
@@ -274,6 +275,77 @@ class TestMasksAgainstOracles:
             max_size=5,
         ))
         assert sl.spectrum(E, rels) == spectrum_brute(E, rels)
+
+
+class TestCoverSearch:
+    """The minimal-transversal search of ``_minimal_sets`` against the
+    subset walk of ``tests/oracles.py``, and its running budget."""
+
+    @pytest.mark.parametrize("E", [E3, D, V, sl.FinMeetSemilattice.from_meet([[0]])],
+                             ids=["chain3", "diamond", "antichain2", "bottom-only"])
+    def test_bottom_has_no_sets(self, E):
+        # the bottom has no atom to cover, so no edge; the empty set is not emitted
+        assert sl.minimal_covers(E, 0) == minimal_covers_brute(E, 0) == []
+        assert sl._minimal_sets(E, 0, True) == []
+        assert all(rel.e for rel in sl.x_tight(E) | sl.x_prime(E))
+
+    @settings(max_examples=40, deadline=None)
+    @given(E=families(ground=6, most=13))
+    def test_larger_families(self, E):
+        for x in range(E.n):
+            assert sl.minimal_covers(E, x) == minimal_covers_brute(E, x)
+        assert sl.x_prime(E) == x_prime_brute(E)
+
+    def test_each_set_emitted_once(self):
+        for E in (sl.powerset_semilattice(4), sl.random_semilattice(random.Random(5), 14, 6)):
+            for x in range(E.n):
+                for need_join in (False, True):
+                    found = sl._minimal_sets(E, x, need_join)
+                    assert len(found) == len(set(found))
+
+    def test_budget_refuses_mid_walk(self, monkeypatch):
+        # P(5) has 812 tight relations; the walk stops at the 101st
+        monkeypatch.setattr(sl, "RELATION_BUDGET", 100)
+        E = sl.powerset_semilattice(5)
+        for walk in (sl.x_tight, sl.x_prime):
+            with pytest.raises(sl.BudgetExceeded, match=r"passed 101 relations at \{.*\}, over the budget of 100$"):
+                walk(E)
+        # a walk that emits exactly the budget answers: P(4) has 97 relations
+        monkeypatch.setattr(sl, "RELATION_BUDGET", 97)
+        assert len(sl.x_tight(sl.powerset_semilattice(4))) == 97
+
+    def test_p7_fits_the_budget(self):
+        assert 186_139 <= sl.RELATION_BUDGET < 250_000
+
+
+class TestAtoms:
+    """X_atoms against X_tight: one relation per element, the same spectrum
+    and the same representations."""
+
+    def test_contents(self):
+        a, b, top = D.index("a"), D.index("b"), D.index("1")
+        assert sl.x_atoms(D) == frozenset({rel(a, {a}), rel(b, {b}), rel(top, {a, b})})
+        assert sl.x_atoms(E3) == frozenset(rel(x, {1}) for x in (1, 2, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(E=families())
+    def test_inside_x_tight_with_its_spectrum(self, E):
+        atoms, tight = sl.x_atoms(E), sl.x_tight(E)
+        assert atoms <= tight and len(atoms) == E.n - 1
+        assert sl.spectrum(E, atoms) == sl.spectrum(E, tight) == E.atom_bits
+
+    @settings(max_examples=100, deadline=None)
+    @given(E=families().filter(lambda E: E.n > 1), data=st.data())
+    def test_same_representations(self, E, data):
+        # a representation into P(m) is m filters: point i lies in the image
+        # of x when its generator g_i is below x
+        gens = data.draw(st.lists(st.integers(1, E.n - 1), min_size=1, max_size=4))
+        B = ba.FinBooleanAlgebra(tuple(f"p{i}" for i in range(len(gens))))
+        images = [sum(1 << i for i, g in enumerate(gens) if b >> g & 1) for b in E.below]
+        rep = ba.SemilatticeRep.build(E, B, images)
+        tight = ba.is_x_to_join(rep, sl.x_tight(E))
+        assert ba.is_x_to_join(rep, sl.x_atoms(E)) == tight == ba.is_tight(rep)
+        assert tight == all(E.atom_bits >> g & 1 for g in gens)
 
 
 @st.composite
