@@ -45,7 +45,6 @@ from .bisection import (
     BisAlgebra,
     check_presentation,
     check_variety_identities,
-    congruence,
     difference,
     find_universal_morphism,
     iota,

@@ -23,7 +23,7 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _Memo, _union_at
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _Memo, _union_at, characters
 
 # elements B.elements may list; I3 universal has 33,082
 BISECTION_BUDGET = 100_000
@@ -98,14 +98,16 @@ class BisAlgebra:
     def mul(self, x: int, y: int) -> int:
         """UV = {ab : a in U, b in V, s(a) = r(b)}.  U is injective on
         sources, so each b of V with r(b) a source of U meets one a, U's
-        arrow leaving r(b), and no other b meets any.  An
-        idempotent e is the identities 1_u for u in a unit set D, so eV and
-        Ve are the b of V with r(b), or s(b), in D by the unit laws
-        1_{r(b)}b = b = b1_{s(b)}.  These follow from the groupoid
-        laws, which ``germ_groupoid`` proves for germs: by cancellation, (ab)b⁻¹ = a, right
-        multiplication is injective; 1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives
-        1_u1_u = 1_u, then b1_u1_u = b1_u gives b1_u = b, and
-        1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
+        arrow leaving r(b), and the other b of V meet none.  So UV is a
+        bisection, not re-checked here: ab starts where b does, and distinct
+        b meet distinct a, as their ranges differ, so the ab end where
+        distinct a do.  An idempotent e is the identities 1_u for u in a
+        unit set D, so eV and Ve are the b of V with r(b), or s(b), in D by
+        the unit laws 1_{r(b)}b = b = b1_{s(b)}.  These follow from the
+        groupoid laws, which ``germ_groupoid`` proves for germs: by
+        cancellation, (ab)b⁻¹ = a, right multiplication is injective;
+        1_u1_u1_u⁻¹ = 1_u = 1_u1_u⁻¹ gives 1_u1_u = 1_u, then b1_u1_u = b1_u
+        gives b1_u = b, and 1_{r(b)}b = bb⁻¹b = b1_{s(b)}.
         """
         if not x & self._moving:
             return y & self._rng_arrows[self.srcm[x]]
@@ -118,8 +120,6 @@ class BisAlgebra:
             b = low.bit_length() - 1
             out |= 1 << comp[(x & by_src[rng[b]]).bit_length() - 1][b]
             rest ^= low
-        if not self._is_bisection(out):
-            raise LawViolation(f"product of {self.label(x)} and {self.label(y)} is not a bisection")
         return out
 
     def inv(self, x: int) -> int:
@@ -171,10 +171,8 @@ class BisAlgebra:
         return FinBooleanAlgebra(self.groupoid.unit_labels)
 
 
-def bisection_count(G: FinGroupoid, within: int = -1) -> int:
-    """How many local bisections G has, counted without enumerating them;
-    with a unit mask ``within`` that is a union of orbits, how many are made
-    of arrows with source in it.
+def bisection_count(G: FinGroupoid) -> int:
+    """How many local bisections G has, counted without enumerating them.
 
     A local bisection is, in each orbit, a partial bijection between its
     units with one of the h arrows from source to range for each matched
@@ -188,7 +186,7 @@ def bisection_count(G: FinGroupoid, within: int = -1) -> int:
         orbit[s] |= 1 << r
         loops[s] += s == r
     total = 1
-    for units in {o for u, o in enumerate(orbit) if within >> u & 1}:
+    for units in set(orbit):
         n, h = units.bit_count(), loops[_bits(units)[0]]
         total *= sum(comb(n, k) ** 2 * factorial(k) * h ** k for k in range(n + 1))
     return total
@@ -481,56 +479,6 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
 
 
 # ---------------------------------------------------------------------------
-# congruence from an invariant character set
-
-class Congruence(NamedTuple):
-    """x and y are identified when x ∩ keep = y ∩ keep; ``class_count`` counts the classes."""
-
-    keep: int
-    class_count: int
-
-
-def congruence(full: IotaRep, chi) -> Congruence:
-    """The congruence of an invariant character set on the universal algebra.
-
-    Two elements i, j are identified when some idempotent e below both
-    domains has ie = je, with d(i) - e and d(j) - e in the ideal of
-    idempotents missing the character set χ.  Such an e contains
-    c = d(i) ∩ χ = d(j) ∩ χ, and ie = je gives ic = jc; conversely e = c
-    serves.  So i and j are identified exactly when f(i) = f(j), for
-    f(i) = i·(d(i) ∩ χ): the relation is an equivalence.  By the unit laws
-    (see :meth:`BisAlgebra.mul`), f(i) is the arrows of i with source in χ,
-    i ∩ keep.
-
-    The kernel of x ↦ x ∩ keep is a congruence exactly when every arrow
-    has its source in χ iff its range is.  Then an arrow ab, with source
-    that of b and b's range the source of a, is kept iff a and b are, and
-    a⁻¹ iff a, so the map preserves products and inverses.  And an arrow a
-    with only its source in χ identifies {a⁻¹} with 0 but not its inverse
-    {a}; swap a and a⁻¹ when only the range is in χ.  The classes biject
-    with the bisections inside keep, each its own image, and χ is then a
-    union of orbits, so ``bisection_count`` counts them.  χ is a mask of
-    character generators.
-    """
-    S = full.semigroup
-    if full.relations:
-        raise LawViolation("congruence needs the universal algebra (empty relation set)")
-    if not character_set_invariant(S, chi):
-        raise LawViolation("character set is not invariant under the action")
-    G = full.algebra.groupoid
-    units = full.germs.unit_index
-    stray = next((c for c in _bits(chi) if c not in units), None)
-    if stray is not None:
-        raise LawViolation(f"character at generator index {stray} is not a unit of the groupoid")
-    chi_mask = sum(1 << units[c] for c in _bits(chi))
-    for a in range(G.n_arrows):
-        if (chi_mask >> G.src[a] ^ chi_mask >> G.rng[a]) & 1:
-            raise LawViolation(f"partition not compatible with inversion at {G.arrow_labels[a]}")
-    keep = sum(1 << a for a in range(G.n_arrows) if chi_mask >> G.src[a] & 1)
-    return Congruence(keep, bisection_count(G, chi_mask))
-
-
-# ---------------------------------------------------------------------------
 # additive morphisms
 
 class AdditiveMorphism(NamedTuple):
@@ -620,31 +568,7 @@ def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# restriction morphism and the quotient theorem
-
-def restriction_morphism(full: IotaRep, carved: GermGroupoid) -> AdditiveMorphism:
-    """Cut the universal algebra down to the arrows based at units of the
-    carved-out germ groupoid, as a morphism into its algebra.
-
-    The atom image ``kept[a]`` of a universal arrow is its germ's arrow in
-    ``carved`` when the germ is based at a unit there, and 0 otherwise; a
-    kept germ that is not an arrow of ``carved`` raises ``LawViolation``
-    naming it.  :meth:`AdditiveMorphism.build` checks products, as for any
-    morphism.
-    """
-    kept = []
-    fg = full.germs
-    for a, (t, u) in enumerate(zip(fg.germs, fg.groupoid.src)):
-        if fg.units[u] not in carved.unit_index:
-            kept.append(0)
-        elif t in carved.arrow_index:
-            kept.append(1 << carved.arrow_index[t])
-        else:
-            raise LawViolation(
-                f"germ {fg.groupoid.arrow_labels[a]} is not an arrow of the carved-out groupoid"
-            )
-    return AdditiveMorphism.build(full.algebra, BisAlgebra(carved.groupoid), kept)
-
+# the quotient theorem
 
 class QuotientReport(NamedTuple):
     ok: bool
@@ -657,50 +581,50 @@ class QuotientReport(NamedTuple):
 
 
 def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
-    """The quotient by an invariant character set is the algebra of the
-    relation set carved out by the quotient composite.
+    """The quotient of the universal algebra by an invariant character set
+    χ, a mask of character generators, is the algebra of the relation set
+    carved out by the quotient composite.
 
-    Builds the congruence on the universal algebra and the germ groupoid of
-    the carved-out relation set, whose germs must be those based in χ, and
-    restricts the universal algebra into that groupoid's algebra.  The
-    restriction identifies exactly the congruence classes and is onto when
-    ``kept`` is a bijection from the arrows based in χ, the congruence's
-    keep mask, onto the carved groupoid's arrows.  It preserves composition,
-    as the morphism check shows, and so sources and ranges: t({1_u}) is an
-    idempotent single arrow, a unit arrow 1_v, and t({a}) = t({a})1_v for
-    u = s(a) puts the source of t({a}) at v.  So x ∩ keep ↦ t(x) is the
-    isomorphism of bisection algebras that the groupoid isomorphism
-    induces, and the class count equals the size of the quotient.
+    The universal algebra is that of the germ groupoid G over every
+    character.  Its quotient by χ identifies two elements exactly when they
+    agree on the arrows based in χ, and is the algebra of the reduction G|χ
+    to those arrows, whose ranges are in χ too (Exel 2008, §4–5; Paterson
+    1999, ch. 2).  For an invariant χ, ``germ_groupoid(S, units=χ)`` is that
+    reduction: its germs at c are those of G, the same representatives
+    sf_c, and each composite is the representative of the product in S, as
+    in G.  So ``class_count`` is its :func:`bisection_count`.
 
-    The carved groupoid is built over the spectrum of X_π, read in closed
-    form by :func:`x_pi_spectrum` without listing X_π, and not over that of
-    its invariant closure: once :func:`congruence` has found χ invariant,
-    X_π is invariant.  For s in S, a character c of χ with c(s⁻¹s) = 1
-    moves to s·c in χ, with (s·c)(f) = c(s⁻¹fs), a bijection onto the c of
-    χ with c(ss⁻¹) = 1.  So π(s⁻¹fs) is the preimage of π(f) under that
-    partial bijection for every f, a map that preserves unions: if π(e) is
-    the union of the π(p), π(s⁻¹es) is the union of the π(s⁻¹ps).  Over
-    every unit, the carved groupoid is the universal one and is reused.
-    χ is a mask of character generators.
+    The quotient composite sends each idempotent to the characters of χ
+    below it, and carves out the X_π of that representation, whose
+    spectrum :func:`x_pi_spectrum` reads in closed form without listing
+    X_π.  When that spectrum is χ, the carved groupoid is G|χ itself, and
+    the restriction ``kept``, sending each arrow based in χ to itself and
+    every other arrow to 0, is the inclusion of G|χ.  So it is additive,
+    since G|χ is closed under composition and inverses; weakly
+    meet-preserving, since distinct atoms have disjoint images (see
+    :func:`is_weakly_meet_preserving`); and a bijection from the arrows
+    based in χ onto the carved arrows, so the classes are as many as the
+    quotient's elements.  Otherwise the report fails, and the carved
+    groupoid is built over that spectrum only to size its algebra.  The
+    spectrum is χ for every χ this accepts: g in χ is the one character
+    of its image missing from the images strictly below it, and for g
+    outside χ those images cover its own.
+
+    Refuses a χ that is not invariant under the action, and one that names
+    an index with no character: the zero, or one past ``S.idems``.
     """
-    full = iota(S, frozenset())
-    cong = congruence(full, chi)
-    # the composite of the canonical map and the quotient, restricted to
-    # idempotents, sends each to the characters of chi below it
-    units = x_pi_spectrum(character_rep(S.semilattice, _bits(chi)))
-    fg = full.germs
-    carved = fg if tuple(_bits(units)) == fg.units else germ_groupoid(S, units=units)
-    size = bisection_count(carved.groupoid)
-    spectrum_ok = units == chi
-    if carved.germs != tuple(t for t, u in zip(fg.germs, fg.groupoid.src) if chi >> fg.units[u] & 1):
-        return QuotientReport(False, cong.class_count, size, spectrum_ok, False, False, False)
-    morph = restriction_morphism(full, carved)
-    kept, wmp = morph.images, is_weakly_meet_preserving(morph)
-    inside = sorted(k for a, k in enumerate(kept) if cong.keep >> a & 1)
-    bijective = inside == [1 << c for c in range(carved.groupoid.n_arrows)] and cong.class_count == size
-    return QuotientReport(
-        spectrum_ok and bijective and wmp, cong.class_count, size, spectrum_ok, True, bijective, wmp,
-    )
+    E = S.semilattice
+    stray = chi & ~characters(E)
+    if not character_set_invariant(S, chi & ~stray):
+        raise LawViolation("character set is not invariant under the action")
+    if stray:
+        raise LawViolation(f"character at generator index {_bits(stray)[0]} is not a unit of the groupoid")
+    classes = bisection_count(germ_groupoid(S, units=chi).groupoid)
+    units = x_pi_spectrum(character_rep(E, _bits(chi)))
+    if units != chi:
+        size = bisection_count(germ_groupoid(S, units=units).groupoid)
+        return QuotientReport(False, classes, size, False, False, False, False)
+    return QuotientReport(True, classes, classes, True, True, True, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 theorem checks, emit JSON or DOT, run the property suites.
 
 Exit codes: 0 success or property true, 1 property false (witness printed),
-2 input error.
+2 input error, 141 (128 + SIGPIPE) the reader closed stdout early, after
+which nothing more is printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -269,7 +272,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit finds no closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (OSError, ValueError) as exc:  # LawViolation and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,8 +18,9 @@ from itertools import combinations, product as iproduct
 from operator import itemgetter
 
 from xjoin import lcmhull
-from xjoin.bisection import AdditiveMorphism, VarietyReport, _check_additive
-from xjoin.groupoid import FinGroupoid
+from xjoin.bisection import AdditiveMorphism, BisAlgebra, QuotientReport, VarietyReport, _check_additive, iota
+from xjoin.boolalg import character_rep, x_pi
+from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.invsgp import _check_associative, _generators, conjugate
 from xjoin.semilattice import LawViolation, XRelation
 
@@ -790,7 +791,7 @@ def restricted_groupoid_brute(full, chi):
     unit_new = {old: new for new, old in enumerate(unit_old)}
     keep = [a for a in range(G.n_arrows) if G.src[a] in unit_new]
     if any(G.rng[a] not in unit_new for a in keep):
-        raise LawViolation("character set is not invariant: a range escapes it")
+        raise LawViolation("character set is not invariant under the action")
     proj = {old: new for new, old in enumerate(keep)}
     comp = [[proj.get(dense[a][b], -1) for b in keep] for a in keep]
     for ai, a in enumerate(keep):
@@ -807,6 +808,48 @@ def restricted_groupoid_brute(full, chi):
         comp=comp,
     )
     return restr, proj
+
+
+def restriction_brute(full, chi) -> AdditiveMorphism:
+    """The cut of the universal algebra to the arrows based in a character
+    set, a mask of generators, into the algebra of the groupoid of
+    :func:`restricted_groupoid_brute`: the atom image of a kept arrow is
+    its new index, and that of every other arrow 0.  Unchecked; pass it to
+    ``AdditiveMorphism.build`` or expand it for the pair loops."""
+    restr, proj = restricted_groupoid_brute(full, chi)
+    kept = tuple(1 << proj[a] if a in proj else 0 for a in range(full.germs.groupoid.n_arrows))
+    return AdditiveMorphism(full.algebra, BisAlgebra(restr), kept)
+
+
+def theorem_quotients_check_brute(S, chi, carved=None, kept=None) -> QuotientReport:
+    """The quotient report through the universal algebra, by the
+    enumerating oracles.  The classes are those of the literal congruence;
+    the carved groupoid is that of X_π of the quotient composite, listed and
+    closed, unless ``carved`` is given; its germs must make up the
+    restriction of the universal groupoid to the character set; and the
+    restriction, with atom images ``kept`` when given, is expanded to a
+    table on every element and checked by the pair loops.  Refuses, with
+    the library's messages, a set that a range escapes, then one naming an
+    index that is no unit of the universal groupoid."""
+    full = iota(S, frozenset())
+    B = full.algebra
+    stray = chi & ~mask_of(full.germs.units)
+    m = restriction_brute(full, chi & ~stray)
+    if stray:
+        raise LawViolation(f"character at generator index {elements_of(stray)[0]} is not a unit of the groupoid")
+    classes = len(congruence_brute(full, chi)[0])
+    if carved is None:
+        carved = germ_groupoid(S, x_pi(character_rep(S.semilattice, elements_of(chi))))
+    T = BisAlgebra(carved.groupoid)
+    size = len(T.elements)
+    spectrum_ok = mask_of(carved.units) == chi
+    if carved.groupoid != m.target.groupoid:
+        return QuotientReport(False, classes, size, spectrum_ok, False, False, False)
+    table = expanded(m._replace(target=T, images=m.images if kept is None else tuple(kept)))
+    check_additive_brute(B, T, table)
+    bijective = len(set(table.values())) == classes == size
+    wmp = is_weakly_meet_preserving_brute(B, T, table)
+    return QuotientReport(spectrum_ok and bijective and wmp, classes, size, spectrum_ok, True, bijective, wmp)
 
 
 def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:

@@ -21,13 +21,11 @@ from xjoin.bisection import (
     bisection_count,
     check_presentation,
     check_variety_identities,
-    congruence,
     difference,
     find_universal_morphism,
     generated_subsemigroup,
     iota,
     is_weakly_meet_preserving,
-    restriction_morphism,
     skew_join,
     theorem_quotients_check,
 )
@@ -39,6 +37,7 @@ from oracles import (
     all_bisections_brute,
     character_set_invariant_brute,
     check_additive_brute,
+    check_groupoid_brute,
     congruence_brute,
     count_additive_morphisms_brute,
     count_bisections_brute,
@@ -54,7 +53,9 @@ from oracles import (
     mask_of,
     product_brute,
     restricted_groupoid_brute,
+    restriction_brute,
     sparse_comp,
+    theorem_quotients_check_brute,
     variety_brute,
 )
 
@@ -139,7 +140,8 @@ class TestEnumeration:
 
     def test_product_that_is_no_bisection_is_refused(self):
         # move one composite of a two-arrow product onto another arrow with
-        # the same source as the other composite
+        # the same source as the other composite: the product is built, not
+        # re-checked, and the groupoid checker refuses the table
         B = iota(I2, frozenset()).algebra
         G = B.groupoid
         comp = dense_comp(G)
@@ -150,9 +152,11 @@ class TestEnumeration:
             c2 = comp[a2][b2]
             c3 = next(c for c in range(G.n_arrows) if G.src[c] == G.src[c2] and c != c2)
             comp[a1][b1] = c3
-            bad = BisAlgebra(G._replace(comp=sparse_comp(comp)))
-            with pytest.raises(LawViolation, match="is not a bisection"):
-                bad.mul(x, y)
+            bad = G._replace(comp=sparse_comp(comp))
+            built = BisAlgebra(bad)
+            assert not built._is_bisection(built.mul(x, y))
+            with pytest.raises(LawViolation, match=r"^composite of \(.*\) mislocated$"):
+                check_groupoid_brute(bad)
             return
         raise AssertionError("no two-arrow product of non-idempotents")
 
@@ -576,50 +580,50 @@ class TestCanonicalGenerators:
 
 
 class TestCongruence:
+    """The congruence of a character set on the universal algebra, by the
+    oracles, against the class count of the quotient check."""
+
     def test_tight_collapse_counts(self):
         full = iota(I2, frozenset())
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        cong = congruence(full, chi)
-        assert cong.class_count == 7
+        assert len(congruence_brute(full, chi)[0]) == theorem_quotients_check(I2, chi).class_count == 7
 
     def test_full_spectrum_identity(self):
         full = iota(I2, frozenset())
         chi = sl.spectrum(E_I2, frozenset())
-        cong = congruence(full, chi)
-        assert (cong.class_count, cong.keep) == (21, (1 << full.algebra.groupoid.n_arrows) - 1)
+        classes, _ = congruence_brute(full, chi)
+        assert len(classes) == theorem_quotients_check(I2, chi).class_count == 21
+        assert restriction_brute(full, chi).images == tuple(1 << a for a in range(full.algebra.groupoid.n_arrows))
 
     def test_empty_spectrum_total_collapse(self):
         full = iota(I2, frozenset())
-        assert (congruence(full, 0).class_count, congruence(full, 0).keep) == (1, 0)
+        assert len(congruence_brute(full, 0)[0]) == theorem_quotients_check(I2, 0).class_count == 1
+        assert not any(restriction_brute(full, 0).images)
 
     def test_rejects_non_invariant_set(self):
         full = iota(I2, frozenset())
         lone = mask_of({E_I2.index("1>1")})
-        with pytest.raises(LawViolation, match="invariant"):
-            congruence(full, lone)
+        for check in (lambda: theorem_quotients_check(I2, lone), lambda: restriction_brute(full, lone)):
+            with pytest.raises(LawViolation, match="^character set is not invariant under the action$"):
+                check()
 
     def test_rejects_a_character_that_is_no_unit(self):
         # bit 0 names the zero, which generates no character; the set is
-        # invariant, as the action fixes the zero
-        full = iota(I2, frozenset())
-        with pytest.raises(LawViolation, match="character at generator index 0 is not a unit of the groupoid"):
-            congruence(full, sl.characters(E_I2) | 1)
+        # invariant, as the action fixes the zero.  Past the idempotents
+        # no index names a character either
+        every = sl.characters(E_I2)
+        for chi, index in ((every | 1, 0), (every | 1 << E_I2.n, E_I2.n), (1 << E_I2.n + 2, E_I2.n + 2)):
+            for check in (theorem_quotients_check, theorem_quotients_check_brute):
+                with pytest.raises(LawViolation, match=f"^character at generator index {index} is not a unit of the groupoid$"):
+                    check(I2, chi)
 
-    def test_arrow_check_rejects_non_invariant_set(self, monkeypatch):
-        # past the semigroup-level invariance test, the arrows crossing the
-        # set show that its restriction kernel is no congruence
+    def test_arrow_check_rejects_non_invariant_set(self):
+        # the arrows crossing the set show that its restriction kernel is
+        # no congruence
         full = iota(I2, frozenset())
         lone = mask_of({E_I2.index("1>1")})
         with pytest.raises(LawViolation, match="partition not compatible"):
             congruence_brute(full, lone)
-        monkeypatch.setattr(bisection, "character_set_invariant", lambda S, chi: True)
-        with pytest.raises(LawViolation, match="partition not compatible with inversion at"):
-            congruence(full, lone)
-
-    def test_rejects_non_universal_algebra(self):
-        tight_rep = iota(I2, rels(I2, "tight"))
-        with pytest.raises(LawViolation, match="universal"):
-            congruence(tight_rep, 0)
 
 
 def kernel_partition(B: BisAlgebra, keep: int):
@@ -669,19 +673,21 @@ class TestQuotientTheorem:
         assert len(iota(S, frozenset()).algebra) == 238
 
 
-    def test_builds_the_universal_and_the_carved_algebra_only(self, monkeypatch):
+    def test_builds_one_groupoid_and_no_algebra(self, monkeypatch):
+        # the check reads the reduction to chi: no algebra, no canonical map
+        # and no morphism check, and one germ groupoid when the spectrum is chi
         built = []
 
-        class Counted(BisAlgebra):
-            def __init__(self, groupoid):
-                built.append(groupoid)
-                super().__init__(groupoid)
+        def counted(S, relations=None, *, units=None):
+            built.append((relations, units))
+            return germ_groupoid(S, relations, units=units)
 
-        monkeypatch.setattr(bisection, "BisAlgebra", Counted)
+        for name in ("BisAlgebra", "iota", "_check_additive", "AdditiveMorphism"):
+            monkeypatch.setattr(bisection, name, None)
+        monkeypatch.setattr(bisection, "germ_groupoid", counted)
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        assert theorem_quotients_check(I2, chi).ok
-        assert [G.n_units for G in built] == [3, 2]
-        assert built[1] == carved(I2, chi).groupoid
+        assert theorem_quotients_check(I2, chi) == bisection.QuotientReport(True, 7, 7, True, True, True, True)
+        assert built == [(None, chi)]
 
     def test_carved_groupoid_of_smaller_chi_is_rejected(self):
         full = iota(I2, frozenset())
@@ -689,35 +695,35 @@ class TestQuotientTheorem:
         tight = sl.spectrum(E_I2, rels(I2, "tight"))
         assert tight & every == tight != every
         small, big = carved(I2, tight), carved(I2, every)
-        # the arrows of the smaller set under the units of the larger
+        # the arrows of the smaller set under the units of the larger: the
+        # spectrum passes, and the germs fail
         bad = small._replace(units=big.units, unit_index=big.unit_index)
-        # the first germ at the character of the identity, which only the larger has
-        with pytest.raises(LawViolation, match=r"^germ \[1>1,2>2;1>1,2>2\] is not an arrow of the carved-out"):
-            restriction_morphism(full, bad)
+        report = theorem_quotients_check_brute(I2, every, carved=bad)
+        assert report == bisection.QuotientReport(False, 21, 7, True, False, False, False)
+        assert theorem_quotients_check_brute(I2, every) == theorem_quotients_check(I2, every)
 
-    def test_restriction_that_is_no_bijection_is_reported(self, monkeypatch):
+    def test_restriction_that_is_no_bijection_is_reported(self):
         # a restriction sending every atom to 0 identifies too much
-        def collapse(full, carved):
-            return AdditiveMorphism(full.algebra, BisAlgebra(carved.groupoid), (0,) * full.algebra.groupoid.n_arrows)
-
-        monkeypatch.setattr(bisection, "restriction_morphism", collapse)
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        assert theorem_quotients_check(I2, chi) == bisection.QuotientReport(False, 7, 7, True, True, False, True)
+        collapse = (0,) * iota(I2, frozenset()).algebra.groupoid.n_arrows
+        report = theorem_quotients_check_brute(I2, chi, kept=collapse)
+        assert report == bisection.QuotientReport(False, 7, 7, True, True, False, True)
+        assert theorem_quotients_check_brute(I2, chi) == theorem_quotients_check(I2, chi)
 
     def test_germ_mismatch_reports_without_restricting(self, monkeypatch):
         # the carved-out units of the tight spectrum, offered for all of it
         tight = sl.spectrum(E_I2, rels(I2, "tight"))
         monkeypatch.setattr(bisection, "x_pi_spectrum", lambda rep: tight)
-        monkeypatch.setattr(bisection, "restriction_morphism", None)
+        monkeypatch.setattr(bisection, "_check_additive", None)
         every = sl.characters(E_I2)
         report = theorem_quotients_check(I2, every)
         assert report == bisection.QuotientReport(False, 21, 7, False, False, False, False)
 
 
 class TestCarvedGroupoidAgainstRestriction:
-    """The germ groupoid of the carved-out relation set is the universal
-    groupoid restricted to χ, and the restriction morphism into its algebra
-    is the cut through the oracle's arrow map."""
+    """The germ groupoid of the carved-out relation set, and the one over χ,
+    are the universal groupoid restricted to χ, and the oracle's arrow map
+    is a morphism into its algebra that cuts each element down to χ."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups())
@@ -729,10 +735,9 @@ class TestCarvedGroupoidAgainstRestriction:
             chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
             cg = carved(S, chi)
             restr, proj = restricted_groupoid_brute(full, chi)
-            assert cg.groupoid == restr
+            assert cg.groupoid == restr == germ_groupoid(S, units=chi).groupoid
             assert {a: cg.arrow_index[full.germs.germs[a]] for a in proj} == proj
-            m = restriction_morphism(full, cg)
-            assert m.images == tuple(1 << proj[a] if a in proj else 0 for a in range(B.groupoid.n_arrows))
+            m = AdditiveMorphism.build(*restriction_brute(full, chi))
             cuts = [sum(1 << k for a, k in proj.items() if e >> a & 1) for e in B.elements]
             assert [m.apply(e) for e in B.elements] == cuts
             assert set(cuts) == set(m.target.elements)
@@ -742,7 +747,7 @@ class TestWeaklyMeetPreserving:
     def test_quotient_map(self):
         full = iota(I2, frozenset())
         chi = sl.spectrum(E_I2, rels(I2, "tight"))
-        assert is_weakly_meet_preserving(restriction_morphism(full, carved(I2, chi)))
+        assert is_weakly_meet_preserving(AdditiveMorphism.build(*restriction_brute(full, chi)))
 
     def test_identity(self):
         B = iota(I2, rels(I2, "tight")).algebra
@@ -806,6 +811,14 @@ def raises_law(check, *args) -> bool:
     return False
 
 
+def outcome(check, *args):
+    """What a check returns, or the message of the ``LawViolation`` it raises."""
+    try:
+        return check(*args)
+    except LawViolation as exc:
+        return str(exc)
+
+
 class TestWeakMeetTestAgainstDefinition:
     def test_every_accepted_table_between_small_algebras(self):
         small = small_algebras()
@@ -851,13 +864,14 @@ class TestWeakMeetTestAgainstDefinition:
         full = iota(S, frozenset())
         spectra = {sl.spectrum(S.semilattice, rels(S, name)) for name in sl.BUILTIN_RELATION_SETS}
         for chi in spectra:
-            m = restriction_morphism(full, carved(S, chi))
+            m = AdditiveMorphism.build(*restriction_brute(full, chi))
             assert is_weakly_meet_preserving(m) == is_wmp_brute(m)
 
 
 class TestAtomChecksAgainstOracles:
-    """The congruence, restriction morphism and generated set, worked on
-    arrows and atoms, against their loops over element pairs."""
+    """The class count, the morphism check on the restriction and the
+    generated set, worked on arrows and atoms, against the loops over
+    element pairs."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups(), data=st.data())
@@ -868,9 +882,10 @@ class TestAtomChecksAgainstOracles:
         B = full.algebra
         for name in sl.BUILTIN_RELATION_SETS:
             chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
-            cong, m = congruence(full, chi), restriction_morphism(full, carved(S, chi))
-            assert congruence_brute(full, chi) == kernel_partition(B, cong.keep)
-            assert cong.class_count == len(kernel_partition(B, cong.keep)[0])
+            m = AdditiveMorphism.build(*restriction_brute(full, chi))
+            keep = mask_of(a for a, k in enumerate(m.images) if k)
+            assert congruence_brute(full, chi) == kernel_partition(B, keep)
+            assert theorem_quotients_check(S, chi).class_count == len(kernel_partition(B, keep)[0])
             check_additive_brute(B, m.target, expanded(m))
             if m.images:
                 a = data.draw(st.integers(0, len(m.images) - 1))
@@ -883,16 +898,16 @@ class TestAtomChecksAgainstOracles:
 
     @pytest.mark.parametrize("s", ("i2", "b2", "p3"))
     def test_poisoned_product_is_caught(self, s):
-        # the restriction checks products on arrow pairs through the
-        # universal groupoid's composition table: moving a composite to
-        # another arrow is caught exactly when the two arrows' images differ
+        # the morphism check on the restriction reads products on arrow
+        # pairs through the universal groupoid's composition table: moving
+        # a composite to another arrow is caught exactly when the two
+        # arrows' images differ
         S = SEMIGROUPS[s]()
         full = iota(S, frozenset())
         G = full.algebra.groupoid
         for name in ("none", "tight"):
             chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, rels(S, name)))
-            cg = carved(S, chi)
-            kept = restriction_morphism(full, cg).images
+            _, T, kept = restriction_brute(full, chi)
             caught = 0
             for a, b in itertools.product(range(G.n_arrows), repeat=2):
                 comp = dense_comp(G)
@@ -900,22 +915,21 @@ class TestAtomChecksAgainstOracles:
                 if ab < 0:
                     continue
                 comp[a][b] = (ab + 1) % G.n_arrows
-                bad = G._replace(comp=sparse_comp(comp))
-                bad_full = full._replace(algebra=BisAlgebra(bad))
+                bad = BisAlgebra(G._replace(comp=sparse_comp(comp)))
                 if kept[ab] == kept[comp[a][b]]:
-                    restriction_morphism(bad_full, cg)
+                    AdditiveMorphism.build(bad, T, kept)
                     continue
                 with pytest.raises(LawViolation, match="product not preserved"):
-                    restriction_morphism(bad_full, cg)
+                    AdditiveMorphism.build(bad, T, kept)
                 caught += 1
             assert caught > 0
 
 
 class TestMaskPathAgainstEnumeratingOracles:
-    """The congruence, the quotient and presentation reports and the
-    restriction's atom images, read off arrows, atoms and
+    """The quotient and presentation reports, read off arrows, atoms and
     ``bisection_count``, against the enumerating oracles on the expanded
-    algebra; corrupted composites and atom images are rejected."""
+    algebra; corrupted composites and atom images of the restriction are
+    rejected as the pair loop rejects them."""
 
     @settings(max_examples=60, deadline=None)
     @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
@@ -924,22 +938,13 @@ class TestMaskPathAgainstEnumeratingOracles:
         assume(bisection_count(germ_groupoid(S, frozenset()).groupoid) <= 120)
         full, X = iota(S, frozenset()), rels(S, name)
         B = full.algebra
-        chi = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, X))
-        classes, class_of = congruence_brute(full, chi)
-        cong = congruence(full, chi)
-        assert (cong.class_count, kernel_partition(B, cong.keep)) == (len(classes), (classes, class_of))
-        # the quotient report from the expanded restriction, into the
-        # groupoid of the invariant closure of X_pi
-        cg = carved(S, chi)
-        m = restriction_morphism(full, cg)
-        T, table = m.target, expanded(m)
-        check_additive_brute(B, T, table)
-        spectrum_ok = mask_of(cg.units) == chi
-        bijective = len(set(table.values())) == len(classes) == len(T.elements)
-        wmp = is_weakly_meet_preserving_brute(B, T, table)
-        assert theorem_quotients_check(S, chi) == bisection.QuotientReport(
-            spectrum_ok and bijective and wmp, len(classes), len(T.elements), spectrum_ok, True, bijective, wmp
-        )
+        spec = sl.spectrum(S.semilattice, invsgp.invariant_closure(S, X))
+        # the quotient report, or the refusal and its message, for the
+        # spectrum of X and for any mask of generators, which may hold the
+        # zero's bit 0 or fail to be invariant
+        chi = data.draw(st.integers(0, (1 << S.semilattice.n) - 1))
+        for c in (spec, chi):
+            assert outcome(theorem_quotients_check, S, c) == outcome(theorem_quotients_check_brute, S, c)
         # the presentation report from the enumerated algebra of X
         rep = iota(S, X)
         members = rep.algebra.elements
@@ -957,6 +962,8 @@ class TestMaskPathAgainstEnumeratingOracles:
             return
         # a corrupted atom image is rejected exactly when the pair loop
         # rejects its expanded table
+        m = restriction_brute(full, spec)
+        T = m.target
         a = data.draw(st.integers(0, G.n_arrows - 1))
         v = data.draw(st.sampled_from(T.elements))
         bad = AdditiveMorphism(B, T, m.images[:a] + (v,) + m.images[a + 1:])
@@ -968,9 +975,9 @@ class TestMaskPathAgainstEnumeratingOracles:
         ab = comp[a][b]
         moved = data.draw(st.sampled_from([c for c in range(G.n_arrows) if c != ab] or [ab]))
         comp[a][b] = moved
-        bad_full = full._replace(algebra=BisAlgebra(G._replace(comp=sparse_comp(comp))))
+        bad_source = BisAlgebra(G._replace(comp=sparse_comp(comp)))
         image = [0, *m.images]  # image[c + 1]: the image of {c}, or of 0 for c = -1
-        refused = raises_law(restriction_morphism, bad_full, cg)
+        refused = raises_law(AdditiveMorphism.build, bad_source, T, m.images)
         assert refused == (image[ab + 1] != image[moved + 1])
 
 
@@ -1000,7 +1007,8 @@ class TestUniversalMorphism:
             for e in range(E.n)
         ]
         carved_rels = boolalg.x_pi(boolalg.SemilatticeRep.build(E, BA, images))
-        morph = restriction_morphism(full, germ_groupoid(I2, carved_rels))
+        morph = AdditiveMorphism.build(*restriction_brute(full, chi))
+        assert morph.target.groupoid == germ_groupoid(I2, carved_rels).groupoid
         phi = tuple(morph.apply(full.images[s]) for s in range(I2.n))
         res = find_universal_morphism(I2, carved_rels, morph.target, phi)
         pins = dict(zip(iota(I2, carved_rels).images, phi))

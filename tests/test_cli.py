@@ -514,6 +514,35 @@ class TestErrors:
         code, _, _ = run(capsys, "booleanize", "--nonsense", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [
+        ("suite", "--max-size", "2"), ("hull", "--monoid", "free:2", "mul", "[e,a]", "[a,e]"),
+    ], ids=["suite", "hull-mul"])
+    def test_closed_reader_stops_quietly(self, capsys, monkeypatch, failing, argv):
+        # a reader that closes stdout early gets 128 + SIGPIPE and no message,
+        # whether the closed pipe shows on a write or on the final flush
+        class Closed:
+            def write(self, text):
+                if failing == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(list(argv)) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_prints_nothing_at_exit(self, tmp_path):
+        # stdout is a pipe whose read end is closed: writing to it fails
+        # with EPIPE, and the flush at interpreter exit must not report it
+        code = ("import os, sys; r, w = os.pipe(); os.close(r); os.dup2(w, 1); "
+                "from xjoin.cli import main; sys.exit(main(['suite', '--max-size', '2']))")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (141, "")
+
     @pytest.mark.parametrize(
         "command, doc, key",
         [
