@@ -134,21 +134,20 @@ def germ_groupoid(S: FinInverseSemigroup, relations=None, *, units=None) -> Germ
 def theta(gg: GermGroupoid, s: int, excl=()) -> int:
     """Arrow mask of all germs of s whose source kills every excluded element.
 
-    Excluded elements must lie below s in the natural order.
+    Excluded elements must lie below s in the natural order.  The germs of s
+    are the [s, c] with f_c below d(s), so their units are read off the
+    order mask of d(s), less those of the excluded domains; each germ's
+    arrow is that of its canonical representative s·f_c.
     """
     S = gg.semigroup
+    below, pos = S.semilattice.below, S.idem_pos
+    cs = below[pos[S.d(s)]]
     for t in excl:
         if not natural_leq(S, t, s):
             raise LawViolation(f"excluded element {S.label(t)} is not below {S.label(s)}")
-    out = 0
-    for c in gg.units:
-        f = S.idems[c]
-        if not natural_leq(S, f, S.d(s)):
-            continue
-        if any(natural_leq(S, f, S.d(t)) for t in excl):
-            continue
-        out |= 1 << gg.arrow_index[S.mul(s, f)]
-    return out
+        cs &= ~below[pos[S.d(t)]]
+    row, idems, units, arrow = S.mult[s], S.idems, gg.unit_index, gg.arrow_index
+    return sum(1 << arrow[row[idems[c]]] for c in _bits(cs) if c in units)
 
 
 # ---------------------------------------------------------------------------

@@ -772,10 +772,10 @@ def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tup
 
 
 def hull_relations_to_json(P, relations) -> str:
-    doc = [
-        {"e": r.e.format(P), "parts": sorted(p.format(P) for p in r.parts)}
-        for r in sorted(relations, key=lambda r: hull_relation_sort_key(P, r))
-    ]
+    """The relations in :func:`hull_relation_sort_key` order, each element
+    formatted once: the documents sort by that key's own fields."""
+    doc = [{"e": r.e.format(P), "parts": sorted(p.format(P) for p in r.parts)} for r in relations]
+    doc.sort(key=lambda d: (d["e"], len(d["parts"]), d["parts"]))
     return _json_text(doc)
 
 

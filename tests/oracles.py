@@ -21,7 +21,7 @@ from xjoin import lcmhull
 from xjoin.bisection import AdditiveMorphism, BisAlgebra, QuotientReport, VarietyReport, _check_additive, iota
 from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_groupoid
-from xjoin.invsgp import _check_associative, _generators, conjugate
+from xjoin.invsgp import _check_associative, _generators, conjugate, natural_leq
 from xjoin.semilattice import LawViolation, XRelation
 
 
@@ -424,6 +424,22 @@ def is_multiplicative_brute(S, T, phi) -> bool:
     return all(
         T.mul(phi[s], phi[t]) == phi[S.mul(s, t)] for s in range(S.n) for t in range(S.n)
     )
+
+
+def theta_brute(gg, s: int, excl=()) -> int:
+    """The germs of s as ``theta`` defines them, one ``natural_leq`` per unit:
+    the [s, c] with f_c below d(s) and below no d(t) for t in excl.
+    Refuses an excluded element not below s."""
+    S = gg.semigroup
+    for t in excl:
+        if not natural_leq(S, t, s):
+            raise LawViolation(f"excluded element {S.label(t)} is not below {S.label(s)}")
+    out = 0
+    for c in gg.units:
+        f = S.idems[c]
+        if natural_leq(S, f, S.d(s)) and not any(natural_leq(S, f, S.d(t)) for t in excl):
+            out |= 1 << gg.arrow_index[S.mul(s, f)]
+    return out
 
 
 def germs_equal_existential(S, s: int, t: int, f: int) -> bool:

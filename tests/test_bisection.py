@@ -29,8 +29,8 @@ from xjoin.bisection import (
     skew_join,
     theorem_quotients_check,
 )
-from xjoin.boolalg import character_rep, x_pi
-from xjoin.groupoid import FinGroupoid, germ_groupoid
+from xjoin.boolalg import SemilatticeRep, character_rep, is_x_to_join, x_pi, x_pi_spectrum
+from xjoin.groupoid import FinGroupoid, germ_groupoid, theta
 from xjoin.semilattice import BudgetExceeded, LawViolation
 
 from oracles import (
@@ -56,6 +56,7 @@ from oracles import (
     restriction_brute,
     sparse_comp,
     theorem_quotients_check_brute,
+    theta_brute,
     variety_brute,
 )
 
@@ -71,6 +72,13 @@ def rels(S, name):
 def carved(S, chi):
     """The germ groupoid of the relation set that the character set χ carves out."""
     return germ_groupoid(S, x_pi(character_rep(S.semilattice, elements_of(chi))))
+
+
+def idem_rep(rep) -> SemilatticeRep:
+    """A canonical map restricted to the idempotents, as a semilattice
+    representation in the unit algebra, checked by ``SemilatticeRep.build``."""
+    S, B = rep.semigroup, rep.algebra
+    return SemilatticeRep.build(S.semilattice, B.unit_algebra(), [B.idem_mask(rep.images[e]) for e in S.idems])
 
 
 def one_unit_groupoid():
@@ -526,6 +534,44 @@ class TestIota:
             assert rep.algebra.idem_mask(rep.images[elems[e_idx]]) == can.images[e_idx]
 
 
+class TestBuiltMapsAgainstOracles:
+    """θ, ι and the character representation are built, not checked: θ
+    against its definition, one ``natural_leq`` per unit, and the laws that
+    ``iota``, ``check_presentation``, ``character_rep`` and
+    ``theorem_quotients_check`` prove in their docstrings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           data=st.data())
+    def test_theta_against_brute(self, S, name, data):
+        gg = germ_groupoid(S, rels(S, name))
+        for s in range(S.n):
+            below = [t for t in range(S.n) if invsgp.natural_leq(S, t, s)]
+            excl = data.draw(st.lists(st.sampled_from(below), max_size=3))
+            assert theta(gg, s) == theta_brute(gg, s)
+            assert theta(gg, s, excl) == theta_brute(gg, s, excl)
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS),
+           data=st.data())
+    def test_unchecked_laws_hold(self, S, name, data):
+        X = rels(S, name)
+        rep = iota(S, X)
+        B, E = rep.algebra, S.semilattice
+        assert rep.images[0] == B.zero
+        assert is_multiplicative_brute(S, B, rep.images)
+        assert is_x_to_join(idem_rep(rep), X)
+        for rel in X:
+            parts = (rep.images[S.idems[p]] for p in elements_of(rel.parts))
+            assert reduce(B.skew, parts, B.zero) == rep.images[S.idems[rel.e]]
+        gens = data.draw(st.permutations(range(1, E.n)))[:data.draw(st.integers(0, E.n - 1))]
+        can = character_rep(E, gens)
+        assert SemilatticeRep.build(E, can.codomain, can.images) == can
+        # every mask of nonzero elements is the spectrum of what it carves out
+        for chi in range(0, 1 << E.n, 2):
+            assert x_pi_spectrum(character_rep(E, elements_of(chi))) == chi
+
+
 class TestPresentation:
     @pytest.mark.parametrize("name", ("none", "tight"))
     def test_i2(self, name):
@@ -709,15 +755,6 @@ class TestQuotientTheorem:
         report = theorem_quotients_check_brute(I2, chi, kept=collapse)
         assert report == bisection.QuotientReport(False, 7, 7, True, True, False, True)
         assert theorem_quotients_check_brute(I2, chi) == theorem_quotients_check(I2, chi)
-
-    def test_germ_mismatch_reports_without_restricting(self, monkeypatch):
-        # the carved-out units of the tight spectrum, offered for all of it
-        tight = sl.spectrum(E_I2, rels(I2, "tight"))
-        monkeypatch.setattr(bisection, "x_pi_spectrum", lambda rep: tight)
-        monkeypatch.setattr(bisection, "_check_additive", None)
-        every = sl.characters(E_I2)
-        report = theorem_quotients_check(I2, every)
-        assert report == bisection.QuotientReport(False, 21, 7, False, False, False, False)
 
 
 class TestCarvedGroupoidAgainstRestriction:
@@ -1092,13 +1129,11 @@ class TestClosureEquivalence:
     def test_semigroup_maps_satisfy_x_iff_closure(self):
         # a multiplicative map conjugates its join constraints, so the
         # original and the closed relation set constrain it identically
-        from xjoin.boolalg import is_x_to_join
-
         E = I2.semilattice
         top, e1, e2 = E.index("1>1,2>2"), E.index("1>1"), E.index("2>2")
         custom = frozenset({sl.XRelation(top, mask_of({e1, e2}))})
         relation_sets = [rels(I2, n) for n in sl.BUILTIN_RELATION_SETS] + [custom]
-        reps = [iota(I2, rels(I2, n)).idem_rep() for n in sl.BUILTIN_RELATION_SETS]
+        reps = [idem_rep(iota(I2, rels(I2, n))) for n in sl.BUILTIN_RELATION_SETS]
         for X in relation_sets:
             closed = invsgp.invariant_closure(I2, X)
             for rep in reps:
