@@ -12,8 +12,11 @@ from .semilattice import (
     FinMeetSemilattice,
     LawViolation,
     XRelation,
+    _associativity_witness,
+    _at_least,
     _bits,
     _compare_first,
+    _generators,
     _index_rows,
     _json_text,
     builtin_relations,
@@ -98,7 +101,8 @@ def validate(table, labels=None) -> FinInverseSemigroup:
             raise LawViolation(f"entry {v} out of range in row {labels[i]}")
         distinct.append(len(values))
     gens, tree = _generators(rows, distinct)
-    _check_associative(rows, labels, gens)
+    if bad := _associativity_witness(rows, gens):
+        raise LawViolation("not associative at ({},{},{})".format(*(labels[a] for a in bad)))
     inv = _tree_inverses(rows, tree)
     idems = tuple(a for a in range(n) if rows[a][a] == a)
     if inv is None or not _idempotents_commute(rows, idems):
@@ -111,42 +115,18 @@ def validate(table, labels=None) -> FinInverseSemigroup:
 
 def _build(rows, inv, labels, idems, gens) -> FinInverseSemigroup:
     """The structure over a table whose laws hold, with its idempotent
-    semilattice read off the rows of the idempotents."""
+    semilattice read off the rows of the idempotents, unchecked: the
+    idempotents of an inverse semigroup commute (Howie, *Fundamentals of
+    Semigroup Theory*, 5.1.1; Lawson, *Inverse Semigroups*, 1998, ch. 1), so
+    efef = eeff = ef and the product is an associative, commutative and
+    idempotent operation on them, a meet.  The zero comes first in ``idems``
+    and absorbs, so it is the bottom at position 0."""
     idem_pos = {a: i for i, a in enumerate(idems)}
-    E = FinMeetSemilattice.from_meet(
-        [[idem_pos[rows[a][b]] for b in idems] for a in idems],
-        [labels[a] for a in idems],
+    E = FinMeetSemilattice.unchecked(
+        tuple(tuple(idem_pos[rows[a][b]] for b in idems) for a in idems),
+        tuple(labels[a] for a in idems),
     )
     return FinInverseSemigroup(rows, inv, labels, E, idems, idem_pos, gens)
-
-
-def _generators(rows, distinct) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """Elements whose left-normed products reach every element, and the
-    tree of those products.
-
-    Elements with the most distinct products (``distinct[a]`` for a) are
-    tried first, ties in index order; one not yet
-    reached becomes a generator.  The reached set grows by right
-    multiplication, so each (element, generator) product is formed once.
-    The tree lists every element once, as (x, p, g) with x = pg and p
-    listed before x, or as (g, -1, g) for a generator g.
-    """
-    gens: list[int] = []
-    tree: list[tuple[int, int, int]] = []
-    reached: set[int] = set()
-    for g in sorted(range(len(rows)), key=distinct.__getitem__, reverse=True):
-        if g in reached:
-            continue
-        gens.append(g)
-        frontier = [(rows[x][g], x, g) for x in reached] + [(g, -1, g)]
-        while frontier:
-            link = frontier.pop()
-            x = link[0]
-            if x not in reached:
-                reached.add(x)
-                tree.append(link)
-                frontier.extend((rows[x][h], x, h) for h in gens)
-    return gens, tree
 
 
 def _tree_inverses(rows, tree) -> tuple[int, ...] | None:
@@ -202,29 +182,6 @@ def _inverse_witness(rows, labels, idems) -> None:
                 raise LawViolation(f"idempotents {labels[e]} and {labels[f]} do not commute")
 
 
-def _check_associative(rows, labels, gens) -> None:
-    """Light's associativity test (Clifford and Preston, *The Algebraic
-    Theory of Semigroups* I, 1.2).
-
-    The elements a with (xa)y = x(ay) for all x, y are closed under the
-    product, so the table is associative as soon as this holds for every a
-    in a set ``gens`` whose left-normed products reach every element.  Row x
-    of the check compares the row of xg with row x read through the row of g.
-    A two-sided identity g passes unchecked: (xg)y = xy = x(gy).
-    """
-    if len(rows) < 2:
-        return
-    identity = tuple(range(len(rows)))
-    for g in gens:
-        if rows[g] == identity and all(row[g] == x for x, row in enumerate(rows)):
-            continue
-        through_g = itemgetter(*rows[g])
-        for x, row in enumerate(rows):
-            if rows[row[g]] != through_g(row):
-                y = next(y for y in range(len(rows)) if rows[row[g]][y] != row[rows[g][y]])
-                raise LawViolation(f"not associative at ({labels[x]},{labels[g]},{labels[y]})")
-
-
 # ---------------------------------------------------------------------------
 # partial-bijection generation
 
@@ -261,6 +218,7 @@ def from_partial_maps(points: int, maps) -> tuple[FinInverseSemigroup, tuple[dic
       product times one, which the scan of the images' columns finds;
       otherwise the zero is added.
     """
+    _at_least("points", points, 0)
     pms = []
     for m in maps:
         pm = {}
@@ -497,11 +455,11 @@ def invsgp_from_json(text: str) -> FinInverseSemigroup:
         S, _ = from_partial_maps(points, maps)
         return S
     try:
-        labels = list(doc["elements"])
-        table = doc["mult"]
-        zero = doc["zero"]
-    except (KeyError, TypeError):
+        labels, table, zero = doc["elements"], doc["mult"], doc["zero"]
+    except KeyError:
         raise LawViolation("semigroup JSON needs 'elements', 'mult' and 'zero'") from None
+    if not isinstance(labels, list):
+        raise LawViolation("'elements' must be a list of labels")
     if zero not in labels:
         raise LawViolation(f"declared zero {zero!r} is not an element")
     z = labels.index(zero)

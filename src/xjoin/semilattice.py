@@ -4,7 +4,7 @@ A semilattice is stored as an explicit n-by-n meet table over element
 indices, with index 0 reserved for the bottom element.  Every set of
 elements is an int mask over element indices, bit i standing for element i:
 the order masks ``below[x]`` (the y <= x), ``above[x]`` (the y >= x) and
-``atom_bits`` that ``from_meet`` builds once, covers, and the parts of a
+``atom_bits`` that ``unchecked`` builds once, covers, and the parts of a
 relation.  Downsets, atoms, joins, covers and spectra are bit operations on
 them.  Covers use the atom criterion (Exel, "Inverse semigroups and
 combinatorial C*-algebras", 2008): y ^ z != 0 exactly when some atom lies
@@ -142,9 +142,61 @@ def _index_rows(table, key: str) -> tuple[tuple[int, ...], ...]:
     return rows
 
 
+def _generators(rows, distinct) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Elements whose left-normed products reach every element, and the
+    tree of those products.
+
+    Elements with the most distinct products (``distinct[a]`` for a) are
+    tried first, ties in index order; one not yet reached becomes a
+    generator.  The reached set grows by right multiplication, so each
+    (element, generator) product is formed once.  The tree lists every
+    element once, as (x, p, g) with x = pg and p listed before x, or as
+    (g, -1, g) for a generator g.
+    """
+    gens: list[int] = []
+    tree: list[tuple[int, int, int]] = []
+    reached: set[int] = set()
+    for g in sorted(range(len(rows)), key=distinct.__getitem__, reverse=True):
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = [(rows[x][g], x, g) for x in reached] + [(g, -1, g)]
+        while frontier:
+            link = frontier.pop()
+            x = link[0]
+            if x not in reached:
+                reached.add(x)
+                tree.append(link)
+                frontier.extend((rows[x][h], x, h) for h in gens)
+    return gens, tree
+
+
+def _associativity_witness(rows, gens) -> tuple[int, int, int] | None:
+    """Light's associativity test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, 1.2): a triple (x, g, y) with (xg)y != x(gy),
+    or None when the table is associative.
+
+    The elements a with (xa)y = x(ay) for all x, y are closed under the
+    product, so the table is associative as soon as this holds for every a
+    in a set ``gens`` whose left-normed products reach every element.  Row x
+    of the check compares the row of xg with row x read through the row of g.
+    A two-sided identity g passes unchecked: (xg)y = xy = x(gy).  So does
+    the one-element table, whose row read through one index is no row.
+    """
+    identity = tuple(range(len(rows)))
+    for g in gens:
+        if rows[g] == identity and all(row[g] == x for x, row in enumerate(rows)):
+            continue
+        through_g = itemgetter(*rows[g])
+        for x, row in enumerate(rows):
+            if rows[row[g]] != through_g(row):
+                return x, g, next(y for y in range(len(rows)) if rows[row[g]][y] != row[rows[g][y]])
+    return None
+
+
 class FinMeetSemilattice(NamedTuple):
     """Meet table over indices 0..n-1; index 0 is the bottom element.
-    The order masks are built by :meth:`from_meet` and not compared."""
+    The order masks are built by :meth:`unchecked` and not compared."""
 
     meet_table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
@@ -159,7 +211,7 @@ class FinMeetSemilattice(NamedTuple):
         """Validate a meet table and build the semilattice.
 
         Raises :class:`LawViolation` naming the first violated law together
-        with a witness.
+        with a witness; associativity is Light's test over a generating set.
         """
         rows = _index_rows(table, "meet")
         n = len(rows)
@@ -167,10 +219,7 @@ class FinMeetSemilattice(NamedTuple):
             raise LawViolation("semilattice needs at least the bottom element")
         if labels is None:
             labels = tuple("0" if i == 0 else f"x{i}" for i in range(n))
-        try:
-            labels = tuple(str(x) for x in labels)
-        except TypeError:
-            raise LawViolation("'elements' must be a list of labels") from None
+        labels = tuple(map(str, labels))
         if len(labels) != n:
             raise LawViolation(f"{n} elements but {len(labels)} labels")
         if len(set(labels)) != n:
@@ -184,33 +233,31 @@ class FinMeetSemilattice(NamedTuple):
         for x in range(n):
             if rows[x][x] != x:
                 raise LawViolation(f"meet not idempotent: {labels[x]}^{labels[x]} = {labels[rows[x][x]]}")
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rows[x][y] != rows[y][x]:
-                    raise LawViolation(
-                        f"meet not commutative at ({labels[x]},{labels[y]}): "
-                        f"{labels[rows[x][y]]} != {labels[rows[y][x]]}"
-                    )
-        # row by row: the row of x^y against row x read through row y; z is
-        # searched only in the first row that differs, so the error names the
-        # first failing triple (one element is trivially associative, and
-        # itemgetter of one index returns an entry, not a row)
-        through = [itemgetter(*row) for row in rows]
-        for x, row in enumerate(rows if n > 1 else ()):
-            for y, xy in enumerate(row):
-                if rows[xy] != through[y](row):
-                    z = next(z for z in range(n) if rows[xy][z] != row[rows[y][z]])
-                    raise LawViolation(
-                        f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
-                        f"{labels[rows[xy][z]]} != {labels[row[rows[y][z]]]}"
-                    )
+        if rows != tuple(zip(*rows)):
+            x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if rows[x][y] != rows[y][x])
+            raise LawViolation(
+                f"meet not commutative at ({labels[x]},{labels[y]}): "
+                f"{labels[rows[x][y]]} != {labels[rows[y][x]]}"
+            )
+        if bad := _associativity_witness(rows, _generators(rows, [len(set(row)) for row in rows])[0]):
+            x, y, z = bad
+            raise LawViolation(
+                f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
+                f"{labels[rows[rows[x][y]][z]]} != {labels[rows[x][rows[y][z]]]}"
+            )
         for x in range(n):
             if rows[0][x] != 0:
                 bot = labels[0]
                 raise LawViolation(f"element {bot} is not the bottom: {bot}^{labels[x]} = {labels[rows[0][x]]}")
+        return cls.unchecked(rows, labels)
+
+    @classmethod
+    def unchecked(cls, rows, labels) -> "FinMeetSemilattice":
+        """The semilattice over a meet table of int tuples whose laws hold,
+        bottom at 0, and a tuple of distinct labels: nothing is checked."""
         below = tuple(sum(1 << y for y, m in enumerate(row) if m == y) for row in rows)
         above = tuple(sum(1 << y for y, m in enumerate(row) if m == x) for x, row in enumerate(rows))
-        atom_bits = sum(1 << x for x in range(1, n) if below[x] == 1 | 1 << x)
+        atom_bits = sum(1 << x for x in range(1, len(rows)) if below[x] == 1 | 1 << x)
         return cls(rows, labels, below, above, atom_bits)
 
     @property
@@ -555,10 +602,11 @@ def semilattice_to_json(E: FinMeetSemilattice) -> str:
 def semilattice_from_json(text: str) -> FinMeetSemilattice:
     doc = json.loads(text)
     try:
-        labels = doc["elements"]
-        table = doc["meet"]
+        labels, table = doc["elements"], doc["meet"]
     except (KeyError, TypeError):
         raise LawViolation("semilattice JSON needs 'elements' and 'meet'") from None
+    if not isinstance(labels, list):
+        raise LawViolation("'elements' must be a list of labels")
     return FinMeetSemilattice.from_meet(table, labels)
 
 

@@ -21,8 +21,8 @@ from xjoin import lcmhull
 from xjoin.bisection import AdditiveMorphism, BisAlgebra, QuotientReport, VarietyReport, _check_additive, iota
 from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_groupoid
-from xjoin.invsgp import _check_associative, _generators, conjugate, natural_leq
-from xjoin.semilattice import LawViolation, XRelation
+from xjoin.invsgp import conjugate, natural_leq
+from xjoin.semilattice import LawViolation, XRelation, _associativity_witness, _generators
 
 
 # ---------------------------------------------------------------------------
@@ -75,22 +75,6 @@ def minimal_sets_brute(E, x: int, accept) -> list[int]:
 
 def minimal_covers_brute(E, x: int) -> list[int]:
     return minimal_sets_brute(E, x, lambda c: covers_brute(E, x, c))
-
-
-def meet_associativity_brute(rows, labels) -> str | None:
-    """The error ``FinMeetSemilattice.from_meet`` gives for the first triple
-    with (x^y)^z != x^(y^z), by the triple loop, or None when there is none."""
-    n = len(rows)
-    for x in range(n):
-        for y in range(n):
-            xy = rows[x][y]
-            for z in range(n):
-                if rows[xy][z] != rows[x][rows[y][z]]:
-                    return (
-                        f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
-                        f"{labels[rows[xy][z]]} != {labels[rows[x][rows[y][z]]]}"
-                    )
-    return None
 
 
 def x_prime_brute(E) -> frozenset[XRelation]:
@@ -220,7 +204,9 @@ def validate_brute(table, labels=None):
         for v in row:
             if not 0 <= v < n:
                 raise LawViolation(f"entry {v} out of range in row {labels[i]}")
-    _check_associative(rows, labels, _generators(rows, [len(set(r)) for r in rows])[0])
+    bad = _associativity_witness(rows, _generators(rows, [len(set(r)) for r in rows])[0])
+    if bad:
+        raise LawViolation("not associative at ({},{},{})".format(*(labels[a] for a in bad)))
     inv = []
     for a in range(n):
         cands = [x for x in range(n) if rows[rows[a][x]][a] == a and rows[rows[x][a]][x] == x]

@@ -567,6 +567,11 @@ class TestErrors:
             ("semilattice", {"elements": ["0", "x"], "meet": [[0, 0], [0, None]]}, "'meet'"),
             ("semilattice", {"elements": ["0"], "meet": 5}, "'meet'"),
             ("semilattice", {"elements": 5, "meet": [[0]]}, "'elements'"),
+            ("semilattice", {"elements": "0ab", "meet": [[0, 0, 0], [0, 1, 0], [0, 0, 2]]}, "'elements'"),
+            ("semilattice", {"elements": {"0": 0, "a": 1}, "meet": [[0, 0], [0, 1]]}, "'elements'"),
+            ("invsgp", {"elements": "0a", "zero": "0", "mult": [[0, 0], [0, 1]]}, "'elements'"),
+            ("invsgp", {"elements": {"0": 0, "a": 1}, "zero": "0", "mult": [[0, 0], [0, 1]]}, "'elements'"),
+            ("invsgp", {"points": -1, "partial_maps": [{}]}, "points must be at least 0"),
         ],
         ids=["points-missing", "points-string", "maps-not-objects", "maps-list-image",
              "maps-null-image", "maps-point-named-twice", "maps-float-image", "maps-bool-image",
@@ -574,7 +579,8 @@ class TestErrors:
              "mult-short-row", "mult-bad-entry", "mult-null-entry", "mult-list-entry",
              "mult-not-a-list", "relation-without-e", "relation-parts-not-a-list",
              "relations-not-a-list", "meet-list-entry", "meet-null-entry",
-             "meet-not-a-list", "elements-not-a-list"],
+             "meet-not-a-list", "elements-not-a-list", "elements-a-string", "elements-an-object",
+             "mult-elements-a-string", "mult-elements-an-object", "points-negative"],
     )
     def test_malformed_json_names_key(self, files, capsys, tmp_path, command, doc, key):
         bad = tmp_path / "bad.json"

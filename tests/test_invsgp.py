@@ -397,6 +397,36 @@ class TestBuiltWithoutValidation:
             assert sl.spectrum(S.semilattice, closed) == mask_of(gg.units) == spectrum_brute(S.semilattice, closed)
 
 
+class TestIdempotentSemilatticeUnchecked:
+    """``_build`` reads the idempotent semilattice off the rows without a
+    check; ``from_meet`` on the same idempotent table must give every field,
+    the order masks too, which ``==`` does not compare."""
+
+    @staticmethod
+    def check(S):
+        F = sl.FinMeetSemilattice.from_meet(
+            [[S.idem_pos[S.mult[a][b]] for b in S.idems] for a in S.idems],
+            [S.labels[a] for a in S.idems],
+        )
+        E = S.semilattice
+        assert (E.meet_table, E.labels, E.below, E.above, E.atom_bits) == (
+            F.meet_table, F.labels, F.below, F.above, F.atom_bits
+        )
+
+    @over_partial_map_inputs
+    def test_partial_maps(self, case):
+        self.check(invsgp.from_partial_maps(*case)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=partial_map_inputs(), data=st.data())
+    def test_shuffled_tables(self, case, data):
+        S = invsgp.from_partial_maps(*case)[0]
+        order = [0] + data.draw(st.permutations(range(1, S.n)))
+        where = {old: new for new, old in enumerate(order)}
+        table = [[where[S.mult[a][b]] for b in order] for a in order]
+        self.check(invsgp.validate(table, [S.labels[a] for a in order]))
+
+
 class TestAtomsInvariantClosure:
     """"tight" over a semigroup is X_atoms, whose invariant closure has the
     spectrum of X_tight's: conjugating a relation conjugates the map that
