@@ -367,10 +367,9 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
 # the canonical representation
 
 class IotaRep(NamedTuple):
-    """The map s -> all germs of s, into the bisection algebra of the germ groupoid."""
+    """The map s -> all germs of s, into the bisection algebra of the germ
+    groupoid; the semigroup is ``germs.semigroup``."""
 
-    semigroup: FinInverseSemigroup
-    relations: frozenset
     germs: GermGroupoid
     algebra: BisAlgebra
     images: tuple[int, ...]
@@ -408,18 +407,11 @@ def iota(S: FinInverseSemigroup, relations) -> IotaRep:
     """
     gg = germ_groupoid(S, relations)
     images = tuple(theta(gg, s) for s in range(S.n))
-    return IotaRep(S, frozenset(relations), gg, BisAlgebra(gg.groupoid), images)
+    return IotaRep(gg, BisAlgebra(gg.groupoid), images)
 
 
 # ---------------------------------------------------------------------------
 # presentation check
-
-class PresentationReport(NamedTuple):
-    ok: bool
-    relations_ok: bool
-    generated: int
-    total: int
-
 
 def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
     """The number of elements of the closure of the seeds under product,
@@ -456,8 +448,9 @@ def generated_subsemigroup(B: BisAlgebra, seeds) -> int:
     return bisection_count(G)
 
 
-def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
-    """The generators-and-relations description of the algebra of germs.
+def check_presentation(S: FinInverseSemigroup, relations) -> int:
+    """The generators-and-relations description of the algebra of germs;
+    returns its size, all of which the canonical generators generate.
 
     The canonical generators θ(s) kill zero, are multiplicative and satisfy
     the join constraints, as :func:`iota` proves.  They satisfy them as
@@ -469,8 +462,7 @@ def check_presentation(S: FinInverseSemigroup, relations) -> PresentationReport:
     arrow raises ``LawViolation``.
     """
     rep = iota(S, relations)
-    total = generated_subsemigroup(rep.algebra, rep.images)
-    return PresentationReport(True, True, total, total)
+    return generated_subsemigroup(rep.algebra, rep.images)
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +557,7 @@ def is_weakly_meet_preserving(m: AdditiveMorphism) -> bool:
 # ---------------------------------------------------------------------------
 # the quotient theorem
 
-class QuotientReport(NamedTuple):
-    ok: bool
-    class_count: int
-    quotient_size: int
-    spectrum_ok: bool
-    germs_ok: bool
-    bijective: bool
-    weakly_meet_preserving: bool
-
-
-def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
+def theorem_quotients_check(S: FinInverseSemigroup, chi) -> int:
     """The quotient of the universal algebra by an invariant character set
     χ, a mask of character generators, is the algebra of the relation set
     carved out by the quotient composite.
@@ -587,7 +569,8 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
     1999, ch. 2).  For an invariant χ, ``germ_groupoid(S, units=χ)`` is that
     reduction: its germs at c are those of G, the same representatives
     sf_c, and each composite is the representative of the product in S, as
-    in G.  So ``class_count`` is its :func:`bisection_count`.
+    in G.  So the class count, which this returns, is its
+    :func:`bisection_count`.
 
     The quotient composite sends each idempotent to the characters of χ
     below it, and carves out the X_π of that representation, whose
@@ -613,8 +596,7 @@ def theorem_quotients_check(S: FinInverseSemigroup, chi) -> QuotientReport:
         raise LawViolation("character set is not invariant under the action")
     if stray:
         raise LawViolation(f"character at generator index {_bits(stray)[0]} is not a unit of the groupoid")
-    classes = bisection_count(germ_groupoid(S, units=chi).groupoid)
-    return QuotientReport(True, classes, classes, True, True, True, True)
+    return bisection_count(germ_groupoid(S, units=chi).groupoid)
 
 
 # ---------------------------------------------------------------------------

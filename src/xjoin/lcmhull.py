@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import product as iproduct
-from math import gcd
+from math import comb, gcd
 from typing import NamedTuple
 
 from .semilattice import BudgetExceeded, LawViolation, _at_least, _json_text, _Memo
@@ -58,6 +58,10 @@ class FreeMonoid:
             out.extend("".join(w) for w in iproduct(self.alphabet, repeat=length))
         return out
 
+    def count_up_to(self, depth: int) -> int:
+        k = len(self.alphabet)
+        return depth + 1 if k == 1 else (k ** (depth + 1) - 1) // (k - 1)
+
     def right_lcm(self, p: str, q: str) -> str | None:
         if p.startswith(q):
             return p
@@ -70,14 +74,34 @@ class FreeMonoid:
 
     def foundation_verdict(self, F) -> "FoundationVerdict":
         """Exact decision: a nonempty set is a foundation set when every word
-        of the maximal member length extends some member."""
-        F = sorted(set(F))
-        top = max(len(f) for f in F)
-        for w in iproduct(self.alphabet, repeat=top):
-            word = "".join(w)
-            if not any(word.startswith(f) for f in F):
-                return FoundationVerdict("no", word, None)
-        return FoundationVerdict("yes", None, None)
+        of the maximal member length extends some member.
+
+        A walk over the prefix tree of F, a child numbered after its parent.
+        A prefix is covered (each long enough extension extends a member)
+        when it is a member or each one-letter extension is a covered
+        prefix.  The witness, the first uncovered word of the maximal length
+        in alphabet order, follows the first uncovered extension down to one
+        that no member starts with, padded with the first letter.
+        """
+        kids, member = [{}], [False]
+        for f in set(F):
+            node = 0
+            for c in f:
+                node = kids[node].setdefault(c, len(kids))
+                if node == len(kids):
+                    kids.append({})
+                    member.append(False)
+            member[node] = True
+        covered = member + [False]  # covered[-1], past the nodes, stands for a missing child
+        for node in reversed(range(len(kids))):
+            covered[node] = member[node] or all(covered[kids[node].get(c, -1)] for c in self.alphabet)
+        if covered[0]:
+            return FoundationVerdict("yes", None, None)
+        word, node = [], 0
+        while node >= 0:
+            word.append(next(c for c in self.alphabet if not covered[kids[node].get(c, -1)]))
+            node = kids[node].get(word[-1], -1)
+        return FoundationVerdict("no", "".join(word).ljust(max(map(len, F)), self.alphabet[0]), None)
 
     def format(self, p: str) -> str:
         return p if p else "e"
@@ -120,8 +144,13 @@ class NatPow:
         return sum(p)
 
     def elements_up_to(self, depth: int) -> list[tuple[int, ...]]:
-        out = (t for t in iproduct(range(depth + 1), repeat=self.k) if sum(t) <= depth)
+        out = [()]
+        for _ in range(self.k):
+            out = [t + (v,) for t in out for v in range(depth - sum(t) + 1)]
         return sorted(out, key=lambda t: (sum(t), t))
+
+    def count_up_to(self, depth: int) -> int:
+        return comb(depth + self.k, self.k)
 
     def right_lcm(self, p, q):
         return tuple(max(a, b) for a, b in zip(p, q))
@@ -172,6 +201,9 @@ class NRtimesNx:
             if m + p - 1 <= depth
         ]
         return sorted(out, key=lambda t: (self.grade(t), t))
+
+    def count_up_to(self, depth: int) -> int:
+        return (depth + 1) * (depth + 2) // 2
 
     def right_lcm(self, x, y):
         (m, p), (n, q) = x, y
@@ -343,13 +375,35 @@ def parse_hull(P, text: str) -> HullElement:
 # ---------------------------------------------------------------------------
 # foundation sets
 
+# elements a foundation scan or lemma check may list; free:3 has 88,573 up to
+# depth 10, listed and checked in about 0.6 s
+ELEMENT_BUDGET = 100_000
+
+
+def _refuse_over_budget(what: str, depth: int, count, unit: str, budget: int) -> None:
+    """``BudgetExceeded`` when ``count(depth)``, which grows with the depth,
+    is over the budget.  The counts grow up to doubly exponentially, so this
+    finds the first depth over budget rather than computing the count at a
+    much deeper one."""
+    over = next((d for d in range(depth + 1) if count(d) > budget), None)
+    if over is not None:
+        n = f"{count(over):,} {unit}"
+        if over < depth:
+            n = f"more than the {n} of depth {over}"
+        raise BudgetExceeded(f"{what} at depth {depth} would enumerate {n}, over the budget of {budget:,}")
+
+
+def elements_up_to(P, depth: int) -> list:
+    """``P.elements_up_to(depth)``, refused with ``BudgetExceeded`` before
+    listing when ``P.count_up_to`` forecasts over ``ELEMENT_BUDGET``."""
+    _refuse_over_budget(f"listing the elements of {P!r}", depth, P.count_up_to, "elements", ELEMENT_BUDGET)
+    return P.elements_up_to(depth)
+
+
 class FoundationVerdict(NamedTuple):
     kind: str                  # "yes" | "no" | "unknown"
     witness: object = None
     depth: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind == "yes"
 
 
 def is_foundation_set(P, F, depth: int = 4) -> FoundationVerdict:
@@ -358,7 +412,8 @@ def is_foundation_set(P, F, depth: int = 4) -> FoundationVerdict:
     Exact for monoids exposing a decision rule (``P.foundation_verdict``,
     asked only about nonempty sets); elsewhere a bounded scan
     that can refute with a concrete witness but only answer Unknown
-    positively.  A negative depth raises ``LawViolation``.
+    positively.  A negative depth raises ``LawViolation``, and a scan over
+    ``ELEMENT_BUDGET`` elements ``BudgetExceeded``.
     """
     _at_least("depth", depth, 0)
     F = list(F)
@@ -367,7 +422,7 @@ def is_foundation_set(P, F, depth: int = 4) -> FoundationVerdict:
     exact = P.foundation_verdict(F)
     if exact is not None:
         return exact
-    for p in P.elements_up_to(depth):
+    for p in elements_up_to(P, depth):
         if all(P.right_lcm(f, p) is None for f in F):
             return FoundationVerdict("no", p, None)
     return FoundationVerdict("unknown", None, depth)
@@ -378,7 +433,8 @@ def lemma_found_check(P, F, depth: int = 4) -> bool:
 
     The cover side asks every bounded idempotent [p,p] to meet some [f,f]
     under the hull product; the two sides must agree wherever the
-    foundation decision is exact; ``is_foundation_set`` refuses a negative depth.
+    foundation decision is exact; ``is_foundation_set`` refuses a negative
+    depth, and a listing over ``ELEMENT_BUDGET`` elements is refused.
     """
     F = list(F)
     verdict = is_foundation_set(P, F, depth)
@@ -390,7 +446,7 @@ def lemma_found_check(P, F, depth: int = 4) -> bool:
     if verdict.kind == "no":
         # the hull product must refute the cover at the same witness
         return verdict.witness is not None and not covered(verdict.witness)
-    return all(covered(p) for p in P.elements_up_to(depth))
+    return all(covered(p) for p in elements_up_to(P, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +601,10 @@ class ZappaSzepProduct:
                for a in self.a_monoid.elements_up_to(depth - len(u))]
         return sorted(out, key=lambda x: (self.grade(x), x))
 
+    def count_up_to(self, depth: int) -> int:
+        k = len(self.data.u_alphabet)
+        return sum(k ** ell * self.a_monoid.count_up_to(depth - ell) for ell in range(depth + 1))
+
     def act_inverse(self, a: str, w: str) -> str | None:
         """The word v with act(a, v) = w, inverted letter by letter (the
         first letter of the alphabet that a sends to the next letter of w),
@@ -689,8 +749,14 @@ def hull_relation_sort_key(P, rel: HullRelation):
 
 def gen_xa(P: ZappaSzepProduct, depth: int) -> tuple[HullRelation, ...]:
     """Pairs identifying [a,a] with [b,b] whenever b extends a inside the
-    second factor, up to the grade bound, which cannot be negative."""
+    second factor, up to the grade bound, which cannot be negative.
+    Raises ``BudgetExceeded`` before enumerating when ``xa_relation_count``
+    is over ``XU_RELATION_BUDGET``."""
     _at_least("depth", depth, 0)
+    _refuse_over_budget(
+        "xa relation generation", depth, lambda d: xa_relation_count(len(P.data.a_alphabet), d),
+        "relations", XU_RELATION_BUDGET,
+    )
     A = P.a_monoid
     out = []
     for a in A.elements_up_to(depth):
@@ -715,8 +781,14 @@ def prefix_codes(alphabet: str, maxlen: int) -> list[frozenset[str]]:
     return out
 
 
-# relations gen_xu may enumerate; 459,892 at depth 5 took about 130 s
+# relations gen_xu or gen_xa may enumerate; gen_xu's 459,892 at depth 5
+# took about 130 s
 XU_RELATION_BUDGET = 100_000
+
+def xa_relation_count(k: int, depth: int) -> int:
+    """How many relations gen_xa enumerates over k A-letters: each of the
+    k^j words of each length j extends its j + 1 prefixes."""
+    return sum((j + 1) * k ** j for j in range(depth + 1))
 
 
 def prefix_code_count(k: int, maxlen: int) -> int:
@@ -747,19 +819,9 @@ def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tup
     if max_parts is not None:
         _at_least("max_parts", max_parts, 1)
     k = len(P.data.u_alphabet)
-    # the count grows doubly exponentially with the depth, so find the first
-    # depth over budget before computing the count at a much deeper one
-    over = next(
-        (d for d in range(depth + 1) if xu_relation_count(k, d) > XU_RELATION_BUDGET), None
+    _refuse_over_budget(
+        "xu relation generation", depth, lambda d: xu_relation_count(k, d), "relations", XU_RELATION_BUDGET
     )
-    if over is not None:
-        count = f"{xu_relation_count(k, over):,} relations"
-        if over < depth:
-            count = f"more than the {count} of depth {over}"
-        raise BudgetExceeded(
-            f"xu relation generation at depth {depth} would enumerate {count}, "
-            f"over the budget of {XU_RELATION_BUDGET:,}"
-        )
     U = P.u_monoid
     out = []
     for s in U.elements_up_to(depth):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import combinations
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import and_, itemgetter
 from typing import NamedTuple
@@ -217,13 +216,7 @@ class FinMeetSemilattice(NamedTuple):
         n = len(rows)
         if n == 0:
             raise LawViolation("semilattice needs at least the bottom element")
-        if labels is None:
-            labels = tuple("0" if i == 0 else f"x{i}" for i in range(n))
-        labels = tuple(map(str, labels))
-        if len(labels) != n:
-            raise LawViolation(f"{n} elements but {len(labels)} labels")
-        if len(set(labels)) != n:
-            raise LawViolation("element labels are not distinct")
+        labels = _labels(labels, n)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise LawViolation(f"meet table row {labels[i]} has length {len(row)}, want {n}")
@@ -300,26 +293,50 @@ class FinMeetSemilattice(NamedTuple):
 # ---------------------------------------------------------------------------
 # constructors
 
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """The labels of n elements as strings, "0", "x1", ... when none are
+    given; ``LawViolation`` unless there are n distinct ones."""
+    if labels is None:
+        labels = ("0" if i == 0 else f"x{i}" for i in range(n))
+    labels = tuple(map(str, labels))
+    if len(labels) != n:
+        raise LawViolation(f"{n} elements but {len(labels)} labels")
+    if len(set(labels)) != n:
+        raise LawViolation("element labels are not distinct")
+    return labels
+
+
 def from_subsets(family, labels=None) -> FinMeetSemilattice:
     """Semilattice of an intersection-closed family of sets, meet = intersection.
 
-    The family must be closed under pairwise intersection; its minimum
-    becomes the bottom element.
+    The family must be closed under pairwise intersection; its elements are
+    ordered by size, then by ascending members, and the first, its minimum,
+    is the bottom element.
     """
-    sets = sorted({frozenset(s) for s in family}, key=lambda s: (len(s), sorted(s)))
-    if not sets:
+    sets = {frozenset(s) for s in family}
+    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*sets)))}
+    return _from_masks({sum(map(bit.__getitem__, s)) for s in sets}, sorted(bit), labels)
+
+
+def _from_masks(masks, ground, labels=None) -> FinMeetSemilattice:
+    """:func:`from_subsets` of a family of int masks, bit i standing for
+    ``ground[i]``.  Nothing but closure and the labels is checked: meet is
+    intersection, so its laws hold, and in a closed family the intersection
+    of all members is a member inside every other, so the one of least
+    size, which comes first and is the bottom."""
+    masks = sorted(masks, key=_mask_key)
+    if not masks:
         raise LawViolation("empty set family")
-    idx = {s: i for i, s in enumerate(sets)}
-    for a in sets:
-        for b in sets:
-            if a & b not in idx:
-                raise LawViolation(f"family not intersection-closed at {set(a)} & {set(b)}")
-    bottom = sets[0]
-    for s in sets:
-        if not (bottom <= s):
-            raise LawViolation("family has no minimum element")
-    table = [[idx[a & b] for b in sets] for a in sets]
-    return FinMeetSemilattice.from_meet(table, labels)
+    index = {m: i for i, m in enumerate(masks)}
+    rows = []
+    for a in masks:
+        row = tuple(map(index.get, [a & b for b in masks]))
+        if None in row:
+            b = masks[row.index(None)]
+            a_set, b_set = ({ground[i] for i in _bits(m)} for m in (a, b))
+            raise LawViolation(f"family not intersection-closed at {a_set} & {b_set}")
+        rows.append(row)
+    return FinMeetSemilattice.unchecked(tuple(rows), _labels(labels, len(rows)))
 
 
 def chain(n: int) -> FinMeetSemilattice:
@@ -342,14 +359,10 @@ def antichain(k: int) -> FinMeetSemilattice:
 
 
 def powerset_semilattice(k: int) -> FinMeetSemilattice:
-    """The Boolean lattice of all subsets of a k-element set."""
-    ground = list(range(1, k + 1))
-    fam = []
-    for r in range(k + 1):
-        fam.extend(frozenset(c) for c in combinations(ground, r))
-    fam.sort(key=lambda s: (len(s), sorted(s)))
-    labels = ["{" + ",".join(str(i) for i in sorted(s)) + "}" if s else "0" for s in fam]
-    return from_subsets(fam, labels)
+    """The Boolean lattice of all subsets of {1, ..., k}."""
+    masks = sorted(range(1 << k), key=_mask_key)
+    labels = ["{" + ",".join(str(i + 1) for i in _bits(m)) + "}" if m else "0" for m in masks]
+    return _from_masks(masks, range(1, k + 1), labels)
 
 
 def random_semilattice(rng, max_size: int = 10, ground: int = 5) -> FinMeetSemilattice:
@@ -357,19 +370,16 @@ def random_semilattice(rng, max_size: int = 10, ground: int = 5) -> FinMeetSemil
     _at_least("max_size", max_size, 2)
     while True:
         k = rng.randint(2, max_size)
-        sets = {frozenset()}
+        masks = {0}
         for _ in range(k):
-            sets.add(frozenset(i for i in range(ground) if rng.random() < 0.5))
-        changed = True
-        while changed:
-            changed = False
-            for a in list(sets):
-                for b in list(sets):
-                    if a & b not in sets:
-                        sets.add(a & b)
-                        changed = True
-        if 2 <= len(sets) <= max_size:
-            return from_subsets(sets)
+            masks.add(sum(1 << i for i in range(ground) if rng.random() < 0.5))
+        # the intersections of the nonempty subfamilies, one member at a time
+        closed: set[int] = set()
+        for m in masks:
+            closed |= {m & c for c in closed}
+            closed.add(m)
+        if 2 <= len(closed) <= max_size:
+            return _from_masks(closed, range(ground))
 
 
 # ---------------------------------------------------------------------------

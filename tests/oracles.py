@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import json
 import weakref
+from functools import reduce
 from itertools import combinations, product as iproduct
-from operator import itemgetter
+from operator import itemgetter, or_
+from typing import NamedTuple
 
 from xjoin import lcmhull
-from xjoin.bisection import AdditiveMorphism, BisAlgebra, QuotientReport, VarietyReport, _check_additive, iota
+from xjoin.bisection import AdditiveMorphism, BisAlgebra, VarietyReport, _check_additive, iota
 from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.invsgp import conjugate, natural_leq
@@ -440,6 +442,18 @@ def germs_equal_existential(S, s: int, t: int, f: int) -> bool:
 # ---------------------------------------------------------------------------
 # left inverse hull fragments, triple by triple, and Zappa-Szep division
 
+def free_foundation_brute(alphabet: str, F) -> tuple[str, str | None]:
+    """(verdict, witness) of a nonempty set of words, by every word of the
+    longest member's length in alphabet order: "no" at the first one that
+    extends no member, "yes" when there is none."""
+    top = max(len(f) for f in F)
+    for w in iproduct(alphabet, repeat=top):
+        word = "".join(w)
+        if not any(word.startswith(f) for f in F):
+            return "no", word
+    return "yes", None
+
+
 def hull_fragment_brute(M, depth: int) -> str | None:
     """The first failure of the inverse semigroup laws on the hull fragment
     (the zero and every [p,q], p and q up to the depth), by three fresh
@@ -823,6 +837,24 @@ def restriction_brute(full, chi) -> AdditiveMorphism:
     return AdditiveMorphism(full.algebra, BisAlgebra(restr), kept)
 
 
+class QuotientReport(NamedTuple):
+    """What :func:`theorem_quotients_check_brute` finds.  The theorem says
+    every check passes, with as many classes as ``theorem_quotients_check``
+    returns: the report is :meth:`passing` of that count."""
+
+    ok: bool
+    class_count: int
+    quotient_size: int
+    spectrum_ok: bool
+    germs_ok: bool
+    bijective: bool
+    weakly_meet_preserving: bool
+
+    @classmethod
+    def passing(cls, classes: int) -> "QuotientReport":
+        return cls(True, classes, classes, True, True, True, True)
+
+
 def theorem_quotients_check_brute(S, chi, carved=None, kept=None) -> QuotientReport:
     """The quotient report through the universal algebra, by the
     enumerating oracles.  The classes are those of the literal congruence;
@@ -852,6 +884,36 @@ def theorem_quotients_check_brute(S, chi, carved=None, kept=None) -> QuotientRep
     bijective = len(set(table.values())) == classes == size
     wmp = is_weakly_meet_preserving_brute(B, T, table)
     return QuotientReport(spectrum_ok and bijective and wmp, classes, size, spectrum_ok, True, bijective, wmp)
+
+
+class PresentationReport(NamedTuple):
+    """What :func:`check_presentation_brute` finds; the canonical generators
+    present the algebra when it is :meth:`passing` of the total
+    ``check_presentation`` returns."""
+
+    ok: bool
+    relations_ok: bool
+    generated: int
+    total: int
+
+    @classmethod
+    def passing(cls, total: int) -> "PresentationReport":
+        return cls(True, True, total, total)
+
+
+def check_presentation_brute(S, relations) -> PresentationReport:
+    """The presentation report on the listed algebra of the relations: the
+    canonical images of the idempotents join by union over each relation,
+    and the closure of all canonical images, by rounds, reaches every
+    element."""
+    rep = iota(S, relations)
+    total = len(rep.algebra.elements)
+    relations_ok = all(
+        reduce(or_, (rep.images[S.idems[p]] for p in elements_of(rel.parts)), 0) == rep.images[S.idems[rel.e]]
+        for rel in relations
+    )
+    generated = len(generated_subsemigroup_brute(rep.algebra, rep.images))
+    return PresentationReport(relations_ok and generated == total, relations_ok, generated, total)
 
 
 def generated_subsemigroup_brute(B, seeds) -> frozenset[int]:

@@ -28,10 +28,14 @@ from xjoin.semilattice import LawViolation
 from xjoin.suites import tight_spectrum_brute
 
 from oracles import (
+    PresentationReport,
+    QuotientReport,
+    check_presentation_brute,
     congruence_brute,
     count_additive_morphisms_brute,
     count_bisections_brute,
     elements_of,
+    theorem_quotients_check_brute,
     xa_oracle,
     xu_oracle,
 )
@@ -123,7 +127,8 @@ def test_criterion_04_bisection_counts():
     assert count_bisections_brute(full.algebra.groupoid) == 21
     E = I2.semilattice
     chi = sl.spectrum(E, tight)
-    assert len(congruence_brute(full, chi)[0]) == theorem_quotients_check(I2, chi).class_count == 7
+    assert len(congruence_brute(full, chi)[0]) == theorem_quotients_check(I2, chi) == 7
+    assert theorem_quotients_check_brute(I2, chi) == QuotientReport.passing(7)
     elapsed = time.monotonic() - t0
     _report(4, elapsed < 1.0, f"7 / 21 / 7 classes in {elapsed:.2f}s")
 
@@ -155,18 +160,16 @@ def test_criterion_06_quotient_theorem(S):
     tight_spec = sl.spectrum(E, invsgp.semigroup_relations(S, "tight"))
     assert full_spec in spectra and tight_spec in spectra
     for chi in spectra:
-        report = theorem_quotients_check(S, chi)
-        assert report.ok, (elements_of(chi), report)
-        assert report.weakly_meet_preserving
+        classes = theorem_quotients_check(S, chi)
+        assert theorem_quotients_check_brute(S, chi) == QuotientReport.passing(classes), elements_of(chi)
     _report(6, True, f"{len(spectra)} invariant spectra on the {S.n}-element semigroup")
 
 
 @pytest.mark.parametrize("S", GRID_SEMIGROUPS, ids=GRID_IDS)
 def test_criterion_07_presentations(S):
     for name in sl.BUILTIN_RELATION_SETS:
-        report = check_presentation(S, invsgp.semigroup_relations(S, name))
-        assert report.ok, (name, report)
-        assert report.generated == report.total
+        X = invsgp.semigroup_relations(S, name)
+        assert check_presentation_brute(S, X) == PresentationReport.passing(check_presentation(S, X)), name
     _report(7, True, f"presentation on the {S.n}-element semigroup, all relation sets")
 
 

@@ -288,6 +288,12 @@ class TestHull:
         assert code == 0
         assert "agree=true" in out
 
+    def test_foundation_with_a_long_member(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hull", "--monoid", "free:2", "foundation", "--set", "a,b," + "a" * 40)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (0, "verdict=yes\n")
+
     def test_xa_out_file_round_trips(self, capsys, tmp_path):
         from xjoin import lcmhull as lh
 
@@ -396,6 +402,20 @@ class TestHull:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "459,892" in err and "100,000" in err
+
+    @pytest.mark.parametrize("argv, forecast", [
+        (("--monoid", "adding", "xa", "--depth", "2000"), "more than the 100,128 relations of depth 446"),
+        (("--monoid", "free:3", "lemma", "--set", "a,b,c", "--depth", "17"),
+         "more than the 265,720 elements of depth 11"),
+        (("--monoid", "nx", "foundation", "--set", "1.2", "--depth", "3000"),
+         "more than the 100,128 elements of depth 446"),
+    ], ids=["xa", "lemma", "foundation"])
+    def test_listing_over_budget_refuses_fast(self, capsys, argv, forecast):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hull", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert forecast in err and "over the budget of 100,000" in err
 
 
 class TestParserReuse:

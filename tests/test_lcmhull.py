@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    UNDECIDED, hull_fragment_brute, left_divide_brute, mask_of, right_lcm_search_brute, zappa_walk_brute,
+    UNDECIDED, free_foundation_brute, hull_fragment_brute, left_divide_brute, mask_of, right_lcm_search_brute,
+    zappa_walk_brute,
 )
 
 from xjoin import lcmhull as lh
@@ -173,6 +174,37 @@ class TestFoundationSets:
 
     def test_bounded_search_unknown(self):
         assert lh.is_foundation_set(NX, [(0, 1)], depth=2).kind in ("yes", "unknown")
+
+    @settings(max_examples=300, deadline=None)
+    @given(alphabet=st.sampled_from(("ab", "abc")), data=st.data())
+    def test_tree_walk_matches_word_enumeration(self, alphabet, data):
+        F = data.draw(st.lists(st.text(alphabet, max_size=4), min_size=1, max_size=6))
+        verdict = lh.FreeMonoid(alphabet).foundation_verdict(F)
+        assert (verdict.kind, verdict.witness) == free_foundation_brute(alphabet, F)
+
+    def test_long_member_is_walked_not_enumerated(self):
+        # the enumeration would read 2^200 words
+        long = "a" * 200
+        assert lh.is_foundation_set(FREE, ["a", "b", long]).kind == "yes"
+        assert lh.is_foundation_set(FREE, ["b", "ab", long]) == ("no", "a" * 199 + "b", None)
+
+    @pytest.mark.parametrize("P, F, depth, first", [
+        (NX, [(1, 2)], 1000, 446),
+        (lh.FreeMonoid("abc"), ["a", "b", "c"], 17, 11),
+        (lh.FreeMonoid("a"), ["a"], 10 ** 9, 100_000),
+        (NAT2, [(1, 0)], 500, 446),
+    ], ids=["nx", "free3", "free1", "nat2"])
+    def test_listing_over_budget_is_refused(self, P, F, depth, first):
+        assert P.count_up_to(first - 1) <= lh.ELEMENT_BUDGET < P.count_up_to(first)
+        with pytest.raises(lh.BudgetExceeded, match=f"of depth {first}, over the budget of 100,000"):
+            lh.lemma_found_check(P, F, depth)
+
+    @pytest.mark.parametrize(
+        "P", [FREE, lh.FreeMonoid("a"), NAT2, lh.NatPow(3), NX, lh.zappa_szep(lh.adding_machine())], ids=repr
+    )
+    def test_count_forecasts_the_listing(self, P):
+        for depth in range(6):
+            assert P.count_up_to(depth) == len(P.elements_up_to(depth))
 
 
 class TestLemmaFoundCheck:
@@ -438,6 +470,17 @@ class TestRelationGenerators:
         for depth in range(5):
             assert lh.xu_relation_count(2, depth) == len(lh.gen_xu(adding, depth))
         assert lh.xu_relation_count(2, 5) == 459_892
+
+    def test_xa_forecast_counts_what_is_enumerated(self, adding):
+        for depth in range(8):
+            assert lh.xa_relation_count(1, depth) == len(lh.gen_xa(adding, depth)) == (depth + 1) * (depth + 2) // 2
+
+    def test_xa_over_budget_is_refused(self, adding):
+        assert lh.xa_relation_count(1, 445) <= lh.XU_RELATION_BUDGET < lh.xa_relation_count(1, 446)
+        with pytest.raises(lh.BudgetExceeded, match="^xa relation generation at depth 446 would enumerate 100,128"):
+            lh.gen_xa(adding, 446)
+        with pytest.raises(lh.BudgetExceeded, match="more than the 100,128 relations of depth 446"):
+            lh.gen_xa(adding, 2000)
 
     def test_xu_over_budget_is_refused(self, adding):
         with pytest.raises(lh.BudgetExceeded, match="459,892"):

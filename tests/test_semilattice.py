@@ -60,6 +60,37 @@ class TestConstruction:
         with pytest.raises(LawViolation, match="intersection-closed"):
             sl.from_subsets([{1}, {2}])
 
+    @settings(max_examples=300, deadline=None)
+    @given(fam=st.lists(st.frozensets(st.integers(1, 5)), max_size=8), data=st.data())
+    def test_from_subsets_matches_from_meet(self, fam, data):
+        # every field, order masks included, or the refusal message, against
+        # from_meet on the intersection table of the family sorted by size
+        # and then by ascending members
+        sets = sorted(set(fam), key=lambda s: (len(s), sorted(s)))
+        labels = data.draw(
+            st.none()
+            | st.lists(st.text("ab", max_size=3), min_size=len(sets), max_size=len(sets), unique=True)
+            | st.lists(st.text("ab", max_size=1), max_size=4)
+        )
+        index = {s: i for i, s in enumerate(sets)}
+        gaps = [(a, b) for a in sets for b in sets if a & b not in index]
+        if not sets:
+            want = "empty set family"
+        elif gaps:
+            want = f"family not intersection-closed at {set(gaps[0][0])} & {set(gaps[0][1])}"
+        else:
+            table = [[index[a & b] for b in sets] for a in sets]
+            want = fields_or_message(sl.FinMeetSemilattice.from_meet, table, labels)
+        assert fields_or_message(sl.from_subsets, fam, labels) == want
+
+
+def fields_or_message(build, *args):
+    """Every field of the semilattice built, or the message of the ``LawViolation`` raised."""
+    try:
+        return tuple(build(*args))
+    except LawViolation as exc:
+        return str(exc)
+
 
 class TestOrder:
     def test_chain_order(self):
