@@ -10,6 +10,7 @@ universal-morphism machinery.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 from itertools import accumulate
 from math import comb, factorial
@@ -23,7 +24,7 @@ from .invsgp import (
     character_set_invariant,
     invariant_closure,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_value, _Memo, _union_at, characters
+from .semilattice import BudgetExceeded, LawViolation, _bits, _json_chunks, _Memo, _union_at, characters
 
 # elements B.elements may list; I3 universal has 33,082
 BISECTION_BUDGET = 100_000
@@ -75,16 +76,13 @@ class BisAlgebra:
         """Every element, by size and then by ascending arrow list, listed on
         first read; ``BudgetExceeded`` when there are over ``BISECTION_BUDGET``."""
         if self._elements is None:
-            G = self.groupoid
-            count = bisection_count(G)
-            if count > BISECTION_BUDGET:
-                raise BudgetExceeded(
-                    f"enumerating the local bisections of {G.n_arrows} arrows would "
-                    f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
-                )
-            self._elements, srcs, rngs = _all_bisections(G, self._by_src, self._by_rng)
-            self.srcm.update(zip(self._elements, srcs))
-            self.rngm.update(zip(self._elements, rngs))
+            _check_budget(self.groupoid)
+            masks: list[int] = []
+            for level, _, srcs, rngs in _levels(self.groupoid, self._by_src, self._by_rng):
+                masks += level
+                self.srcm.update(zip(level, srcs))
+                self.rngm.update(zip(level, rngs))
+            self._elements = tuple(masks)
         return self._elements
 
     def label(self, x: int) -> str:
@@ -192,25 +190,30 @@ def bisection_count(G: FinGroupoid) -> int:
     return total
 
 
-def _all_bisections(
-    G: FinGroupoid, by_src: list[int], by_rng: list[int],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Arrow, source and range masks of every local bisection, by size and
-    then by ascending arrow list, given the arrow masks leaving and entering
-    each unit.
+def _check_budget(G: FinGroupoid) -> None:
+    if (count := bisection_count(G)) > BISECTION_BUDGET:
+        raise BudgetExceeded(
+            f"enumerating the local bisections of {G.n_arrows} arrows would "
+            f"give {count:,} elements, over the budget of {BISECTION_BUDGET:,}"
+        )
 
-    Level order: size k + 1 extends each bisection of size k, in order, by
-    each arrow above its last one that shares no source or range with it,
-    ascending.  A set arises once, from itself less its largest arrow, and
-    (that parent, the added arrow) orders as the arrow list does."""
+
+def _levels(G: FinGroupoid, by_src: list[int], by_rng: list[int]) -> Iterator[tuple[list[int], ...]]:
+    """Per size k from 0, the arrow, free-arrow, source and range masks of
+    the local bisections of k arrows, by ascending arrow list, given the
+    arrow masks leaving and entering each unit.  Level k + 1 extends each
+    bisection of level k, in order, by each arrow free for it, ascending:
+    those above its last arrow that share no source or range with it.  A
+    set arises once, from itself less its largest arrow, and (that parent,
+    the added arrow) orders as the arrow list does."""
     sbit = [1 << u for u in G.src]
     rbit = [1 << u for u in G.rng]
     keep = [~(by_src[s] | by_rng[r]) for s, r in zip(G.src, G.rng)]
-    masks, srcs, rngs, frees, start = [0], [0], [0], [(1 << G.n_arrows) - 1], 0
-    while frees:  # frees[k]: the arrows free to extend the k-th bisection of the last level
-        level = zip(masks[start:], frees, srcs[start:], rngs[start:])
-        start, frees = len(masks), []
-        for mask, free, s, r in level:
+    level = [0], [(1 << G.n_arrows) - 1], [0], [0]
+    while level[0]:
+        yield level
+        masks, frees, srcs, rngs = next_level = [], [], [], []
+        for mask, free, s, r in zip(*level):
             while free:
                 low = free & -free
                 a = low.bit_length() - 1
@@ -219,7 +222,7 @@ def _all_bisections(
                 frees.append(free & keep[a])
                 srcs.append(s | sbit[a])
                 rngs.append(r | rbit[a])
-    return tuple(masks), tuple(srcs), tuple(rngs)
+        level = next_level
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +658,25 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
 # ---------------------------------------------------------------------------
 # JSON emission
 
-def bis_to_json(B: BisAlgebra) -> str:
-    """``_json_text({"elements": ..., "groupoid": ...})`` for the arrow
-    lists of the elements.  An element's list is that of the element without
-    its top arrow, which comes earlier, with the top arrow appended."""
-    texts = {0: "[]"}
-    for x in B.elements[1:]:
-        top = x.bit_length() - 1
-        rest = texts[x ^ 1 << top]
-        texts[x] = (rest[:-6] + ",\n      " if rest != "[]" else "[\n      ") + str(top) + "\n    ]"
-    return (
-        '{\n  "elements": [\n    ' + ",\n    ".join(texts.values()) + '\n  ],\n  "groupoid": '
-        + _json_value(_groupoid_doc(B.groupoid), "\n  ") + "\n}"
-    )
+def bis_to_json(B: BisAlgebra) -> Iterator[str]:
+    """``_json_text({"elements": ..., "groupoid": ...})`` for the arrow lists
+    of the elements, a chunk per size level; over ``BISECTION_BUDGET``,
+    ``BudgetExceeded`` before any chunk."""
+    _check_budget(B.groupoid)
+    return _bis_chunks(B)
+
+
+def _bis_chunks(B: BisAlgebra) -> Iterator[str]:
+    """The children of a bisection are its free arrows, ascending, so an
+    element's text less its closing bracket is its parent's plus one arrow."""
+    G = B.groupoid
+    levels = _levels(G, B._by_src, B._by_rng)
+    yield '{\n  "elements": [\n    []'
+    opens = ["[\n      " + str(a) for a in _bits(next(levels)[1][0])]
+    items = [",\n      " + str(a) for a in range(G.n_arrows)]
+    for _, frees, _, _ in levels:
+        yield ",\n    " + "\n    ],\n    ".join(opens) + "\n    ]"
+        opens = [text + items[a] for text, free in zip(opens, frees) for a in _bits(free)]
+    yield '\n  ],\n  "groupoid": '
+    yield from _json_chunks(_groupoid_doc(G), "\n  ")
+    yield "\n}"

@@ -13,6 +13,7 @@ import contextlib
 import functools
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import boolalg, invsgp, lcmhull, semilattice, suites
@@ -25,11 +26,18 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its chunks as made, to the file out, or to stdout ending in a newline."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
+        return
+    tail = ""
+    for tail in filter(None, chunks):
+        sys.stdout.write(tail)
+    if not tail.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 def _x_relations_semilattice(E, spec: str):

@@ -7,10 +7,11 @@ fixes c, so germ equality is a plain int comparison.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .invsgp import FinInverseSemigroup, invariant_closure, natural_leq
-from .semilattice import LawViolation, _bits, _compare_first, _json_text, spectrum
+from .semilattice import LawViolation, _bits, _compare_first, _json_chunks, spectrum
 
 
 class FinGroupoid(NamedTuple):
@@ -167,17 +168,14 @@ def groupoid_to_dot(G: FinGroupoid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def groupoid_to_json(G: FinGroupoid) -> str:
-    return _json_text(_groupoid_doc(G))
+def groupoid_to_json(G: FinGroupoid) -> Iterator[str]:
+    """The JSON text of G in chunks, a row of the composition table each."""
+    return _json_chunks(_groupoid_doc(G), "\n")
 
 
 def _groupoid_doc(G: FinGroupoid) -> dict:
     """The JSON document of :func:`groupoid_to_json`, before encoding; its
-    composition table is dense, with -1 where ab is undefined."""
-    comp = [[-1] * G.n_arrows for _ in G.comp]
-    for dense, row in zip(comp, G.comp):
-        for b, ab in row.items():
-            dense[b] = ab
+    dense composition table, -1 where ab is undefined, builds rows as read."""
     return {
         "units": list(G.unit_labels),
         "arrows": [
@@ -185,5 +183,12 @@ def _groupoid_doc(G: FinGroupoid) -> dict:
             for a in range(G.n_arrows)
         ],
         "unit_arrow": list(G.unit_arrow),
-        "comp": comp,
+        "comp": (_dense_row(row, G.n_arrows) for row in G.comp),
     }
+
+
+def _dense_row(row: dict[int, int], n: int) -> list[int]:
+    dense = [-1] * n
+    for b, ab in row.items():
+        dense[b] = ab
+    return dense

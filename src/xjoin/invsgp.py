@@ -4,6 +4,7 @@ conjugation, invariant relation closure and the action on characters."""
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ from .semilattice import (
     _compare_first,
     _generators,
     _index_rows,
-    _json_text,
+    _json_chunks,
     builtin_relations,
     spectrum,
     x_atoms,
@@ -433,13 +434,9 @@ def character_set_invariant(S: FinInverseSemigroup, chars: int) -> bool:
 # ---------------------------------------------------------------------------
 # JSON interface
 
-def invsgp_to_json(S: FinInverseSemigroup) -> str:
-    doc = {
-        "elements": list(S.labels),
-        "mult": [list(r) for r in S.mult],
-        "zero": S.labels[0],
-    }
-    return _json_text(doc)
+def invsgp_to_json(S: FinInverseSemigroup) -> Iterator[str]:
+    """The JSON text of S in chunks, a row of the multiplication table each."""
+    return _json_chunks({"elements": list(S.labels), "mult": iter(S.mult), "zero": S.labels[0]}, "\n")
 
 
 def invsgp_from_json(text: str) -> FinInverseSemigroup:

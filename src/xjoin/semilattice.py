@@ -16,6 +16,7 @@ nonzero element indices.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from functools import reduce
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import and_, itemgetter
@@ -77,16 +78,39 @@ class _Memo(dict):
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
+    return "".join(_json_chunks(doc, "\n"))
+
+
+def _json_chunks(o, nl: str) -> Iterator[str]:
+    """``_json_value(o, nl)`` in chunks, one per dict value and per item of
+    an iterator other than a list or tuple, so a document is written as made."""
+    inner = nl + "  "
+    if isinstance(o, dict) and o:
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            yield sep + _json_key(k) + ": "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(o, Iterator):
+        sep = "[" + inner
+        for v in o:
+            yield sep
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else nl + "]"
+    else:
+        yield _json_value(o, nl)
+
+
+def _json_value(o, nl: str) -> str:
+    """The text of o in one piece.
 
     With an indent the standard library encodes in pure Python, one call per
     value.  Here a list of plain ints is one ``str.join`` of their reprs;
     strings get the same C quoting and other scalars go to ``json.dumps``.
     """
-    return _json_value(doc, "\n")
-
-
-def _json_value(o, nl: str) -> str:
     if isinstance(o, str):
         return _json_str(o)
     inner = nl + "  "
@@ -103,6 +127,8 @@ def _json_value(o, nl: str) -> str:
             return "{}"
         items = [_json_key(k) + ": " + _json_value(v, inner) for k, v in sorted(o.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(o, Iterator):
+        return "".join(_json_chunks(o, nl))
     return json.dumps(o)
 
 
@@ -618,14 +644,6 @@ def semilattice_from_json(text: str) -> FinMeetSemilattice:
     if not isinstance(labels, list):
         raise LawViolation("'elements' must be a list of labels")
     return FinMeetSemilattice.from_meet(table, labels)
-
-
-def relations_to_json(E: FinMeetSemilattice, rels) -> str:
-    doc = [
-        {"e": E.label(r.e), "parts": sorted(E.label(p) for p in _bits(r.parts))}
-        for r in sorted(rels, key=relation_sort_key)
-    ]
-    return _json_text(doc)
 
 
 def relations_from_json(E: FinMeetSemilattice, text: str) -> frozenset[XRelation]:

@@ -24,7 +24,7 @@ from xjoin.bisection import AdditiveMorphism, BisAlgebra, VarietyReport, _check_
 from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.invsgp import conjugate, natural_leq
-from xjoin.semilattice import LawViolation, XRelation, _associativity_witness, _generators
+from xjoin.semilattice import LawViolation, XRelation, _associativity_witness, _generators, relation_sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,16 @@ def spectrum_brute(E, relations) -> int:
         for g in range(1, E.n)
         if all(below(g, r.e) == any(below(g, p) for p in elements_of(r.parts)) for r in relations)
     )
+
+
+def relations_to_json(E, rels) -> str:
+    """A relation file naming the relations by element labels, as
+    ``semilattice.relations_from_json`` reads it."""
+    doc = [
+        {"e": E.label(r.e), "parts": sorted(E.label(p) for p in elements_of(r.parts))}
+        for r in sorted(rels, key=relation_sort_key)
+    ]
+    return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def count_bisections_brute(G) -> int:

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import re
 import time
 from functools import reduce
@@ -249,6 +250,20 @@ class TestKernelsAgainstOracles:
             for v in sample:
                 assert B.mul(e, v) == product_brute(G, e, v)
                 assert B.mul(v, e) == product_brute(G, v, e)
+
+    @settings(max_examples=60, deadline=None)
+    @given(S=partial_map_semigroups(), name=st.sampled_from(sl.BUILTIN_RELATION_SETS))
+    def test_json_by_levels(self, S, name):
+        G = germ_groupoid(S, rels(S, name)).groupoid
+        arrows = [
+            {"label": G.arrow_labels[a], "src": G.src[a], "rng": G.rng[a], "inv": G.inv[a]}
+            for a in range(G.n_arrows)
+        ]
+        groupoid = {"units": list(G.unit_labels), "arrows": arrows,
+                    "unit_arrow": list(G.unit_arrow), "comp": dense_comp(G)}
+        elements = [elements_of(x) for x in all_bisections_brute(G)[0]]
+        want = json.dumps({"elements": elements, "groupoid": groupoid}, indent=2, sort_keys=True)
+        assert "".join(bis_to_json(BisAlgebra(G))) == want
 
 
 I3_MAPS = (3, [{1: 2, 2: 3, 3: 1}, {1: 2, 2: 1, 3: 3}, {1: 1, 2: 2}])
@@ -1135,11 +1150,10 @@ class TestClosureEquivalence:
 
 class TestJsonEmission:
     def test_elements_reload_against_groupoid(self):
-        import json
         from oracles import groupoid_from_json
 
         B = iota(I2, rels(I2, "tight")).algebra
-        doc = json.loads(bis_to_json(B))
+        doc = json.loads("".join(bis_to_json(B)))
         G = groupoid_from_json(json.dumps(doc["groupoid"]))
         rebuilt = BisAlgebra(G)
         assert [

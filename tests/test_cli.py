@@ -12,6 +12,8 @@ from xjoin import boolalg, invsgp
 from xjoin import semilattice as sl
 from xjoin.cli import main
 
+from oracles import relations_to_json
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -19,7 +21,7 @@ def files(tmp_path_factory):
     chain3 = base / "chain3.json"
     chain3.write_text(sl.semilattice_to_json(sl.chain(3)))
     i2 = base / "i2.json"
-    i2.write_text(invsgp.invsgp_to_json(invsgp.i2()))
+    i2.write_text("".join(invsgp.invsgp_to_json(invsgp.i2())))
     i3 = base / "i3.json"
     i3.write_text(json.dumps({"points": 3, "partial_maps": [
         {"1": "2", "2": "3", "3": "1"}, {"1": "2", "2": "1", "3": "3"}, {"1": "1", "2": "2"},
@@ -96,6 +98,21 @@ class TestChecks:
         assert time.perf_counter() - start < 5.0
         assert code == 2 and out == ""
         assert "83,135,918,096,825" in err and "100,000" in err
+
+    def test_refused_listing_writes_no_out_file(self, files, capsys, tmp_path):
+        out_file = tmp_path / "b.json"
+        code, out, err = run(capsys, "booleanize", "--invsgp", files["i4"], "--x", "core",
+                             "--format", "json", "--out", str(out_file))
+        assert (code, out) == (2, "") and "83,135,918,096,825" in err
+        assert not out_file.exists()
+
+    def test_out_file_is_stdout_less_its_newline(self, files, capsys, tmp_path):
+        out_file = tmp_path / "b.json"
+        argv = ("booleanize", "--invsgp", files["i3"], "--x", "core", "--format", "json")
+        assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n") and out_file.read_bytes() == out[:-1].encode()
+        assert len(json.loads(out)["elements"]) == 33_082
 
     @pytest.mark.parametrize("command, x, line", [
         ("quotient-check", "tight", "classes=34 quotient=34 wmp=true ok=true"),
@@ -237,7 +254,7 @@ class TestStructureCommands:
     def test_relation_file_input(self, files, capsys, tmp_path):
         E = sl.chain(3)
         rel_file = tmp_path / "rels.json"
-        rel_file.write_text(sl.relations_to_json(E, sl.x_tight(E)))
+        rel_file.write_text(relations_to_json(E, sl.x_tight(E)))
         code, out, _ = run(
             capsys, "booleanize", "--semilattice", files["chain3"], "--x", str(rel_file)
         )

@@ -203,7 +203,7 @@ class TestEmission:
 
     def test_json_round_trip(self):
         gg = germ_groupoid(I2, invsgp.semigroup_relations(I2, "tight"))
-        back = groupoid_from_json(groupoid_to_json(gg.groupoid))
+        back = groupoid_from_json("".join(groupoid_to_json(gg.groupoid)))
         assert back == gg.groupoid
 
     def test_groupoid_validation_rejects_broken_inverse(self):

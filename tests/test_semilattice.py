@@ -21,6 +21,7 @@ from oracles import (
     join_brute,
     mask_of,
     minimal_covers_brute,
+    relations_to_json,
     spectrum_brute,
     x_core_brute,
     x_prime_brute,
@@ -431,7 +432,7 @@ class TestJson:
 
     def test_relations_round_trip(self):
         rels = sl.x_tight(D)
-        back = sl.relations_from_json(D, sl.relations_to_json(D, rels))
+        back = sl.relations_from_json(D, relations_to_json(D, rels))
         assert back == rels
 
     @settings(max_examples=100, deadline=None)
@@ -441,7 +442,7 @@ class TestJson:
         elems = st.sampled_from(range(E.n))
         drawn = data.draw(st.lists(st.tuples(elems, st.lists(elems, max_size=4)), max_size=6))
         rels = frozenset(rel(e, parts) for e, parts in drawn)
-        assert sl.relations_from_json(E, sl.relations_to_json(E, rels)) == rels
+        assert sl.relations_from_json(E, relations_to_json(E, rels)) == rels
         doc = [{"e": E.label(e), "parts": [E.label(p) for p in parts]} for e, parts in drawn]
         assert sl.relations_from_json(E, json.dumps(doc)) == rels
 
@@ -477,6 +478,35 @@ class TestJsonText:
            | st.dictionaries(st.floats(allow_nan=False), JSON_SCALARS))
     def test_non_string_keys(self, doc):
         assert sl._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=JSON_DOCS | st.dictionaries(st.text(), JSON_DOCS), data=st.data())
+    def test_chunks_of_iterators(self, doc, data):
+        # each list or tuple may come as an iterator, empty ones too, at any depth
+        def streamed(o):
+            if isinstance(o, dict):
+                return {k: streamed(v) for k, v in o.items()}
+            if isinstance(o, (list, tuple)):
+                items = [streamed(v) for v in o]
+                return iter(items) if data.draw(st.booleans()) else items
+            return o
+
+        want = json.dumps(doc, indent=2, sort_keys=True)
+        assert "".join(sl._json_chunks(streamed(doc), "\n")) == want
+
+    def test_iterator_items_encoded_as_read(self):
+        read = []
+
+        def rows():
+            for k in range(3):
+                read.append(k)
+                yield [k, 10 + k]
+
+        doc = {"rows": rows(), "z": {"empty": iter([]), "y": 1}}
+        seen = [(chunk, len(read)) for chunk in sl._json_chunks(doc, "\n")]
+        assert [n for k in range(3) for chunk, n in seen if str(10 + k) in chunk] == [1, 2, 3]
+        assert "".join(chunk for chunk, _ in seen) == json.dumps(
+            {"rows": [[k, 10 + k] for k in range(3)], "z": {"empty": [], "y": 1}}, indent=2, sort_keys=True)
 
     def test_rejects_what_json_rejects(self):
         for doc in ({(1, 2): 0}, {"a": {1, 2}}, {1: 0, "a": 0}):
