@@ -39,17 +39,15 @@ from .invsgp import (
     spectrum_invariant,
     validate,
 )
-from .groupoid import FinGroupoid, germ_groupoid, germ_of, is_local_bisection, theta
+from .groupoid import FinGroupoid, germ_groupoid, is_local_bisection, theta
 from .bisection import (
     AdditiveMorphism,
     BisAlgebra,
     check_presentation,
     check_variety_identities,
-    difference,
     find_universal_morphism,
     iota,
     is_weakly_meet_preserving,
-    skew_join,
     theorem_quotients_check,
 )
 from .lcmhull import (
@@ -61,7 +59,6 @@ from .lcmhull import (
     adding_machine,
     gen_xa,
     gen_xu,
-    hull_idem_leq,
     hull_inv,
     hull_mul,
     is_foundation_set,

@@ -226,21 +226,6 @@ def _levels(G: FinGroupoid, by_src: list[int], by_rng: list[int]) -> Iterator[tu
 
 
 # ---------------------------------------------------------------------------
-# difference and skew join by the defining formula
-
-def difference(B: BisAlgebra, i: int, j: int) -> int:
-    """(r(i) - r(j)) i (d(i) - d(j)), evaluated with the algebra operations."""
-    left = B.diff(B.r(i), B.r(j))
-    right = B.diff(B.d(i), B.d(j))
-    return B.mul(B.mul(left, i), right)
-
-
-def skew_join(B: BisAlgebra, i: int, j: int) -> int:
-    """difference(i, j) joined with j; total on all pairs."""
-    return B.join(difference(B, i, j), j)
-
-
-# ---------------------------------------------------------------------------
 # variety identities
 
 class VarietyReport(NamedTuple):

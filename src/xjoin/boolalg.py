@@ -8,7 +8,6 @@ list.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .semilattice import (
@@ -20,8 +19,8 @@ from .semilattice import (
     _json_text,
     _union_at,
     _unions,
+    builtin_relations,
     spectrum,
-    x_atoms,
     x_core,
     x_prime,
 )
@@ -46,9 +45,6 @@ class FinBooleanAlgebra(NamedTuple):
     @property
     def top(self) -> int:
         return (1 << self.m) - 1
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << i for i in range(self.m))
@@ -88,9 +84,6 @@ class SemilatticeRep(NamedTuple):
                     )
         return cls(domain, codomain, images)
 
-    def apply(self, x: int) -> int:
-        return self.images[x]
-
 
 def is_proper(rep: SemilatticeRep) -> bool:
     """The images join to the top of the codomain."""
@@ -109,9 +102,8 @@ def is_x_to_join(rep: SemilatticeRep, relations) -> bool:
 
 
 def is_tight(rep: SemilatticeRep) -> bool:
-    """Satisfies X_tight, tested on X_atoms, which the same maps satisfy
-    (see :func:`~xjoin.semilattice.x_atoms`)."""
-    return is_x_to_join(rep, x_atoms(rep.domain))
+    """Satisfies X_tight, tested on ``builtin_relations(E, "tight")``."""
+    return is_x_to_join(rep, builtin_relations(rep.domain, "tight"))
 
 
 def is_prime(rep: SemilatticeRep) -> bool:
@@ -397,21 +389,3 @@ def rep_to_json(rep: SemilatticeRep) -> str:
     }
     return _json_text(doc)
 
-
-def rep_from_json(E: FinMeetSemilattice, text: str) -> SemilatticeRep:
-    doc = json.loads(text)
-    atom_labels = tuple(doc["atoms"])
-    B = FinBooleanAlgebra(atom_labels)
-    pos = {lbl: i for i, lbl in enumerate(atom_labels)}
-    images = []
-    for x in range(E.n):
-        lbl = E.label(x)
-        if lbl not in doc["map"]:
-            raise LawViolation(f"representation JSON misses element {lbl!r}")
-        mask = 0
-        for a in doc["map"][lbl]:
-            if a not in pos:
-                raise LawViolation(f"unknown atom label {a!r}")
-            mask |= 1 << pos[a]
-        images.append(mask)
-    return SemilatticeRep.build(E, B, images)

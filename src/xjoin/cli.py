@@ -59,7 +59,8 @@ def _cmd_semilattice(args) -> int:
         return 0
     lines = [f"elements={E.n}", f"atoms={len(E.atoms())}"]
     if args.x is not None:
-        rels = _x_relations_semilattice(E, args.x)
+        # the one command that prints a relation count walks the tight covers
+        rels = semilattice.x_tight(E) if args.x == "tight" else _x_relations_semilattice(E, args.x)
         spec = semilattice.spectrum(E, rels)
         lines.append(f"relations={len(rels)}")
         lines.append(f"spectrum={spec.bit_count()}")
@@ -94,9 +95,7 @@ def _cmd_groupoid(args) -> int:
 def _cmd_booleanize(args) -> int:
     if args.semilattice:
         E = semilattice.semilattice_from_json(_read(args.semilattice))
-        # the atoms give the tight spectrum and representation without the cover walk
-        rels = semilattice.x_atoms(E) if args.x == "tight" else _x_relations_semilattice(E, args.x)
-        B, rep = boolalg.booleanization(E, rels)
+        B, rep = boolalg.booleanization(E, _x_relations_semilattice(E, args.x))
         if args.format == "json":
             _emit(boolalg.rep_to_json(rep), args.out)
         else:

@@ -44,17 +44,6 @@ def is_local_bisection(G: FinGroupoid, arrows: int) -> bool:
 # ---------------------------------------------------------------------------
 # germs
 
-def germ_of(S: FinInverseSemigroup, s: int, c: int) -> int:
-    """The germ of s at the character with generator c, as its canonical
-    representative; needs the generator below d(s)."""
-    f = S.idems[c]
-    if not natural_leq(S, f, S.d(s)):
-        raise LawViolation(
-            f"character at {S.label(f)} is outside the domain of {S.label(s)}"
-        )
-    return S.mul(s, f)
-
-
 class GermGroupoid(NamedTuple):
     """Groupoid of germs over the spectrum of a closed relation set.  Units
     are character generators, ascending, and germs canonical

@@ -22,7 +22,6 @@ from .semilattice import (
     _json_chunks,
     builtin_relations,
     spectrum,
-    x_atoms,
 )
 
 # multiplication-table entries from_partial_maps may build; I5 has 2,390,116, I6 177,608,929
@@ -363,12 +362,7 @@ def conjugate(S: FinInverseSemigroup, s: int, e: int) -> int:
 
 
 def semigroup_relations(S: FinInverseSemigroup, name: str) -> frozenset[XRelation]:
-    """Builtin relation set over the idempotent semilattice of S.  "tight"
-    gives X_atoms, whose invariant closure has the spectrum of X_tight's
-    and which the same representations satisfy (see
-    :func:`~xjoin.semilattice.x_atoms`)."""
-    if name == "tight":
-        return x_atoms(S.semilattice)
+    """Builtin relation set over the idempotent semilattice of S."""
     return builtin_relations(S.semilattice, name)
 
 

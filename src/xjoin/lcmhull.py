@@ -354,11 +354,6 @@ def _numbering(items: list) -> _Memo:
     return index
 
 
-def hull_idem_leq(P, p, q) -> bool:
-    """[p,p] <= [q,q], i.e. the ideal of p sits inside the ideal of q."""
-    return P.left_divide(q, p) is not None
-
-
 def parse_hull(P, text: str) -> HullElement:
     text = text.strip()
     if text == "0":
@@ -516,22 +511,6 @@ def zappa_data_from_json(text: str) -> ZappaSzepData:
             "product JSON needs 'u_letters', 'a_letters', 'action' and 'restriction'"
         ) from None
     return ZappaSzepData.from_tables(*tables)
-
-
-def zappa_data_to_json(data: ZappaSzepData) -> str:
-    action: dict[str, dict[str, str]] = {}
-    restriction: dict[str, dict[str, str]] = {}
-    for a, u, v in data.act_letter:
-        action.setdefault(a, {})[u] = v
-    for a, u, w in data.res_letter:
-        restriction.setdefault(a, {})[u] = w
-    doc = {
-        "u_letters": data.u_alphabet,
-        "a_letters": data.a_alphabet,
-        "action": action,
-        "restriction": restriction,
-    }
-    return _json_text(doc)
 
 
 class ZappaSzepProduct:
@@ -743,11 +722,7 @@ class HullRelation(NamedTuple):
     parts: frozenset[HullElement]
 
 
-def hull_relation_sort_key(P, rel: HullRelation):
-    return (rel.e.format(P), len(rel.parts), sorted(p.format(P) for p in rel.parts))
-
-
-def gen_xa(P: ZappaSzepProduct, depth: int) -> tuple[HullRelation, ...]:
+def gen_xa(P: ZappaSzepProduct, depth: int) -> frozenset[HullRelation]:
     """Pairs identifying [a,a] with [b,b] whenever b extends a inside the
     second factor, up to the grade bound, which cannot be negative.
     Raises ``BudgetExceeded`` before enumerating when ``xa_relation_count``
@@ -765,7 +740,7 @@ def gen_xa(P: ZappaSzepProduct, depth: int) -> tuple[HullRelation, ...]:
             if A.left_divide(a, b) is not None:
                 eb = HullElement(("", b), ("", b))
                 out.append(HullRelation(ea, frozenset((eb,))))
-    return tuple(sorted(out, key=lambda r: hull_relation_sort_key(P, r)))
+    return frozenset(out)
 
 
 def prefix_codes(alphabet: str, maxlen: int) -> list[frozenset[str]]:
@@ -806,7 +781,7 @@ def xu_relation_count(k: int, depth: int) -> int:
     return sum(k ** ell * prefix_code_count(k, depth - ell) for ell in range(depth + 1))
 
 
-def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tuple[HullRelation, ...]:
+def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> frozenset[HullRelation]:
     """Covers of [s,s] by minimal families [s u_i, s u_i] inside the first factor.
 
     A family works exactly when the words u_i form a foundation set of the
@@ -830,25 +805,16 @@ def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> tup
                 continue
             parts = frozenset(HullElement((s + u, ""), (s + u, "")) for u in code)
             out.append(HullRelation(HullElement((s, ""), (s, "")), parts))
-    return tuple(sorted(out, key=lambda r: hull_relation_sort_key(P, r)))
+    return frozenset(out)
 
 
 def hull_relations_to_json(P, relations) -> str:
-    """The relations in :func:`hull_relation_sort_key` order, each element
-    formatted once: the documents sort by that key's own fields."""
+    """The relations as JSON, in one order whatever order they come in: by
+    formatted e, then number of parts, then sorted formatted parts.  Each
+    element is formatted once."""
     doc = [{"e": r.e.format(P), "parts": sorted(p.format(P) for p in r.parts)} for r in relations]
     doc.sort(key=lambda d: (d["e"], len(d["parts"]), d["parts"]))
     return _json_text(doc)
-
-
-def hull_relations_from_json(P, text: str) -> tuple[HullRelation, ...]:
-    doc = json.loads(text)
-    out = []
-    for item in doc:
-        e = parse_hull(P, item["e"])
-        parts = frozenset(parse_hull(P, p) for p in item["parts"])
-        out.append(HullRelation(e, parts))
-    return tuple(sorted(out, key=lambda r: hull_relation_sort_key(P, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,11 @@ def tight_spectrum_brute(E: FinMeetSemilattice) -> int:
     return semilattice.spectrum(E, rels)
 
 
-def semilattice_suite(max_size: int = 8, samples: int = 20, seed: int = 7):
-    rng = random.Random(seed)
+def semilattice_suite(max_size: int = 8):
+    rng = random.Random(7)
     out = []
     pool = _catalog(max_size)
-    pool.extend(semilattice.random_semilattice(rng, max_size) for _ in range(samples))
+    pool.extend(semilattice.random_semilattice(rng, max_size) for _ in range(20))
 
     ok = True
     for E in pool:

@@ -24,7 +24,7 @@ from xjoin.bisection import AdditiveMorphism, BisAlgebra, VarietyReport, _check_
 from xjoin.boolalg import character_rep, x_pi
 from xjoin.groupoid import FinGroupoid, germ_groupoid
 from xjoin.invsgp import conjugate, natural_leq
-from xjoin.semilattice import LawViolation, XRelation, _associativity_witness, _generators, relation_sort_key
+from xjoin.semilattice import LawViolation, XRelation, _associativity_witness, _generators
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,11 @@ def spectrum_brute(E, relations) -> int:
         for g in range(1, E.n)
         if all(below(g, r.e) == any(below(g, p) for p in elements_of(r.parts)) for r in relations)
     )
+
+
+def relation_sort_key(rel: XRelation):
+    """Orders relations by e, then parts by size, then ascending element list."""
+    return rel.e, rel.parts.bit_count(), elements_of(rel.parts)
 
 
 def relations_to_json(E, rels) -> str:
@@ -440,6 +445,15 @@ def theta_brute(gg, s: int, excl=()) -> int:
     return out
 
 
+def germ_of(S, s: int, c: int) -> int:
+    """The germ of s at the character with generator c, as its canonical
+    representative; needs the generator below d(s)."""
+    f = S.idems[c]
+    if not natural_leq(S, f, S.d(s)):
+        raise LawViolation(f"character at {S.label(f)} is outside the domain of {S.label(s)}")
+    return S.mul(s, f)
+
+
 def germs_equal_existential(S, s: int, t: int, f: int) -> bool:
     """The germ equivalence by its defining existential: some idempotent e
     with f below e and se = te."""
@@ -462,6 +476,11 @@ def free_foundation_brute(alphabet: str, F) -> tuple[str, str | None]:
         if not any(word.startswith(f) for f in F):
             return "no", word
     return "yes", None
+
+
+def hull_idem_leq(P, p, q) -> bool:
+    """[p,p] <= [q,q], i.e. the ideal of p sits inside the ideal of q."""
+    return P.left_divide(q, p) is not None
 
 
 def hull_fragment_brute(M, depth: int) -> str | None:
@@ -630,6 +649,18 @@ def xu_oracle(depth: int) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # bisection algebras: the theorem checks triple by triple and round by round
+
+def difference(B, i: int, j: int) -> int:
+    """(r(i) - r(j)) i (d(i) - d(j)), evaluated with the algebra operations."""
+    left = B.diff(B.r(i), B.r(j))
+    right = B.diff(B.d(i), B.d(j))
+    return B.mul(B.mul(left, i), right)
+
+
+def skew_join(B, i: int, j: int) -> int:
+    """difference(i, j) joined with j; total on all pairs."""
+    return B.join(difference(B, i, j), j)
+
 
 def _identity_checks(B, x: int, y: int, z: int):
     d, r, mul, dif, skw, leq = B.d, B.r, B.mul, B.diff, B.skew, B.leq

@@ -65,7 +65,7 @@ def test_criterion_01_chain_family():
     t0 = time.monotonic()
     for n in range(1, 6):
         E = sl.chain(n)
-        tight = sl.builtin_relations(E, "tight")
+        tight = sl.x_tight(E)
         prime = sl.builtin_relations(E, "prime")
         assert sl.spectrum(E, tight).bit_count() == 1
         Bt, rep_t = ba.booleanization(E, tight)

@@ -21,12 +21,10 @@ from xjoin.bisection import (
     bisection_count,
     check_presentation,
     check_variety_identities,
-    difference,
     find_universal_morphism,
     generated_subsemigroup,
     iota,
     is_weakly_meet_preserving,
-    skew_join,
     theorem_quotients_check,
 )
 from xjoin.boolalg import SemilatticeRep, character_rep, is_x_to_join, x_pi, x_pi_spectrum
@@ -45,6 +43,7 @@ from oracles import (
     count_additive_morphisms_brute,
     count_bisections_brute,
     dense_comp,
+    difference,
     elements_of,
     expanded,
     from_parts,
@@ -57,6 +56,7 @@ from oracles import (
     product_brute,
     restricted_groupoid_brute,
     restriction_brute,
+    skew_join,
     sparse_comp,
     theorem_quotients_check_brute,
     theta_brute,

@@ -7,7 +7,6 @@ from xjoin import semilattice as sl
 from xjoin.groupoid import (
     FinGroupoid,
     germ_groupoid,
-    germ_of,
     groupoid_to_dot,
     groupoid_to_json,
     is_local_bisection,
@@ -20,6 +19,7 @@ from oracles import (
     dense_comp,
     elements_of,
     from_parts,
+    germ_of,
     germs_equal_existential,
     groupoid_from_json,
     mask_of,

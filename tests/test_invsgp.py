@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from xjoin import invsgp
 from xjoin import semilattice as sl
-from xjoin.groupoid import germ_groupoid, germ_of, groupoid_to_json
+from xjoin.groupoid import germ_groupoid, groupoid_to_json
 from xjoin.semilattice import BudgetExceeded, LawViolation, XRelation
 
 from oracles import (
     check_groupoid_brute,
     dense_comp,
     elements_of,
+    germ_of,
     invariant_closure_brute,
     is_associative_brute,
     left_normed_closure,

@@ -1,12 +1,14 @@
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
-    UNDECIDED, free_foundation_brute, hull_fragment_brute, left_divide_brute, mask_of, right_lcm_search_brute,
-    zappa_walk_brute,
+    UNDECIDED, free_foundation_brute, hull_fragment_brute, hull_idem_leq, left_divide_brute, mask_of,
+    right_lcm_search_brute, xa_oracle, xu_oracle, zappa_walk_brute,
 )
 
 from xjoin import lcmhull as lh
@@ -68,9 +70,10 @@ class TestHullArithmetic:
         assert lh.hull_inv(lh.HULL_ZERO).is_zero
 
     def test_idempotent_order(self):
-        assert lh.hull_idem_leq(FREE, "ab", "a")
-        assert not lh.hull_idem_leq(FREE, "a", "ab")
-        assert not lh.hull_idem_leq(NAT2, (1, 2), (2, 0))
+        # [p,p] <= [q,q] exactly when [p,p][q,q] = [p,p]
+        for P, p, q, leq in ((FREE, "ab", "a", True), (FREE, "a", "ab", False), (NAT2, (1, 2), (2, 0), False)):
+            ep, eq = HullElement(p, p), HullElement(q, q)
+            assert hull_idem_leq(P, p, q) == leq == (lh.hull_mul(P, ep, eq) == ep)
 
     def test_fragment_is_inverse_semigroup(self):
         assert lh.fragment_law_failure(FREE, 2) is None
@@ -489,9 +492,20 @@ class TestRelationGenerators:
             lh.gen_xu(adding, 40)
 
     def test_json_round_trip(self, adding):
-        xa = lh.gen_xa(adding, 2)
-        back = lh.hull_relations_from_json(adding, lh.hull_relations_to_json(adding, xa))
-        assert back == xa
+        """The writer's text against the documents the oracles build from the definitions."""
+        for gen, oracle in ((lh.gen_xa, xa_oracle), (lh.gen_xu, xu_oracle)):
+            text = lh.hull_relations_to_json(adding, gen(adding, 2))
+            assert text == json.dumps(oracle(2), indent=2, sort_keys=True)
+
+    def test_json_order_is_the_writers(self, adding):
+        # the generators return sets: the writer alone orders what it prints
+        xu = lh.gen_xu(adding, 3)
+        shuffled = list(xu)
+        random.Random(3).shuffle(shuffled)
+        text = lh.hull_relations_to_json(adding, xu)
+        assert lh.hull_relations_to_json(adding, shuffled) == text
+        golden = json.loads((Path(__file__).parent / "data" / "adding_machine_x_depth3.json").read_text())
+        assert text == json.dumps(golden["xu"], indent=2, sort_keys=True)
 
     def test_xu_is_the_tight_set_of_the_word_fragment(self, adding):
         # hull idempotents over words up to the depth bound form a finite
@@ -548,15 +562,22 @@ class TestRelationGenerators:
         assert got == frozenset(want)
 
 
+ODOMETER_DOC = {
+    "u_letters": "01",
+    "a_letters": "g",
+    "action": {"g": {"0": "1", "1": "0"}},
+    "restriction": {"g": {"0": "", "1": "g"}},
+}
+
+
 class TestZappaJson:
     def test_round_trip(self):
-        data = lh.adding_machine()
-        back = lh.zappa_data_from_json(lh.zappa_data_to_json(data))
-        assert back == data
+        """A hand-written odometer document reads as ``adding_machine()``."""
+        assert lh.zappa_data_from_json(json.dumps(ODOMETER_DOC)) == lh.adding_machine()
 
     def test_file_spec(self, tmp_path):
         f = tmp_path / "odometer.json"
-        f.write_text(lh.zappa_data_to_json(lh.adding_machine()))
+        f.write_text(json.dumps(ODOMETER_DOC))
         P = lh.monoid_from_spec(f"zs:{f}")
         assert isinstance(P, lh.ZappaSzepProduct)
         assert P.act("g", "0") == "1"

@@ -30,7 +30,7 @@ def record_examples() -> dict[type, object]:
         I2, gg, gg.groupoid,
         full, bisection.check_variety_identities(full.algebra),
         bisection.find_universal_morphism(I2, frozenset(), full.algebra, full.images),
-        P.data, xa[0], xa[0].e, lcmhull.is_foundation_set(P, [P.identity]),
+        P.data, min(xa), min(xa).e, lcmhull.is_foundation_set(P, [P.identity]),
     ]
     return {type(r): r for r in examples}
 

@@ -300,8 +300,7 @@ class TestMasksAgainstOracles:
         assert sl.x_prime(E) == x_prime_brute(E)
         assert sl.x_core(E) == x_core_brute(E)
 
-        for name in sl.BUILTIN_RELATION_SETS:
-            rels = sl.builtin_relations(E, name)
+        for rels in [sl.builtin_relations(E, name) for name in sl.BUILTIN_RELATION_SETS] + [sl.x_tight(E)]:
             assert sl.spectrum(E, rels) == spectrum_brute(E, rels)
         rels = data.draw(st.lists(
             st.builds(rel, st.sampled_from(elems), st.sets(st.sampled_from(elems), max_size=3)),
@@ -359,6 +358,7 @@ class TestAtoms:
         a, b, top = D.index("a"), D.index("b"), D.index("1")
         assert sl.x_atoms(D) == frozenset({rel(a, {a}), rel(b, {b}), rel(top, {a, b})})
         assert sl.x_atoms(E3) == frozenset(rel(x, {1}) for x in (1, 2, 3))
+        assert sl.builtin_relations(D, "tight") == sl.x_atoms(D)
 
     @settings(max_examples=100, deadline=None)
     @given(E=families())
