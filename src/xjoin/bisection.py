@@ -19,12 +19,10 @@ from typing import NamedTuple
 
 from .boolalg import FinBooleanAlgebra, SemilatticeRep, is_x_to_join, universal_extension
 from .groupoid import FinGroupoid, GermGroupoid, _groupoid_doc, germ_groupoid, theta
-from .invsgp import (
-    FinInverseSemigroup,
-    character_set_invariant,
-    invariant_closure,
+from .invsgp import FinInverseSemigroup, character_set_invariant, invariant_closure
+from .semilattice import (
+    BudgetExceeded, LawViolation, _at_least, _bits, _json_chunks, _Memo, _union_at, characters,
 )
-from .semilattice import BudgetExceeded, LawViolation, _bits, _json_chunks, _Memo, _union_at, characters
 
 # elements B.elements may list; I3 universal has 33,082
 BISECTION_BUDGET = 100_000
@@ -198,28 +196,45 @@ def _check_budget(G: FinGroupoid) -> None:
         )
 
 
+def _children(G: FinGroupoid, by_src: list[int], by_rng: list[int]) -> _Memo:
+    """Per free mask, the children of the local bisections with that free
+    mask: each free arrow a, ascending, with the child's free mask, given
+    the arrow masks leaving and entering each unit.
+
+    The free arrows of a bisection x are the arrows above its last one
+    (every arrow, for the empty one) whose source is no source of x and
+    whose range is no range of x.  The child x ∪ {a} has last arrow a, and
+    an arrow above a lies above the last arrow of x, so the child's free
+    arrows are those of x that lie above a, do not leave s(a) and do not
+    enter r(a): free & keep[a], where
+    keep[a] = ~(by_src[s(a)] | by_rng[r(a)]) & -(2 << a), since
+    -(2 << a) = ~((2 << a) - 1) is the mask of the bits above a.  That is
+    the set left by clearing a and every free arrow below it, one at a
+    time, and then the arrows that share a unit with a.  The children
+    depend on the free mask alone, so the memo computes them once per free
+    mask: 22 times for the 33,082 elements of I3's universal algebra."""
+    keep = [~(by_src[s] | by_rng[r]) & -(2 << a) for a, (s, r) in enumerate(zip(G.src, G.rng))]
+    return _Memo(lambda free: [(a, free & keep[a]) for a in _bits(free)])
+
+
 def _levels(G: FinGroupoid, by_src: list[int], by_rng: list[int]) -> Iterator[tuple[list[int], ...]]:
     """Per size k from 0, the arrow, free-arrow, source and range masks of
     the local bisections of k arrows, by ascending arrow list, given the
     arrow masks leaving and entering each unit.  Level k + 1 extends each
-    bisection of level k, in order, by each arrow free for it, ascending:
-    those above its last arrow that share no source or range with it.  A
-    set arises once, from itself less its largest arrow, and (that parent,
-    the added arrow) orders as the arrow list does."""
+    bisection of level k, in order, by each arrow free for it, ascending
+    (:func:`_children`).  A set arises once, from itself less its largest
+    arrow, and (that parent, the added arrow) orders as the arrow list does."""
+    children = _children(G, by_src, by_rng)
     sbit = [1 << u for u in G.src]
     rbit = [1 << u for u in G.rng]
-    keep = [~(by_src[s] | by_rng[r]) for s, r in zip(G.src, G.rng)]
     level = [0], [(1 << G.n_arrows) - 1], [0], [0]
     while level[0]:
         yield level
         masks, frees, srcs, rngs = next_level = [], [], [], []
         for mask, free, s, r in zip(*level):
-            while free:
-                low = free & -free
-                a = low.bit_length() - 1
-                free ^= low
-                masks.append(mask | low)
-                frees.append(free & keep[a])
+            for a, child in children[free]:
+                masks.append(mask | 1 << a)
+                frees.append(child)
                 srcs.append(s | sbit[a])
                 rngs.append(r | rbit[a])
         level = next_level
@@ -238,58 +253,14 @@ class VarietyReport(NamedTuple):
         return "" if self.ok else f"{self.failures[0][0]} at {self.failures[0][1]}"
 
 
-# Each identity is evaluated on the arguments it reads: idempotents d(x),
-# d(y), d(z) or elements x, y, z.
-
-def _idem_pair_laws(B: BisAlgebra, e: int, f: int) -> dict[str, bool]:
-    mul, skw, zero = B.mul, B.skew, B.zero
-    ef_diff = B.diff(e, f)
-    ef_skew = skw(e, f)
-    return {
-        "1a": mul(ef_diff, ef_diff) == ef_diff,
-        "1b": mul(ef_skew, ef_skew) == ef_skew,
-        "2-meet-comm": mul(e, f) == mul(f, e),
-        "2-join-comm": ef_skew == skw(f, e),
-        "2-idem": mul(e, e) == e and skw(e, e) == e,
-        "2-absorb": mul(e, ef_skew) == e and skw(e, mul(e, f)) == e,
-        "2-bottom": mul(e, zero) == zero and skw(e, zero) == e,
-        "2-complement": mul(ef_diff, f) == zero and skw(ef_diff, mul(e, f)) == e,
-    }
-
-
-def _idem_triple_laws(B: BisAlgebra, e: int, f: int, g: int) -> dict[str, bool]:
-    mul, skw = B.mul, B.skew
-    return {
-        "2-join-assoc": skw(skw(e, f), g) == skw(e, skw(f, g)),
-        "2-distr-meet": mul(e, skw(f, g)) == skw(mul(e, f), mul(e, g)),
-        "2-distr-join": skw(e, mul(f, g)) == mul(skw(e, f), skw(e, g)),
-    }
-
-
-def _pair_laws(B: BisAlgebra, x: int, y: int) -> dict[str, bool]:
-    d, r, mul, dif, skw = B.d, B.r, B.mul, B.diff, B.skew
-    xy_diff = dif(x, y)
-    xy_skew = skw(x, y)
-    return {
-        "3": B.leq(xy_diff, xy_skew) and B.leq(y, xy_skew),
-        "4": d(xy_skew) == skw(d(xy_diff), d(y)),
-        "5": xy_diff == mul(mul(dif(r(x), r(y)), x), dif(d(x), d(y))),
-    }
-
-
-def _z_laws(B: BisAlgebra, z: int, e: int, f: int) -> dict[str, bool]:
-    mul, skw = B.mul, B.skew
-    ef_diff = B.diff(e, f)
-    return {"6": mul(z, skw(ef_diff, f)) == skw(mul(z, ef_diff), mul(z, f))}
-
-
 def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyReport:
     """Evaluate the defining identities of the extended signature on triples.
 
-    Exhaustive when the n^3 triples (x, y, z) fit the budget; otherwise a
-    deterministic stride sample of them.  ``checked`` counts triples, and
-    each failure names the first triple, in lexicographic order over
-    :attr:`BisAlgebra.elements`, at which the identity fails.
+    Exhaustive when the n^3 triples (x, y, z) fit the budget, which must be
+    at least 1; otherwise a deterministic stride sample of them.
+    ``checked`` counts triples, and each failure names the first triple, in
+    lexicographic order over :attr:`BisAlgebra.elements`, at which the
+    identity fails.
 
     No identity reads all three variables freely, so the exhaustive check
     evaluates each one once per distinct argument tuple: (d x, d y) for 1a,
@@ -304,48 +275,105 @@ def check_variety_identities(B: BisAlgebra, budget: int = 250_000) -> VarietyRep
     triple: evaluation reads nothing but B, so a repeated tuple repeats its
     verdict, and only a first failure is reported.  Every operation of a
     bisection algebra is total, so no evaluation raises.
+
+    Subterms are computed once: d x, d y and d z per triple, and per
+    distinct pair (e, f) = (d x, d y) the terms e - f, e ∇ f, ef and
+    (e - f) ∇ f that several laws read, with the (d x, d y) laws and so
+    before the z loop of the exhaustive check.  Each operation of B is a
+    function of its arguments, and evaluation reads nothing but B, so a
+    reused subterm is the value a fresh evaluation would give: no verdict
+    at any triple changes, and so neither does any witness.  Each law group
+    computes its verdicts in a fixed order and labels the triple only when
+    one of them is false.
     """
+    _at_least("budget", budget, 1)
     els = B.elements
     n = len(els)
     total = n * n * n
-    d = B.d
+    d, r, mul, dif, skw, leq, zero = B.d, B.r, B.mul, B.diff, B.skew, B.leq, B.zero
     failures: dict[str, str] = {}
 
-    def note(oks, x, y, z):
-        for name, ok in oks.items():
+    def note(names, oks, x, y, z):
+        for name, ok in zip(names, oks):
             if not ok and name not in failures:
                 failures[name] = f"({B.label(x)},{B.label(y)},{B.label(z)})"
 
+    def idem_pair_laws(x, y, z, e, f):
+        """The (d x, d y) laws; returns the subterms that later laws read."""
+        ef_diff, ef_skew, ef_mul = dif(e, f), skw(e, f), mul(e, f)
+        oks = (
+            mul(ef_diff, ef_diff) == ef_diff,
+            mul(ef_skew, ef_skew) == ef_skew,
+            ef_mul == mul(f, e),
+            ef_skew == skw(f, e),
+            mul(e, e) == e and skw(e, e) == e,
+            mul(e, ef_skew) == e and skw(e, ef_mul) == e,
+            mul(e, zero) == zero and skw(e, zero) == e,
+            mul(ef_diff, f) == zero and skw(ef_diff, ef_mul) == e,
+        )
+        if not all(oks):
+            names = "1a", "1b", "2-meet-comm", "2-join-comm", "2-idem", "2-absorb", "2-bottom", "2-complement"
+            note(names, oks, x, y, z)
+        return ef_diff, ef_skew, ef_mul, skw(ef_diff, f)
+
+    def idem_triple_laws(x, y, z, e, f, g, sub):
+        _, ef_skew, ef_mul, _ = sub
+        fg_skew = skw(f, g)
+        oks = (
+            skw(ef_skew, g) == skw(e, fg_skew),
+            mul(e, fg_skew) == skw(ef_mul, mul(e, g)),
+            skw(e, mul(f, g)) == mul(ef_skew, skw(e, g)),
+        )
+        if not all(oks):
+            note(("2-join-assoc", "2-distr-meet", "2-distr-join"), oks, x, y, z)
+
+    def xy_pair_laws(x, y, z, f, ef_diff):
+        xy_diff, xy_skew = dif(x, y), skw(x, y)
+        oks = (
+            leq(xy_diff, xy_skew) and leq(y, xy_skew),
+            d(xy_skew) == skw(d(xy_diff), f),
+            xy_diff == mul(mul(dif(r(x), r(y)), x), ef_diff),
+        )
+        if not all(oks):
+            note(("3", "4", "5"), oks, x, y, z)
+
+    def z_law(x, y, z, f, sub):
+        ef_diff, _, _, diff_skew = sub
+        if mul(z, diff_skew) != skw(mul(z, ef_diff), mul(z, f)):
+            note(("6",), (False,), x, y, z)
+
+    subs: dict[tuple[int, int], tuple[int, ...]] = {}
     if total <= budget:
         first: dict[int, int] = {}
-        for k, x in enumerate(els):
-            first.setdefault(d(x), k)
-        reps = [els[k] for k in sorted(first.values())]
+        for x in els:
+            first.setdefault(d(x), x)
+        reps = list(first.values())
         for x in reps:
             e = d(x)
             for y in reps:
                 f = d(y)
-                note(_idem_pair_laws(B, e, f), x, y, 0)
+                sub = subs[e, f] = idem_pair_laws(x, y, 0, e, f)
                 for z in reps:
-                    note(_idem_triple_laws(B, e, f, d(z)), x, y, z)
+                    idem_triple_laws(x, y, z, e, f, d(z), sub)
                 for z in els:
-                    note(_z_laws(B, z, e, f), x, y, z)
+                    z_law(x, y, z, f, sub)
         for x in els:
+            e = d(x)
             for y in els:
-                note(_pair_laws(B, x, y), x, y, 0)
+                f = d(y)
+                xy_pair_laws(x, y, 0, f, subs[e, f][0])
         checked = total
     else:
         sample = range(0, total, total // budget + 1)
-        pairs: set[tuple[int, int]] = set()
         for t in sample:
             x, y, z = els[t // (n * n)], els[t // n % n], els[t % n]
             e, f = d(x), d(y)
-            if (e, f) not in pairs:
-                pairs.add((e, f))
-                note(_idem_pair_laws(B, e, f), x, y, z)
-            note(_idem_triple_laws(B, e, f, d(z)), x, y, z)
-            note(_pair_laws(B, x, y), x, y, z)
-            note(_z_laws(B, z, e, f), x, y, z)
+            sub = subs.get((e, f))
+            if sub is None:
+                sub = subs[e, f] = idem_pair_laws(x, y, z, e, f)
+            idem_triple_laws(x, y, z, e, f, d(z), sub)
+            xy_pair_laws(x, y, z, f, sub[0])
+            z_law(x, y, z, f, sub)
         checked = len(sample)
     items = tuple(sorted(failures.items()))
     return VarietyReport(not items, total <= budget, checked, items)
@@ -646,7 +674,16 @@ def find_universal_morphism(S: FinInverseSemigroup, relations, target: BisAlgebr
 def bis_to_json(B: BisAlgebra) -> Iterator[str]:
     """``_json_text({"elements": ..., "groupoid": ...})`` for the arrow lists
     of the elements, a chunk per size level; over ``BISECTION_BUDGET``,
-    ``BudgetExceeded`` before any chunk."""
+    ``BudgetExceeded`` before any chunk.
+
+    The writer walks the levels of :func:`_levels` carrying only each
+    element's text and free mask.  The order is the same: level k + 1 lists,
+    for each element of level k in order, its children by its free arrows
+    ascending, which is what :func:`_children` gives for its free mask, and
+    a child's free mask is the one ``_levels`` gives it (the ``_children``
+    proof).  Nothing else in ``_levels`` reaches the text: its arrow mask is
+    the text's arrow list, and its source and range masks fill ``srcm`` and
+    ``rngm``, which the writer never reads."""
     _check_budget(B.groupoid)
     return _bis_chunks(B)
 
@@ -655,13 +692,13 @@ def _bis_chunks(B: BisAlgebra) -> Iterator[str]:
     """The children of a bisection are its free arrows, ascending, so an
     element's text less its closing bracket is its parent's plus one arrow."""
     G = B.groupoid
-    levels = _levels(G, B._by_src, B._by_rng)
-    yield '{\n  "elements": [\n    []'
-    opens = ["[\n      " + str(a) for a in _bits(next(levels)[1][0])]
+    children = _children(G, B._by_src, B._by_rng)
     items = [",\n      " + str(a) for a in range(G.n_arrows)]
-    for _, frees, _, _ in levels:
-        yield ",\n    " + "\n    ],\n    ".join(opens) + "\n    ]"
-        opens = [text + items[a] for text, free in zip(opens, frees) for a in _bits(free)]
+    yield '{\n  "elements": [\n    []'
+    level = [("[\n      " + str(a), child) for a, child in children[(1 << G.n_arrows) - 1]]
+    while level:
+        yield ",\n    " + "\n    ],\n    ".join([text for text, _ in level]) + "\n    ]"
+        level = [(text + items[a], child) for text, free in level for a, child in children[free]]
     yield '\n  ],\n  "groupoid": '
     yield from _json_chunks(_groupoid_doc(G), "\n  ")
     yield "\n}"

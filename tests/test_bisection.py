@@ -107,11 +107,14 @@ def algebra(s: str, name: str) -> BisAlgebra:
     return _ALGEBRAS[s, name]
 
 
-def poisoned(B: BisAlgebra, poison) -> BisAlgebra:
+def poisoned(B: BisAlgebra, poison, **ops) -> BisAlgebra:
     """A copy of B whose ``mul`` answers each pair in ``poison`` with its
-    entry, idempotent factors included, and every other pair as B does."""
+    entry, idempotent factors included, and every other pair as B does; a
+    table passed as ``skew=`` or ``diff=`` poisons that operation alike."""
     out = copy.copy(B)
-    out.mul = lambda x, y: poison[x, y] if (x, y) in poison else B.mul(x, y)
+    for name, table in {"mul": poison, **ops}.items():
+        op = getattr(B, name)
+        setattr(out, name, lambda x, y, op=op, table=table: table[x, y] if (x, y) in table else op(x, y))
     return out
 
 
@@ -481,6 +484,11 @@ class TestVarietyIdentities:
         assert any(name == "6" for name, _ in report.failures)
         assert report.first_failure()
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(LawViolation, match=f"budget must be at least 1, got {budget}"):
+            check_variety_identities(algebra("i2", "tight"), budget)
+
     @settings(max_examples=80, deadline=None)
     @given(
         case=st.sampled_from(SMALL_CASES),
@@ -488,12 +496,18 @@ class TestVarietyIdentities:
         data=st.data(),
     )
     def test_matches_triple_loop_on_corrupted_products(self, case, budget, data):
+        # the identities read products, skew joins and differences, mostly
+        # of idempotents, so pairs of idempotents are drawn as often as any
         B = algebra(*case)
         cell = st.sampled_from(B.elements)
-        poison = data.draw(st.dictionaries(st.tuples(cell, cell), cell, max_size=4))
-        assert all(poisoned(B, poison).mul(x, y) == v for (x, y), v in poison.items())
-        report = check_variety_identities(poisoned(B, poison), budget)
-        assert report == variety_brute(poisoned(B, poison), budget)
+        arg = st.one_of(st.sampled_from([x for x in B.elements if B.is_idempotent(x)]), cell)
+        table = st.dictionaries(st.tuples(arg, arg), cell, max_size=4)
+        tables = {name: data.draw(table) for name in ("mul", "skew", "diff")}
+        P = poisoned(B, tables["mul"], skew=tables["skew"], diff=tables["diff"])
+        for name, poison in tables.items():
+            assert all(getattr(P, name)(x, y) == v for (x, y), v in poison.items())
+        report = check_variety_identities(P, budget)
+        assert report == variety_brute(P, budget)
         assert report.exhaustive == (len(B) ** 3 <= budget)
 
     def test_sampled_mode_reports_witness_of_a_repeated_idempotent_pair(self):
@@ -517,6 +531,25 @@ class TestVarietyIdentities:
         t = min(firsts[p] for p in ((e, f), (f, e)) if p in firsts)
         witness = f"({B.label(els[t // (n * n)])},{B.label(els[t // n % n])},{B.label(els[t % n])})"
         assert ("2-meet-comm", witness) in report.failures
+
+    def test_benchmark_sampled_check_of_the_i3_universal_algebra(self):
+        # 6,000 of the 3.6e13 triples of the 33,082-element algebra, clean
+        # and with one product poisoned at a sampled triple
+        S = invsgp.from_partial_maps(*I3_MAPS)[0]
+        B, budget = iota(S, rels(S, "none")).algebra, 6000
+        els = B.elements
+        n = len(els)
+        report = check_variety_identities(B, budget)
+        assert report == variety_brute(B, budget)
+        assert report.ok and not report.exhaustive and report.checked == 6000 and n == 33_082
+        # the first sampled triple whose x and y have distinct domains
+        sample = ((els[t // (n * n)], els[t // n % n], els[t % n]) for t in range(0, n ** 3, n ** 3 // budget + 1))
+        x, y, z = next(t for t in sample if B.d(t[0]) != B.d(t[1]))
+        e, f = B.d(x), B.d(y)
+        P = poisoned(B, {(e, f): els[(els.index(B.mul(e, f)) + 1) % n]})
+        report = check_variety_identities(P, budget)
+        assert not report.ok and report == variety_brute(P, budget)
+        assert ("2-meet-comm", f"({B.label(x)},{B.label(y)},{B.label(z)})") in report.failures
 
     @pytest.mark.parametrize("case", [("b2", "none"), ("b2", "tight"), ("chain3", "none")])
     def test_matches_triple_loop_with_each_product_poisoned(self, case):
