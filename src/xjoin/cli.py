@@ -40,16 +40,10 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _x_relations_semilattice(E, spec: str):
+def _x_relations(E, spec: str):
     if spec in semilattice.BUILTIN_RELATION_SETS:
         return semilattice.builtin_relations(E, spec)
     return semilattice.relations_from_json(E, _read(spec))
-
-
-def _x_relations_semigroup(S, spec: str):
-    if spec in semilattice.BUILTIN_RELATION_SETS:
-        return invsgp.semigroup_relations(S, spec)
-    return _x_relations_semilattice(S.semilattice, spec)
 
 
 def _cmd_semilattice(args) -> int:
@@ -60,7 +54,7 @@ def _cmd_semilattice(args) -> int:
     lines = [f"elements={E.n}", f"atoms={len(E.atoms())}"]
     if args.x is not None:
         # the one command that prints a relation count walks the tight covers
-        rels = semilattice.x_tight(E) if args.x == "tight" else _x_relations_semilattice(E, args.x)
+        rels = semilattice.x_tight(E) if args.x == "tight" else _x_relations(E, args.x)
         spec = semilattice.spectrum(E, rels)
         lines.append(f"relations={len(rels)}")
         lines.append(f"spectrum={spec.bit_count()}")
@@ -81,7 +75,7 @@ def _cmd_invsgp(args) -> int:
 
 def _cmd_groupoid(args) -> int:
     S = invsgp.invsgp_from_json(_read(args.invsgp))
-    gg = germ_groupoid(S, _x_relations_semigroup(S, args.x))
+    gg = germ_groupoid(S, _x_relations(S.semilattice, args.x))
     G = gg.groupoid
     if args.format == "dot":
         _emit(groupoid_to_dot(G), args.out)
@@ -94,15 +88,17 @@ def _cmd_groupoid(args) -> int:
 
 def _cmd_booleanize(args) -> int:
     if args.semilattice:
+        if args.format == "dot":
+            raise LawViolation("--format dot draws the germ groupoid and needs --invsgp, not --semilattice")
         E = semilattice.semilattice_from_json(_read(args.semilattice))
-        B, rep = boolalg.booleanization(E, _x_relations_semilattice(E, args.x))
+        B, rep = boolalg.booleanization(E, _x_relations(E, args.x))
         if args.format == "json":
             _emit(boolalg.rep_to_json(rep), args.out)
         else:
             _emit(f"spectrum={B.m} elements={B.size}", args.out)
         return 0
     S = invsgp.invsgp_from_json(_read(args.invsgp))
-    G = germ_groupoid(S, _x_relations_semigroup(S, args.x)).groupoid
+    G = germ_groupoid(S, _x_relations(S.semilattice, args.x)).groupoid
     if args.format == "dot":
         _emit(groupoid_to_dot(G), args.out)
     elif args.format == "json":
@@ -114,7 +110,7 @@ def _cmd_booleanize(args) -> int:
 
 def _cmd_quotient_check(args) -> int:
     S = invsgp.invsgp_from_json(_read(args.invsgp))
-    rels = _x_relations_semigroup(S, args.x)
+    rels = _x_relations(S.semilattice, args.x)
     chi = semilattice.spectrum(S.semilattice, invsgp.invariant_closure(S, rels))
     classes = theorem_quotients_check(S, chi)
     _emit(f"classes={classes} quotient={classes} wmp=true ok=true", args.out)
@@ -123,7 +119,7 @@ def _cmd_quotient_check(args) -> int:
 
 def _cmd_presentation_check(args) -> int:
     S = invsgp.invsgp_from_json(_read(args.invsgp))
-    total = check_presentation(S, _x_relations_semigroup(S, args.x))
+    total = check_presentation(S, _x_relations(S.semilattice, args.x))
     _emit(f"relations=ok generated={total} total={total} ok=true", args.out)
     return 0
 

@@ -18,7 +18,7 @@ from .semilattice import (
     _bits,
     _compare_first,
     _generators,
-    _index_rows,
+    _index_table,
     _json_chunks,
     builtin_relations,
     spectrum,
@@ -82,24 +82,14 @@ def validate(table, labels=None) -> FinInverseSemigroup:
     absorbing zero at index 0.  Each check reads whole rows or runs over a
     generating set; only a failed check walks entries, to name its witness.
     """
-    rows = _index_rows(table, "mult")
+    return _laws(*_index_table(table, labels, "mult", "s"))
+
+
+def _laws(rows, labels, distinct) -> FinInverseSemigroup:
+    """:func:`validate` on a table read by ``_index_table``."""
     n = len(rows)
     if n == 0:
         raise LawViolation("semigroup needs at least the zero element")
-    if labels is None:
-        labels = tuple("0" if i == 0 else f"s{i}" for i in range(n))
-    labels = tuple(str(x) for x in labels)
-    if len(labels) != n or len(set(labels)) != n:
-        raise LawViolation("need one distinct label per element")
-    distinct = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise LawViolation(f"row {labels[i]} has length {len(row)}, want {n}")
-        values = set(row)
-        if min(values) < 0 or max(values) >= n:
-            v = next(v for v in row if not 0 <= v < n)
-            raise LawViolation(f"entry {v} out of range in row {labels[i]}")
-        distinct.append(len(values))
     gens, tree = _generators(rows, distinct)
     if bad := _associativity_witness(rows, gens):
         raise LawViolation("not associative at ({},{},{})".format(*(labels[a] for a in bad)))
@@ -454,14 +444,13 @@ def invsgp_from_json(text: str) -> FinInverseSemigroup:
     if zero not in labels:
         raise LawViolation(f"declared zero {zero!r} is not an element")
     z = labels.index(zero)
-    if z != 0:
-        # move the declared zero to index 0
-        order = [z] + [i for i in range(len(labels)) if i != z]
-        back = {old: new for new, old in enumerate(order)}
-        table = _index_rows(table, "mult")  # before back, which 0.0 and True would index
-        try:
-            table = [[back[table[a][b]] for b in order] for a in order]
-        except (IndexError, KeyError, TypeError):
-            raise LawViolation("semigroup JSON 'mult' must be a square table of element indices") from None
-        labels = [labels[i] for i in order]
-    return validate(table, labels)
+    rows, labels, distinct = _index_table(table, labels, "mult", "s")
+    if z:
+        # move the zero to index 0: new row a is old row order[a] read in
+        # that order, its entries renamed by back, the inverse of order
+        n = len(rows)
+        move = itemgetter(z, *range(z), *range(z + 1, n))  # n >= 2: it returns tuples
+        back = [*range(1, z + 1), 0, *range(z + 1, n)]
+        rows = tuple(itemgetter(*move(row))(back) for row in move(rows))
+        labels, distinct = move(labels), move(distinct)
+    return _laws(rows, labels, distinct)

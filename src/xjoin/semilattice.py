@@ -155,16 +155,34 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise LawViolation(f"{name} must be at least {least}, got {value}")
 
 
-def _index_rows(table, key: str) -> tuple[tuple[int, ...], ...]:
-    """The rows of a table of element indices read from ``key``; an entry
-    that is not an int, or is a bool, raises ``LawViolation``."""
+def _index_table(table, labels, key: str, stem: str):
+    """The rows of a square table of element indices read from ``key``, as
+    int tuples, with the labels as strings ("0", stem + "1", ... when none
+    are given) and the number of distinct entries in each row.
+
+    Raises ``LawViolation`` naming ``key``, and the row where there is one,
+    at the first of: an entry that is not an int (a bool is not), a row
+    count other than the label count, a repeated label, a row of another
+    length, an entry out of range.
+    """
     try:
         rows = tuple(map(tuple, table))
     except TypeError:
         rows = None
     if rows is None or not all(set(map(type, row)) <= {int} for row in rows):
         raise LawViolation(f"'{key}' must be a square table of element indices")
-    return rows
+    n = len(rows)
+    labels = _labels(labels, n, f"'{key}' rows", stem)
+    distinct = []
+    for label, row in zip(labels, rows):
+        if len(row) != n:
+            raise LawViolation(f"'{key}' row {label} has length {len(row)}, want {n}")
+        values = set(row)
+        if min(values) < 0 or max(values) >= n:
+            v = next(v for v in row if not 0 <= v < n)
+            raise LawViolation(f"'{key}' entry {v} out of range in row {label}")
+        distinct.append(len(values))
+    return rows, labels, distinct
 
 
 def _generators(rows, distinct) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -238,17 +256,10 @@ class FinMeetSemilattice(NamedTuple):
         Raises :class:`LawViolation` naming the first violated law together
         with a witness; associativity is Light's test over a generating set.
         """
-        rows = _index_rows(table, "meet")
+        rows, labels, distinct = _index_table(table, labels, "meet", "x")
         n = len(rows)
         if n == 0:
             raise LawViolation("semilattice needs at least the bottom element")
-        labels = _labels(labels, n)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise LawViolation(f"meet table row {labels[i]} has length {len(row)}, want {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise LawViolation(f"meet table entry {v} out of range in row {labels[i]}")
         for x in range(n):
             if rows[x][x] != x:
                 raise LawViolation(f"meet not idempotent: {labels[x]}^{labels[x]} = {labels[rows[x][x]]}")
@@ -258,7 +269,7 @@ class FinMeetSemilattice(NamedTuple):
                 f"meet not commutative at ({labels[x]},{labels[y]}): "
                 f"{labels[rows[x][y]]} != {labels[rows[y][x]]}"
             )
-        if bad := _associativity_witness(rows, _generators(rows, [len(set(row)) for row in rows])[0]):
+        if bad := _associativity_witness(rows, _generators(rows, distinct)[0]):
             x, y, z = bad
             raise LawViolation(
                 f"meet not associative at ({labels[x]},{labels[y]},{labels[z]}): "
@@ -319,16 +330,18 @@ class FinMeetSemilattice(NamedTuple):
 # ---------------------------------------------------------------------------
 # constructors
 
-def _labels(labels, n: int) -> tuple[str, ...]:
-    """The labels of n elements as strings, "0", "x1", ... when none are
-    given; ``LawViolation`` unless there are n distinct ones."""
+def _labels(labels, n: int, what: str, stem: str = "x") -> tuple[str, ...]:
+    """The labels of n elements, counted as ``what`` in a refusal, as
+    strings, "0", stem + "1", ... when none are given; ``LawViolation``
+    unless there are n distinct ones."""
     if labels is None:
-        labels = ("0" if i == 0 else f"x{i}" for i in range(n))
+        labels = ("0" if i == 0 else f"{stem}{i}" for i in range(n))
     labels = tuple(map(str, labels))
     if len(labels) != n:
-        raise LawViolation(f"{n} elements but {len(labels)} labels")
+        raise LawViolation(f"{n} {what} but {len(labels)} labels")
     if len(set(labels)) != n:
-        raise LawViolation("element labels are not distinct")
+        dup = next(x for i, x in enumerate(labels) if x in labels[:i])
+        raise LawViolation(f"label {dup!r} names two {what}")
     return labels
 
 
@@ -362,7 +375,7 @@ def _from_masks(masks, ground, labels=None) -> FinMeetSemilattice:
             a_set, b_set = ({ground[i] for i in _bits(m)} for m in (a, b))
             raise LawViolation(f"family not intersection-closed at {a_set} & {b_set}")
         rows.append(row)
-    return FinMeetSemilattice.unchecked(tuple(rows), _labels(labels, len(rows)))
+    return FinMeetSemilattice.unchecked(tuple(rows), _labels(labels, len(rows), "elements"))
 
 
 def chain(n: int) -> FinMeetSemilattice:

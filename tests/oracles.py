@@ -208,19 +208,22 @@ def validate_brute(table, labels=None):
     except (TypeError, ValueError):
         raise LawViolation("'mult' must be a square table of element indices") from None
     n = len(rows)
-    if n == 0:
-        raise LawViolation("semigroup needs at least the zero element")
     if labels is None:
         labels = tuple("0" if i == 0 else f"s{i}" for i in range(n))
     labels = tuple(str(x) for x in labels)
-    if len(labels) != n or len(set(labels)) != n:
-        raise LawViolation("need one distinct label per element")
+    if len(labels) != n:
+        raise LawViolation(f"{n} 'mult' rows but {len(labels)} labels")
+    for i, x in enumerate(labels):
+        if x in labels[:i]:
+            raise LawViolation(f"label {x!r} names two 'mult' rows")
     for i, row in enumerate(rows):
         if len(row) != n:
-            raise LawViolation(f"row {labels[i]} has length {len(row)}, want {n}")
+            raise LawViolation(f"'mult' row {labels[i]} has length {len(row)}, want {n}")
         for v in row:
             if not 0 <= v < n:
-                raise LawViolation(f"entry {v} out of range in row {labels[i]}")
+                raise LawViolation(f"'mult' entry {v} out of range in row {labels[i]}")
+    if n == 0:
+        raise LawViolation("semigroup needs at least the zero element")
     bad = _associativity_witness(rows, _generators(rows, [len(set(r)) for r in rows])[0])
     if bad:
         raise LawViolation("not associative at ({},{},{})".format(*(labels[a] for a in bad)))

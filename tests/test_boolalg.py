@@ -237,14 +237,18 @@ class TestUniversalExtension:
     @given(seed=st.integers(0, 10**6), m=st.integers(0, 4), data=st.data())
     def test_unique_on_random_reps(self, seed, m, data):
         # the canonical map, when its codomain has at most 4 atoms, and a
-        # composite of it onto m atoms each factor through one morphism only
+        # composite of it onto m atoms each factor through one morphism only;
+        # the extension, built unchecked, has disjoint atom images and factors
         name = data.draw(st.sampled_from(sl.BUILTIN_RELATION_SETS))
         rep = _composite_rep(seed, m, data, name)
         rels = sl.builtin_relations(rep.domain, name)
         _, can = ba.booleanization(rep.domain, rels)
-        for r in (can, rep) if can.codomain.m <= 4 else (rep,):
-            ba.universal_extension(r, rels)
-            assert count_extensions_brute(r, rels) == 1
+        for r in (can, rep):
+            psi = ba.universal_extension(r, rels)
+            assert ba.BAMorphism.build(can.codomain, r.codomain, psi.atom_images) == psi
+            assert [psi.apply(v) for v in can.images] == list(r.images)
+            if can.codomain.m <= 4:
+                assert count_extensions_brute(r, rels) == 1
 
     def test_round_trip_through_random_composites(self):
         # composing the canonical map with any morphism gives a conforming

@@ -62,6 +62,12 @@ class TestBooleanize:
         assert out.count("shape=circle") == 2
         assert out.count("->") == 2
 
+    def test_semilattice_dot_refused(self, files, capsys):
+        # DOT draws a germ groupoid, which only a semigroup has
+        code, out, err = run(capsys, "booleanize", "--semilattice", files["chain3"], "--format", "dot")
+        assert code == 2 and out == ""
+        assert err == "error: --format dot draws the germ groupoid and needs --invsgp, not --semilattice\n"
+
     def test_invsgp_counts(self, files, capsys):
         code, out, _ = run(capsys, "booleanize", "--invsgp", files["i2"], "--x", "none")
         assert code == 0

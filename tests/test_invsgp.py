@@ -643,3 +643,108 @@ class TestJson:
     def test_undeclared_zero_rejected(self):
         with pytest.raises(LawViolation, match="zero"):
             invsgp.invsgp_from_json('{"elements": ["a"], "mult": [[0]], "zero": "b"}')
+
+
+def zero_moved(doc, z):
+    """The zero-first document with its zero moved to index z, the other
+    elements kept in order.  In-range int entries are renamed and rows of
+    the right length permuted with the elements; whatever else the table
+    holds is kept as it is, so a malformed table stays malformed alike."""
+    labels, table = doc["elements"], doc["mult"]
+    n = len(labels)
+    order = [*range(1, z + 1), 0, *range(z + 1, n)]
+    where = {old: new for new, old in enumerate(order)}
+    rename = [[where.get(v, v) if type(v) is int else v for v in row] for row in table]
+    rows = [rename[a] for a in order] if len(table) == n else rename
+    rows = [[row[b] for b in order] if len(row) == n else row for row in rows]
+    return {"elements": [labels[a] for a in order], "mult": rows, "zero": doc["zero"]}
+
+
+def result_or_message(text):
+    """The fields of the semigroup read from text, or the refusal message."""
+    try:
+        S = invsgp.invsgp_from_json(text)
+    except LawViolation as exc:
+        return str(exc)
+    return S.mult, S.inv, S.labels, S.idems, S.gens
+
+
+class TestTableReader:
+    """One reader, ``semilattice._index_table``, checks the shape, ranges and
+    labels of meet and multiplication tables alike, once per table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        base=st.sampled_from(
+            [(S.mult, S.labels) for S in (I2, B2, invsgp.z2_with_zero(), invsgp.chain_semigroup(4),
+                                          invsgp.from_partial_maps(*GENERATORS["p3"])[0])]
+            + [(table, None) for table in NOT_INVERSE[:4]]
+        ),
+        fault=st.sampled_from(["none", "range", "type", "length", "rows", "label", "law"]),
+        data=st.data(),
+    )
+    def test_zero_moved_reads_as_zero_first(self, base, fault, data):
+        # a valid or once-corrupted zero-first table, and its twin with the
+        # zero moved to a drawn index: the twin is accepted as the same
+        # semigroup, or refused with the same message
+        table, labels = base
+        n, semigroup = len(table), labels is not None
+        table = [list(row) for row in table]
+        labels = list(labels or ["0", *(f"s{i}" for i in range(1, n))])
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if fault == "range":
+            table[a][b] = data.draw(st.sampled_from([-1, n, n + 3]))
+        elif fault == "type":
+            table[a][b] = data.draw(st.sampled_from([float(table[a][b]), True, str(table[a][b]), None]))
+        elif fault == "length":
+            table[a] = table[a][:-1] if data.draw(st.booleans()) else table[a] + [0]
+        elif fault == "rows":
+            table = table[:-1] if data.draw(st.booleans()) else table + [table[a]]
+        elif fault == "label" and a != b:
+            labels[a] = labels[b]
+        elif fault == "law":
+            table[a][b] = data.draw(st.integers(0, n - 1))
+        doc = {"elements": labels, "mult": table, "zero": labels[0]}
+        z = data.draw(st.integers(0, n - 1))
+        want = result_or_message(json.dumps(doc))
+        assert result_or_message(json.dumps(zero_moved(doc, z))) == want
+        if fault == "none":
+            assert isinstance(want, str) != semigroup
+
+    @pytest.mark.parametrize("table, labels, want", [
+        ([[0, 0], [0, 5]], ["0", "a"], "'{}' entry 5 out of range in row a"),
+        ([[0, 0], [-1, 1]], ["0", "a"], "'{}' entry -1 out of range in row a"),
+        ([[0, 0], [0]], ["0", "a"], "'{}' row a has length 1, want 2"),
+        ([[0, 0], [0, 1], [0, 0]], ["0", "a"], "3 '{}' rows but 2 labels"),
+        ([[0]], ["0", "a"], "1 '{}' rows but 2 labels"),
+        ([[0, 0], [0, 1]], ["a", "a"], "label 'a' names two '{}' rows"),
+        ([[0, 0], [0, 1.0]], ["0", "a"], "'{}' must be a square table of element indices"),
+        (5, ["0"], "'{}' must be a square table of element indices"),
+    ], ids=["above-range", "below-range", "short-row", "many-rows", "few-rows",
+            "repeated-label", "float-entry", "not-a-table"])
+    def test_meet_and_mult_tables_share_wording(self, table, labels, want):
+        for key, read in (("meet", sl.FinMeetSemilattice.from_meet), ("mult", invsgp.validate)):
+            with pytest.raises(LawViolation) as got:
+                read(table, labels)
+            assert str(got.value) == want.format(key)
+
+    def test_each_table_read_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return read(*args)
+
+        read, text = sl._index_table, sl.semilattice_to_json(sl.chain(3))
+        monkeypatch.setattr(sl, "_index_table", counted)
+        monkeypatch.setattr(invsgp, "_index_table", counted)
+        sl.semilattice_from_json(text)
+        assert calls == ["meet"]
+        doc = json.loads("".join(invsgp.invsgp_to_json(I2)))
+        for z in (0, 3):
+            calls.clear()
+            assert invsgp.invsgp_from_json(json.dumps(zero_moved(doc, z))) == I2
+            assert calls == ["mult"]
+        calls.clear()
+        invsgp.invsgp_from_json('{"points": 2, "partial_maps": [{"1": "2"}]}')
+        assert calls == []
