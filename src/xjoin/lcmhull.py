@@ -293,13 +293,42 @@ def fragment_law_failure(P, depth: int) -> str | None:
     quantifiers as the definition, in the same order: (xy)z = x(yz) for all
     x, y, z in the fragment, then x x* x = x for all x (x* by ``hull_inv``),
     then ef = fe for the idempotents [p,p].  It runs on ints: monoid
-    elements are numbered, and hull elements are codes, 0 the zero and
-    1 + p*n + q the fragment's [p,q], with elements reached later numbered
-    next.  By the formula of ``hull_mul``, [a,b][c,d] depends on (b,c) only
-    through the cofactor pair (b\\r, c\\r), so that pair is memoised per
-    (b,c) and ``P.multiply`` per (a, cofactor): each oracle is asked once
-    per distinct argument pair.  Each row u*z over the fragment is built
-    once, and each (x, y) compares row(xy) with x times row(y).
+    elements are numbered in fragment order, and hull elements are codes,
+    0 the zero and 1 + p*n + q the fragment's [p,q], with elements reached
+    later numbered next.  The cofactor pair of ``hull_mul`` is memoised per
+    pair of numbers and ``P.multiply`` per argument pair, so each oracle is
+    asked once per distinct argument pair.
+
+    Associativity is checked once per middle m = (b,c,d,e), not once per
+    triple.  A zero factor makes both sides zero, so let x=[a,b], y=[c,d]
+    and z=[e,f].  By the formula of ``hull_mul``, with (b',c') the cofactor
+    pair of (b,c), (g,e') that of (dc',e), (h,e'') that of (d,e) and
+    (k,c'') that of (b,ch),
+
+        (xy)z = [(ab')g, fe']    and    x(yz) = [ak, (fe'')c''],
+
+    a side being zero when one of its two cofactor pairs is missing.  Which
+    side is zero, and every cofactor, depends on m alone, and a and f each
+    enter one component.  So the law fails at (a,m,f) exactly when one
+    side alone is zero, or a is in A_m, the a with (ab')g != ak, or f is in
+    F_m, the f with fe' != (fe'')c''.  A_m and F_m come from comparing two
+    columns over the fragment each, memoised per argument.
+
+    The witness is the first failing (a,b,c,d,e,f) in the order of the
+    triple loop, a and f being numbers.  At a failing m the first a is
+    a_m = 0 when one side alone is zero or F_m is nonempty (every (0,m,f),
+    f in F_m, fails), and min A_m otherwise; the first f at a_m is f_m = 0
+    when one side alone is zero or a_m is in A_m, and min F_m otherwise.
+    The witness is the least (a_m, m, f_m); middles are taken in order, so
+    the first with a_m = 0 ends the search.
+
+    The oracles are asked in the triple loop's order too, so an
+    inconsistency is raised where that loop raises it.  The fragment's own
+    pairs come first: the loop asks for every (d,e) while x is the zero,
+    where nothing fails.  The pairs a middle reaches, (dc',e) and then
+    (b,ch), are asked at that middle, as the loop asks them at (0,m,0),
+    after every failure at a = 0 with an earlier middle and before every
+    one with a later.
     """
     frag = P.elements_up_to(depth)
     n, N = len(frag), len(frag) ** 2 + 1
@@ -312,6 +341,8 @@ def fragment_law_failure(P, depth: int) -> str | None:
 
     cofactor_of = _Memo(cofactor)
     times = _Memo(lambda ab: number[P.multiply(mon[ab[0]], mon[ab[1]])])
+    col = _Memo(lambda u: tuple(times[a, u] for a in range(n)))  # au for each a
+    col2 = _Memo(lambda uv: tuple(times[w, uv[1]] for w in col[uv[0]]))  # (au)v for each a
 
     def mul(x: int, y: int) -> int:
         if not (x and y):
@@ -320,8 +351,6 @@ def fragment_law_failure(P, depth: int) -> str | None:
         cof = cofactor_of[b, c]
         return 0 if cof is None else code[times[a, cof[0]], times[d, cof[1]]]
 
-    row = _Memo(lambda u: [mul(u, z) for z in range(N)])
-
     def element(i: int) -> HullElement:
         return HullElement(mon[pairs[i][0]], mon[pairs[i][1]]) if i else HULL_ZERO
 
@@ -329,20 +358,38 @@ def fragment_law_failure(P, depth: int) -> str | None:
         where = " ".join(f"{k}={element(i).format(P)}" for k, i in named.items())
         return f"{P!r}: {law} at {where}"
 
-    for x in range(N):
-        times_x = _Memo(lambda v, x=x: mul(x, v))
-        times_x.update(enumerate(row[x]))  # x*v for v in the fragment is row[x][v]
-        for y, xy in enumerate(row[x]):
-            rhs = list(map(times_x.__getitem__, row[y]))
-            if row[xy] != rhs:
-                z = next(k for k, (a, b) in enumerate(zip(row[xy], rhs)) if a != b)
-                return failure("associativity fails", x=x, y=y, z=z)
+    def first_difference(s: tuple, t: tuple) -> int | None:
+        return None if s == t else next(i for i, (u, v) in enumerate(zip(s, t)) if u != v)
+
+    # the fragment's own pairs first, in the order the triple loop asks them
+    cof = [[cofactor_of[p, q] for q in range(n)] for p in range(n)]
+
+    witness = None
+    for b, c, d, e in iproduct(range(n), repeat=4):
+        bc, de = cof[b][c], cof[d][e]
+        ge = bc and cofactor_of[times[d, bc[1]], e]
+        kc = de and cofactor_of[b, times[c, de[0]]]
+        if ge and kc:
+            a_miss = first_difference(col2[bc[0], ge[0]], col[kc[0]])
+            f_miss = first_difference(col[ge[1]], col2[de[1], kc[1]])
+        else:  # one side alone zero fails at every (a, f), both at none
+            a_miss = f_miss = 0 if ge or kc else None
+        if a_miss is None and f_miss is None:
+            continue
+        a_m = a_miss if f_miss is None else 0
+        miss = a_m, b, c, d, e, 0 if a_miss == a_m else f_miss
+        witness = min(witness or miss, miss)
+        if a_m == 0:
+            break
+    if witness:
+        a, b, c, d, e, f = witness
+        return failure("associativity fails", x=1 + a * n + b, y=1 + c * n + d, z=1 + e * n + f)
     for x in range(N):
         inv = hull_inv(element(x))
         if mul(mul(x, 0 if inv.is_zero else code[number[inv.p], number[inv.q]]), x) != x:
             return failure("inverse law fails", x=x)
     for e, f in iproduct([1 + a * n + a for a in range(n)], repeat=2):
-        if row[e][f] != row[f][e]:
+        if mul(e, f) != mul(f, e):
             return failure("idempotents do not commute", e=e, f=f)
     return None
 

@@ -108,9 +108,12 @@ def _json_value(o, nl: str) -> str:
     """The text of o in one piece.
 
     With an indent the standard library encodes in pure Python, one call per
-    value.  Here a list of plain ints is one ``str.join`` of their reprs;
-    strings get the same C quoting and other scalars go to ``json.dumps``.
+    value.  Here a plain int is its repr and a list of them one ``str.join``
+    of their reprs; strings get the same C quoting and other scalars go to
+    ``json.dumps``.
     """
+    if type(o) is int:
+        return int.__repr__(o)
     if isinstance(o, str):
         return _json_str(o)
     inner = nl + "  "

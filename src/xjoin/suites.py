@@ -277,7 +277,8 @@ def hull_suite(depth: int = 2):
     """Right LCM oracles against bounded ideal search, the inverse semigroup
     laws on the hull fragments over free:2, nat:2 and nx (every triple of
     the zero and the classes [p,q] with p, q of grade up to the depth, by
-    ``lcmhull.fragment_law_failure``), and foundation sets against covers.
+    ``lcmhull.fragment_law_failure``, which decides associativity once per
+    middle quadruple), and foundation sets against covers.
     A failing check reports its first failure with the witness."""
     out = []
     monoids = [

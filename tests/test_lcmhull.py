@@ -133,6 +133,80 @@ class TestFragmentLaws:
 
         assert outcome(lh.fragment_law_failure) == outcome(hull_fragment_brute)
 
+    # one corrupted entry per monoid at depth 2: an lcm that its arguments do
+    # not divide, met at a pair outside the fragment; a missed lcm; a product
+    @pytest.mark.parametrize("M,entry,law", [
+        (FREE, ("right_lcm", ("aabb", ""), "ab"), "LawViolation: oracle inconsistency"),
+        (NAT2, ("right_lcm", ((2, 0), (1, 3)), None), "NatPow(2): associativity fails"),
+        (NX, ("multiply", ((1, 3), (2, 1)), (3, 1)), "NRtimesNx(): associativity fails"),
+    ], ids=["free", "nat2", "nx"])
+    def test_depth_two_corruption_agrees_with_triple_loop(self, M, entry, law):
+        bad = OneWrongEntry(M, *entry)
+        got = outcome_at(lh.fragment_law_failure, bad, 2)
+        assert got == outcome_at(hull_fragment_brute, bad, 2) and got.startswith(law)
+
+    # The first failure from each source in turn, a and f counted in fragment
+    # order from 0, the identity: one side alone zero (then a = f = 0), the
+    # left components alone at some a > 0 (then f = 0), the right components
+    # alone at some f > 0 (then a = 0).  One wrong entry never gives the
+    # second: while right_lcm is symmetric, the left components failing at a
+    # and middle (b,c,d,e) are the right ones failing at f = a and (e,d,c,b);
+    # while multiply is associative, (ab')g = a(b'g) differs from ak only if
+    # b'g differs from k, as at a = 0.  So that case's oracle, on N, has the
+    # identity 0 times 1 or 2 answered 0, and 1, 0 answered as a miss.
+    @pytest.mark.parametrize("source,M,entries", [
+        ("zero", NX, [("right_lcm", ((2, 1), (0, 2)), None)]),
+        ("a", lh.NatPow(1), [
+            ("multiply", ((0,), (1,)), (0,)), ("multiply", ((0,), (2,)), (0,)),
+            ("right_lcm", ((1,), (0,)), None),
+        ]),
+        ("f", NAT2, [("multiply", ((2, 0), (1, 0)), (0, 2))]),
+    ], ids=["zero", "a", "f"])
+    def test_first_failure_source(self, source, M, entries):
+        bad = wrong_entries(M, entries)
+        got = lh.fragment_law_failure(bad, 1)
+        assert got is not None and got == hull_fragment_brute(bad, 1)
+        x, y, z = (lh.parse_hull(M, v) for _, v in re.findall(r"(\w)=(\S+)", got))
+        left = lh.hull_mul(bad, lh.hull_mul(bad, x, y), z)
+        right = lh.hull_mul(bad, x, lh.hull_mul(bad, y, z))
+        if left.is_zero != right.is_zero:
+            sources = ["zero"]
+        else:
+            sources = [s for s, u, v in (("a", left.p, right.p), ("f", left.q, right.q)) if u != v]
+        assert sources == [source]
+        frag = M.elements_up_to(1)
+        assert (frag.index(x.p) > 0, frag.index(z.q) > 0) == (source == "a", source == "f")
+
+    # a wrong product and an lcm its arguments do not divide: the triple loop
+    # meets the lcm, at a pair outside the fragment, after the first failure,
+    # and at a pair of the fragment before it, at x = 0
+    @pytest.mark.parametrize("entries,expected", [
+        ([("multiply", ("a", "aa"), "b"), ("right_lcm", ("a", "ba"), "bab")],
+         "FreeMonoid('ab'): associativity fails at x=[e,a] y=[e,a] z=[e,a]"),
+        ([("multiply", ("ba", ""), "b"), ("right_lcm", ("b", ""), "aab")],
+         "LawViolation: oracle inconsistency: lcm aab not divisible by its arguments"),
+    ], ids=["failure-first", "inconsistency-first"])
+    def test_failure_and_inconsistency_in_loop_order(self, entries, expected):
+        bad = wrong_entries(FREE, entries)
+        with pytest.raises(LawViolation):
+            lh._cofactors(bad, *entries[1][1])
+        assert outcome_at(lh.fragment_law_failure, bad, 1) == outcome_at(hull_fragment_brute, bad, 1) == expected
+
+
+def outcome_at(check, M, depth: int) -> str | None:
+    """``check(M, depth)``, or the text of the ``LawViolation`` it raises."""
+    try:
+        return check(M, depth)
+    except LawViolation as exc:
+        return f"LawViolation: {exc}"
+
+
+def wrong_entries(M, entries):
+    """M with each (method, args, value) of ``entries`` made wrong."""
+    for entry in entries:
+        M = OneWrongEntry(M, *entry)
+    return M
+
 
 class OneWrongEntry:
     """A monoid oracle that answers ``value`` to ``method(*args)`` and
