@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import product as iproduct
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import NamedTuple
 
 from .semilattice import BudgetExceeded, LawViolation, _at_least, _json_text, _Memo
@@ -773,44 +773,48 @@ def gen_xa(P: ZappaSzepProduct, depth: int) -> frozenset[HullRelation]:
     """Pairs identifying [a,a] with [b,b] whenever b extends a inside the
     second factor, up to the grade bound, which cannot be negative.
     Raises ``BudgetExceeded`` before enumerating when ``xa_relation_count``
-    is over ``XU_RELATION_BUDGET``."""
+    is over ``XU_RELATION_BUDGET``, or ``xa_letter_count`` over
+    ``XA_LETTER_BUDGET``."""
     _at_least("depth", depth, 0)
+    k = len(P.data.a_alphabet)
     _refuse_over_budget(
-        "xa relation generation", depth, lambda d: xa_relation_count(len(P.data.a_alphabet), d),
-        "relations", XU_RELATION_BUDGET,
+        "xa relation generation", depth, lambda d: xa_relation_count(k, d), "relations", XU_RELATION_BUDGET,
+    )
+    _refuse_over_budget(
+        "xa relation generation", depth, lambda d: xa_letter_count(k, d), "letters", XA_LETTER_BUDGET,
     )
     A = P.a_monoid
-    out = []
-    for a in A.elements_up_to(depth):
-        ea = HullElement(("", a), ("", a))
-        for b in A.elements_up_to(depth):
-            if A.left_divide(a, b) is not None:
-                eb = HullElement(("", b), ("", b))
-                out.append(HullRelation(ea, frozenset((eb,))))
-    return frozenset(out)
-
-
-def prefix_codes(alphabet: str, maxlen: int) -> list[frozenset[str]]:
-    """All finite complete prefix codes with words up to the given length."""
-    if maxlen <= 0:
-        return [frozenset(("",))]
-    sub = prefix_codes(alphabet, maxlen - 1)
-    out = [frozenset(("",))]
-    for combo in iproduct(sub, repeat=len(alphabet)):
-        out.append(
-            frozenset(letter + w for letter, code in zip(alphabet, combo) for w in code)
-        )
-    return out
+    words = A.elements_up_to(depth)
+    idems = [HullElement(("", a), ("", a)) for a in words]
+    singles = [frozenset((e,)) for e in idems]
+    return frozenset(
+        HullRelation(ea, one)
+        for a, ea in zip(words, idems)
+        for b, one in zip(words, singles)
+        if A.left_divide(a, b) is not None
+    )
 
 
 # relations gen_xu or gen_xa may enumerate; gen_xu's 459,892 at depth 5
 # took about 130 s
 XU_RELATION_BUDGET = 100_000
 
+# letters of the words a and b summed over the relations gen_xa emits; its
+# 13,635,300 at depth 300 are written as about 30 MB of JSON in about 0.5 s
+XA_LETTER_BUDGET = 20_000_000
+
+
 def xa_relation_count(k: int, depth: int) -> int:
     """How many relations gen_xa enumerates over k A-letters: each of the
     k^j words of each length j extends its j + 1 prefixes."""
     return sum((j + 1) * k ** j for j in range(depth + 1))
+
+
+def xa_letter_count(k: int, depth: int) -> int:
+    """The letters of a and b summed over the relations gen_xa enumerates
+    over k A-letters: a word b of length j and its prefixes of lengths
+    0..j hold j(j+1) + j(j+1)/2 letters."""
+    return sum(k ** j * 3 * j * (j + 1) // 2 for j in range(depth + 1))
 
 
 def prefix_code_count(k: int, maxlen: int) -> int:
@@ -836,30 +840,47 @@ def gen_xu(P: ZappaSzepProduct, depth: int, max_parts: int | None = None) -> fro
     ``BudgetExceeded`` before enumerating when ``xu_relation_count`` is over
     ``XU_RELATION_BUDGET``, and ``LawViolation`` on a negative depth or on
     ``max_parts`` below 1, which no cover meets.
+
+    One pass over the prefix tree, from the leaves up.  The complete prefix
+    codes with words up to length m are C(0) = {{e}} and
+    C(m) = {{e}} U {U_x x.c_x : c_x in C(m - 1) for each letter x}, since a
+    code other than {e} splits by first letter into one code per letter.
+    Rooted at s, with m = depth - |s|, the codes of s are {[s,s]} and the
+    unions of one code of each child sx, whose words are all longer than
+    s.  ``elements_up_to`` lists each word after all its prefixes, so
+    walked in reverse each word comes after all its children, whose codes
+    are then final; each idempotent [s,s] is made once.  The parts of the
+    children are disjoint, so a union has as many parts as its members
+    together, at least as many as any one of them: a code over
+    ``max_parts`` at a child is in no code within it at the parent, and
+    dropping it there leaves every node's codes exactly those it emits.
     """
     _at_least("depth", depth, 0)
     if max_parts is not None:
         _at_least("max_parts", max_parts, 1)
-    k = len(P.data.u_alphabet)
+    alphabet = P.data.u_alphabet
     _refuse_over_budget(
-        "xu relation generation", depth, lambda d: xu_relation_count(k, d), "relations", XU_RELATION_BUDGET
+        "xu relation generation", depth, lambda d: xu_relation_count(len(alphabet), d),
+        "relations", XU_RELATION_BUDGET,
     )
-    U = P.u_monoid
-    out = []
-    for s in U.elements_up_to(depth):
-        for code in prefix_codes(P.data.u_alphabet, depth - len(s)):
-            if max_parts is not None and len(code) > max_parts:
-                continue
-            parts = frozenset(HullElement((s + u, ""), (s + u, "")) for u in code)
-            out.append(HullRelation(HullElement((s, ""), (s, "")), parts))
+    cap = inf if max_parts is None else max_parts
+    codes, out = {}, []
+    for s in reversed(P.u_monoid.elements_up_to(depth)):
+        e = HullElement((s, ""), (s, ""))
+        mine = codes[s] = [frozenset((e,))]
+        if len(s) < depth:
+            mine.extend(c for combo in iproduct(*(codes[s + x] for x in alphabet))
+                        if len(c := frozenset().union(*combo)) <= cap)
+        out.extend(HullRelation(e, c) for c in mine)
     return frozenset(out)
 
 
 def hull_relations_to_json(P, relations) -> str:
     """The relations as JSON, in one order whatever order they come in: by
     formatted e, then number of parts, then sorted formatted parts.  Each
-    element is formatted once."""
-    doc = [{"e": r.e.format(P), "parts": sorted(p.format(P) for p in r.parts)} for r in relations]
+    distinct element is formatted once."""
+    fmt = _Memo(lambda x: x.format(P))
+    doc = [{"e": fmt[r.e], "parts": sorted(map(fmt.__getitem__, r.parts))} for r in relations]
     doc.sort(key=lambda d: (d["e"], len(d["parts"]), d["parts"]))
     return _json_text(doc)
 

@@ -109,8 +109,8 @@ def _json_value(o, nl: str) -> str:
 
     With an indent the standard library encodes in pure Python, one call per
     value.  Here a plain int is its repr and a list of them one ``str.join``
-    of their reprs; strings get the same C quoting and other scalars go to
-    ``json.dumps``.
+    of their reprs; strings get the same C quoting, a list of plain strings
+    in one ``map``, and other scalars go to ``json.dumps``.
     """
     if type(o) is int:
         return int.__repr__(o)
@@ -120,8 +120,11 @@ def _json_value(o, nl: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if set(map(type, o)) == {int}:
+        kinds = set(map(type, o))
+        if kinds == {int}:
             items = map(int.__repr__, o)
+        elif kinds == {str}:
+            items = map(_json_str, o)
         else:
             items = [_json_value(v, inner) for v in o]
         return "[" + inner + ("," + inner).join(items) + nl + "]"

@@ -636,6 +636,32 @@ def minimal_word_covers(alphabet: str, maxlen: int) -> list[frozenset[str]]:
     return found
 
 
+def prefix_codes(alphabet: str, maxlen: int) -> list[frozenset[str]]:
+    """All finite complete prefix codes with words up to the given length."""
+    if maxlen <= 0:
+        return [frozenset(("",))]
+    sub = prefix_codes(alphabet, maxlen - 1)
+    out = [frozenset(("",))]
+    for combo in iproduct(sub, repeat=len(alphabet)):
+        out.append(
+            frozenset(letter + w for letter, code in zip(alphabet, combo) for w in code)
+        )
+    return out
+
+
+def xu_by_words(P, depth: int, max_parts: int | None = None) -> frozenset:
+    """``lcmhull.gen_xu`` root word by root word: the prefix codes of each
+    word's remaining length, recomputed as strings, then made into hull
+    idempotents."""
+    out = set()
+    for s in P.u_monoid.elements_up_to(depth):
+        for code in prefix_codes(P.data.u_alphabet, depth - len(s)):
+            if max_parts is None or len(code) <= max_parts:
+                parts = frozenset(lcmhull.HullElement((s + u, ""), (s + u, "")) for u in code)
+                out.add(lcmhull.HullRelation(lcmhull.HullElement((s, ""), (s, "")), parts))
+    return frozenset(out)
+
+
 def xu_oracle(depth: int) -> list[dict]:
     """Covering families of word idempotents, enumerated over all subsets."""
     alphabet = "01"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     UNDECIDED, free_foundation_brute, hull_fragment_brute, hull_idem_leq, left_divide_brute, mask_of,
-    right_lcm_search_brute, xa_oracle, xu_oracle, zappa_walk_brute,
+    prefix_codes, right_lcm_search_brute, xa_oracle, xu_by_words, xu_oracle, zappa_walk_brute,
 )
 
 from xjoin import lcmhull as lh
@@ -535,13 +535,21 @@ class TestRelationGenerators:
         assert all(len(r.parts) <= 2 for r in lh.gen_xu(adding, 2, max_parts=2))
 
     def test_prefix_code_counts(self):
-        assert len(lh.prefix_codes("01", 0)) == 1
-        assert len(lh.prefix_codes("01", 1)) == 2
-        assert len(lh.prefix_codes("01", 2)) == 5
-        assert len(lh.prefix_codes("01", 3)) == 26
+        assert len(prefix_codes("01", 0)) == 1
+        assert len(prefix_codes("01", 1)) == 2
+        assert len(prefix_codes("01", 2)) == 5
+        assert len(prefix_codes("01", 3)) == 26
         for alphabet, top in (("01", 4), ("012", 3)):
             for d in range(top + 1):
-                assert lh.prefix_code_count(len(alphabet), d) == len(lh.prefix_codes(alphabet, d))
+                assert lh.prefix_code_count(len(alphabet), d) == len(prefix_codes(alphabet, d))
+
+    @pytest.mark.parametrize("data, top", [(lh.adding_machine(), 4), (ternary_odometer(), 3)],
+                             ids=["adding", "ternary"])
+    def test_xu_is_built_word_by_word_from_prefix_codes(self, data, top):
+        P = lh.zappa_szep(data)
+        for depth in range(top + 1):
+            for max_parts in (None, 1, 2, 3, 5):
+                assert lh.gen_xu(P, depth, max_parts) == xu_by_words(P, depth, max_parts)
 
     def test_xu_forecast_counts_what_is_enumerated(self, adding):
         for depth in range(5):
@@ -558,6 +566,20 @@ class TestRelationGenerators:
             lh.gen_xa(adding, 446)
         with pytest.raises(lh.BudgetExceeded, match="more than the 100,128 relations of depth 446"):
             lh.gen_xa(adding, 2000)
+
+    def test_xa_letter_forecast_counts_what_is_enumerated(self, adding):
+        for depth in range(9):
+            letters = sum(len(r.e.p[1]) + len(b.p[1]) for r in lh.gen_xa(adding, depth) for b in r.parts)
+            assert lh.xa_letter_count(1, depth) == letters == depth * (depth + 1) * (depth + 2) // 2
+        assert lh.xa_letter_count(1, 300) == 13_635_300 and lh.xa_letter_count(1, 445) == 44_358_045
+
+    def test_xa_over_letter_budget_is_refused(self, adding):
+        assert lh.xa_letter_count(1, 340) <= lh.XA_LETTER_BUDGET < lh.xa_letter_count(1, 341)
+        assert lh.xa_relation_count(1, 445) <= lh.XU_RELATION_BUDGET
+        with pytest.raises(lh.BudgetExceeded, match="^xa relation generation at depth 341 would enumerate 20,000,673 letters"):
+            lh.gen_xa(adding, 341)
+        with pytest.raises(lh.BudgetExceeded, match="more than the 20,000,673 letters of depth 341"):
+            lh.gen_xa(adding, 445)
 
     def test_xu_over_budget_is_refused(self, adding):
         with pytest.raises(lh.BudgetExceeded, match="459,892"):

@@ -468,12 +468,34 @@ JSON_DOCS = st.recursive(
 )
 
 
+class Label(str):
+    """A ``str`` subclass, which ``json`` writes as a plain string."""
+
+
+# quotes, backslashes, control characters and non-ASCII, beside any character
+STRINGS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té€\u2028\U0001f600') | st.characters(), max_size=6)
+STRING_LISTS = (
+    st.lists(STRINGS) | st.lists(STRINGS.map(Label)) | st.lists(STRINGS | STRINGS.map(Label))
+    | st.lists(STRINGS | st.integers())
+)
+STRING_DOCS = st.recursive(
+    STRINGS | STRING_LISTS,
+    lambda inner: st.lists(inner) | st.dictionaries(STRINGS, inner),
+    max_leaves=30,
+)
+
+
 class TestJsonText:
     """The one JSON emitter against ``json.dumps(doc, indent=2, sort_keys=True)``."""
 
     @settings(max_examples=100, deadline=None)
     @given(doc=JSON_DOCS)
     def test_matches_json_dumps(self, doc):
+        assert sl._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.dictionaries(STRINGS, STRING_DOCS) | st.lists(STRING_DOCS))
+    def test_string_lists_match_json_dumps(self, doc):
         assert sl._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @settings(max_examples=100, deadline=None)
