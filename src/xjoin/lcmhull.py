@@ -702,13 +702,18 @@ class ZappaSzepProduct:
 
 
 def _check_lcm_oracle(M, depth: int, cofactor_depth: int) -> None:
-    """Right LCM answers against brute-force ideal intersections on a fragment."""
+    """Right LCM answers against brute-force ideal intersections on a fragment.
+    Each ideal is listed in cofactor order, and the multiples of each divisor
+    among all listed elements are found once, so a failure names the first
+    witness of p's ideal in that order, whatever the hash seed."""
     frag = M.elements_up_to(depth)
     cof = M.elements_up_to(cofactor_depth)
+    ideals = {p: list(dict.fromkeys(M.multiply(p, z) for z in cof)) for p in frag}
+    listed = set().union(*ideals.values())
+    multiples = _Memo(lambda u: {t for t in listed if M.left_divide(u, t) is not None})
     for p in frag:
-        ideal_p = {M.multiply(p, z) for z in cof}
         for q in frag:
-            inter = [t for t in ideal_p if M.left_divide(q, t) is not None]
+            inter = [t for t in ideals[p] if t in multiples[q]]
             r = M.right_lcm(p, q)
             if r is None:
                 if inter:
@@ -722,7 +727,7 @@ def _check_lcm_oracle(M, depth: int, cofactor_depth: int) -> None:
                     f"lcm {M.format(r)} of {M.format(p)},{M.format(q)} not divisible by both"
                 )
             for t in inter:
-                if M.left_divide(r, t) is None:
+                if t not in multiples[r]:
                     raise LawViolation(
                         f"lcm {M.format(r)} misses {M.format(t)} in the intersection of "
                         f"{M.format(p)} and {M.format(q)}"

@@ -8,7 +8,9 @@ are reproducible.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product as iproduct
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 from . import boolalg, invsgp, lcmhull, semilattice
 from .bisection import (
@@ -17,7 +19,7 @@ from .bisection import (
     iota,
 )
 from .groupoid import germ_groupoid, is_local_bisection, theta
-from .semilattice import FinMeetSemilattice, XRelation, _bits
+from .semilattice import BudgetExceeded, FinMeetSemilattice, _bits
 
 
 def _catalog(max_size: int) -> list[FinMeetSemilattice]:
@@ -28,39 +30,71 @@ def _catalog(max_size: int) -> list[FinMeetSemilattice]:
     return [E for E in out if E.n <= max_size]
 
 
+MAP_BUDGET = 1 << 23
+"""The most 0/1 maps, 2^(n-1) for n elements, that the semilattice suite's
+oracles test at once; a column of that many bits is 1 MB."""
+
+
+def _columns(k: int) -> list[int]:
+    """The k membership columns over the 2^k subsets of k items: bit s of
+    column i is bit i of s, so an int operation on columns tests a condition
+    at every subset at once."""
+    cols = []
+    for i in range(k):
+        col, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < 1 << k:
+            col |= col << width
+            width <<= 1
+        cols.append(col)
+    return cols
+
+
 def brute_force_characters(E: FinMeetSemilattice) -> set[frozenset[int]]:
-    """All nonzero meet-preserving 0/1 maps, as their 1-sets."""
-    out = set()
-    nonzero = range(1, E.n)
-    for bits in iproduct((0, 1), repeat=E.n - 1):
-        phi = (0,) + bits
-        if not any(bits):
-            continue
-        if all(phi[E.meet(x, y)] == phi[x] * phi[y] for x in range(E.n) for y in range(E.n)):
-            out.add(frozenset(x for x in nonzero if phi[x]))
-    return out
-
-
-def all_covers(E: FinMeetSemilattice, x: int) -> list[int]:
-    """Every cover of x inside its nonzero downset, without minimality, by
-    the definition on the meet table: every nonzero y <= x meets a member.
-    Covers are element masks."""
-    pool = [y for y in range(1, E.n) if E.meet(y, x) == y]
-    return [
-        sum(1 << z for z in c)
-        for size in range(1, len(pool) + 1)
-        for c in combinations(pool, size)
-        if all(any(E.meet(y, z) for z in c) for y in pool)
-    ]
+    """All nonzero meet-preserving 0/1 maps, as their 1-sets.  Map s sends
+    0 to 0 and each x >= 1 to bit x-1 of s; bit s of ``bad`` records a pair
+    (x, y) with phi(x meet y) != phi(x) phi(y)."""
+    col = [0, *_columns(E.n - 1)]
+    bad = 1  # the zero map
+    for x, row in enumerate(E.meet_table):
+        cx = col[x]
+        for y, m in enumerate(row):
+            bad |= col[m] ^ (cx & col[y])
+    good = ((1 << (1 << (E.n - 1))) - 1) & ~bad
+    return {frozenset(x for x in range(1, E.n) if s >> (x - 1) & 1) for s in _bits(good)}
 
 
 def tight_spectrum_brute(E: FinMeetSemilattice) -> int:
-    """Spectrum constrained by every cover, not only the minimal ones."""
-    rels = [XRelation(x, c) for x in range(1, E.n) for c in all_covers(E, x)]
-    return semilattice.spectrum(E, rels)
+    """The nonzero g whose character satisfies (x, C) for every nonzero x and
+    every cover C of x, not only the minimal ones, by the definitions on the
+    meet table.  Bit s of ``covers`` says whether the s-th subset of the pool,
+    the nonzero y <= x, meets every member of the pool; of ``above_g``,
+    whether it holds an element above g.  The character at g satisfies (x, C)
+    when g <= x exactly when g lies below a member of C."""
+    meet, bad = E.meet_table, 0
+    for x in range(1, E.n):
+        pool = [y for y in range(1, E.n) if meet[y][x] == y]
+        col = _columns(len(pool))
+        covers = (1 << (1 << len(pool))) - 1
+        for y in pool:
+            covers &= reduce(or_, (c for c, z in zip(col, pool) if meet[y][z]), 0)
+        for g in range(1, E.n):
+            above_g = reduce(or_, (c for c, z in zip(col, pool) if meet[g][z] == g), 0)
+            if covers & (~above_g if meet[g][x] == g else above_g):
+                bad |= 1 << g
+    return ((1 << E.n) - 2) & ~bad
 
 
 def semilattice_suite(max_size: int = 8):
+    """The characters and the tight spectrum of the catalog and 20 seeded
+    random semilattices of at most ``max_size`` elements, against oracles
+    that test every 0/1 map and every cover.  ``BudgetExceeded`` before any
+    work when a semilattice could have over ``MAP_BUDGET`` maps."""
+    if max_size - 1 > MAP_BUDGET.bit_length() - 1:
+        maps = f"{1 << max_size - 1:,}" if max_size <= 64 else f"2^{max_size - 1}"
+        raise BudgetExceeded(
+            f"the semilattice suite at max-size {max_size} would test {maps} maps "
+            f"at once, over the budget of {MAP_BUDGET:,}"
+        )
     rng = random.Random(7)
     out = []
     pool = _catalog(max_size)

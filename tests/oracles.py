@@ -3,11 +3,13 @@
 Everything here works from first definitions (exhaustive enumeration over
 subsets and words), deliberately avoiding the library's own shortcuts.  The
 semilattice oracles below read the order off the meet table, never the
-order masks; the character and all-covers oracles live in ``xjoin.suites``,
-because the ``suite`` command runs them too.  The groupoid oracles read a
-composition table in its dense JSON form, -1 where a composite is
-undefined: ``dense_comp`` expands a groupoid's rows, which hold only the
-composable arrows, and ``sparse_comp`` packs a dense table back into rows.
+order masks.  ``xjoin.suites`` runs bit-sliced character and all-covers
+oracles in the ``suite`` command; ``characters_by_maps`` and
+``tight_spectrum_by_covers`` are the loops they are checked against.  The
+groupoid oracles read a composition table in its dense JSON form, -1 where
+a composite is undefined: ``dense_comp`` expands a groupoid's rows, which
+hold only the composable arrows, and ``sparse_comp`` packs a dense table
+back into rows.
 """
 
 from __future__ import annotations
@@ -110,6 +112,39 @@ def spectrum_brute(E, relations) -> int:
         for g in range(1, E.n)
         if all(below(g, r.e) == any(below(g, p) for p in elements_of(r.parts)) for r in relations)
     )
+
+
+def characters_by_maps(E) -> set[frozenset[int]]:
+    """All nonzero meet-preserving 0/1 maps, as their 1-sets, one map at a
+    time."""
+    out = set()
+    nonzero = range(1, E.n)
+    for bits in iproduct((0, 1), repeat=E.n - 1):
+        phi = (0,) + bits
+        if not any(bits):
+            continue
+        if all(phi[E.meet(x, y)] == phi[x] * phi[y] for x in range(E.n) for y in range(E.n)):
+            out.add(frozenset(x for x in nonzero if phi[x]))
+    return out
+
+
+def all_covers(E, x: int) -> list[int]:
+    """Every cover of x inside its nonzero downset, without minimality, by
+    the definition on the meet table: every nonzero y <= x meets a member.
+    Covers are element masks."""
+    pool = [y for y in range(1, E.n) if E.meet(y, x) == y]
+    return [
+        mask_of(c)
+        for size in range(1, len(pool) + 1)
+        for c in combinations(pool, size)
+        if all(any(E.meet(y, z) for z in c) for y in pool)
+    ]
+
+
+def tight_spectrum_by_covers(E) -> int:
+    """The spectrum constrained by every cover, not only the minimal ones,
+    one relation per cover."""
+    return spectrum_brute(E, [XRelation(x, c) for x in range(1, E.n) for c in all_covers(E, x)])
 
 
 def relation_sort_key(rel: XRelation):

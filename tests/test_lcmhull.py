@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,32 @@ class TestBuiltinOracles:
     ])
     def test_against_bounded_ideal_search(self, M, depth, cof):
         lh._check_lcm_oracle(M, depth, cof)
+
+    # FreeMonoid("ab") but for right_lcm("a", "a"), each failure of
+    # _check_lcm_oracle once, printed one message a line
+    WRONG_LCM = """
+from xjoin import lcmhull as lh
+from xjoin.semilattice import LawViolation
+for wrong in (None, "ab", "b"):
+    class Wrong(lh.FreeMonoid):
+        def right_lcm(self, p, q, wrong=wrong):
+            return wrong if (p, q) == ("a", "a") else super().right_lcm(p, q)
+    try:
+        lh._check_lcm_oracle(Wrong("ab"), 3, 4)
+    except LawViolation as exc:
+        print(exc)
+"""
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_wrong_lcm_names_the_same_witness_under_any_hash_seed(self, seed):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", self.WRONG_LCM], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.splitlines() == [
+            "oracle says ideals of a and a miss, but a lies in both",
+            "lcm ab misses a in the intersection of a and a",
+            "lcm b of a,a not divisible by both",
+        ]
 
     def test_left_divide_consistency(self):
         for M in (FREE, NAT2, NX):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,13 @@ from xjoin import boolalg as ba
 from xjoin import semilattice as sl
 from xjoin.semilattice import LawViolation, XRelation
 
+from xjoin import suites
+from xjoin.cli import main
 from xjoin.suites import brute_force_characters, tight_spectrum_brute
 
 from oracles import (
     atoms_brute,
+    characters_by_maps,
     covers_brute,
     down_brute,
     elements_of,
@@ -23,6 +27,7 @@ from oracles import (
     minimal_covers_brute,
     relations_to_json,
     spectrum_brute,
+    tight_spectrum_by_covers,
     x_core_brute,
     x_prime_brute,
 )
@@ -175,6 +180,7 @@ class TestCharacters:
         rng = random.Random(3)
         pool = [E3, D, V, sl.powerset_semilattice(3)]
         pool += [sl.random_semilattice(rng, 8) for _ in range(10)]
+        pool += [sl.random_semilattice(rng, 16) for _ in range(40)]
         for E in pool:
             filters = {
                 frozenset(x for x in range(1, E.n) if E.leq(c, x))
@@ -187,6 +193,53 @@ class TestCharacters:
         # e1 and e3 satisfy e2 = e1 (both sides hold at e1, neither at e3); e2 fails it
         assert sl.spectrum(E3, [rel(2, {1})]) == mask_of({1, 3})
         assert sl.spectrum(E3, [rel(0, ())]) == sl.characters(E3)
+
+
+def small_semilattices():
+    """Random intersection families of 2-10 elements over grounds of 3-6
+    points, the one-element semilattice, chains, antichains and P(3)."""
+    return st.one_of(
+        st.builds(sl.random_semilattice, st.randoms(use_true_random=False),
+                  st.integers(2, 10), st.integers(3, 6)),
+        st.just(sl.FinMeetSemilattice.from_meet([[0]])),
+        st.builds(sl.chain, st.integers(1, 6)),
+        st.builds(sl.antichain, st.integers(1, 5)),
+        st.just(sl.powerset_semilattice(3)),
+    )
+
+
+class TestSuiteOracles:
+    """The suite's bit-sliced oracles against the loops over one map or one
+    cover at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(E=small_semilattices())
+    def test_characters_match_per_map_loop(self, E):
+        assert brute_force_characters(E) == characters_by_maps(E)
+
+    @settings(max_examples=150, deadline=None)
+    @given(E=small_semilattices())
+    def test_tight_spectrum_matches_per_cover_relations(self, E):
+        assert tight_spectrum_brute(E) == tight_spectrum_by_covers(E)
+
+    def test_columns(self):
+        assert suites._columns(0) == []
+        assert suites._columns(3) == [0b10101010, 0b11001100, 0b11110000]
+
+    def test_refuses_over_budget_before_any_work(self):
+        t0 = time.monotonic()
+        with pytest.raises(sl.BudgetExceeded, match=r"16,777,216 maps.*budget of 8,388,608"):
+            suites.run_all(max_size=25)
+        assert time.monotonic() - t0 < 0.5
+
+    def test_command_refuses_over_budget_with_exit_2(self, capsys):
+        assert main(["suite", "--max-size", "25"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "budget" in err
+
+    def test_largest_size_under_budget_passes(self):
+        results = suites.semilattice_suite(24)
+        assert [ok for _, ok, _ in results] == [True] * 4
 
 
 class TestSpectra:
@@ -220,6 +273,7 @@ class TestSpectra:
         rng = random.Random(11)
         pool = [E3, D, V, sl.powerset_semilattice(3)]
         pool += [sl.random_semilattice(rng, 8) for _ in range(15)]
+        pool += [sl.random_semilattice(rng, 16) for _ in range(40)]
         for E in pool:
             assert sl.spectrum(E, sl.x_tight(E)) == tight_spectrum_brute(E)
 
